@@ -48,23 +48,11 @@ def clamp_z(z: float) -> float:
     return min(abs(z) / Z_CAP, 1.0)
 
 
-class StatWindow:
-    """Rolling per-frame intensity statistics for the visual z-score method."""
-
-    def __init__(self, capacity: int = 64):
-        if capacity < 2:
-            raise InvalidInput(f"capacity must be >= 2, got {capacity}")
-        self.capacity = capacity
-        self.means: deque[float] = deque(maxlen=capacity)
-        self.stds: deque[float] = deque(maxlen=capacity)
-
-    def __len__(self) -> int:
-        return len(self.means)
+class StatWindow(RollingBaseline):
+    """Rolling per-frame mean intensities for the visual z-score method."""
 
     def push(self, frame: np.ndarray) -> None:
-        pixels = np.asarray(frame, dtype=np.float64)
-        self.means.append(float(pixels.mean()))
-        self.stds.append(float(pixels.std()))
+        super().push(np.asarray(frame, dtype=np.float64).mean())
 
 
 def zscore_score(window: StatWindow, frame: np.ndarray) -> float:
@@ -74,14 +62,9 @@ def zscore_score(window: StatWindow, frame: np.ndarray) -> float:
     Fewer than two historical frames is warm-up: score 0, still appended.
     """
     pixels = np.asarray(frame, dtype=np.float64)
-    frame_mean = float(pixels.mean())
-    if len(window) < 2:
-        window.push(pixels)
-        return 0.0
-    history = np.array(window.means)
-    z = abs(frame_mean - history.mean()) / max(float(history.std()), STD_FLOOR)
+    score = clamp_z(window.zscore(float(pixels.mean()))) if len(window) >= 2 else 0.0
     window.push(pixels)
-    return clamp_z(z)
+    return score
 
 
 def block_mean_downsample(pixels: np.ndarray, blocks: int = 8) -> np.ndarray:

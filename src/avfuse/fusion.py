@@ -514,8 +514,7 @@ class LabeledSequence:
     event_label: int | None = None
 
 
-def train_step(model, batch: list[LabeledSequence], learning_rate: float,
-               momentum: float = 0.0, _buffers: dict | None = None) -> float:
+def train_step(model, batch: list[LabeledSequence], learning_rate: float) -> float:
     """One full-batch gradient step; returns the batch loss.
 
     Basic models minimize motion cross-entropy; advanced models add the
@@ -551,16 +550,8 @@ def train_step(model, batch: list[LabeledSequence], learning_rate: float,
     tz.backward(total)
 
     for p in model.parameters():
-        if p.grad is None:
-            continue
-        update = p.grad
-        if momentum > 0.0:
-            assert _buffers is not None, "momentum needs a persistent buffer dict"
-            buf = _buffers.setdefault(id(p), np.zeros_like(p.data))
-            buf *= momentum
-            buf += update
-            update = buf
-        p.data = p.data - learning_rate * update
+        if p.grad is not None:
+            p.data = p.data - learning_rate * p.grad
     return total.item()
 
 

@@ -1,11 +1,14 @@
 """Staged concurrent runtime: bounded queues, event log, artifacts, training.
 
 Windows flow through ingest -> analyze -> detect -> tokenize -> fuse ->
-score -> sink. Stages communicate only through bounded drop-oldest queues,
-so a slow stage sheds load instead of blocking its producer; every drop is
-counted and ``ingested == processed + dropped`` holds exactly per stage.
-The same stage objects run either on worker threads or sequentially, and
-with drops disabled both modes produce identical output.
+score -> sink. One runner, :func:`run_stages`, drives every stage chain,
+training included. Stages communicate only through bounded drop-oldest
+queues, so a slow stage sheds load instead of blocking its producer; every
+drop is counted and ``ingested == processed + dropped`` holds exactly per
+stage. Threaded runs give each stage a worker thread; inline runs drain one
+stage at a time through the same queues. With drops disabled both modes
+produce identical output. The first stage that raises stops every worker,
+and the run fails with an error naming the window and the stage.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import json
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +38,7 @@ from .anomaly import (
 from .audio_dsp import SpectralStats, cwt_scalogram, default_cwt_scales, spectral_stats, stft
 from .config import Config
 from .detect_track import Tracker, TrackerThresholds, cross_detector_merge, nms, scripted_detector
-from .errors import InvalidConfig, InvalidInput
+from .errors import AvFuseError, InvalidConfig, InvalidInput
 from .fusion import (
     FUSED_DIM,
     AdvancedFusionConfig,
@@ -55,7 +58,7 @@ from .fusion import (
 )
 from .io import load_capture, write_pgm, write_wav
 from .scenario import Scenario
-from .timebase import align_audio_to_frames, validate_burst
+from .timebase import AudioClip, align_audio_to_frames, validate_burst
 from .vision_dsp import DenseFlow, FlowStats, WaveletEnergy, dwt2_energy, flow_stats, preprocess_frame
 
 KIND_ORDER = {"detection": 0, "track": 1, "classification": 2, "anomaly": 3, "metric": 4}
@@ -152,11 +155,6 @@ class StageQueue:
             self._closed = True
             self._cond.notify_all()
 
-    @property
-    def depth(self) -> int:
-        with self._cond:
-            return len(self._items)
-
 
 class PipelineContext:
     """Single-owner state for every stage plus the stage functions."""
@@ -179,14 +177,11 @@ class PipelineContext:
         self.flow_estimator = DenseFlow(config.vision.flow_alpha, config.vision.flow_iterations)
         self._prev_frame: np.ndarray | None = None
 
-        if model_bundle is not None:
-            self.model, self.normalizer = model_bundle
-        elif config.fusion.model == "advanced":
-            self.model = build_fusion_model(config)
-            self.normalizer = TokenNormalizer.identity(4, 5)
-        else:
-            self.model = build_fusion_model(config)
-            self.normalizer = TokenNormalizer.identity(3, 4)
+        if model_bundle is None:
+            model = build_fusion_model(config)
+            model_bundle = (model, TokenNormalizer.identity(model.config.visual_features,
+                                                            model.config.audio_features))
+        self.model, self.normalizer = model_bundle
         self.advanced = isinstance(self.model, AdvancedFusionModel)
         self.ensemble = self.model.ensemble if self.advanced else AudioEnsembleFusion(seed=config.fusion.seed)
         self.autoencoder = autoencoder
@@ -392,7 +387,6 @@ def emit_event_log(records: list[EventRecord], path: str | Path) -> Path:
 @dataclass
 class StageMetrics:
     processed: int = 0
-    dropped: int = 0
     latencies_ms: list = field(default_factory=list)
 
     def percentiles(self) -> dict:
@@ -418,19 +412,6 @@ class RunSummary:
     log_path: str
     deterministic: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "windows_ingested": self.windows_ingested,
-            "windows_processed": self.windows_processed,
-            "anomalies_triggered": self.anomalies_triggered,
-            "drops": self.drops,
-            "stage_latency": self.stage_latency,
-            "accounting_ok": self.accounting_ok,
-            "artifact_errors": self.artifact_errors,
-            "log_path": self.log_path,
-            "deterministic": self.deterministic,
-        }
-
 
 def export_flow_csv(path: Path, flow_field) -> None:
     """Two-plane CSV: the u rows stacked above the v rows."""
@@ -454,6 +435,84 @@ def export_audio_features(samples: np.ndarray, sample_rate: int, config: Config,
                    scalogram.coefficients[:, ::a.hop_length], delimiter=",")
 
 
+def open_capture(capture_dir: str | Path) -> tuple[Scenario, AudioClip, list[WindowJob]]:
+    """Scenario, audio clip and one fresh job per aligned window of a capture."""
+    capture_dir = Path(capture_dir)
+    scenario_path = capture_dir / "scenario.json"
+    if not scenario_path.exists():
+        raise InvalidInput(f"missing scenario definition: {scenario_path}")
+    scenario = Scenario.from_json(scenario_path)
+    burst, clip = load_capture(capture_dir)
+    validation = validate_burst(burst)
+    if not validation.ok:
+        raise InvalidInput("invalid burst: " + "; ".join(validation.violations))
+    jobs = [
+        WindowJob(index=w.frame_index, timestamp=burst.frames[w.frame_index].timestamp,
+                  raw=burst.frames[w.frame_index].pixels, samples=w.samples,
+                  pad_left=w.pad_left, pad_right=w.pad_right)
+        for w in align_audio_to_frames(burst, clip)
+    ]
+    return scenario, clip, jobs
+
+
+def run_stages(stages: list, jobs: list[WindowJob], capacity: int, threaded: bool = False,
+               delays: dict | None = None) -> tuple[list[StageQueue], dict[str, StageMetrics]]:
+    """Push ``jobs`` through ``(name, fn)`` stages over bounded queues.
+
+    Stage ``i`` pops from ``queues[i]`` and pushes to ``queues[i + 1]``.
+    Threaded runs give every stage a worker thread; inline runs call the
+    workers in turn, so each stage drains fully before the next starts,
+    which gives the same output because every stage owns its own state.
+    ``delays`` sleeps before each call of the named stages (a test hook).
+    The first stage that raises stops every worker and is re-raised as an
+    :class:`AvFuseError` naming the window and the stage.
+    """
+    delays = delays or {}
+    queues = [StageQueue(capacity) for _ in stages]
+    metrics = {name: StageMetrics() for name, _ in stages}
+    failures: list[tuple[int, str, Exception]] = []
+
+    def worker(stage_index: int) -> None:
+        name, fn = stages[stage_index]
+        q_in = queues[stage_index]
+        q_out = queues[stage_index + 1] if stage_index + 1 < len(stages) else None
+        delay = delays.get(name, 0.0)
+        try:
+            while not failures and (job := q_in.get()) is not None:
+                if delay:
+                    time.sleep(delay)
+                start = time.perf_counter()
+                try:
+                    out = fn(job)
+                except Exception as exc:
+                    failures.append((job.index, name, exc))
+                    return
+                metrics[name].latencies_ms.append((time.perf_counter() - start) * 1e3)
+                metrics[name].processed += 1
+                if q_out is not None:
+                    q_out.put(out)
+        finally:
+            if q_out is not None:
+                q_out.close()
+
+    threads = [threading.Thread(target=worker, args=(i,), daemon=True)
+               for i in range(len(stages))] if threaded else []
+    for thread in threads:
+        thread.start()
+    for job in jobs:
+        queues[0].put(job)
+    queues[0].close()
+    for thread in threads:
+        thread.join()
+    if not threaded:
+        for i in range(len(stages)):
+            worker(i)
+    if failures:
+        index, name, exc = failures[0]
+        raise AvFuseError(f"window {index}: {name} stage failed: {exc}") from exc
+    return queues, metrics
+
+
 def run_pipeline(
     capture_dir: str | Path,
     config: Config,
@@ -470,22 +529,15 @@ def run_pipeline(
 
     ``deterministic`` sizes queues to hold every window so nothing drops;
     with drops impossible the event log and artifacts are byte-identical
-    across runs. ``single_thread`` runs the same stages inline.
+    across runs. ``single_thread`` runs the same stages inline, one stage
+    at a time through the same bounded queues, so drops are counted the
+    same way. A stage that raises fails the run with an
+    :class:`AvFuseError` naming the window and the stage (exit code 2).
     """
     config.validate()
-    capture_dir = Path(capture_dir)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    scenario_path = capture_dir / "scenario.json"
-    if not scenario_path.exists():
-        raise InvalidInput(f"missing scenario definition: {scenario_path}")
-    scenario = Scenario.from_json(scenario_path)
-    burst, clip = load_capture(capture_dir)
-    validation = validate_burst(burst)
-    if not validation.ok:
-        raise InvalidInput("invalid burst: " + "; ".join(validation.violations))
-    windows = align_audio_to_frames(burst, clip)
+    scenario, clip, jobs = open_capture(capture_dir)
 
     model_bundle = load_model(model_path) if model_path else None
     autoencoder = anomaly_mod.load_autoencoder(autoencoder_path) if autoencoder_path else None
@@ -504,125 +556,54 @@ def run_pipeline(
         ("score", context.score),
         ("sink", sink),
     ]
-    metrics = {name: StageMetrics() for name, _ in stages}
-
     capacity = queue_capacity if queue_capacity is not None else config.runtime.queue_capacity
     if deterministic:
-        capacity = max(capacity, len(windows) + 1)
-    delays = config.runtime.stage_delays
+        capacity = max(capacity, len(jobs) + 1)
+    queues, metrics = run_stages(stages, jobs, capacity, threaded=not single_thread,
+                                 delays=config.runtime.stage_delays)
+    drops = {name: queue.dropped for (name, _), queue in zip(stages, queues)}
 
-    jobs = [
-        WindowJob(index=w.frame_index, timestamp=burst.frames[w.frame_index].timestamp,
-                  raw=burst.frames[w.frame_index].pixels, samples=w.samples,
-                  pad_left=w.pad_left, pad_right=w.pad_right)
-        for w in windows
-    ]
-
-    if single_thread:
-        for job in jobs:
-            for name, fn in stages:
-                start = time.perf_counter()
-                job = fn(job)
-                metrics[name].latencies_ms.append((time.perf_counter() - start) * 1e3)
-                metrics[name].processed += 1
-        drops = {name: 0 for name, _ in stages}
-        ingested = len(jobs)
-        accounting = True
-    else:
-        queues = [StageQueue(capacity) for _ in stages]
-
-        def worker(stage_index: int) -> None:
-            name, fn = stages[stage_index]
-            q_in = queues[stage_index]
-            q_out = queues[stage_index + 1] if stage_index + 1 < len(stages) else None
-            delay = delays.get(name, 0.0)
-            while True:
-                job = q_in.get()
-                if job is None:
-                    if q_out is not None:
-                        q_out.close()
-                    return
-                if delay:
-                    time.sleep(delay)
-                start = time.perf_counter()
-                job = fn(job)
-                metrics[name].latencies_ms.append((time.perf_counter() - start) * 1e3)
-                metrics[name].processed += 1
-                if q_out is not None:
-                    q_out.put(job)
-
-        threads = [threading.Thread(target=worker, args=(i,), daemon=True)
-                   for i in range(len(stages))]
-        for thread in threads:
-            thread.start()
-        for job in jobs:
-            queues[0].put(job)
-        queues[0].close()
-        for thread in threads:
-            thread.join()
-
-        drops = {stages[i][0]: queues[i].dropped for i in range(len(stages))}
-        for i, (name, _) in enumerate(stages):
-            metrics[name].dropped = queues[i].dropped
-        ingested = queues[0].pushed
-        accounting = all(
-            queues[i].pushed == queues[i].popped + queues[i].dropped
-            for i in range(len(stages))
-        )
-
-    last_t = jobs[-1].timestamp if jobs else 0.0
     for name, _ in stages:
-        sink.records.append(EventRecord(last_t, len(jobs) - 1 if jobs else 0, "metric", {
+        sink.records.append(EventRecord(jobs[-1].timestamp, len(jobs) - 1, "metric", {
             "stage": name,
             "processed": metrics[name].processed,
-            "dropped": metrics[name].dropped,
+            "dropped": drops[name],
         }))
 
     log_path = emit_event_log(sink.records, out_dir / "events.jsonl")
     summary = RunSummary(
-        windows_ingested=ingested,
+        windows_ingested=queues[0].pushed,
         windows_processed=sink.windows_processed,
         anomalies_triggered=sink.anomalies_triggered,
         drops=drops,
         stage_latency={name: metrics[name].percentiles() for name, _ in stages},
-        accounting_ok=accounting,
+        accounting_ok=all(q.pushed == q.popped + q.dropped for q in queues),
         artifact_errors=sink.artifact_errors,
         log_path=str(log_path),
         deterministic=deterministic,
     )
-    (out_dir / "summary.json").write_text(json.dumps(summary.to_dict(), indent=2) + "\n")
+    (out_dir / "summary.json").write_text(json.dumps(asdict(summary), indent=2) + "\n")
     return summary
 
 
 def build_training_sequences(capture_dir: str | Path, config: Config, seed: int = 0):
     """Labeled burst-sized token sequences from a generated scenario.
 
-    Runs the feature, detection, and token stages sequentially over every
-    window, then chunks tokens into bursts; each burst inherits the
-    scenario's motion and event ground truth.
+    Runs the analyze, detect and tokenize stages inline over every window,
+    then chunks tokens into bursts; each burst inherits the scenario's
+    motion and event ground truth.
     """
-    capture_dir = Path(capture_dir)
-    scenario = Scenario.from_json(capture_dir / "scenario.json")
-    burst, clip = load_capture(capture_dir)
-    windows = align_audio_to_frames(burst, clip)
+    scenario, clip, jobs = open_capture(capture_dir)
     advanced = config.fusion.model == "advanced"
-
     context = PipelineContext(config, scenario, clip.sample_rate, seed=seed)
-    visual_rows, audio_rows, fused_rows, frames = [], [], [], []
-    for w in windows:
-        job = WindowJob(index=w.frame_index,
-                        timestamp=burst.frames[w.frame_index].timestamp,
-                        raw=burst.frames[w.frame_index].pixels, samples=w.samples,
-                        pad_left=w.pad_left, pad_right=w.pad_right)
-        job = context.tokenize(context.detect(context.analyze(job)))
-        visual_rows.append(job.visual_row)
-        audio_rows.append(job.audio_row)
-        fused_rows.append(job.fused)
-        frames.append(job.preprocessed)
+    tokens: list[WindowJob] = []
+    run_stages([("analyze", context.analyze), ("detect", context.detect),
+                ("tokenize", context.tokenize), ("collect", tokens.append)],
+               jobs, capacity=len(jobs) + 1)
 
     chunk = config.fusion.burst_tokens
     sequences = []
-    for start in range(0, len(windows) - chunk + 1, chunk):
+    for start in range(0, len(tokens) - chunk + 1, chunk):
         span = range(start, start + chunk)
         motion = int(any(scenario.motion_label(w) for w in span))
         event = 0
@@ -631,13 +612,13 @@ def build_training_sequences(capture_dir: str | Path, config: Config, seed: int 
                 event = scenario.event_label(w)
                 break
         sequences.append(LabeledSequence(
-            visual=np.stack([visual_rows[w] for w in span]),
-            audio=np.stack([audio_rows[w] for w in span]),
+            visual=np.stack([tokens[w].visual_row for w in span]),
+            audio=np.stack([tokens[w].audio_row for w in span]),
             motion_label=motion,
-            fused=fused_rows[start + chunk - 1] if advanced else None,
+            fused=tokens[start + chunk - 1].fused if advanced else None,
             event_label=event if advanced else None,
         ))
-    normal_frames = [frames[w] for w in range(len(windows)) if not scenario.is_injected(w)]
+    normal_frames = [job.preprocessed for job in tokens if not scenario.is_injected(job.index)]
     return sequences, normal_frames
 
 

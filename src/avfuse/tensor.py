@@ -6,8 +6,7 @@ the resulting acyclic graph once in reverse topological order. Graphs are
 rebuilt every forward pass; running :func:`backward` twice on the same loss
 node is an error rather than a silent re-accumulation.
 
-All correctness tests run at float64. float32 is supported for inference
-speed with correspondingly relaxed tolerances.
+All correctness tests run at float64.
 """
 
 from __future__ import annotations
@@ -247,20 +246,15 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Scaled dot-product attention: softmax(Q K^T / sqrt(d_k)) V."""
-    if q.shape[1] != k.shape[1]:
-        raise InvalidInput(
-            f"attention: query dim {q.shape} does not match key dim {k.shape}"
-        )
     if k.shape[0] != v.shape[0]:
         raise InvalidInput(
             f"attention: key count {k.shape} does not match value count {v.shape}"
         )
-    weights = softmax(scale(matmul(q, transpose(k)), 1.0 / np.sqrt(q.shape[1])))
-    return matmul(weights, v)
+    return matmul(attention_weights(q, k), v)
 
 
 def attention_weights(q: Tensor, k: Tensor) -> Tensor:
-    """The softmax weight matrix of :func:`attention`, for inspection."""
+    """The softmax weight matrix of :func:`attention`."""
     if q.shape[1] != k.shape[1]:
         raise InvalidInput(
             f"attention: query dim {q.shape} does not match key dim {k.shape}"

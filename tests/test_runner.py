@@ -1,0 +1,167 @@
+"""The one stage runner: failure propagation, drop accounting, shared loader."""
+
+import json
+import shutil
+import sys
+import threading
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+from avfuse.cli import main as cli_main
+from avfuse.config import Config
+from avfuse.errors import AvFuseError, InvalidInput
+from avfuse.io import read_pgm, write_pgm
+from avfuse.pipeline import run_pipeline, run_stages, train_on_scenario
+from avfuse.scenario import generate_scenario, preset_scenario
+
+TIMEOUT_S = 60.0
+
+
+def finishes(fn, timeout: float = TIMEOUT_S):
+    """Run ``fn`` on a helper thread; fail instead of hanging if it never returns.
+
+    Returns ``("value", result)`` or ``("error", exception)``.
+    """
+    outcome = []
+
+    def target():
+        try:
+            outcome.append(("value", fn()))
+        except BaseException as exc:  # reported to the test, not swallowed
+            outcome.append(("error", exc))
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"did not finish within {timeout:g} s"
+    return outcome[0]
+
+
+@pytest.fixture(scope="module")
+def canonical_capture(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("canonical")
+    generate_scenario(preset_scenario("canonical", seed=0), directory)
+    return directory
+
+
+@pytest.fixture(scope="module")
+def cropped_capture(canonical_capture, tmp_path_factory):
+    """Canonical capture with every frame cropped to 62x62, which DWT rejects."""
+    directory = shutil.copytree(canonical_capture, tmp_path_factory.mktemp("cropped") / "capture")
+    for path in directory.glob("frame_*.pgm"):
+        write_pgm(path, read_pgm(path)[:62, :62])
+    return directory
+
+
+class TestStageFailure:
+    def test_threaded_run_raises_instead_of_hanging(self, cropped_capture, tmp_path):
+        kind, threaded = finishes(lambda: run_pipeline(cropped_capture, Config(), tmp_path / "t"))
+        assert kind == "error"
+        assert isinstance(threaded, AvFuseError)
+        assert "window 0" in str(threaded) and "analyze" in str(threaded)
+
+        kind, inline = finishes(lambda: run_pipeline(cropped_capture, Config(), tmp_path / "i",
+                                                     single_thread=True))
+        assert kind == "error"
+        assert type(inline) is type(threaded)
+        assert str(inline) == str(threaded)
+
+    @pytest.mark.parametrize("mode", [[], ["--single-thread"]], ids=["threaded", "inline"])
+    def test_cli_exits_2_naming_window_and_stage(self, cropped_capture, tmp_path, capsys, mode):
+        argv = ["--out", str(tmp_path / "out"), "run", str(cropped_capture), *mode]
+        assert finishes(lambda: cli_main(argv)) == ("value", 2)
+        err = capsys.readouterr().err
+        assert "window 0: analyze stage failed" in err
+
+    @pytest.mark.parametrize("threaded", [True, False], ids=["threaded", "inline"])
+    def test_first_failure_stops_every_worker(self, threaded):
+        seen = {"a": [], "b": [], "c": []}
+
+        def stage(name, fail_at=None):
+            def fn(job):
+                if job.index == fail_at:
+                    raise ValueError("boom")
+                seen[name].append(job.index)
+                return job
+            return name, fn
+
+        jobs = [SimpleNamespace(index=i) for i in range(20)]
+        kind, error = finishes(lambda: run_stages(
+            [stage("a"), stage("b", fail_at=3), stage("c")], jobs, capacity=32,
+            threaded=threaded))
+        assert kind == "error"
+        assert isinstance(error, AvFuseError)
+        assert str(error) == "window 3: b stage failed: boom"
+        assert isinstance(error.__cause__, ValueError)
+        assert seen["b"] == [0, 1, 2]
+        assert set(seen["c"]) <= {0, 1, 2}
+
+    def test_concurrent_failures_end_every_worker(self):
+        """More stage threads than cores, several raising, frequent thread switches."""
+        def failing(name, at):
+            def fn(job):
+                if job.index == at:
+                    raise ValueError(name)
+                return job
+            return name, fn
+
+        stages = [failing(f"s{i}", at=9 - i) for i in range(8)]
+        possible = {f"window {9 - i}: s{i} stage failed: s{i}" for i in range(8)}
+        jobs = [SimpleNamespace(index=i) for i in range(50)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                kind, error = finishes(lambda: run_stages(stages, jobs, capacity=64, threaded=True))
+                assert kind == "error" and str(error) in possible
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestDropAccounting:
+    @pytest.fixture(scope="class")
+    def injection_capture(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("injection")
+        generate_scenario(preset_scenario("injection", seed=0), directory)
+        return directory
+
+    def test_inline_run_sheds_from_the_same_queues(self, injection_capture, tmp_path):
+        summary = run_pipeline(injection_capture, Config(), tmp_path / "out", single_thread=True)
+        assert summary.windows_ingested == 120
+        assert summary.drops == {"analyze": 56, "detect": 0, "tokenize": 0,
+                                 "fuse": 0, "score": 0, "sink": 0}
+        assert summary.windows_processed == 64
+        assert summary.accounting_ok
+        records = [json.loads(line) for line in Path(summary.log_path).read_text().splitlines()]
+        assert {r["payload"]["stage"]: r["payload"]["dropped"]
+                for r in records if r["kind"] == "metric"} == summary.drops
+
+    def test_threaded_run_accounts_the_same_way(self, injection_capture, tmp_path):
+        summary = run_pipeline(injection_capture, Config(), tmp_path / "out")
+        assert summary.accounting_ok
+        assert summary.windows_ingested == 120
+        assert summary.windows_processed + sum(summary.drops.values()) == 120
+
+
+class TestSharedCaptureLoader:
+    def fails_alike(self, capture, tmp_path, expected):
+        config = Config()
+        with pytest.raises(InvalidInput) as from_run:
+            run_pipeline(capture, config, tmp_path / "run")
+        with pytest.raises(InvalidInput) as from_train:
+            train_on_scenario(capture, config, tmp_path / "train")
+        assert expected in str(from_run.value)
+        assert str(from_train.value) == str(from_run.value)
+
+    def test_mixed_frame_sizes(self, canonical_capture, tmp_path):
+        capture = shutil.copytree(canonical_capture, tmp_path / "capture")
+        frame = capture / "frame_0003.pgm"
+        write_pgm(frame, read_pgm(frame)[:32, :32])
+        self.fails_alike(capture, tmp_path, "invalid burst")
+
+    def test_missing_scenario(self, canonical_capture, tmp_path):
+        capture = shutil.copytree(canonical_capture, tmp_path / "capture")
+        (capture / "scenario.json").unlink()
+        self.fails_alike(capture, tmp_path, "missing scenario definition")
