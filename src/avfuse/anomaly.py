@@ -172,13 +172,17 @@ def save_autoencoder(path, model: DenseAutoencoder) -> None:
 
 
 def load_autoencoder(path) -> DenseAutoencoder:
+    """Rebuild a trained autoencoder; a malformed file raises :class:`InvalidInput`."""
     state = tz.load_tensors(path)
     model = DenseAutoencoder()
-    for name in model.params:
-        if name not in state:
-            raise InvalidInput(f"autoencoder file missing tensor {name}")
-        model.params[name] = Tensor(state[name], requires_grad=True)
-    model.training_mse = float(state["meta.training_mse"][0, 0])
+    try:
+        tz.load_state(model.params, state)
+    except InvalidInput as exc:
+        raise InvalidInput(f"{path}: autoencoder {exc}") from exc
+    mse = state.get("meta.training_mse")
+    if mse is None or mse.size != 1 or not np.isfinite(mse).all():
+        raise InvalidInput(f"{path}: autoencoder file needs one finite meta.training_mse value")
+    model.training_mse = float(mse.item())
     return model
 
 

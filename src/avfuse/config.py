@@ -76,7 +76,6 @@ class FusionConfig:
     basic_layers: int = 2
     basic_heads: int = 4
     basic_ffn: int = 512
-    advanced_hidden: int = 256  # must stay equal to the fused embedding width
     advanced_layers: int = 4
     advanced_heads: int = 8
     advanced_ffn: int = 1024
@@ -161,10 +160,8 @@ class Config:
         check(f.burst_tokens >= 1, "fusion.burst_tokens must be >= 1")
         check(f.basic_hidden >= f.basic_heads and f.basic_hidden % f.basic_heads == 0,
               "fusion.basic_hidden must be a positive multiple of basic_heads")
-        check(f.advanced_hidden >= f.advanced_heads and f.advanced_hidden % f.advanced_heads == 0,
-              "fusion.advanced_hidden must be a positive multiple of advanced_heads")
-        check(f.advanced_hidden == 256,
-              "fusion.advanced_hidden must equal the 256-dim fused audio embedding")
+        check(f.advanced_heads >= 1 and 256 % f.advanced_heads == 0,
+              "fusion.advanced_heads must divide 256, the fused audio embedding width")
         check(f.basic_layers >= 1 and f.advanced_layers >= 1, "fusion layer counts must be >= 1")
         check(f.basic_ffn >= 1 and f.advanced_ffn >= 1, "fusion FFN widths must be >= 1")
         check(f.burst_tokens <= f.max_tokens,

@@ -8,17 +8,31 @@ audio-ensemble embedding into the audio stream, and alternates bidirectional
 cross-attention (visual queries over audio keys/values and vice versa) with
 per-stream feed-forward blocks across 4 layers of 8 heads, ending in motion
 and 32-way event heads.
+
+Both models keep one contract, so callers never ask which one they hold:
+
+- ``config.visual_features`` / ``config.audio_features``: how many leading
+  columns of :func:`visual_matrix` / :func:`audio_matrix` the model reads;
+- ``ensemble``: the :class:`AudioEnsembleFusion` whose ``embed`` gives the
+  per-window fused audio vector, or ``None`` when the model reads none;
+- ``predict(visual, audio, fused=None)``: flat ``(motion_logits,
+  event_logits)``, the second ``None`` for a model without an event head;
+- ``loss(example)``: the training loss of one :class:`LabeledSequence`.
+
+Only :func:`build_model` and the save/load kind table name a model kind.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as tz
 from .audio_dsp import mel_spectrogram, spectral_stats, stft
+from .config import FusionConfig
 from .detect_track import Detection
 from .errors import InvalidInput
 from .tensor import Tensor
@@ -45,22 +59,6 @@ class AudioToken:
     bandwidth_hz: float
     rolloff_hz: float
     energy: float = 0.0
-
-
-@dataclass(frozen=True)
-class EnsembleEmbedding:
-    general: np.ndarray
-    speech: np.ndarray
-    scene: np.ndarray
-    fused: np.ndarray
-
-    def __post_init__(self):
-        for name in ("general", "speech", "scene"):
-            vec = getattr(self, name)
-            if vec.shape != (EMBED_DIM,):
-                raise InvalidInput(f"{name} embedding must be {EMBED_DIM}-dim, got {vec.shape}")
-        if self.fused.shape != (FUSED_DIM,):
-            raise InvalidInput(f"fused embedding must be {FUSED_DIM}-dim, got {self.fused.shape}")
 
 
 def build_visual_tokens(
@@ -101,18 +99,16 @@ def build_audio_tokens(windows: list[AlignedWindow], sample_rate: int) -> list[A
     return tokens
 
 
-def visual_matrix(tokens: list[VisualToken], advanced: bool = False) -> np.ndarray:
-    cols = [(t.bbox_count, t.mean_confidence, t.wavelet_energy) for t in tokens]
-    if advanced:
-        cols = [c + (t.flow_mean_magnitude,) for c, t in zip(cols, tokens)]
-    return np.asarray(cols, dtype=np.float64)
+def visual_matrix(tokens: list[VisualToken]) -> np.ndarray:
+    """Rows of (bbox count, mean confidence, wavelet energy, flow magnitude)."""
+    return np.asarray([(t.bbox_count, t.mean_confidence, t.wavelet_energy, t.flow_mean_magnitude)
+                       for t in tokens], dtype=np.float64)
 
 
-def audio_matrix(tokens: list[AudioToken], advanced: bool = False) -> np.ndarray:
-    cols = [(t.zcr, t.centroid_hz, t.bandwidth_hz, t.rolloff_hz) for t in tokens]
-    if advanced:
-        cols = [c + (t.energy,) for c, t in zip(cols, tokens)]
-    return np.asarray(cols, dtype=np.float64)
+def audio_matrix(tokens: list[AudioToken]) -> np.ndarray:
+    """Rows of (zcr, centroid, bandwidth, rolloff, energy)."""
+    return np.asarray([(t.zcr, t.centroid_hz, t.bandwidth_hz, t.rolloff_hz, t.energy)
+                       for t in tokens], dtype=np.float64)
 
 
 class TokenNormalizer:
@@ -156,10 +152,11 @@ class TokenNormalizer:
 
     @classmethod
     def from_state(cls, state: dict[str, np.ndarray]) -> "TokenNormalizer":
-        return cls(
-            state["norm.visual_mean"].reshape(-1), state["norm.visual_std"].reshape(-1),
-            state["norm.audio_mean"].reshape(-1), state["norm.audio_std"].reshape(-1),
-        )
+        names = ("norm.visual_mean", "norm.visual_std", "norm.audio_mean", "norm.audio_std")
+        for name in names:
+            if name not in state:
+                raise InvalidInput(f"parameter file missing tensor {name}")
+        return cls(*(state[name].reshape(-1) for name in names))
 
 
 def stub_audio_embeddings(samples, sample_rate: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -192,37 +189,24 @@ def _uniform_init(rng, fan_in: int, shape) -> np.ndarray:
 class AudioEnsembleFusion:
     """Linear reduction of three concatenated 768-dim embeddings to 256."""
 
-    def __init__(self, seed: int = 0, params: dict[str, np.ndarray] | None = None):
-        if params is None:
-            rng = np.random.default_rng(seed)
-            params = {
-                "ensemble.weight": _uniform_init(rng, 3 * EMBED_DIM, (3 * EMBED_DIM, FUSED_DIM)),
-                "ensemble.bias": np.zeros((1, FUSED_DIM)),
-            }
-        self.weight = Tensor(params["ensemble.weight"], requires_grad=True)
-        self.bias = Tensor(params["ensemble.bias"], requires_grad=True)
-
-    def fuse_graph(self, e1, e2, e3) -> Tensor:
-        for i, e in enumerate((e1, e2, e3)):
-            if np.asarray(e.data if isinstance(e, Tensor) else e).size != EMBED_DIM:
-                raise InvalidInput(f"ensemble input {i} must have {EMBED_DIM} values")
-        concat = np.concatenate([
-            np.asarray(e.data if isinstance(e, Tensor) else e).reshape(-1) for e in (e1, e2, e3)
-        ]).reshape(1, -1)
-        return tz.add_bias(tz.matmul(Tensor(concat), self.weight), self.bias)
+    def __init__(self, seed: int = 0):
+        rng = np.random.default_rng(seed)
+        self.weight = Tensor(_uniform_init(rng, 3 * EMBED_DIM, (3 * EMBED_DIM, FUSED_DIM)),
+                             requires_grad=True)
+        self.bias = Tensor(np.zeros((1, FUSED_DIM)), requires_grad=True)
 
     def fuse(self, e1, e2, e3) -> np.ndarray:
-        return self.fuse_graph(e1, e2, e3).data.reshape(-1)
+        """The 256-dim fused vector of three 768-dim embeddings."""
+        inputs = [np.asarray(e, dtype=np.float64).reshape(-1) for e in (e1, e2, e3)]
+        for i, e in enumerate(inputs):
+            if e.size != EMBED_DIM:
+                raise InvalidInput(f"ensemble input {i} must have {EMBED_DIM} values")
+        concat = np.concatenate(inputs).reshape(1, -1)
+        return (concat @ self.weight.data + self.bias.data).reshape(-1)
 
-    def embed(self, samples, sample_rate: int) -> EnsembleEmbedding:
-        general, speech, scene = stub_audio_embeddings(samples, sample_rate)
-        return EnsembleEmbedding(general, speech, scene, self.fuse(general, speech, scene))
-
-    def parameters(self) -> list[Tensor]:
-        return [self.weight, self.bias]
-
-    def state(self) -> dict[str, np.ndarray]:
-        return {"ensemble.weight": self.weight.data, "ensemble.bias": self.bias.data}
+    def embed(self, samples, sample_rate: int) -> np.ndarray:
+        """The fused vector of one audio window's three stand-in embeddings."""
+        return self.fuse(*stub_audio_embeddings(samples, sample_rate))
 
 
 def fuse_audio_ensemble(e1, e2, e3, fusion: AudioEnsembleFusion | None = None, seed: int = 0) -> np.ndarray:
@@ -263,15 +247,21 @@ class _ParamStore:
         for p in self.params.values():
             p.grad = None
 
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        for name, tensor in self.params.items():
-            if name not in state:
-                raise InvalidInput(f"parameter file missing tensor {name}")
-            if state[name].shape != tensor.data.shape:
-                raise InvalidInput(
-                    f"{name}: shape {state[name].shape} does not match model {tensor.data.shape}"
-                )
-            tensor.data = state[name].astype(np.float64)
+
+def _token_arrays(config, visual, audio) -> tuple[np.ndarray, np.ndarray]:
+    """Both token matrices as 2-D float64, checked against the model's widths."""
+    visual = np.atleast_2d(np.asarray(visual, dtype=np.float64))
+    audio = np.atleast_2d(np.asarray(audio, dtype=np.float64))
+    if visual.shape[0] != audio.shape[0] or visual.shape[0] == 0:
+        raise InvalidInput(
+            f"token counts differ or empty: visual {visual.shape}, audio {audio.shape}"
+        )
+    if visual.shape[1] != config.visual_features or audio.shape[1] != config.audio_features:
+        raise InvalidInput(
+            f"expected {config.visual_features}/{config.audio_features} features, "
+            f"got {visual.shape[1]}/{audio.shape[1]}"
+        )
+    return visual, audio
 
 
 def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -348,21 +338,12 @@ class BasicFusionModel:
             _init_ffn(self.store, rng, f"enc{layer}.ffn", c.hidden, c.ffn_hidden)
             self.store.layer_norm(f"enc{layer}.ln2", c.hidden)
         self.store.linear(rng, "head.motion", c.hidden, c.motion_classes)
+        self.ensemble = None
 
     def forward(self, visual: np.ndarray, audio: np.ndarray, trace: list | None = None) -> Tensor:
         """Motion logits (1 x 2) for one token sequence."""
-        visual = np.atleast_2d(np.asarray(visual, dtype=np.float64))
-        audio = np.atleast_2d(np.asarray(audio, dtype=np.float64))
-        if visual.shape[0] != audio.shape[0] or visual.shape[0] == 0:
-            raise InvalidInput(
-                f"token counts differ or empty: visual {visual.shape}, audio {audio.shape}"
-            )
+        visual, audio = _token_arrays(self.config, visual, audio)
         c = self.config
-        if visual.shape[1] != c.visual_features or audio.shape[1] != c.audio_features:
-            raise InvalidInput(
-                f"expected {c.visual_features}/{c.audio_features} features, "
-                f"got {visual.shape[1]}/{audio.shape[1]}"
-            )
         p = self.store.params
         v = _linear(Tensor(visual), p["proj.visual.weight"], p["proj.visual.bias"])
         a = _linear(Tensor(audio), p["proj.audio.weight"], p["proj.audio.bias"])
@@ -375,8 +356,18 @@ class BasicFusionModel:
         pooled = tz.mean(x, axis=0)
         return _linear(pooled, p["head.motion.weight"], p["head.motion.bias"])
 
+    def predict(self, visual: np.ndarray, audio: np.ndarray,
+                fused=None) -> tuple[np.ndarray, None]:
+        """Flat motion logits and no event logits; ``fused`` is not read."""
+        return self.forward(visual, audio).data.reshape(-1), None
+
     def predict_motion(self, visual: np.ndarray, audio: np.ndarray) -> int:
-        return int(np.argmax(self.forward(visual, audio).data))
+        return int(np.argmax(self.predict(visual, audio)[0]))
+
+    def loss(self, example: "LabeledSequence") -> Tensor:
+        """Motion cross-entropy of one labeled sequence."""
+        _check_label("motion", example.motion_label, self.config.motion_classes)
+        return tz.cross_entropy(self.forward(example.visual, example.audio), [example.motion_label])
 
     def parameters(self) -> list[Tensor]:
         return self.store.parameters()
@@ -443,28 +434,19 @@ class AdvancedFusionModel:
             {"ensemble.weight": self.ensemble.weight, "ensemble.bias": self.ensemble.bias}
         )
 
-    def forward_graph(self, visual: np.ndarray, audio: np.ndarray, fused,
+    def forward_graph(self, visual: np.ndarray, audio: np.ndarray, fused=None,
                       trace: list | None = None) -> tuple[Tensor, Tensor]:
-        visual = np.atleast_2d(np.asarray(visual, dtype=np.float64))
-        audio = np.atleast_2d(np.asarray(audio, dtype=np.float64))
+        """Motion and event logit tensors; a ``fused`` of ``None`` reads as zeros."""
+        visual, audio = _token_arrays(self.config, visual, audio)
         c = self.config
         n_tokens = visual.shape[0]
-        if n_tokens != audio.shape[0] or n_tokens == 0:
-            raise InvalidInput(
-                f"token counts differ or empty: visual {visual.shape}, audio {audio.shape}"
-            )
         if n_tokens > c.max_tokens:
             raise InvalidInput(f"{n_tokens} tokens exceed positional table of {c.max_tokens}")
-        if visual.shape[1] != c.visual_features or audio.shape[1] != c.audio_features:
-            raise InvalidInput(
-                f"expected {c.visual_features}/{c.audio_features} features, "
-                f"got {visual.shape[1]}/{audio.shape[1]}"
-            )
-        if not isinstance(fused, Tensor):
-            fused = np.asarray(fused, dtype=np.float64).reshape(1, -1)
-            if fused.shape[1] != FUSED_DIM:
-                raise InvalidInput(f"fused embedding must be {FUSED_DIM}-dim, got {fused.shape[1]}")
-            fused = Tensor(fused)
+        fused = np.zeros(FUSED_DIM) if fused is None else fused
+        fused = np.asarray(fused, dtype=np.float64).reshape(1, -1)
+        if fused.shape[1] != FUSED_DIM:
+            raise InvalidInput(f"fused embedding must be {FUSED_DIM}-dim, got {fused.shape[1]}")
+        fused = Tensor(fused)
 
         p = self.store.params
         v = _linear(Tensor(visual), p["proj.visual.weight"], p["proj.visual.bias"])
@@ -493,6 +475,21 @@ class AdvancedFusionModel:
         motion, event = self.forward_graph(visual, audio, fused, trace)
         return AdvancedOutput(motion.data.reshape(-1).copy(), event.data.reshape(-1).copy())
 
+    def predict(self, visual: np.ndarray, audio: np.ndarray,
+                fused=None) -> tuple[np.ndarray, np.ndarray]:
+        """Flat motion and event logits."""
+        out = self.forward(visual, audio, fused)
+        return out.motion_logits, out.event_logits
+
+    def loss(self, example: "LabeledSequence") -> Tensor:
+        """Motion plus event cross-entropy of one labeled sequence."""
+        c = self.config
+        _check_label("motion", example.motion_label, c.motion_classes)
+        _check_label("event", example.event_label, c.event_classes)
+        motion, event = self.forward_graph(example.visual, example.audio, example.fused)
+        return tz.add(tz.cross_entropy(motion, [example.motion_label]),
+                      tz.cross_entropy(event, [example.event_label]))
+
     def parameters(self) -> list[Tensor]:
         return self.store.parameters()
 
@@ -514,39 +511,34 @@ class LabeledSequence:
     event_label: int | None = None
 
 
-def train_step(model, batch: list[LabeledSequence], learning_rate: float) -> float:
-    """One full-batch gradient step; returns the batch loss.
+def _check_label(kind: str, label, classes: int) -> None:
+    if label is None or not 0 <= label < classes:
+        raise InvalidInput(f"{kind} label {label} outside [0, {classes})")
 
-    Basic models minimize motion cross-entropy; advanced models add the
-    event term. ``learning_rate`` 0 reports the loss without updating.
+
+def build_model(f: FusionConfig) -> BasicFusionModel | AdvancedFusionModel:
+    """Fresh seeded model of the kind and dimensions ``f`` asks for."""
+    if f.model == "advanced":
+        return AdvancedFusionModel(AdvancedFusionConfig(
+            hidden=FUSED_DIM, layers=f.advanced_layers, heads=f.advanced_heads,
+            ffn_hidden=f.advanced_ffn, max_tokens=f.max_tokens,
+        ), seed=f.seed)
+    return BasicFusionModel(BasicFusionConfig(
+        hidden=f.basic_hidden, layers=f.basic_layers, heads=f.basic_heads,
+        ffn_hidden=f.basic_ffn,
+    ), seed=f.seed)
+
+
+def train_step(model, batch: list[LabeledSequence], learning_rate: float) -> float:
+    """One full-batch gradient step on the mean ``model.loss``; returns that loss.
+
+    ``learning_rate`` 0 reports the loss without updating.
     """
     if not batch:
         raise InvalidInput("empty training batch")
-    advanced = isinstance(model, AdvancedFusionModel)
-    for example in batch:
-        if example.motion_label not in (0, 1):
-            raise InvalidInput(f"motion label {example.motion_label} not in {{0, 1}}")
-        if advanced:
-            n_events = model.config.event_classes
-            if example.event_label is None or not 0 <= example.event_label < n_events:
-                raise InvalidInput(f"event label {example.event_label} outside [0, {n_events})")
-
     model.zero_grad()
-    losses = []
-    for example in batch:
-        if advanced:
-            fused = example.fused if example.fused is not None else np.zeros(FUSED_DIM)
-            motion, event = model.forward_graph(example.visual, example.audio, fused)
-            loss = tz.add(tz.cross_entropy(motion, [example.motion_label]),
-                          tz.cross_entropy(event, [example.event_label]))
-        else:
-            logits = model.forward(example.visual, example.audio)
-            loss = tz.cross_entropy(logits, [example.motion_label])
-        losses.append(loss)
-    total = losses[0]
-    for extra in losses[1:]:
-        total = tz.add(total, extra)
-    total = tz.scale(total, 1.0 / len(batch))
+    losses = [model.loss(example) for example in batch]
+    total = tz.scale(reduce(tz.add, losses), 1.0 / len(batch))
     tz.backward(total)
 
     for p in model.parameters():
@@ -555,41 +547,41 @@ def train_step(model, batch: list[LabeledSequence], learning_rate: float) -> flo
     return total.item()
 
 
+# meta.arch[0] of a saved model indexes this table; the rest of the record
+# is the model's config fields in declaration order.
+MODEL_KINDS = ((BasicFusionModel, BasicFusionConfig), (AdvancedFusionModel, AdvancedFusionConfig))
+
+
 def save_model(path: str | Path, model, normalizer: TokenNormalizer) -> None:
     """Persist model parameters, architecture, and normalizer in one file."""
     state: dict[str, np.ndarray] = {name: t.data for name, t in model.store.params.items()}
     state.update(normalizer.state())
-    c = model.config
-    if isinstance(model, AdvancedFusionModel):
-        arch = [1, c.hidden, c.layers, c.heads, c.ffn_hidden, c.visual_features,
-                c.audio_features, c.motion_classes, c.event_classes, c.max_tokens]
-    else:
-        arch = [0, c.hidden, c.layers, c.heads, c.ffn_hidden, c.visual_features,
-                c.audio_features, c.motion_classes]
-    state["meta.arch"] = np.array([arch], dtype=np.float64)
+    kind = [cls for cls, _ in MODEL_KINDS].index(type(model))
+    state["meta.arch"] = np.array([[kind, *astuple(model.config)]], dtype=np.float64)
     tz.save_tensors(path, state)
 
 
 def load_model(path: str | Path):
-    """Rebuild (model, normalizer) from :func:`save_model` output."""
+    """Rebuild (model, normalizer) from :func:`save_model` output.
+
+    A malformed file raises :class:`InvalidInput` naming ``path``.
+    """
     state = tz.load_tensors(path)
     if "meta.arch" not in state:
         raise InvalidInput(f"{path}: not a fusion model file (no architecture record)")
-    arch = [int(x) for x in state["meta.arch"].reshape(-1)]
-    if arch[0] == 1:
-        config = AdvancedFusionConfig(hidden=arch[1], layers=arch[2], heads=arch[3],
-                                      ffn_hidden=arch[4], visual_features=arch[5],
-                                      audio_features=arch[6], motion_classes=arch[7],
-                                      event_classes=arch[8], max_tokens=arch[9])
-        model = AdvancedFusionModel(config)
-    else:
-        config = BasicFusionConfig(hidden=arch[1], layers=arch[2], heads=arch[3],
-                                   ffn_hidden=arch[4], visual_features=arch[5],
-                                   audio_features=arch[6], motion_classes=arch[7])
-        model = BasicFusionModel(config)
-    model.store.load_state(state)
-    if arch[0] == 1:
-        model.ensemble.weight = model.store.params["ensemble.weight"]
-        model.ensemble.bias = model.store.params["ensemble.bias"]
-    normalizer = TokenNormalizer.from_state(state)
+    arch = state["meta.arch"].reshape(-1)
+    if arch.size == 0 or arch[0] not in range(len(MODEL_KINDS)):
+        raise InvalidInput(f"{path}: unknown model kind in architecture record {arch.tolist()}")
+    model_cls, config_cls = MODEL_KINDS[int(arch[0])]
+    dims = arch[1:]
+    if dims.size != len(fields(config_cls)) or not np.all(
+            np.isfinite(dims) & (dims >= 1) & (dims == np.round(dims))):
+        raise InvalidInput(f"{path}: architecture record {arch.tolist()} must hold "
+                           f"{len(fields(config_cls))} positive integers after kind {int(arch[0])}")
+    try:
+        model = model_cls(config_cls(*(int(x) for x in dims)))
+        tz.load_state(model.store.params, state)
+        normalizer = TokenNormalizer.from_state(state)
+    except InvalidInput as exc:
+        raise InvalidInput(f"{path}: {exc}") from exc
     return model, normalizer

@@ -40,16 +40,11 @@ from .config import Config
 from .detect_track import Tracker, TrackerThresholds, cross_detector_merge, nms, scripted_detector
 from .errors import AvFuseError, InvalidConfig, InvalidInput
 from .fusion import (
-    FUSED_DIM,
-    AdvancedFusionConfig,
-    AdvancedFusionModel,
-    AudioEnsembleFusion,
     AudioToken,
-    BasicFusionConfig,
-    BasicFusionModel,
     LabeledSequence,
     TokenNormalizer,
     audio_matrix,
+    build_model,
     build_visual_tokens,
     load_model,
     save_model,
@@ -62,20 +57,6 @@ from .timebase import AudioClip, align_audio_to_frames, validate_burst
 from .vision_dsp import DenseFlow, FlowStats, WaveletEnergy, dwt2_energy, flow_stats, preprocess_frame
 
 KIND_ORDER = {"detection": 0, "track": 1, "classification": 2, "anomaly": 3, "metric": 4}
-
-
-def build_fusion_model(config: Config):
-    """Fresh seeded model with the dimensions the config asks for."""
-    f = config.fusion
-    if f.model == "advanced":
-        return AdvancedFusionModel(AdvancedFusionConfig(
-            hidden=f.advanced_hidden, layers=f.advanced_layers, heads=f.advanced_heads,
-            ffn_hidden=f.advanced_ffn, max_tokens=f.max_tokens,
-        ), seed=f.seed)
-    return BasicFusionModel(BasicFusionConfig(
-        hidden=f.basic_hidden, layers=f.basic_layers, heads=f.basic_heads,
-        ffn_hidden=f.basic_ffn,
-    ), seed=f.seed)
 
 
 @dataclass(frozen=True)
@@ -178,12 +159,10 @@ class PipelineContext:
         self._prev_frame: np.ndarray | None = None
 
         if model_bundle is None:
-            model = build_fusion_model(config)
+            model = build_model(config.fusion)
             model_bundle = (model, TokenNormalizer.identity(model.config.visual_features,
                                                             model.config.audio_features))
         self.model, self.normalizer = model_bundle
-        self.advanced = isinstance(self.model, AdvancedFusionModel)
-        self.ensemble = self.model.ensemble if self.advanced else AudioEnsembleFusion(seed=config.fusion.seed)
         self.autoencoder = autoencoder
         self._visual_rows: deque = deque(maxlen=config.fusion.burst_tokens)
         self._audio_rows: deque = deque(maxlen=config.fusion.burst_tokens)
@@ -208,9 +187,8 @@ class PipelineContext:
                 export_flow_csv(self.export_dir / f"flow_{job.index:04d}.csv", field_uv)
         self._prev_frame = frame
         stats = spectral_stats(job.samples, self.sample_rate)
-        fused = None
-        if self.advanced:
-            fused = self.ensemble.embed(job.samples, self.sample_rate).fused
+        ensemble = self.model.ensemble
+        fused = ensemble.embed(job.samples, self.sample_rate) if ensemble is not None else None
         return replace(job, preprocessed=frame, wavelet=wavelet, flow=flow,
                        stats=stats, fused=fused)
 
@@ -235,12 +213,9 @@ class PipelineContext:
         (visual_token,) = build_visual_tokens([list(job.detections)], [job.wavelet], [job.flow])
         s = job.stats
         audio_token = AudioToken(s.zcr, s.centroid_hz, s.bandwidth_hz, s.rolloff_hz, s.energy)
-        visual_row = self.normalizer.normalize_visual(
-            visual_matrix([visual_token], advanced=self.advanced)[0]
-        )
-        audio_row = self.normalizer.normalize_audio(
-            audio_matrix([audio_token], advanced=self.advanced)[0]
-        )
+        c = self.model.config
+        visual_row = self.normalizer.normalize_visual(visual_matrix([visual_token])[0, :c.visual_features])
+        audio_row = self.normalizer.normalize_audio(audio_matrix([audio_token])[0, :c.audio_features])
         return replace(job, visual_row=visual_row, audio_row=audio_row)
 
     def fuse(self, job: WindowJob) -> WindowJob:
@@ -248,12 +223,7 @@ class PipelineContext:
         self._audio_rows.append(job.audio_row)
         visual = np.stack(self._visual_rows)
         audio = np.stack(self._audio_rows)
-        if self.advanced:
-            out = self.model.forward(visual, audio, job.fused)
-            motion, event = out.motion_logits, out.event_logits
-        else:
-            motion = self.model.forward(visual, audio).data.reshape(-1)
-            event = None
+        motion, event = self.model.predict(visual, audio, job.fused)
         return replace(job, motion_logits=motion, event_logits=event,
                        motion_pred=int(np.argmax(motion)))
 
@@ -594,7 +564,6 @@ def build_training_sequences(capture_dir: str | Path, config: Config, seed: int 
     motion and event ground truth.
     """
     scenario, clip, jobs = open_capture(capture_dir)
-    advanced = config.fusion.model == "advanced"
     context = PipelineContext(config, scenario, clip.sample_rate, seed=seed)
     tokens: list[WindowJob] = []
     run_stages([("analyze", context.analyze), ("detect", context.detect),
@@ -606,17 +575,13 @@ def build_training_sequences(capture_dir: str | Path, config: Config, seed: int 
     for start in range(0, len(tokens) - chunk + 1, chunk):
         span = range(start, start + chunk)
         motion = int(any(scenario.motion_label(w) for w in span))
-        event = 0
-        for w in span:
-            if scenario.event_label(w):
-                event = scenario.event_label(w)
-                break
+        event = next((scenario.event_label(w) for w in span if scenario.event_label(w)), 0)
         sequences.append(LabeledSequence(
             visual=np.stack([tokens[w].visual_row for w in span]),
             audio=np.stack([tokens[w].audio_row for w in span]),
             motion_label=motion,
-            fused=tokens[start + chunk - 1].fused if advanced else None,
-            event_label=event if advanced else None,
+            fused=tokens[start + chunk - 1].fused,
+            event_label=event,
         ))
     normal_frames = [job.preprocessed for job in tokens if not scenario.is_injected(job.index)]
     return sequences, normal_frames
@@ -632,7 +597,6 @@ def train_on_scenario(capture_dir: str | Path, config: Config, out_dir: str | Pa
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    advanced = config.fusion.model == "advanced"
 
     sequences, normal_frames = build_training_sequences(capture_dir, config, seed=seed)
     if not sequences:
@@ -641,13 +605,13 @@ def train_on_scenario(capture_dir: str | Path, config: Config, out_dir: str | Pa
     batch = [replace(s, visual=normalizer.normalize_visual(s.visual),
                      audio=normalizer.normalize_audio(s.audio)) for s in sequences]
 
-    model = build_fusion_model(config)
+    model = build_model(config.fusion)
     loss = float("nan")
     accuracy = 0.0
     for step in range(1, config.fusion.steps + 1):
         loss = train_step(model, batch, config.fusion.learning_rate)
         if step % 10 == 0 or step == config.fusion.steps:
-            accuracy = _motion_accuracy(model, batch, advanced)
+            accuracy = _motion_accuracy(model, batch)
             if accuracy >= 0.98:
                 break
 
@@ -672,14 +636,7 @@ def train_on_scenario(capture_dir: str | Path, config: Config, out_dir: str | Pa
     }
 
 
-def _motion_accuracy(model, batch, advanced: bool) -> float:
-    correct = 0
-    for example in batch:
-        if advanced:
-            out = model.forward(example.visual, example.audio,
-                                example.fused if example.fused is not None else np.zeros(FUSED_DIM))
-            pred = int(np.argmax(out.motion_logits))
-        else:
-            pred = model.predict_motion(example.visual, example.audio)
-        correct += pred == example.motion_label
+def _motion_accuracy(model, batch) -> float:
+    correct = sum(int(np.argmax(model.predict(e.visual, e.audio, e.fused)[0])) == e.motion_label
+                  for e in batch)
     return correct / len(batch)

@@ -367,25 +367,44 @@ def save_tensors(path: str | Path, tensors: dict[str, np.ndarray | Tensor]) -> N
 
 
 def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
+    """Inverse of :func:`save_tensors`; a truncated or padded file is rejected."""
     data = Path(path).read_bytes()
-    if data[:4] != PARAM_MAGIC:
-        raise InvalidInput(f"{path}: not a parameter file (bad magic)")
+    if len(data) < 12 or data[:4] != PARAM_MAGIC:
+        raise InvalidInput(f"{path}: not a parameter file (bad magic or short header)")
     version, count = struct.unpack_from("<II", data, 4)
     if version != PARAM_VERSION:
         raise InvalidInput(f"{path}: unsupported parameter format version {version}")
     offset = 12
     out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        name = data[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        (rank,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        dims = struct.unpack_from(f"<{rank}I", data, offset)
-        offset += 4 * rank
-        size = int(np.prod(dims)) if rank else 1
-        values = np.frombuffer(data, dtype="<f8", count=size, offset=offset)
-        offset += 8 * size
-        out[name] = values.reshape(dims).copy()
+    try:
+        for _ in range(count):
+            (name_len,) = struct.unpack_from("<I", data, offset)
+            offset += 4
+            name = data[offset:offset + name_len].decode("utf-8")
+            offset += name_len
+            (rank,) = struct.unpack_from("<I", data, offset)
+            offset += 4
+            dims = struct.unpack_from(f"<{rank}I", data, offset)
+            offset += 4 * rank
+            size = int(np.prod(dims)) if rank else 1
+            values = np.frombuffer(data, dtype="<f8", count=size, offset=offset)
+            offset += 8 * size
+            out[name] = values.reshape(dims).copy()
+    except (struct.error, ValueError) as exc:  # ValueError covers UnicodeDecodeError
+        raise InvalidInput(f"{path}: truncated or corrupt parameter file ({exc})") from exc
+    if offset != len(data):
+        raise InvalidInput(f"{path}: {len(data) - offset} unexpected bytes after the last tensor")
     return out
+
+
+def load_state(params: dict[str, Tensor], state: dict[str, np.ndarray]) -> None:
+    """Copy ``state`` into ``params`` in place; each must be present, same-shaped and finite."""
+    for name, tensor in params.items():
+        if name not in state:
+            raise InvalidInput(f"parameter file missing tensor {name}")
+        value = state[name]
+        if value.shape != tensor.data.shape:
+            raise InvalidInput(f"{name}: shape {value.shape} does not match model {tensor.data.shape}")
+        if not np.all(np.isfinite(value)):
+            raise InvalidInput(f"{name}: tensor data must be finite")
+        tensor.data = value.astype(np.float64)
