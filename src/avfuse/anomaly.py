@@ -3,13 +3,14 @@
 Every method emits a score in [0, 1] so the weighted combination stays
 commensurable: z-scores are clamped at ``z / Z_CAP`` and reconstruction
 error at ``mse / (10 x final training MSE)``. Rolling baselines always
-append the newest observation, anomalous or not.
+append the newest observation, anomalous or not. The autoencoder's weights
+come from a :class:`tensor.ParamStore` and train through :func:`tensor.sgd_step`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,20 +92,13 @@ class DenseAutoencoder:
 
     seed: int = 0
     hidden: int = 16
-    params: dict[str, Tensor] = field(default_factory=dict)
     training_mse: float | None = None
 
     def __post_init__(self):
-        rng = np.random.default_rng(self.seed)
-        if not self.params:
-            bound_in = 1.0 / np.sqrt(64)
-            bound_hidden = 1.0 / np.sqrt(self.hidden)
-            self.params = {
-                "enc.weight": Tensor(rng.uniform(-bound_in, bound_in, (64, self.hidden)), requires_grad=True),
-                "enc.bias": Tensor(np.zeros((1, self.hidden)), requires_grad=True),
-                "dec.weight": Tensor(rng.uniform(-bound_hidden, bound_hidden, (self.hidden, 64)), requires_grad=True),
-                "dec.bias": Tensor(np.zeros((1, 64)), requires_grad=True),
-            }
+        store = tz.ParamStore(self.seed)
+        store.linear("enc", 64, self.hidden)
+        store.linear("dec", self.hidden, 64)
+        self.params = store.params
 
     def _forward(self, x: Tensor) -> Tensor:
         p = self.params
@@ -113,10 +107,6 @@ class DenseAutoencoder:
 
     def reconstruct(self, vector: np.ndarray) -> np.ndarray:
         return self._forward(Tensor(vector.reshape(1, -1))).data.reshape(-1)
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
 
     @property
     def mse_cap(self) -> float:
@@ -143,13 +133,9 @@ def autoencoder_train(
     x = Tensor(data)
     inv_n = 1.0 / data.size
     for _ in range(steps):
-        model.zero_grad()
         diff = tz.sub(model._forward(x), x)
         loss = tz.scale(tz.sum_all(tz.mul(diff, diff)), inv_n)
-        tz.backward(loss)
-        for p in model.params.values():
-            if p.grad is not None:
-                p.data = p.data - learning_rate * p.grad
+        tz.sgd_step(model.params.values(), loss, learning_rate)
     recon = model._forward(Tensor(data)).data
     model.training_mse = float(np.mean((recon - data) ** 2))
     return model

@@ -13,6 +13,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from .detect_track import TrackerThresholds
 from .errors import InvalidConfig
 
 DEFAULT_EVENT_LABELS = (
@@ -36,15 +37,6 @@ class DetectorConfig:
     confidence_noise: float = 0.02
     drop_probability: float = 0.0
     false_positive_rate: float = 0.0
-
-
-@dataclass
-class TrackerConfig:
-    high_confidence: float = 0.5
-    low_confidence: float = 0.1
-    match_iou: float = 0.2
-    max_misses: int = 3
-    confirm_hits: int = 2
 
 
 @dataclass
@@ -104,7 +96,7 @@ class RuntimeConfig:
 @dataclass
 class Config:
     detector: DetectorConfig = field(default_factory=DetectorConfig)
-    tracker: TrackerConfig = field(default_factory=TrackerConfig)
+    tracker: TrackerThresholds = field(default_factory=TrackerThresholds)
     audio: AudioFeatureConfig = field(default_factory=AudioFeatureConfig)
     vision: VisionConfig = field(default_factory=VisionConfig)
     fusion: FusionConfig = field(default_factory=FusionConfig)
@@ -216,7 +208,7 @@ def load_config(path: str | Path | None = None) -> Config:
             raise InvalidConfig(problems)
     config = Config(
         detector=DetectorConfig(**merged["detector"]),
-        tracker=TrackerConfig(**merged["tracker"]),
+        tracker=TrackerThresholds(**merged["tracker"]),
         audio=AudioFeatureConfig(**merged["audio"]),
         vision=VisionConfig(**merged["vision"]),
         fusion=FusionConfig(**merged["fusion"]),

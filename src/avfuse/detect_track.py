@@ -63,7 +63,6 @@ class Track:
     track_id: int
     bbox: BBox
     class_id: int
-    age: int = 0
     misses: int = 0
     hits: int = 1  # consecutive matched steps, resets on a miss
     state: TrackState = TrackState.TENTATIVE
@@ -248,14 +247,12 @@ class Tracker:
 
         for track, det in matches:
             track.bbox = det.bbox
-            track.age += 1
             track.misses = 0
             track.hits += 1
             if track.state is TrackState.TENTATIVE and track.hits >= th.confirm_hits:
                 track.state = TrackState.ACTIVE
 
         for track in unmatched_tracks:
-            track.age += 1
             track.misses += 1
             track.hits = 0
             if track.misses >= th.max_misses:

@@ -20,6 +20,8 @@ Both models keep one contract, so callers never ask which one they hold:
 - ``loss(example)``: the training loss of one :class:`LabeledSequence`.
 
 Only :func:`build_model` and the save/load kind table name a model kind.
+Every weight, the ensemble's included, lives in a :class:`tensor.ParamStore`
+and :func:`train_step` updates them through :func:`tensor.sgd_step`.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as tz
-from .audio_dsp import mel_spectrogram, spectral_stats, stft
+from .audio_dsp import SpectralStats, mel_spectrogram, spectral_stats, stft
 from .config import FusionConfig
 from .detect_track import Detection
 from .errors import InvalidInput
@@ -50,15 +52,6 @@ class VisualToken:
     mean_confidence: float
     wavelet_energy: float
     flow_mean_magnitude: float = 0.0
-
-
-@dataclass(frozen=True)
-class AudioToken:
-    zcr: float
-    centroid_hz: float
-    bandwidth_hz: float
-    rolloff_hz: float
-    energy: float = 0.0
 
 
 def build_visual_tokens(
@@ -88,15 +81,11 @@ def build_visual_tokens(
     return tokens
 
 
-def build_audio_tokens(windows: list[AlignedWindow], sample_rate: int) -> list[AudioToken]:
-    """One token per aligned window via its spectral statistics."""
+def build_audio_tokens(windows: list[AlignedWindow], sample_rate: int) -> list[SpectralStats]:
+    """One token, the spectral statistics, per aligned window."""
     if not windows:
         raise InvalidInput("no aligned windows to tokenize")
-    tokens = []
-    for window in windows:
-        s = spectral_stats(window.samples, sample_rate)
-        tokens.append(AudioToken(s.zcr, s.centroid_hz, s.bandwidth_hz, s.rolloff_hz, s.energy))
-    return tokens
+    return [spectral_stats(window.samples, sample_rate) for window in windows]
 
 
 def visual_matrix(tokens: list[VisualToken]) -> np.ndarray:
@@ -105,7 +94,7 @@ def visual_matrix(tokens: list[VisualToken]) -> np.ndarray:
                        for t in tokens], dtype=np.float64)
 
 
-def audio_matrix(tokens: list[AudioToken]) -> np.ndarray:
+def audio_matrix(tokens: list[SpectralStats]) -> np.ndarray:
     """Rows of (zcr, centroid, bandwidth, rolloff, energy)."""
     return np.asarray([(t.zcr, t.centroid_hz, t.bandwidth_hz, t.rolloff_hz, t.energy)
                        for t in tokens], dtype=np.float64)
@@ -181,19 +170,12 @@ def stub_audio_embeddings(samples, sample_rate: int) -> tuple[np.ndarray, np.nda
     return tuple(embeddings)
 
 
-def _uniform_init(rng, fan_in: int, shape) -> np.ndarray:
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
 class AudioEnsembleFusion:
     """Linear reduction of three concatenated 768-dim embeddings to 256."""
 
     def __init__(self, seed: int = 0):
-        rng = np.random.default_rng(seed)
-        self.weight = Tensor(_uniform_init(rng, 3 * EMBED_DIM, (3 * EMBED_DIM, FUSED_DIM)),
-                             requires_grad=True)
-        self.bias = Tensor(np.zeros((1, FUSED_DIM)), requires_grad=True)
+        self.store = tz.ParamStore(seed)
+        self.weight, self.bias = self.store.linear("ensemble", 3 * EMBED_DIM, FUSED_DIM)
 
     def fuse(self, e1, e2, e3) -> np.ndarray:
         """The 256-dim fused vector of three 768-dim embeddings."""
@@ -212,40 +194,6 @@ class AudioEnsembleFusion:
 def fuse_audio_ensemble(e1, e2, e3, fusion: AudioEnsembleFusion | None = None, seed: int = 0) -> np.ndarray:
     """Module-level convenience around :class:`AudioEnsembleFusion`."""
     return (fusion or AudioEnsembleFusion(seed=seed)).fuse(e1, e2, e3)
-
-
-class _ParamStore:
-    """Shared parameter bookkeeping for both fusion models."""
-
-    def __init__(self):
-        self.params: dict[str, Tensor] = {}
-
-    def make(self, rng, name: str, fan_in: int, shape) -> Tensor:
-        tensor = Tensor(_uniform_init(rng, fan_in, shape), requires_grad=True)
-        self.params[name] = tensor
-        return tensor
-
-    def make_const(self, name: str, value: np.ndarray) -> Tensor:
-        tensor = Tensor(value, requires_grad=True)
-        self.params[name] = tensor
-        return tensor
-
-    def linear(self, rng, name: str, d_in: int, d_out: int) -> tuple[Tensor, Tensor]:
-        w = self.make(rng, f"{name}.weight", d_in, (d_in, d_out))
-        b = self.make_const(f"{name}.bias", np.zeros((1, d_out)))
-        return w, b
-
-    def layer_norm(self, name: str, dim: int) -> tuple[Tensor, Tensor]:
-        g = self.make_const(f"{name}.gain", np.ones((1, dim)))
-        b = self.make_const(f"{name}.bias", np.zeros((1, dim)))
-        return g, b
-
-    def parameters(self) -> list[Tensor]:
-        return list(self.params.values())
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
 
 
 def _token_arrays(config, visual, audio) -> tuple[np.ndarray, np.ndarray]:
@@ -296,15 +244,15 @@ def _feed_forward(store, prefix: str, x: Tensor) -> Tensor:
     return _linear(hidden, p[f"{prefix}.w2.weight"], p[f"{prefix}.w2.bias"])
 
 
-def _init_mha(store, rng, prefix: str, dim: int) -> None:
+def _init_mha(store, prefix: str, dim: int) -> None:
     for part in ("q", "v", "out"):
-        store.linear(rng, f"{prefix}.{part}", dim, dim)
-    store.make(rng, f"{prefix}.k.weight", dim, (dim, dim))
+        store.linear(f"{prefix}.{part}", dim, dim)
+    store.make(f"{prefix}.k.weight", dim, (dim, dim))
 
 
-def _init_ffn(store, rng, prefix: str, dim: int, hidden: int) -> None:
-    store.linear(rng, f"{prefix}.w1", dim, hidden)
-    store.linear(rng, f"{prefix}.w2", hidden, dim)
+def _init_ffn(store, prefix: str, dim: int, hidden: int) -> None:
+    store.linear(f"{prefix}.w1", dim, hidden)
+    store.linear(f"{prefix}.w2", hidden, dim)
 
 
 @dataclass(frozen=True)
@@ -326,18 +274,16 @@ class BasicFusionModel:
     """
 
     def __init__(self, config: BasicFusionConfig | None = None, seed: int = 0):
-        self.config = config or BasicFusionConfig()
-        self.store = _ParamStore()
-        rng = np.random.default_rng(seed)
-        c = self.config
-        self.store.linear(rng, "proj.visual", c.visual_features, c.hidden)
-        self.store.linear(rng, "proj.audio", c.audio_features, c.hidden)
+        self.config = c = config or BasicFusionConfig()
+        self.store = store = tz.ParamStore(seed)
+        store.linear("proj.visual", c.visual_features, c.hidden)
+        store.linear("proj.audio", c.audio_features, c.hidden)
         for layer in range(c.layers):
-            _init_mha(self.store, rng, f"enc{layer}.attn", c.hidden)
-            self.store.layer_norm(f"enc{layer}.ln1", c.hidden)
-            _init_ffn(self.store, rng, f"enc{layer}.ffn", c.hidden, c.ffn_hidden)
-            self.store.layer_norm(f"enc{layer}.ln2", c.hidden)
-        self.store.linear(rng, "head.motion", c.hidden, c.motion_classes)
+            _init_mha(store, f"enc{layer}.attn", c.hidden)
+            store.layer_norm(f"enc{layer}.ln1", c.hidden)
+            _init_ffn(store, f"enc{layer}.ffn", c.hidden, c.ffn_hidden)
+            store.layer_norm(f"enc{layer}.ln2", c.hidden)
+        store.linear("head.motion", c.hidden, c.motion_classes)
         self.ensemble = None
 
     def forward(self, visual: np.ndarray, audio: np.ndarray, trace: list | None = None) -> Tensor:
@@ -370,10 +316,7 @@ class BasicFusionModel:
         return tz.cross_entropy(self.forward(example.visual, example.audio), [example.motion_label])
 
     def parameters(self) -> list[Tensor]:
-        return self.store.parameters()
-
-    def zero_grad(self) -> None:
-        self.store.zero_grad()
+        return list(self.store.params.values())
 
 
 @dataclass(frozen=True)
@@ -406,33 +349,29 @@ class AdvancedFusionModel:
     """
 
     def __init__(self, config: AdvancedFusionConfig | None = None, seed: int = 0):
-        self.config = config or AdvancedFusionConfig()
-        self.store = _ParamStore()
-        rng = np.random.default_rng(seed)
-        c = self.config
-        self.store.linear(rng, "proj.visual", c.visual_features, c.hidden)
-        self.store.linear(rng, "proj.audio", c.audio_features, c.hidden)
+        self.config = c = config or AdvancedFusionConfig()
         if c.hidden != FUSED_DIM:
             raise InvalidInput(
                 f"hidden dim {c.hidden} must equal the fused embedding dim {FUSED_DIM}"
             )
-        self.store.make(rng, "pos.visual", c.hidden, (c.max_tokens, c.hidden))
-        self.store.make(rng, "pos.audio", c.hidden, (c.max_tokens, c.hidden))
+        self.store = store = tz.ParamStore(seed)
+        store.linear("proj.visual", c.visual_features, c.hidden)
+        store.linear("proj.audio", c.audio_features, c.hidden)
+        store.make("pos.visual", c.hidden, (c.max_tokens, c.hidden))
+        store.make("pos.audio", c.hidden, (c.max_tokens, c.hidden))
         for layer in range(c.layers):
-            _init_mha(self.store, rng, f"xattn{layer}.va", c.hidden)  # visual queries
-            _init_mha(self.store, rng, f"xattn{layer}.av", c.hidden)  # audio queries
-            self.store.layer_norm(f"xattn{layer}.ln_v", c.hidden)
-            self.store.layer_norm(f"xattn{layer}.ln_a", c.hidden)
-            _init_ffn(self.store, rng, f"ffn{layer}.v", c.hidden, c.ffn_hidden)
-            _init_ffn(self.store, rng, f"ffn{layer}.a", c.hidden, c.ffn_hidden)
-            self.store.layer_norm(f"ffn{layer}.ln_v", c.hidden)
-            self.store.layer_norm(f"ffn{layer}.ln_a", c.hidden)
-        self.store.linear(rng, "head.motion", 2 * c.hidden, c.motion_classes)
-        self.store.linear(rng, "head.event", 2 * c.hidden, c.event_classes)
+            _init_mha(store, f"xattn{layer}.va", c.hidden)  # visual queries
+            _init_mha(store, f"xattn{layer}.av", c.hidden)  # audio queries
+            store.layer_norm(f"xattn{layer}.ln_v", c.hidden)
+            store.layer_norm(f"xattn{layer}.ln_a", c.hidden)
+            _init_ffn(store, f"ffn{layer}.v", c.hidden, c.ffn_hidden)
+            _init_ffn(store, f"ffn{layer}.a", c.hidden, c.ffn_hidden)
+            store.layer_norm(f"ffn{layer}.ln_v", c.hidden)
+            store.layer_norm(f"ffn{layer}.ln_a", c.hidden)
+        store.linear("head.motion", 2 * c.hidden, c.motion_classes)
+        store.linear("head.event", 2 * c.hidden, c.event_classes)
         self.ensemble = AudioEnsembleFusion(seed=seed + 1)
-        self.store.params.update(
-            {"ensemble.weight": self.ensemble.weight, "ensemble.bias": self.ensemble.bias}
-        )
+        store.params.update(self.ensemble.store.params)
 
     def forward_graph(self, visual: np.ndarray, audio: np.ndarray, fused=None,
                       trace: list | None = None) -> tuple[Tensor, Tensor]:
@@ -491,10 +430,7 @@ class AdvancedFusionModel:
                       tz.cross_entropy(event, [example.event_label]))
 
     def parameters(self) -> list[Tensor]:
-        return self.store.parameters()
-
-    def zero_grad(self) -> None:
-        self.store.zero_grad()
+        return list(self.store.params.values())
 
 
 @dataclass(frozen=True)
@@ -536,15 +472,9 @@ def train_step(model, batch: list[LabeledSequence], learning_rate: float) -> flo
     """
     if not batch:
         raise InvalidInput("empty training batch")
-    model.zero_grad()
     losses = [model.loss(example) for example in batch]
     total = tz.scale(reduce(tz.add, losses), 1.0 / len(batch))
-    tz.backward(total)
-
-    for p in model.parameters():
-        if p.grad is not None:
-            p.data = p.data - learning_rate * p.grad
-    return total.item()
+    return tz.sgd_step(model.parameters(), total, learning_rate)
 
 
 # meta.arch[0] of a saved model indexes this table; the rest of the record
@@ -582,6 +512,11 @@ def load_model(path: str | Path):
         model = model_cls(config_cls(*(int(x) for x in dims)))
         tz.load_state(model.store.params, state)
         normalizer = TokenNormalizer.from_state(state)
+        c = model.config
+        widths = [v.size for v in normalizer.state().values()]
+        if widths != [c.visual_features] * 2 + [c.audio_features] * 2:
+            raise InvalidInput(f"normalizer widths {widths} do not match the model's "
+                               f"{c.visual_features} visual and {c.audio_features} audio features")
     except InvalidInput as exc:
         raise InvalidInput(f"{path}: {exc}") from exc
     return model, normalizer

@@ -37,10 +37,9 @@ from .anomaly import (
 )
 from .audio_dsp import SpectralStats, cwt_scalogram, default_cwt_scales, spectral_stats, stft
 from .config import Config
-from .detect_track import Tracker, TrackerThresholds, cross_detector_merge, nms, scripted_detector
+from .detect_track import Tracker, cross_detector_merge, nms, scripted_detector
 from .errors import AvFuseError, InvalidConfig, InvalidInput
 from .fusion import (
-    AudioToken,
     LabeledSequence,
     TokenNormalizer,
     audio_matrix,
@@ -71,8 +70,6 @@ class WindowJob:
     timestamp: float
     raw: np.ndarray
     samples: np.ndarray
-    pad_left: int
-    pad_right: int
     preprocessed: np.ndarray | None = None
     wavelet: WaveletEnergy | None = None
     flow: FlowStats | None = None
@@ -148,13 +145,7 @@ class PipelineContext:
         self.sample_rate = sample_rate
         self.seed = seed
         self.script = scenario.detection_script(config.detector)
-        self.tracker = Tracker(TrackerThresholds(
-            high_confidence=config.tracker.high_confidence,
-            low_confidence=config.tracker.low_confidence,
-            match_iou=config.tracker.match_iou,
-            max_misses=config.tracker.max_misses,
-            confirm_hits=config.tracker.confirm_hits,
-        ))
+        self.tracker = Tracker(config.tracker)
         self.flow_estimator = DenseFlow(config.vision.flow_alpha, config.vision.flow_iterations)
         self._prev_frame: np.ndarray | None = None
 
@@ -211,11 +202,9 @@ class PipelineContext:
 
     def tokenize(self, job: WindowJob) -> WindowJob:
         (visual_token,) = build_visual_tokens([list(job.detections)], [job.wavelet], [job.flow])
-        s = job.stats
-        audio_token = AudioToken(s.zcr, s.centroid_hz, s.bandwidth_hz, s.rolloff_hz, s.energy)
         c = self.model.config
         visual_row = self.normalizer.normalize_visual(visual_matrix([visual_token])[0, :c.visual_features])
-        audio_row = self.normalizer.normalize_audio(audio_matrix([audio_token])[0, :c.audio_features])
+        audio_row = self.normalizer.normalize_audio(audio_matrix([job.stats])[0, :c.audio_features])
         return replace(job, visual_row=visual_row, audio_row=audio_row)
 
     def fuse(self, job: WindowJob) -> WindowJob:
@@ -262,7 +251,6 @@ class Sink:
         self.windows_processed = 0
         self.anomalies_triggered = 0
         self.artifact_errors = 0
-        self.artifact_paths: list[Path] = []
 
     def __call__(self, job: WindowJob) -> WindowJob:
         t, w = job.timestamp, job.index
@@ -301,11 +289,8 @@ class Sink:
         if report.triggered:
             self.anomalies_triggered += 1
             try:
-                paths = persist_anomaly_artifact(
-                    report, job.preprocessed, job.samples, self.sample_rate,
-                    self.out_dir / "anomalies",
-                )
-                self.artifact_paths.extend(paths)
+                persist_anomaly_artifact(report, job.preprocessed, job.samples, self.sample_rate,
+                                         self.out_dir / "anomalies")
             except OSError:
                 self.artifact_errors += 1  # artifact loss is logged, never fatal
         self.windows_processed += 1
@@ -418,8 +403,7 @@ def open_capture(capture_dir: str | Path) -> tuple[Scenario, AudioClip, list[Win
         raise InvalidInput("invalid burst: " + "; ".join(validation.violations))
     jobs = [
         WindowJob(index=w.frame_index, timestamp=burst.frames[w.frame_index].timestamp,
-                  raw=burst.frames[w.frame_index].pixels, samples=w.samples,
-                  pad_left=w.pad_left, pad_right=w.pad_right)
+                  raw=burst.frames[w.frame_index].pixels, samples=w.samples)
         for w in align_audio_to_frames(burst, clip)
     ]
     return scenario, clip, jobs

@@ -4,7 +4,8 @@ Tensors are 2-D float arrays (row vectors are 1xD). Each operation records
 its parents and per-parent gradient closures, so :func:`backward` can walk
 the resulting acyclic graph once in reverse topological order. Graphs are
 rebuilt every forward pass; running :func:`backward` twice on the same loss
-node is an error rather than a silent re-accumulation.
+node is an error rather than a silent re-accumulation. Trainable tensors
+are created only by :class:`ParamStore` and updated only by :func:`sgd_step`.
 
 All correctness tests run at float64.
 """
@@ -62,15 +63,11 @@ def _node(data, parents, grad_fns) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
+    out.requires_grad = False
     out._consumed = False
-    if any(p.requires_grad or p._parents for p in parents):
-        out.requires_grad = False
-        out._parents = tuple(parents)
-        out._grad_fns = tuple(grad_fns)
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._grad_fns = ()
+    tracked = any(p.requires_grad or p._parents for p in parents)
+    out._parents = tuple(parents) if tracked else ()
+    out._grad_fns = tuple(grad_fns) if tracked else ()
     return out
 
 
@@ -305,6 +302,51 @@ def backward(loss: Tensor) -> None:
             else:
                 pending[key] = contribution
     loss._consumed = True
+
+
+class ParamStore:
+    """Named trainable tensors; the one place a parameter is created.
+
+    Weights draw uniform(+-1/sqrt(fan_in)) values from one generator seeded
+    at construction, in creation order; biases and gains start constant.
+    """
+
+    def __init__(self, seed: int = 0):
+        self.rng = np.random.default_rng(seed)
+        self.params: dict[str, Tensor] = {}
+
+    def make(self, name: str, fan_in: int, shape) -> Tensor:
+        bound = 1.0 / np.sqrt(fan_in)
+        return self.make_const(name, self.rng.uniform(-bound, bound, size=shape))
+
+    def make_const(self, name: str, value: np.ndarray) -> Tensor:
+        tensor = Tensor(value, requires_grad=True)
+        self.params[name] = tensor
+        return tensor
+
+    def linear(self, name: str, d_in: int, d_out: int) -> tuple[Tensor, Tensor]:
+        return (self.make(f"{name}.weight", d_in, (d_in, d_out)),
+                self.make_const(f"{name}.bias", np.zeros((1, d_out))))
+
+    def layer_norm(self, name: str, dim: int) -> tuple[Tensor, Tensor]:
+        return (self.make_const(f"{name}.gain", np.ones((1, dim))),
+                self.make_const(f"{name}.bias", np.zeros((1, dim))))
+
+
+def sgd_step(params, loss: Tensor, learning_rate: float) -> float:
+    """One gradient-descent step on ``loss``; returns its value.
+
+    Clears the grads of ``params``, back-propagates ``loss`` and moves every
+    parameter the loss reaches by ``-learning_rate * grad``; the rest stay.
+    """
+    params = list(params)
+    for p in params:
+        p.grad = None
+    backward(loss)
+    for p in params:
+        if p.grad is not None:
+            p.data = p.data - learning_rate * p.grad
+    return loss.item()
 
 
 def finite_diff_check(

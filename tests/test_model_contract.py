@@ -147,6 +147,8 @@ FUSION_DEFECTS = {
     "nan weight": set_weight(np.nan),
     "infinite weight": set_weight(np.inf),
     "missing normalizer": lambda state: state.pop("norm.audio_std"),
+    "normalizer width": lambda state: state.update(
+        {"norm.visual_mean": np.zeros(4), "norm.visual_std": np.ones(4)}),
 }
 
 AUTOENCODER_DEFECTS = {
