@@ -40,13 +40,18 @@ class RollingBaseline:
     def push(self, value: float) -> None:
         self.values.append(float(value))
 
-    def zscore(self, value: float) -> float:
-        history = np.array(self.values)
-        return abs(value - history.mean()) / max(float(history.std()), STD_FLOOR)
+    def score(self, value: float) -> float:
+        """Clamped z-score of ``value`` against the history, then append it.
 
-
-def clamp_z(z: float) -> float:
-    return min(abs(z) / Z_CAP, 1.0)
+        Fewer than two held values is warm-up: score 0, still appended.
+        """
+        score = 0.0
+        if len(self.values) >= 2:
+            history = np.array(self.values)
+            z = abs(value - history.mean()) / max(float(history.std()), STD_FLOOR)
+            score = min(z / Z_CAP, 1.0)
+        self.values.append(float(value))
+        return score
 
 
 class StatWindow(RollingBaseline):
@@ -57,15 +62,8 @@ class StatWindow(RollingBaseline):
 
 
 def zscore_score(window: StatWindow, frame: np.ndarray) -> float:
-    """Clamped z-score of the frame's mean intensity against the history.
-
-    Scored against history excluding this frame; the frame is then appended.
-    Fewer than two historical frames is warm-up: score 0, still appended.
-    """
-    pixels = np.asarray(frame, dtype=np.float64)
-    score = clamp_z(window.zscore(float(pixels.mean()))) if len(window) >= 2 else 0.0
-    window.push(pixels)
-    return score
+    """:meth:`RollingBaseline.score` of the frame's mean intensity."""
+    return window.score(float(np.asarray(frame, dtype=np.float64).mean()))
 
 
 def block_mean_downsample(pixels: np.ndarray, blocks: int = 8) -> np.ndarray:
@@ -91,13 +89,12 @@ class DenseAutoencoder:
     """
 
     seed: int = 0
-    hidden: int = 16
     training_mse: float | None = None
 
     def __post_init__(self):
         store = tz.ParamStore(self.seed)
-        store.linear("enc", 64, self.hidden)
-        store.linear("dec", self.hidden, 64)
+        store.linear("enc", 64, 16)
+        store.linear("dec", 16, 64)
         self.params = store.params
 
     def _forward(self, x: Tensor) -> Tensor:
@@ -181,20 +178,11 @@ class AudioBaseline:
 
 
 def audio_anomaly_score(energy: float, centroid_hz: float, baseline: AudioBaseline) -> float:
-    """Max of the clamped energy and centroid z-scores.
+    """Max of the energy and centroid :meth:`RollingBaseline.score` values.
 
     Absolute z-scores catch drops (sudden silence) as well as bursts.
-    Warm-up (< 2 history points) scores 0; observations always append.
     """
-    if len(baseline.energy) < 2 or len(baseline.centroid) < 2:
-        baseline.energy.push(energy)
-        baseline.centroid.push(centroid_hz)
-        return 0.0
-    score = max(clamp_z(baseline.energy.zscore(energy)),
-                clamp_z(baseline.centroid.zscore(centroid_hz)))
-    baseline.energy.push(energy)
-    baseline.centroid.push(centroid_hz)
-    return score
+    return max(baseline.energy.score(energy), baseline.centroid.score(centroid_hz))
 
 
 @dataclass(frozen=True)

@@ -26,17 +26,10 @@ class Spectrogram:
     hop_length: int
     sample_rate: int
 
-    @property
-    def freq_bins(self) -> np.ndarray:
-        """Center frequency in Hz of each bin."""
-        n_bins = self.magnitudes.shape[1]
-        return np.arange(n_bins) * self.sample_rate / self.window_size
-
 
 @dataclass(frozen=True)
 class MelSpectrogram:
     bands: np.ndarray  # (time_frames, n_bands)
-    filters: np.ndarray  # (n_bands, freq_bins) triangular weights, peak 1
     sample_rate: int
 
 
@@ -119,7 +112,7 @@ def mel_spectrogram(spec: Spectrogram, n_bands: int = 64) -> MelSpectrogram:
     """Pool squared STFT magnitudes through the mel filterbank."""
     filters = mel_filterbank(spec.window_size, spec.sample_rate, n_bands)
     bands = (spec.magnitudes ** 2) @ filters.T
-    return MelSpectrogram(bands, filters, spec.sample_rate)
+    return MelSpectrogram(bands, spec.sample_rate)
 
 
 def morlet_wavelet(scale: float, omega0: float = MORLET_OMEGA0) -> np.ndarray:

@@ -12,7 +12,7 @@ from collections import Counter
 from pathlib import Path
 
 from .config import load_config
-from .errors import AvFuseError, InvalidConfig
+from .errors import AvFuseError, InvalidConfig, InvalidInput
 from .pipeline import run_pipeline, train_on_scenario
 from .scenario import Scenario, generate_scenario, preset_scenario
 
@@ -27,7 +27,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Audio-visual stream fusion and anomaly detection on recorded or synthetic captures.",
     )
     parser.add_argument("--config", type=Path, help="JSON config overriding the defaults")
-    parser.add_argument("--seed", type=int, default=0, help="run seed (detector noise, model init)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="run seed (preset rendering, detector noise, autoencoder init); "
+                             "fusion weights come from fusion.seed in the config")
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     parser.add_argument("--queue-capacity", type=int, help="bounded stage-queue capacity")
     parser.add_argument("--deterministic", action="store_true",
@@ -62,9 +64,9 @@ def cmd_generate(args, config) -> int:
         scenario = Scenario.from_json(args.scenario)
     else:
         scenario = preset_scenario(args.preset, seed=args.seed)
-    artifacts = generate_scenario(scenario, args.out)
+    directory = generate_scenario(scenario, args.out)
     print(f"scenario '{scenario.name}': {scenario.n_frames} frames, "
-          f"{scenario.duration_s:g}s audio @ {scenario.sample_rate} Hz -> {artifacts.directory}")
+          f"{scenario.duration_s:g}s audio @ {scenario.sample_rate} Hz -> {directory}")
     return EXIT_OK
 
 
@@ -108,13 +110,17 @@ def cmd_report(args, config) -> int:
     kinds = Counter()
     windows = set()
     triggered = []
-    for line in args.log.read_text().splitlines():
-        record = json.loads(line)
-        kinds[record["kind"]] += 1
-        windows.add(record["window"])
-        if record["kind"] == "anomaly" and record["payload"].get("triggered"):
-            triggered.append((record["payload"]["combined"], record["t"],
-                              record["payload"].get("type", "?")))
+    for number, line in enumerate(args.log.read_text().splitlines(), start=1):
+        try:
+            record = json.loads(line)
+            kinds[record["kind"]] += 1
+            windows.add(record["window"])
+            if record["kind"] == "anomaly" and record["payload"].get("triggered"):
+                triggered.append((record["payload"]["combined"], record["t"],
+                                  record["payload"].get("type", "?")))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise InvalidInput(f"{args.log}:{number}: not an event record "
+                               f"({type(exc).__name__}: {exc})") from exc
     print(f"{len(windows)} windows, {sum(kinds.values())} records")
     for kind in sorted(kinds):
         print(f"  {kind:15s} {kinds[kind]}")

@@ -174,6 +174,8 @@ class Config:
 
         r = self.runtime
         check(r.queue_capacity >= 1, "runtime.queue_capacity must be >= 1")
+        check(all(d >= 0.0 for d in r.stage_delays.values()),
+              "runtime.stage_delays must be non-negative")
 
         if problems:
             raise InvalidConfig(problems)
@@ -183,12 +185,34 @@ class Config:
         return tuple(index[name] for name in self.anomaly.anomaly_labels)
 
 
+def _json_type(value) -> str:
+    for kind, types in (("boolean", bool), ("integer", int), ("number", float), ("string", str),
+                        ("array", (list, tuple)), ("object", dict)):
+        if isinstance(value, types):
+            return kind
+    return "null"
+
+
 def _merge(base: dict, override: dict, path: str, problems: list[str]) -> None:
+    """Overlay ``override`` on ``base``; every value must have its default's JSON type.
+
+    An integer may stand for a number. ``weights`` and ``stage_delays`` map
+    names to numbers.
+    """
     for key, value in override.items():
         if key not in base:
             problems.append(f"unknown config key: {path}{key}")
             continue
-        if isinstance(base[key], dict) and isinstance(value, dict) and key not in ("weights", "stage_delays"):
+        want, got = _json_type(base[key]), _json_type(value)
+        if want != got and (want, got) != ("number", "integer"):
+            problems.append(f"{path}{key} must be a JSON {want}, got {got}")
+        elif key in ("weights", "stage_delays"):
+            bad = sorted(k for k, v in value.items() if _json_type(v) not in ("integer", "number"))
+            if bad:
+                problems.append(f"{path}{key} values must be numbers, got {bad}")
+            else:
+                base[key] = value
+        elif got == "object":
             _merge(base[key], value, f"{path}{key}.", problems)
         else:
             base[key] = value
@@ -202,6 +226,8 @@ def load_config(path: str | Path | None = None) -> Config:
             override = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise InvalidConfig([f"cannot read config {path}: {exc}"]) from exc
+        if not isinstance(override, dict):
+            raise InvalidConfig([f"config {path} must hold a JSON object"])
         problems: list[str] = []
         _merge(merged, override, "", problems)
         if problems:

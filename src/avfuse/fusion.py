@@ -145,6 +145,10 @@ class TokenNormalizer:
         for name in names:
             if name not in state:
                 raise InvalidInput(f"parameter file missing tensor {name}")
+            if not np.all(np.isfinite(state[name])):
+                raise InvalidInput(f"{name}: normalizer values must be finite")
+            if name.endswith("_std") and not np.all(state[name] > 0.0):
+                raise InvalidInput(f"{name}: normalizer std must be positive")
         return cls(*(state[name].reshape(-1) for name in names))
 
 

@@ -44,12 +44,15 @@ def read_pgm(path: str | Path) -> np.ndarray:
         while pos < len(data) and not data[pos:pos + 1].isspace():
             pos += 1
         fields.append(data[start:pos])
-    if len(fields) < 4 or fields[0] != b"P5":
+    if len(fields) < 4 or fields[0] != b"P5" or not all(f.isdigit() for f in fields[1:]):
         raise InvalidInput(f"{path}: not a binary PGM (P5) file")
     width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
     if maxval != 255:
         raise InvalidInput(f"{path}: only maxval 255 supported, got {maxval}")
     pos += 1  # single whitespace byte after maxval
+    if len(data) - pos < width * height:
+        raise InvalidInput(f"{path}: truncated PGM, {max(len(data) - pos, 0)} of "
+                           f"{width * height} pixel bytes")
     raster = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
     return raster.reshape(height, width).copy()
 
@@ -66,11 +69,14 @@ def write_wav(path: str | Path, samples: np.ndarray, sample_rate: int) -> None:
 
 def read_wav(path: str | Path) -> tuple[np.ndarray, int]:
     """Read a 16-bit PCM mono WAV into float64 samples in [-1, 1]."""
-    with wave.open(str(path), "rb") as wav:
-        if wav.getnchannels() != 1 or wav.getsampwidth() != 2:
-            raise InvalidInput(f"{path}: expected 16-bit mono PCM")
-        sample_rate = wav.getframerate()
-        raw = wav.readframes(wav.getnframes())
+    try:
+        with wave.open(str(path), "rb") as wav:
+            if wav.getnchannels() != 1 or wav.getsampwidth() != 2:
+                raise InvalidInput(f"{path}: expected 16-bit mono PCM")
+            sample_rate = wav.getframerate()
+            raw = wav.readframes(wav.getnframes())
+    except (wave.Error, EOFError) as exc:
+        raise InvalidInput(f"{path}: not a readable WAV file ({exc!r})") from exc
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / INT16_MAX
     return samples, sample_rate
 
@@ -81,11 +87,10 @@ def write_manifest(
     timestamps: list[float],
     nominal_fps: float,
     audio_file: str,
-    audio_start_s: float = 0.0,
 ) -> Path:
     manifest = {
         "nominal_fps": nominal_fps,
-        "audio": {"file": audio_file, "start_s": audio_start_s},
+        "audio": {"file": audio_file, "start_s": 0.0},
         "frames": [
             {"file": f, "timestamp_s": t} for f, t in zip(frame_files, timestamps)
         ],
@@ -101,15 +106,16 @@ def load_capture(directory: str | Path) -> tuple[FrameBurst, AudioClip]:
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise InvalidInput(f"missing manifest: {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        entries = [(entry["file"], float(entry["timestamp_s"])) for entry in manifest["frames"]]
+        nominal_fps = float(manifest.get("nominal_fps", 20.0))
+        audio_file = manifest["audio"]["file"]
+        start_s = float(manifest["audio"].get("start_s", 0.0))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise InvalidInput(f"{manifest_path}: malformed manifest "
+                           f"({type(exc).__name__}: {exc})") from exc
 
-    frames = [
-        Frame(read_pgm(directory / entry["file"]), float(entry["timestamp_s"]))
-        for entry in manifest["frames"]
-    ]
-    burst = FrameBurst(frames, nominal_fps=float(manifest.get("nominal_fps", 20.0)))
-
-    audio_meta = manifest["audio"]
-    samples, sample_rate = read_wav(directory / audio_meta["file"])
-    clip = AudioClip(samples, sample_rate, start_time=float(audio_meta.get("start_s", 0.0)))
-    return burst, clip
+    frames = [Frame(read_pgm(directory / name), t) for name, t in entries]
+    samples, sample_rate = read_wav(directory / audio_file)
+    return FrameBurst(frames, nominal_fps=nominal_fps), AudioClip(samples, sample_rate, start_s)

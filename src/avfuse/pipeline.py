@@ -76,12 +76,11 @@ class WindowJob:
     stats: SpectralStats | None = None
     fused: np.ndarray | None = None
     detections: tuple = ()
-    tracks: tuple = ()
+    tracks: tuple = ()  # one event-log dict per live track
     visual_row: np.ndarray | None = None
     audio_row: np.ndarray | None = None
     motion_logits: np.ndarray | None = None
     event_logits: np.ndarray | None = None
-    motion_pred: int | None = None
     report: AnomalyReport | None = None
 
 
@@ -141,7 +140,6 @@ class PipelineContext:
                  model_bundle=None, autoencoder: DenseAutoencoder | None = None,
                  export_dir: str | Path | None = None, seed: int = 0):
         self.config = config
-        self.scenario = scenario
         self.sample_rate = sample_rate
         self.seed = seed
         self.script = scenario.detection_script(config.detector)
@@ -193,12 +191,12 @@ class PipelineContext:
             merged = cross_detector_merge(fast, accurate, d.cross_merge_iou)
         else:
             merged = fast
-        tracks = self.tracker.step(merged)
-        return replace(job, detections=tuple(merged), tracks=tuple(
-            (t.track_id, t.state.value,
-             float(t.bbox.x1), float(t.bbox.y1), float(t.bbox.x2), float(t.bbox.y2))
-            for t in tracks
-        ))
+        tracks = tuple(
+            {"id": t.track_id, "state": t.state.value, "x1": float(t.bbox.x1),
+             "y1": float(t.bbox.y1), "x2": float(t.bbox.x2), "y2": float(t.bbox.y2)}
+            for t in self.tracker.step(merged)
+        )
+        return replace(job, detections=tuple(merged), tracks=tracks)
 
     def tokenize(self, job: WindowJob) -> WindowJob:
         (visual_token,) = build_visual_tokens([list(job.detections)], [job.wavelet], [job.flow])
@@ -213,8 +211,7 @@ class PipelineContext:
         visual = np.stack(self._visual_rows)
         audio = np.stack(self._audio_rows)
         motion, event = self.model.predict(visual, audio, job.fused)
-        return replace(job, motion_logits=motion, event_logits=event,
-                       motion_pred=int(np.argmax(motion)))
+        return replace(job, motion_logits=motion, event_logits=event)
 
     def score(self, job: WindowJob) -> WindowJob:
         cfg = self.config.anomaly
@@ -264,14 +261,9 @@ class Sink:
                 for d in job.detections
             ],
         }))
-        self.records.append(EventRecord(t, w, "track", {
-            "tracks": [
-                {"id": tid, "state": state, "x1": x1, "y1": y1, "x2": x2, "y2": y2}
-                for tid, state, x1, y1, x2, y2 in job.tracks
-            ],
-        }))
+        self.records.append(EventRecord(t, w, "track", {"tracks": list(job.tracks)}))
         classification = {
-            "motion_pred": job.motion_pred,
+            "motion_pred": int(np.argmax(job.motion_logits)),
             "motion_logits": [float(x) for x in job.motion_logits],
         }
         if job.event_logits is not None:
@@ -543,9 +535,10 @@ def run_pipeline(
 def build_training_sequences(capture_dir: str | Path, config: Config, seed: int = 0):
     """Labeled burst-sized token sequences from a generated scenario.
 
-    Runs the analyze, detect and tokenize stages inline over every window,
-    then chunks tokens into bursts; each burst inherits the scenario's
-    motion and event ground truth.
+    Runs the analyze, detect and tokenize stages inline over every window
+    with a freshly built model, then chunks tokens into bursts; each burst
+    inherits the scenario's motion and event ground truth. Returns the
+    sequences, the preprocessed normal frames and the model, untrained.
     """
     scenario, clip, jobs = open_capture(capture_dir)
     context = PipelineContext(config, scenario, clip.sample_rate, seed=seed)
@@ -568,7 +561,7 @@ def build_training_sequences(capture_dir: str | Path, config: Config, seed: int 
             event_label=event,
         ))
     normal_frames = [job.preprocessed for job in tokens if not scenario.is_injected(job.index)]
-    return sequences, normal_frames
+    return sequences, normal_frames, context.model
 
 
 def train_on_scenario(capture_dir: str | Path, config: Config, out_dir: str | Path,
@@ -582,14 +575,13 @@ def train_on_scenario(capture_dir: str | Path, config: Config, out_dir: str | Pa
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    sequences, normal_frames = build_training_sequences(capture_dir, config, seed=seed)
+    sequences, normal_frames, model = build_training_sequences(capture_dir, config, seed=seed)
     if not sequences:
         raise InvalidConfig(["scenario too short to build any training sequence"])
     normalizer = TokenNormalizer.fit([s.visual for s in sequences], [s.audio for s in sequences])
     batch = [replace(s, visual=normalizer.normalize_visual(s.visual),
                      audio=normalizer.normalize_audio(s.audio)) for s in sequences]
 
-    model = build_model(config.fusion)
     loss = float("nan")
     accuracy = 0.0
     for step in range(1, config.fusion.steps + 1):

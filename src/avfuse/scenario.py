@@ -223,17 +223,8 @@ def render_audio(scenario: Scenario) -> np.ndarray:
     return np.clip(samples, -1.0, 1.0)
 
 
-@dataclass(frozen=True)
-class ScenarioArtifacts:
-    directory: Path
-    frame_paths: list[Path]
-    wav_path: Path
-    manifest_path: Path
-    scenario_path: Path
-
-
-def generate_scenario(scenario: Scenario, out_dir: str | Path) -> ScenarioArtifacts:
-    """Render and persist a scenario capture directory.
+def generate_scenario(scenario: Scenario, out_dir: str | Path) -> Path:
+    """Render and persist a scenario capture directory; returns the directory.
 
     Layout: ``frame_NNNN.pgm`` files, ``audio.wav``, ``manifest.json`` and
     the scenario definition itself as ``scenario.json``.
@@ -243,27 +234,25 @@ def generate_scenario(scenario: Scenario, out_dir: str | Path) -> ScenarioArtifa
     directory.mkdir(parents=True, exist_ok=True)
 
     frames = render_frames(scenario)
-    frame_paths = []
+    frame_files = []
     timestamps = []
     for index, frame in enumerate(frames):
-        path = directory / f"frame_{index:04d}.pgm"
-        write_pgm(path, frame)
-        frame_paths.append(path)
+        frame_files.append(f"frame_{index:04d}.pgm")
+        write_pgm(directory / frame_files[-1], frame)
         timestamps.append(scenario.frame_timestamp(index))
 
-    wav_path = directory / "audio.wav"
-    write_wav(wav_path, render_audio(scenario), scenario.sample_rate)
+    write_wav(directory / "audio.wav", render_audio(scenario), scenario.sample_rate)
 
-    manifest_path = write_manifest(
+    write_manifest(
         directory,
-        [p.name for p in frame_paths],
+        frame_files,
         timestamps,
         nominal_fps=scenario.fps,
-        audio_file=wav_path.name,
+        audio_file="audio.wav",
     )
     scenario_path = directory / "scenario.json"
     scenario_path.write_text(json.dumps(scenario.to_dict(), indent=2, sort_keys=True) + "\n")
-    return ScenarioArtifacts(directory, frame_paths, wav_path, manifest_path, scenario_path)
+    return directory
 
 
 def preset_scenario(name: str, seed: int = 0) -> Scenario:

@@ -29,8 +29,8 @@ PARAM_VERSION = 1
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fns", "_consumed")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=np.float64):
-        array = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        array = np.asarray(data, dtype=np.float64)
         if array.ndim == 0:
             array = array.reshape(1, 1)
         elif array.ndim == 1:
@@ -128,13 +128,13 @@ def softmax(x: Tensor) -> Tensor:
     return _node(s, (x,), (grad,))
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYERNORM_EPS) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Per-row normalization followed by elementwise affine."""
     if gain.shape != (1, x.shape[1]) or bias.shape != (1, x.shape[1]):
         raise InvalidInput("layer_norm: gain/bias must be (1, d)")
     mu = x.data.mean(axis=1, keepdims=True)
     var = ((x.data - mu) ** 2).mean(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     xhat = (x.data - mu) * inv_std
 
     def dx(g, xhat=xhat, inv_std=inv_std, gd=gain.data):
@@ -173,9 +173,8 @@ def mean(x: Tensor, axis: int) -> Tensor:
                  (lambda g: np.repeat(g, n, axis=axis) / n,))
 
 
-def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
-    if axis != 1:
-        raise InvalidInput("concat supports the last axis only")
+def concat(tensors: list[Tensor]) -> Tensor:
+    """Join tensors of equal row count along the columns."""
     if not tensors:
         raise InvalidInput("concat of nothing")
     rows = tensors[0].shape[0]
@@ -440,7 +439,10 @@ def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
 
 
 def load_state(params: dict[str, Tensor], state: dict[str, np.ndarray]) -> None:
-    """Copy ``state`` into ``params`` in place; each must be present, same-shaped and finite."""
+    """Point ``params`` at the arrays of ``state``, uncopied, as :func:`load_tensors` gives them.
+
+    Each must be present, same-shaped and finite.
+    """
     for name, tensor in params.items():
         if name not in state:
             raise InvalidInput(f"parameter file missing tensor {name}")
@@ -449,4 +451,4 @@ def load_state(params: dict[str, Tensor], state: dict[str, np.ndarray]) -> None:
             raise InvalidInput(f"{name}: shape {value.shape} does not match model {tensor.data.shape}")
         if not np.all(np.isfinite(value)):
             raise InvalidInput(f"{name}: tensor data must be finite")
-        tensor.data = value.astype(np.float64)
+        tensor.data = value

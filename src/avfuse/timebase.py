@@ -22,14 +22,6 @@ class Frame:
     pixels: np.ndarray  # 2-D uint8, shape (height, width)
     timestamp: float
 
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
 
 @dataclass(frozen=True)
 class FrameBurst:
@@ -64,10 +56,6 @@ class AudioClip:
 
     def __len__(self) -> int:
         return len(self.samples)
-
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
 
 
 @dataclass(frozen=True)

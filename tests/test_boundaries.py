@@ -1,0 +1,93 @@
+"""Malformed configs, captures and event logs exit cleanly, naming what is wrong."""
+
+import json
+import shutil
+
+import pytest
+
+from avfuse.cli import main as cli_main
+from avfuse.scenario import generate_scenario, preset_scenario
+
+
+@pytest.fixture(scope="module")
+def canonical_capture(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("canonical")
+    generate_scenario(preset_scenario("canonical", seed=0), directory)
+    return directory
+
+
+@pytest.mark.parametrize("override, key", [
+    ({"fusion": {"steps": "10"}}, "fusion.steps"),
+    ({"anomaly": {"weights": [1, 2]}}, "anomaly.weights"),
+    ({"anomaly": {"weights": {"audio": "1"}}}, "anomaly.weights"),
+    ({"tracker": 5}, "tracker"),
+    ({"detector": {"dual": 1}}, "detector.dual"),
+], ids=["string steps", "list weights", "string weight", "number section", "integer flag"])
+def test_wrong_json_type_is_a_config_error(tmp_path, capsys, override, key):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(override))
+    assert cli_main(["--config", str(config), "--out", str(tmp_path / "out"), "generate"]) == 1
+    assert f"config error: {key} " in capsys.readouterr().err
+
+
+def test_config_that_is_not_an_object_is_a_config_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text("[1, 2]")
+    assert cli_main(["--config", str(config), "--out", str(tmp_path / "out"), "generate"]) == 1
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_integer_where_a_number_is_expected_is_accepted(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"anomaly": {"threshold": 1, "weights": {"audio": 1}}}))
+    assert cli_main(["--config", str(config), "--out", str(tmp_path / "out"), "generate"]) == 0
+
+
+def run_capture(capture, tmp_path):
+    return cli_main(["--out", str(tmp_path / "out"), "--deterministic", "run", str(capture)])
+
+
+def test_truncated_frame_exits_2_naming_it(canonical_capture, tmp_path, capsys):
+    capture = shutil.copytree(canonical_capture, tmp_path / "capture")
+    frame = capture / "frame_0003.pgm"
+    frame.write_bytes(frame.read_bytes()[:-100])
+    assert run_capture(capture, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert str(frame) in err and "truncated" in err
+
+
+def test_manifest_without_audio_exits_2_naming_it(canonical_capture, tmp_path, capsys):
+    capture = shutil.copytree(canonical_capture, tmp_path / "capture")
+    manifest = capture / "manifest.json"
+    document = json.loads(manifest.read_text())
+    del document["audio"]
+    manifest.write_text(json.dumps(document))
+    assert run_capture(capture, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert str(manifest) in err and "'audio'" in err
+
+
+@pytest.mark.parametrize("bad_line", ["{not json", '{"kind": "anomaly"}', "[1, 2]"],
+                         ids=["not json", "missing keys", "not an object"])
+def test_bad_report_line_exits_2_naming_file_and_line(tmp_path, capsys, bad_line):
+    log = tmp_path / "events.jsonl"
+    good = json.dumps({"t": 0.0, "window": 0, "kind": "metric", "payload": {}})
+    log.write_text(f"{good}\n{good}\n{bad_line}\n")
+    assert cli_main(["report", str(log)]) == 2
+    assert f"{log}:3:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("keep", [30, 0], ids=["truncated header", "empty"])
+def test_unreadable_wav_exits_2_naming_it(canonical_capture, tmp_path, capsys, keep):
+    capture = shutil.copytree(canonical_capture, tmp_path / "capture")
+    wav = capture / "audio.wav"
+    wav.write_bytes(wav.read_bytes()[:keep])
+    assert run_capture(capture, tmp_path) == 2
+    assert str(wav) in capsys.readouterr().err
+
+
+def test_negative_stage_delay_is_a_config_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"runtime": {"stage_delays": {"detect": -1}}}))
+    assert cli_main(["--config", str(config), "--out", str(tmp_path / "out"), "generate"]) == 1
+    assert "config error: runtime.stage_delays " in capsys.readouterr().err

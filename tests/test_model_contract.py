@@ -149,6 +149,8 @@ FUSION_DEFECTS = {
     "missing normalizer": lambda state: state.pop("norm.audio_std"),
     "normalizer width": lambda state: state.update(
         {"norm.visual_mean": np.zeros(4), "norm.visual_std": np.ones(4)}),
+    "zero std": lambda state: state.__setitem__("norm.audio_std", np.zeros(4)),
+    "nan mean": lambda state: state.__setitem__("norm.visual_mean", np.array([0.0, np.nan, 0.0])),
 }
 
 AUTOENCODER_DEFECTS = {

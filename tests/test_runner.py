@@ -12,6 +12,7 @@ import pytest
 from avfuse.cli import main as cli_main
 from avfuse.config import Config
 from avfuse.errors import AvFuseError, InvalidInput
+from avfuse.fusion import build_model
 from avfuse.io import read_pgm, write_pgm
 from avfuse.pipeline import run_pipeline, run_stages, train_on_scenario
 from avfuse.scenario import generate_scenario, preset_scenario
@@ -165,3 +166,32 @@ class TestSharedCaptureLoader:
         capture = shutil.copytree(canonical_capture, tmp_path / "capture")
         (capture / "scenario.json").unlink()
         self.fails_alike(capture, tmp_path, "missing scenario definition")
+
+
+class TestAdvancedModelAndTraining:
+    def test_advanced_single_thread_matches_threaded(self, canonical_capture, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"fusion": {"model": "advanced"}}))
+        logs = []
+        for mode in ([], ["--single-thread"]):
+            out = tmp_path / f"out{len(logs)}"
+            assert cli_main(["--config", str(config), "--out", str(out), "--deterministic",
+                             "run", str(canonical_capture), *mode]) == 0
+            logs.append((out / "events.jsonl").read_bytes())
+        assert logs[0] == logs[1]
+
+    def test_train_builds_one_fusion_model(self, canonical_capture, tmp_path, monkeypatch):
+        import avfuse.pipeline
+
+        built = []
+
+        def counting_build(fusion_config):
+            built.append(fusion_config)
+            return build_model(fusion_config)
+
+        monkeypatch.setattr(avfuse.pipeline, "build_model", counting_build)
+        config = Config()
+        config.fusion.steps = 1
+        result = train_on_scenario(canonical_capture, config, tmp_path / "models")
+        assert result["sequences"] == 1
+        assert len(built) == 1
