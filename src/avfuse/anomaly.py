@@ -103,7 +103,8 @@ class DenseAutoencoder:
         return tz.add_bias(tz.matmul(hidden, p["dec.weight"]), p["dec.bias"])
 
     def reconstruct(self, vector: np.ndarray) -> np.ndarray:
-        return self._forward(Tensor(vector.reshape(1, -1))).data.reshape(-1)
+        with tz.inference():
+            return self._forward(Tensor(vector.reshape(1, -1))).data.reshape(-1)
 
     @property
     def mse_cap(self) -> float:

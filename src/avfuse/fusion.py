@@ -22,12 +22,17 @@ Both models keep one contract, so callers never ask which one they hold:
 Only :func:`build_model` and the save/load kind table name a model kind.
 Every weight, the ensemble's included, lives in a :class:`tensor.ParamStore`
 and :func:`train_step` updates them through :func:`tensor.sgd_step`.
+
+Each model has one forward. Every attention block is a single
+:func:`tensor.attention` call over all its heads, in training and at
+inference alike; ``predict`` runs that forward inside
+:func:`tensor.inference`, so it records no graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, fields
-from functools import reduce
+from functools import lru_cache, reduce
 from pathlib import Path
 
 import numpy as np
@@ -166,12 +171,23 @@ def stub_audio_embeddings(samples, sample_rate: int) -> tuple[np.ndarray, np.nda
     bands = np.log1p(mel.bands)
     stats = np.concatenate([bands.mean(axis=0), bands.std(axis=0)])  # 128 values
 
-    embeddings = []
-    for index, name in enumerate(ENSEMBLE_MODELS):
+    return tuple(np.tanh(projection @ stats) for projection in _ensemble_projections(stats.size))
+
+
+@lru_cache(maxsize=None)
+def _ensemble_projections(width: int) -> tuple[np.ndarray, ...]:
+    """The fixed (EMBED_DIM, width) projection of each ensemble model.
+
+    Drawn once per width (one in practice: twice the mel band count) and
+    read-only, because every window and thread shares them.
+    """
+    projections = []
+    for index in range(len(ENSEMBLE_MODELS)):
         rng = np.random.default_rng(np.random.SeedSequence([0x5EED, index]))
-        projection = rng.normal(size=(EMBED_DIM, stats.size)) / np.sqrt(stats.size)
-        embeddings.append(np.tanh(projection @ stats))
-    return tuple(embeddings)
+        projection = rng.normal(size=(EMBED_DIM, width)) / np.sqrt(width)
+        projection.setflags(write=False)
+        projections.append(projection)
+    return tuple(projections)
 
 
 class AudioEnsembleFusion:
@@ -228,17 +244,7 @@ def _multi_head_attention(store, prefix: str, query: Tensor, keyval: Tensor,
     # uniformly, which the row softmax cancels, leaving a dead parameter.
     k = tz.matmul(keyval, p[f"{prefix}.k.weight"])
     v = _linear(keyval, p[f"{prefix}.v.weight"], p[f"{prefix}.v.bias"])
-    dim = q.shape[1]
-    head_dim = dim // heads
-    outs = []
-    for h in range(heads):
-        lo, hi = h * head_dim, (h + 1) * head_dim
-        qh, kh, vh = (tz.slice_cols(t, lo, hi) for t in (q, k, v))
-        weights = tz.attention_weights(qh, kh)
-        if trace is not None:
-            trace.append(weights.data)
-        outs.append(tz.matmul(weights, vh))
-    merged = tz.concat(outs) if len(outs) > 1 else outs[0]
+    merged = tz.attention(q, k, v, heads, trace)
     return _linear(merged, p[f"{prefix}.out.weight"], p[f"{prefix}.out.bias"])
 
 
@@ -309,7 +315,8 @@ class BasicFusionModel:
     def predict(self, visual: np.ndarray, audio: np.ndarray,
                 fused=None) -> tuple[np.ndarray, None]:
         """Flat motion logits and no event logits; ``fused`` is not read."""
-        return self.forward(visual, audio).data.reshape(-1), None
+        with tz.inference():
+            return self.forward(visual, audio).data.reshape(-1), None
 
     def predict_motion(self, visual: np.ndarray, audio: np.ndarray) -> int:
         return int(np.argmax(self.predict(visual, audio)[0]))
@@ -421,7 +428,8 @@ class AdvancedFusionModel:
     def predict(self, visual: np.ndarray, audio: np.ndarray,
                 fused=None) -> tuple[np.ndarray, np.ndarray]:
         """Flat motion and event logits."""
-        out = self.forward(visual, audio, fused)
+        with tz.inference():
+            out = self.forward(visual, audio, fused)
         return out.motion_logits, out.event_logits
 
     def loss(self, example: "LabeledSequence") -> Tensor:

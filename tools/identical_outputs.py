@@ -3,6 +3,7 @@
 Usage::
 
     python3 tools/identical_outputs.py OUT
+    python3 tools/identical_outputs.py --compare OUT_A OUT_B
 
 OUT must not exist. The script renders the ``injection`` and ``training``
 presets at seed 5, trains a basic and an advanced model on ``training``
@@ -19,6 +20,17 @@ what stays under OUT is bytes the program promises to reproduce:
 Render OUT once from each of two checkouts and compare with
 ``diff -r OUT_A OUT_B``. ``OPENBLAS_NUM_THREADS`` is pinned to 1 before
 numpy loads, because a multi-threaded BLAS may sum in a different order.
+
+``--compare`` checks two rendered trees within stated tolerances, for a
+change that alters float arithmetic on purpose. Both trees must hold the
+same files. Floats in ``events.jsonl`` and ``report.json`` must agree to
+a relative ``JSON_RTOL``, and every other JSON value (records, kinds,
+triggers, labels) must be equal. The tensors in ``fusion.bin`` and
+``autoencoder.bin`` must have the same names and shapes, and each value
+must agree to a relative ``TENSOR_RTOL``. A relative gap is the
+difference over the larger magnitude of the two values. Every other file,
+the captures included, must be byte-identical. The first
+offending file and field is printed and the exit status is 1.
 """
 
 import os
@@ -31,9 +43,16 @@ from pathlib import Path  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+import numpy as np  # noqa: E402
+
 from avfuse.cli import main  # noqa: E402
+from avfuse.errors import InvalidInput  # noqa: E402
+from avfuse.tensor import load_tensors  # noqa: E402
 
 SEED = 5
+JSON_RTOL = 1e-12
+TENSOR_RTOL = 1e-8
+TENSOR_FILES = ("fusion.bin", "autoencoder.bin")
 
 
 def avfuse(*argv) -> None:
@@ -63,7 +82,87 @@ def render(out: Path) -> None:
                 (run_dir / "summary.json").unlink()
 
 
+def json_difference(a, b, field: str) -> str | None:
+    """Where two parsed JSON values differ beyond ``JSON_RTOL``, or None."""
+    if isinstance(a, float) and isinstance(b, float):
+        if a == b or abs(a - b) <= JSON_RTOL * max(abs(a), abs(b)):
+            return None
+        return f"{field}: {a!r} vs {b!r}"
+    if type(a) is not type(b):
+        return f"{field}: {a!r} vs {b!r}"
+    if isinstance(a, dict):
+        if a.keys() != b.keys():
+            return f"{field}: keys {sorted(a)} vs {sorted(b)}"
+        items = ((f"{field}.{key}", a[key], b[key]) for key in a)
+    elif isinstance(a, list):
+        if len(a) != len(b):
+            return f"{field}: {len(a)} vs {len(b)} entries"
+        items = ((f"{field}[{i}]", x, y) for i, (x, y) in enumerate(zip(a, b)))
+    else:
+        return None if a == b else f"{field}: {a!r} vs {b!r}"
+    for name, x, y in items:
+        found = json_difference(x, y, name)
+        if found:
+            return found
+    return None
+
+
+def file_difference(a: Path, b: Path) -> str | None:
+    """Where two files of the same relative path differ beyond the bounds."""
+    if a.name == "events.jsonl":
+        lines_a, lines_b = a.read_text().splitlines(), b.read_text().splitlines()
+        if len(lines_a) != len(lines_b):
+            return f"{len(lines_a)} vs {len(lines_b)} records"
+        for number, (x, y) in enumerate(zip(lines_a, lines_b), 1):
+            found = json_difference(json.loads(x), json.loads(y), f"line {number}")
+            if found:
+                return found
+        return None
+    if a.name == "report.json":
+        return json_difference(json.loads(a.read_text()), json.loads(b.read_text()), "report")
+    if a.name in TENSOR_FILES:
+        tensors_a, tensors_b = load_tensors(a), load_tensors(b)
+        if tensors_a.keys() != tensors_b.keys():
+            return f"tensors {sorted(tensors_a)} vs {sorted(tensors_b)}"
+        for name, x in tensors_a.items():
+            y = tensors_b[name]
+            if x.shape != y.shape:
+                return f"{name}: shape {x.shape} vs {y.shape}"
+            outside = np.abs(x - y) > TENSOR_RTOL * np.maximum(np.abs(x), np.abs(y))
+            if outside.any():
+                at = tuple(int(i) for i in np.unravel_index(np.argmax(outside), x.shape))
+                return f"{name}{list(at)}: {float(x[at])!r} vs {float(y[at])!r}"
+        return None
+    return None if a.read_bytes() == b.read_bytes() else "bytes differ"
+
+
+def compare(a: Path, b: Path) -> str | None:
+    """The first file and field where tree ``b`` leaves tree ``a``'s bounds, or None."""
+    files = [sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file()) for root in (a, b)]
+    if files[0] != files[1]:
+        only = sorted(set(files[0]) ^ set(files[1]))
+        return f"file lists differ: {only[0]} is in only one tree"
+    for relative in files[0]:
+        try:
+            found = file_difference(a / relative, b / relative)
+        except (ValueError, InvalidInput) as exc:  # ValueError covers bad JSON
+            found = f"unreadable ({exc})"
+        if found:
+            return f"{relative}: {found}"
+    return None
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        trees = [Path(arg) for arg in sys.argv[2:]]
+        for tree in trees:
+            if not tree.is_dir():
+                raise SystemExit(f"{tree} is not a directory")
+        difference = compare(*trees)
+        if difference:
+            raise SystemExit(f"outside the bounds: {difference}")
+        print(f"within the bounds: floats to {JSON_RTOL:g} relative, tensors to {TENSOR_RTOL:g}")
+        raise SystemExit(0)
     if len(sys.argv) != 2:
         raise SystemExit(__doc__)
     target = Path(sys.argv[1])
