@@ -93,14 +93,12 @@ class DenseAutoencoder:
 
     def __post_init__(self):
         store = tz.ParamStore(self.seed)
-        store.linear("enc", 64, 16)
-        store.linear("dec", 16, 64)
+        self.enc = store.linear("enc", 64, 16)
+        self.dec = store.linear("dec", 16, 64)
         self.params = store.params
 
     def _forward(self, x: Tensor) -> Tensor:
-        p = self.params
-        hidden = tz.gelu(tz.add_bias(tz.matmul(x, p["enc.weight"]), p["enc.bias"]))
-        return tz.add_bias(tz.matmul(hidden, p["dec.weight"]), p["dec.bias"])
+        return tz.feed_forward(x, self.enc, self.dec)
 
     def reconstruct(self, vector: np.ndarray) -> np.ndarray:
         with tz.inference():
@@ -160,7 +158,7 @@ def load_autoencoder(path) -> DenseAutoencoder:
     state = tz.load_tensors(path)
     model = DenseAutoencoder()
     try:
-        tz.load_state(model.params, state)
+        tz.load_state(model.params, state, records=("meta.training_mse",))
     except InvalidInput as exc:
         raise InvalidInput(f"{path}: autoencoder {exc}") from exc
     mse = state.get("meta.training_mse")

@@ -110,14 +110,14 @@ def cmd_report(args, config) -> int:
     kinds = Counter()
     windows = set()
     triggered = []
-    for number, line in enumerate(args.log.read_text().splitlines(), start=1):
+    for number, line in enumerate(args.log.read_bytes().splitlines(), start=1):
         try:
             record = json.loads(line)
             kinds[record["kind"]] += 1
             windows.add(record["window"])
             if record["kind"] == "anomaly" and record["payload"].get("triggered"):
-                triggered.append((record["payload"]["combined"], record["t"],
-                                  record["payload"].get("type", "?")))
+                triggered.append((float(record["payload"]["combined"]), float(record["t"]),
+                                  str(record["payload"].get("type", "?"))))
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise InvalidInput(f"{args.log}:{number}: not an event record "
                                f"({type(exc).__name__}: {exc})") from exc

@@ -224,7 +224,7 @@ def load_config(path: str | Path | None = None) -> Config:
     if path is not None:
         try:
             override = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 errors
             raise InvalidConfig([f"cannot read config {path}: {exc}"]) from exc
         if not isinstance(override, dict):
             raise InvalidConfig([f"config {path} must hold a JSON object"])

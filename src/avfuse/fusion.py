@@ -23,7 +23,9 @@ Only :func:`build_model` and the save/load kind table name a model kind.
 Every weight, the ensemble's included, lives in a :class:`tensor.ParamStore`
 and :func:`train_step` updates them through :func:`tensor.sgd_step`.
 
-Each model has one forward. Every attention block is a single
+Each model has one forward over the blocks its store returned. Both run
+one :func:`_encoder_layer`, the basic model within its stream, the advanced
+model across streams. Every attention block is a single
 :func:`tensor.attention` call over all its heads, in training and at
 inference alike; ``predict`` runs that forward inside
 :func:`tensor.inference`, so it records no graph.
@@ -232,37 +234,31 @@ def _token_arrays(config, visual, audio) -> tuple[np.ndarray, np.ndarray]:
     return visual, audio
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return tz.add_bias(tz.matmul(x, w), b)
+def _attention_block(store, prefix: str, dim: int) -> tuple:
+    """The (q, k, v, out) projections of one attention block, created q, v, out, k.
+
+    No key bias: a constant added to every key shifts each query's scores
+    uniformly, which the row softmax cancels, leaving a dead parameter.
+    """
+    q, v, out = (store.linear(f"{prefix}.{part}", dim, dim) for part in ("q", "v", "out"))
+    return q, store.make(f"{prefix}.k.weight", dim, (dim, dim)), v, out
 
 
-def _multi_head_attention(store, prefix: str, query: Tensor, keyval: Tensor,
-                          heads: int, trace: list | None) -> Tensor:
-    p = store.params
-    q = _linear(query, p[f"{prefix}.q.weight"], p[f"{prefix}.q.bias"])
-    # No key bias: a constant added to every key shifts each query's scores
-    # uniformly, which the row softmax cancels, leaving a dead parameter.
-    k = tz.matmul(keyval, p[f"{prefix}.k.weight"])
-    v = _linear(keyval, p[f"{prefix}.v.weight"], p[f"{prefix}.v.bias"])
-    merged = tz.attention(q, k, v, heads, trace)
-    return _linear(merged, p[f"{prefix}.out.weight"], p[f"{prefix}.out.bias"])
+def _encoder_layer(block, x: Tensor, context: Tensor, heads: int, trace: list | None) -> Tensor:
+    """Attention of ``x`` over ``context``, then a feed-forward, each inside residual + layer norm.
+
+    ``block`` is ((q, k, v, out), attention norm, feed-forward, feed-forward norm).
+    """
+    (q, k, v, out), attention_norm, ffn, ffn_norm = block
+    merged = tz.attention(tz.linear(x, q), tz.matmul(context, k), tz.linear(context, v),
+                          heads, trace)
+    x = tz.layer_norm(tz.add(x, tz.linear(merged, out)), *attention_norm)
+    return tz.layer_norm(tz.add(x, tz.feed_forward(x, *ffn)), *ffn_norm)
 
 
-def _feed_forward(store, prefix: str, x: Tensor) -> Tensor:
-    p = store.params
-    hidden = tz.gelu(_linear(x, p[f"{prefix}.w1.weight"], p[f"{prefix}.w1.bias"]))
-    return _linear(hidden, p[f"{prefix}.w2.weight"], p[f"{prefix}.w2.bias"])
-
-
-def _init_mha(store, prefix: str, dim: int) -> None:
-    for part in ("q", "v", "out"):
-        store.linear(f"{prefix}.{part}", dim, dim)
-    store.make(f"{prefix}.k.weight", dim, (dim, dim))
-
-
-def _init_ffn(store, prefix: str, dim: int, hidden: int) -> None:
-    store.linear(f"{prefix}.w1", dim, hidden)
-    store.linear(f"{prefix}.w2", hidden, dim)
+def _check_heads(config) -> None:
+    if config.heads < 1 or config.hidden % config.heads:
+        raise InvalidInput(f"{config.heads} heads do not split hidden dim {config.hidden}")
 
 
 @dataclass(frozen=True)
@@ -285,32 +281,26 @@ class BasicFusionModel:
 
     def __init__(self, config: BasicFusionConfig | None = None, seed: int = 0):
         self.config = c = config or BasicFusionConfig()
+        _check_heads(c)
         self.store = store = tz.ParamStore(seed)
-        store.linear("proj.visual", c.visual_features, c.hidden)
-        store.linear("proj.audio", c.audio_features, c.hidden)
-        for layer in range(c.layers):
-            _init_mha(store, f"enc{layer}.attn", c.hidden)
-            store.layer_norm(f"enc{layer}.ln1", c.hidden)
-            _init_ffn(store, f"enc{layer}.ffn", c.hidden, c.ffn_hidden)
-            store.layer_norm(f"enc{layer}.ln2", c.hidden)
-        store.linear("head.motion", c.hidden, c.motion_classes)
+        self.proj_visual = store.linear("proj.visual", c.visual_features, c.hidden)
+        self.proj_audio = store.linear("proj.audio", c.audio_features, c.hidden)
+        self.layers = [(_attention_block(store, f"enc{layer}.attn", c.hidden),
+                        store.layer_norm(f"enc{layer}.ln1", c.hidden),
+                        store.feed_forward(f"enc{layer}.ffn", c.hidden, c.ffn_hidden),
+                        store.layer_norm(f"enc{layer}.ln2", c.hidden))
+                       for layer in range(c.layers)]
+        self.head_motion = store.linear("head.motion", c.hidden, c.motion_classes)
         self.ensemble = None
 
     def forward(self, visual: np.ndarray, audio: np.ndarray, trace: list | None = None) -> Tensor:
         """Motion logits (1 x 2) for one token sequence."""
         visual, audio = _token_arrays(self.config, visual, audio)
-        c = self.config
-        p = self.store.params
-        v = _linear(Tensor(visual), p["proj.visual.weight"], p["proj.visual.bias"])
-        a = _linear(Tensor(audio), p["proj.audio.weight"], p["proj.audio.bias"])
-        x = tz.add(v, a)
-        for layer in range(c.layers):
-            attn = _multi_head_attention(self.store, f"enc{layer}.attn", x, x, c.heads, trace)
-            x = tz.layer_norm(tz.add(x, attn), p[f"enc{layer}.ln1.gain"], p[f"enc{layer}.ln1.bias"])
-            ff = _feed_forward(self.store, f"enc{layer}.ffn", x)
-            x = tz.layer_norm(tz.add(x, ff), p[f"enc{layer}.ln2.gain"], p[f"enc{layer}.ln2.bias"])
-        pooled = tz.mean(x, axis=0)
-        return _linear(pooled, p["head.motion.weight"], p["head.motion.bias"])
+        x = tz.add(tz.linear(Tensor(visual), self.proj_visual),
+                   tz.linear(Tensor(audio), self.proj_audio))
+        for block in self.layers:
+            x = _encoder_layer(block, x, x, self.config.heads, trace)
+        return tz.linear(tz.mean(x, axis=0), self.head_motion)
 
     def predict(self, visual: np.ndarray, audio: np.ndarray,
                 fused=None) -> tuple[np.ndarray, None]:
@@ -365,22 +355,23 @@ class AdvancedFusionModel:
             raise InvalidInput(
                 f"hidden dim {c.hidden} must equal the fused embedding dim {FUSED_DIM}"
             )
+        _check_heads(c)
         self.store = store = tz.ParamStore(seed)
-        store.linear("proj.visual", c.visual_features, c.hidden)
-        store.linear("proj.audio", c.audio_features, c.hidden)
-        store.make("pos.visual", c.hidden, (c.max_tokens, c.hidden))
-        store.make("pos.audio", c.hidden, (c.max_tokens, c.hidden))
+        self.proj_visual = store.linear("proj.visual", c.visual_features, c.hidden)
+        self.proj_audio = store.linear("proj.audio", c.audio_features, c.hidden)
+        self.pos_visual = store.make("pos.visual", c.hidden, (c.max_tokens, c.hidden))
+        self.pos_audio = store.make("pos.audio", c.hidden, (c.max_tokens, c.hidden))
+        self.layers = []  # (visual block, audio block) per layer
         for layer in range(c.layers):
-            _init_mha(store, f"xattn{layer}.va", c.hidden)  # visual queries
-            _init_mha(store, f"xattn{layer}.av", c.hidden)  # audio queries
-            store.layer_norm(f"xattn{layer}.ln_v", c.hidden)
-            store.layer_norm(f"xattn{layer}.ln_a", c.hidden)
-            _init_ffn(store, f"ffn{layer}.v", c.hidden, c.ffn_hidden)
-            _init_ffn(store, f"ffn{layer}.a", c.hidden, c.ffn_hidden)
-            store.layer_norm(f"ffn{layer}.ln_v", c.hidden)
-            store.layer_norm(f"ffn{layer}.ln_a", c.hidden)
-        store.linear("head.motion", 2 * c.hidden, c.motion_classes)
-        store.linear("head.event", 2 * c.hidden, c.event_classes)
+            va = _attention_block(store, f"xattn{layer}.va", c.hidden)  # visual queries
+            av = _attention_block(store, f"xattn{layer}.av", c.hidden)  # audio queries
+            ln_v, ln_a = (store.layer_norm(f"xattn{layer}.ln_{s}", c.hidden) for s in "va")
+            ffn_v, ffn_a = (store.feed_forward(f"ffn{layer}.{s}", c.hidden, c.ffn_hidden)
+                            for s in "va")
+            out_v, out_a = (store.layer_norm(f"ffn{layer}.ln_{s}", c.hidden) for s in "va")
+            self.layers.append(((va, ln_v, ffn_v, out_v), (av, ln_a, ffn_a, out_a)))
+        self.head_motion = store.linear("head.motion", 2 * c.hidden, c.motion_classes)
+        self.head_event = store.linear("head.event", 2 * c.hidden, c.event_classes)
         self.ensemble = AudioEnsembleFusion(seed=seed + 1)
         store.params.update(self.ensemble.store.params)
 
@@ -398,27 +389,17 @@ class AdvancedFusionModel:
             raise InvalidInput(f"fused embedding must be {FUSED_DIM}-dim, got {fused.shape[1]}")
         fused = Tensor(fused)
 
-        p = self.store.params
-        v = _linear(Tensor(visual), p["proj.visual.weight"], p["proj.visual.bias"])
-        a = _linear(Tensor(audio), p["proj.audio.weight"], p["proj.audio.bias"])
-        v = tz.add(v, tz.slice_rows(p["pos.visual"], 0, n_tokens))
-        a = tz.add(a, tz.slice_rows(p["pos.audio"], 0, n_tokens))
+        v = tz.add(tz.linear(Tensor(visual), self.proj_visual),
+                   tz.slice_rows(self.pos_visual, 0, n_tokens))
+        a = tz.add(tz.linear(Tensor(audio), self.proj_audio),
+                   tz.slice_rows(self.pos_audio, 0, n_tokens))
         a = tz.add_bias(a, fused)
-
-        for layer in range(c.layers):
-            v_att = _multi_head_attention(self.store, f"xattn{layer}.va", v, a, c.heads, trace)
-            a_att = _multi_head_attention(self.store, f"xattn{layer}.av", a, v, c.heads, trace)
-            v = tz.layer_norm(tz.add(v, v_att), p[f"xattn{layer}.ln_v.gain"], p[f"xattn{layer}.ln_v.bias"])
-            a = tz.layer_norm(tz.add(a, a_att), p[f"xattn{layer}.ln_a.gain"], p[f"xattn{layer}.ln_a.bias"])
-            v = tz.layer_norm(tz.add(v, _feed_forward(self.store, f"ffn{layer}.v", v)),
-                              p[f"ffn{layer}.ln_v.gain"], p[f"ffn{layer}.ln_v.bias"])
-            a = tz.layer_norm(tz.add(a, _feed_forward(self.store, f"ffn{layer}.a", a)),
-                              p[f"ffn{layer}.ln_a.gain"], p[f"ffn{layer}.ln_a.bias"])
-
+        for visual_block, audio_block in self.layers:
+            # Both attentions read the streams as they were before this layer.
+            v, a = (_encoder_layer(visual_block, v, a, c.heads, trace),
+                    _encoder_layer(audio_block, a, v, c.heads, trace))
         pooled = tz.concat([tz.mean(v, axis=0), tz.mean(a, axis=0)])
-        motion = _linear(pooled, p["head.motion.weight"], p["head.motion.bias"])
-        event = _linear(pooled, p["head.event.weight"], p["head.event.bias"])
-        return motion, event
+        return tz.linear(pooled, self.head_motion), tz.linear(pooled, self.head_event)
 
     def forward(self, visual: np.ndarray, audio: np.ndarray, fused,
                 trace: list | None = None) -> AdvancedOutput:
@@ -521,9 +502,10 @@ def load_model(path: str | Path):
         raise InvalidInput(f"{path}: architecture record {arch.tolist()} must hold "
                            f"{len(fields(config_cls))} positive integers after kind {int(arch[0])}")
     try:
-        model = model_cls(config_cls(*(int(x) for x in dims)))
-        tz.load_state(model.store.params, state)
+        with tz.param_budget(sum(value.size for value in state.values())):
+            model = model_cls(config_cls(*(int(x) for x in dims)))
         normalizer = TokenNormalizer.from_state(state)
+        tz.load_state(model.store.params, state, records=("meta.arch", *normalizer.state()))
         c = model.config
         widths = [v.size for v in normalizer.state().values()]
         if widths != [c.visual_features] * 2 + [c.audio_features] * 2:

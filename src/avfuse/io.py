@@ -74,9 +74,12 @@ def read_wav(path: str | Path) -> tuple[np.ndarray, int]:
             if wav.getnchannels() != 1 or wav.getsampwidth() != 2:
                 raise InvalidInput(f"{path}: expected 16-bit mono PCM")
             sample_rate = wav.getframerate()
+            expected = 2 * wav.getnframes()
             raw = wav.readframes(wav.getnframes())
-    except (wave.Error, EOFError) as exc:
+    except (wave.Error, EOFError, RuntimeError) as exc:  # RuntimeError: a bad chunk size
         raise InvalidInput(f"{path}: not a readable WAV file ({exc!r})") from exc
+    if len(raw) != expected:
+        raise InvalidInput(f"{path}: truncated WAV, {len(raw)} of {expected} sample bytes")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / INT16_MAX
     return samples, sample_rate
 
@@ -108,14 +111,18 @@ def load_capture(directory: str | Path) -> tuple[FrameBurst, AudioClip]:
         raise InvalidInput(f"missing manifest: {manifest_path}")
     try:
         manifest = json.loads(manifest_path.read_text())
-        entries = [(entry["file"], float(entry["timestamp_s"])) for entry in manifest["frames"]]
+        entries = [(directory / entry["file"], float(entry["timestamp_s"]))
+                   for entry in manifest["frames"]]
         nominal_fps = float(manifest.get("nominal_fps", 20.0))
-        audio_file = manifest["audio"]["file"]
+        audio_path = directory / manifest["audio"]["file"]
         start_s = float(manifest["audio"].get("start_s", 0.0))
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise InvalidInput(f"{manifest_path}: malformed manifest "
                            f"({type(exc).__name__}: {exc})") from exc
 
-    frames = [Frame(read_pgm(directory / name), t) for name, t in entries]
-    samples, sample_rate = read_wav(directory / audio_file)
+    try:
+        frames = [Frame(read_pgm(path), t) for path, t in entries]
+        samples, sample_rate = read_wav(audio_path)
+    except OSError as exc:
+        raise InvalidInput(f"{manifest_path}: cannot read a file it names ({exc})") from exc
     return FrameBurst(frames, nominal_fps=nominal_fps), AudioClip(samples, sample_rate, start_s)

@@ -9,8 +9,10 @@ labels). The same seed always renders byte-identical PGM and WAV output.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -87,11 +89,12 @@ class Scenario:
             problems.append("scenario must render at least one frame")
         if self.width % 4 or self.height % 4 or self.width < 8 or self.height < 8:
             problems.append("frame dimensions must be >= 8 and divisible by 4")
-        last_t = self.frame_timestamp(self.n_frames - 1) if self.n_frames else 0.0
-        if last_t >= self.duration_s + self.window_samples / max(self.sample_rate, 1):
-            problems.append(
-                f"frames extend to {last_t:.3f}s, beyond the {self.duration_s:.3f}s clip"
-            )
+        if self.fps > 0 and self.sample_rate > 0 and self.n_frames >= 1:
+            last_t = self.frame_timestamp(self.n_frames - 1)
+            if last_t >= self.duration_s + self.window_samples / self.sample_rate:
+                problems.append(
+                    f"frames extend to {last_t:.3f}s, beyond the {self.duration_s:.3f}s clip"
+                )
         for obj in self.objects:
             if obj.first_frame < 0 or obj.first_frame >= self.n_frames:
                 problems.append(f"object {obj.object_id}: first_frame outside scenario")
@@ -149,26 +152,80 @@ class Scenario:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "Scenario":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
-        if unknown:
-            raise InvalidConfig([f"unknown scenario keys: {sorted(unknown)}"])
-        data = dict(raw)
-        data["objects"] = [
-            ScriptedObject(**{**o, "start": tuple(o["start"]), "size": tuple(o["size"]),
-                              "velocity": tuple(o.get("velocity", (0.0, 0.0)))})
-            for o in data.get("objects", [])
-        ]
-        data["audio_segments"] = [AudioSegment(**s) for s in data.get("audio_segments", [])]
-        data["injections"] = [Injection(**i) for i in data.get("injections", [])]
-        return cls(**data)
+    def from_dict(cls, raw) -> "Scenario":
+        """The scenario of a JSON document; every key and type problem is reported."""
+        problems: list[str] = []
+        scenario = _record(cls, raw, "", problems)
+        if problems:
+            raise InvalidConfig(problems)
+        return scenario
 
     @classmethod
     def from_json(cls, path: str | Path) -> "Scenario":
-        scenario = cls.from_dict(json.loads(Path(path).read_text()))
-        scenario.validate()
+        """Read and validate a scenario file; each problem names ``path``."""
+        try:
+            raw = json.loads(Path(path).read_text())
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise InvalidConfig([f"{path}: not a JSON document ({exc})"]) from exc
+        try:
+            scenario = cls.from_dict(raw)
+            scenario.validate()
+        except InvalidConfig as exc:
+            raise InvalidConfig([f"{path}: {problem}" for problem in exc.problems]) from exc
         return scenario
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# The JSON value each field type of a scenario record takes.
+_JSON_KINDS = {
+    str: ("a string", lambda v: isinstance(v, str)),
+    int: ("an integer", _integer),
+    float: ("a finite number", _number),
+    int | None: ("an integer or null", lambda v: v is None or _integer(v)),
+    tuple[float, float]: ("a list of two numbers",
+                          lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+                          and all(map(_number, v))),
+}
+
+
+def _record(cls, raw, where: str, problems: list[str]):
+    """``cls(**raw)`` for a JSON object holding fields of dataclass ``cls``.
+
+    A field typed ``list[R]`` holds objects for records ``R``. Each problem
+    is appended to ``problems``, its key path prefixed by ``where``, and
+    then the result is ``None``.
+    """
+    if not isinstance(raw, dict):
+        problems.append(f"{where.rstrip('.') or 'scenario'} must be a JSON object")
+        return None
+    before = len(problems)
+    hints = get_type_hints(cls)
+    problems.extend(f"{where}{key}: unknown key" for key in raw if key not in hints)
+    problems.extend(f"{where}{f.name}: missing" for f in fields(cls) if f.name not in raw
+                    and f.default is MISSING and f.default_factory is MISSING)
+    values = {}
+    for key, value in raw.items():
+        hint = hints.get(key)
+        if get_origin(hint) is list:
+            if isinstance(value, list):
+                values[key] = [_record(get_args(hint)[0], item, f"{where}{key}[{i}].", problems)
+                               for i, item in enumerate(value)]
+            else:
+                problems.append(f"{where}{key} must be a list")
+        elif hint is not None:
+            kind, fits = _JSON_KINDS[hint]
+            if fits(value):
+                values[key] = tuple(value) if isinstance(value, (list, tuple)) else value
+            else:
+                problems.append(f"{where}{key} must be {kind}, got {json.dumps(value, default=repr)}")
+    return cls(**values) if len(problems) == before else None
 
 
 def render_frames(scenario: Scenario) -> list[np.ndarray]:

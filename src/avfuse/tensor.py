@@ -10,6 +10,11 @@ calling thread only, so a forward pass there keeps no parents or closures.
 Trainable tensors are created only by :class:`ParamStore` and updated only
 by :func:`sgd_step`.
 
+Models hold what the store's ``linear``, ``layer_norm`` and
+``feed_forward`` builders return and run it through :func:`linear`,
+:func:`layer_norm` and :func:`feed_forward`. Inside a :func:`param_budget`
+block the stores of one thread create no more values than a file holds.
+
 Multi-head attention is one operation: :func:`attention` runs every head at
 once over an (H, n, d/H) view of its inputs and has its own backward.
 :func:`attention_weights` and :func:`softmax` share its softmax code.
@@ -19,6 +24,7 @@ All correctness tests run at float64.
 
 from __future__ import annotations
 
+import math
 import struct
 import threading
 from contextlib import contextmanager
@@ -70,6 +76,7 @@ class Tensor:
 
 class _Mode(threading.local):
     no_graph = False
+    budget = None  # values a ParamStore may still create; None: no limit
 
 
 _MODE = _Mode()
@@ -414,10 +421,15 @@ class ParamStore:
         self.params: dict[str, Tensor] = {}
 
     def make(self, name: str, fan_in: int, shape) -> Tensor:
+        _spend(math.prod(shape))
         bound = 1.0 / np.sqrt(fan_in)
-        return self.make_const(name, self.rng.uniform(-bound, bound, size=shape))
+        return self._add(name, self.rng.uniform(-bound, bound, size=shape))
 
     def make_const(self, name: str, value: np.ndarray) -> Tensor:
+        _spend(np.size(value))
+        return self._add(name, value)
+
+    def _add(self, name: str, value: np.ndarray) -> Tensor:
         tensor = Tensor(value, requires_grad=True)
         self.params[name] = tensor
         return tensor
@@ -429,6 +441,41 @@ class ParamStore:
     def layer_norm(self, name: str, dim: int) -> tuple[Tensor, Tensor]:
         return (self.make_const(f"{name}.gain", np.ones((1, dim))),
                 self.make_const(f"{name}.bias", np.zeros((1, dim))))
+
+    def feed_forward(self, name: str, dim: int, hidden: int) -> tuple[tuple, tuple]:
+        return self.linear(f"{name}.w1", dim, hidden), self.linear(f"{name}.w2", hidden, dim)
+
+
+@contextmanager
+def param_budget(values: int):
+    """Let every :class:`ParamStore` in this thread create at most ``values`` values in all.
+
+    A loader sizes the model a file describes by the values the file holds,
+    so a corrupt architecture record fails before it allocates gigabytes.
+    """
+    previous, _MODE.budget = _MODE.budget, values
+    try:
+        yield
+    finally:
+        _MODE.budget = previous
+
+
+def _spend(values: int) -> None:
+    if _MODE.budget is not None:
+        if values > _MODE.budget:
+            raise InvalidInput("the architecture needs more values than the file holds")
+        _MODE.budget -= values
+
+
+def linear(x: Tensor, layer: tuple[Tensor, Tensor]) -> Tensor:
+    """``x @ weight + bias`` of a :meth:`ParamStore.linear` pair."""
+    weight, bias = layer
+    return add_bias(matmul(x, weight), bias)
+
+
+def feed_forward(x: Tensor, first: tuple[Tensor, Tensor], second: tuple[Tensor, Tensor]) -> Tensor:
+    """Position-wise ``second(gelu(first(x)))`` of two :func:`linear` layers."""
+    return linear(gelu(linear(x, first)), second)
 
 
 def sgd_step(params, loss: Tensor, learning_rate: float) -> float:
@@ -537,10 +584,11 @@ def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
     return out
 
 
-def load_state(params: dict[str, Tensor], state: dict[str, np.ndarray]) -> None:
+def load_state(params: dict[str, Tensor], state: dict[str, np.ndarray], records=()) -> None:
     """Point ``params`` at the arrays of ``state``, uncopied, as :func:`load_tensors` gives them.
 
-    Each must be present, same-shaped and finite.
+    Each must be present, same-shaped and finite. Every other name in
+    ``state`` must be one of the ``records`` the caller reads itself.
     """
     for name, tensor in params.items():
         if name not in state:
@@ -551,3 +599,6 @@ def load_state(params: dict[str, Tensor], state: dict[str, np.ndarray]) -> None:
         if not np.all(np.isfinite(value)):
             raise InvalidInput(f"{name}: tensor data must be finite")
         tensor.data = value
+    extra = sorted(set(state) - set(params) - set(records))
+    if extra:
+        raise InvalidInput(f"unexpected tensor {', '.join(extra)}")

@@ -8,6 +8,8 @@ import pytest
 from avfuse.cli import main as cli_main
 from avfuse.scenario import generate_scenario, preset_scenario
 
+CANONICAL = preset_scenario("canonical", seed=0).to_dict()
+
 
 @pytest.fixture(scope="module")
 def canonical_capture(tmp_path_factory):
@@ -67,8 +69,10 @@ def test_manifest_without_audio_exits_2_naming_it(canonical_capture, tmp_path, c
     assert str(manifest) in err and "'audio'" in err
 
 
-@pytest.mark.parametrize("bad_line", ["{not json", '{"kind": "anomaly"}', "[1, 2]"],
-                         ids=["not json", "missing keys", "not an object"])
+@pytest.mark.parametrize("bad_line", [
+    "{not json", '{"kind": "anomaly"}', "[1, 2]",
+    '{"t": "soon", "window": 0, "kind": "anomaly", "payload": {"triggered": true, "combined": 0.9}}',
+], ids=["not json", "missing keys", "not an object", "string time"])
 def test_bad_report_line_exits_2_naming_file_and_line(tmp_path, capsys, bad_line):
     log = tmp_path / "events.jsonl"
     good = json.dumps({"t": 0.0, "window": 0, "kind": "metric", "payload": {}})
@@ -91,3 +95,41 @@ def test_negative_stage_delay_is_a_config_error(tmp_path, capsys):
     config.write_text(json.dumps({"runtime": {"stage_delays": {"detect": -1}}}))
     assert cli_main(["--config", str(config), "--out", str(tmp_path / "out"), "generate"]) == 1
     assert "config error: runtime.stage_delays " in capsys.readouterr().err
+
+
+def scenario_with(**changes):
+    return json.dumps({**json.loads(json.dumps(CANONICAL)), **changes})
+
+
+def without(record, *keys):
+    return {k: v for k, v in record.items() if k not in keys}
+
+
+@pytest.mark.parametrize("text, key", [
+    ("{not json", "not a JSON document"),
+    ("[1, 2]", "scenario must be a JSON object"),
+    (scenario_with(duration_s="abc"), "duration_s must be a finite number"),
+    (scenario_with(fps=None), "fps must be a finite number"),
+    (scenario_with(objects=[without(CANONICAL["objects"][0], "start")]), "objects[0].start: missing"),
+    (scenario_with(objects=[{**CANONICAL["objects"][0], "colour": 3}]),
+     "objects[0].colour: unknown key"),
+    (scenario_with(injections=[{"window_start": 1}]), "injections[0].window_end: missing"),
+    (scenario_with(injections=[{"window_start": 1}]), "injections[0].kind: missing"),
+    (scenario_with(fps=0), "fps must be positive"),
+], ids=["invalid json", "not an object", "string duration", "null fps", "object without start",
+        "unknown object key", "injection without window_end", "injection without kind", "zero fps"])
+@pytest.mark.parametrize("command", ["generate", "run"])
+def test_malformed_scenario_exits_1_naming_file_and_key(canonical_capture, tmp_path, capsys,
+                                                        command, text, key):
+    if command == "generate":
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(text)
+        argv = ["generate", "--scenario", str(scenario)]
+    else:
+        capture = shutil.copytree(canonical_capture, tmp_path / "capture")
+        scenario = capture / "scenario.json"
+        scenario.write_text(text)
+        argv = ["--deterministic", "run", str(capture)]
+    assert cli_main(["--out", str(tmp_path / "out"), *argv]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {scenario}: " in err and key in err

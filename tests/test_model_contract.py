@@ -7,10 +7,10 @@ import pytest
 
 from avfuse import fusion
 from avfuse import tensor as tz
-from avfuse.anomaly import DenseAutoencoder, save_autoencoder
+from avfuse.anomaly import DenseAutoencoder, load_autoencoder, save_autoencoder
 from avfuse.cli import main as cli_main
 from avfuse.config import Config, load_config
-from avfuse.errors import InvalidConfig
+from avfuse.errors import InvalidConfig, InvalidInput
 from avfuse.fusion import (
     FUSED_DIM,
     AdvancedFusionModel,
@@ -151,6 +151,9 @@ FUSION_DEFECTS = {
         {"norm.visual_mean": np.zeros(4), "norm.visual_std": np.ones(4)}),
     "zero std": lambda state: state.__setitem__("norm.audio_std", np.zeros(4)),
     "nan mean": lambda state: state.__setitem__("norm.visual_mean", np.array([0.0, np.nan, 0.0])),
+    "heads do not split hidden": set_arch([0, 128, 2, 3, 512, 3, 4, 2]),
+    "arch larger than the file": set_arch([0, 128, 2, 4, 512 * 2.0 ** 49, 3, 4, 2]),
+    "extra tensor": lambda state: state.__setitem__("bogus.weight", np.zeros((2, 2))),
 }
 
 AUTOENCODER_DEFECTS = {
@@ -158,6 +161,7 @@ AUTOENCODER_DEFECTS = {
     "mis-shaped tensor": lambda state: state.__setitem__("enc.weight", np.zeros((64, 8))),
     "missing tensor": lambda state: state.pop("dec.bias"),
     "nan tensor": lambda state: state.__setitem__("dec.bias", np.full((1, 64), np.nan)),
+    "extra tensor": lambda state: state.__setitem__("bogus.weight", np.zeros((2, 2))),
 }
 
 
@@ -193,3 +197,31 @@ class TestMalformedModelFiles:
         rewrite(model_files / "autoencoder.bin", bad, AUTOENCODER_DEFECTS[defect])
         assert run_with(model_files, tmp_path, autoencoder=bad) == 2
         assert str(bad) in capsys.readouterr().err
+
+
+class TestFileBoundary:
+    @pytest.mark.parametrize("loader, name, edit", [
+        (fusion.load_model, "fusion.bin", FUSION_DEFECTS["extra tensor"]),
+        (load_autoencoder, "autoencoder.bin", AUTOENCODER_DEFECTS["extra tensor"]),
+    ], ids=["fusion", "autoencoder"])
+    def test_extra_tensor_is_named_with_the_file(self, model_files, tmp_path, loader, name, edit):
+        bad = tmp_path / name
+        rewrite(model_files / name, bad, edit)
+        with pytest.raises(InvalidInput, match="bogus.weight") as err:
+            loader(bad)
+        assert str(bad) in str(err.value)
+
+    def test_head_split_is_checked_when_loading(self, model_files, tmp_path):
+        bad = tmp_path / "fusion.bin"
+        rewrite(model_files / "fusion.bin", bad, FUSION_DEFECTS["heads do not split hidden"])
+        with pytest.raises(InvalidInput, match="3 heads do not split hidden dim 128") as err:
+            fusion.load_model(bad)
+        assert str(bad) in str(err.value)
+
+    @pytest.mark.parametrize("build", [
+        lambda: BasicFusionModel(fusion.BasicFusionConfig(hidden=128, heads=3)),
+        lambda: AdvancedFusionModel(fusion.AdvancedFusionConfig(heads=3)),
+    ], ids=["basic", "advanced"])
+    def test_constructors_reject_a_head_split(self, build):
+        with pytest.raises(InvalidInput, match="3 heads do not split"):
+            build()
