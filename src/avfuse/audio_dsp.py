@@ -10,6 +10,7 @@ tokens of the fusion models.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -89,12 +90,14 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@lru_cache(maxsize=None)
 def mel_filterbank(window_size: int, sample_rate: int, n_bands: int = 64) -> np.ndarray:
     """Triangular filters equally spaced on the mel scale over [0, Nyquist].
 
     Peak weight is 1, so overlapping ascending/descending flanks of adjacent
     filters sum to at most 1 per bin and total filtered energy never exceeds
-    input energy.
+    input energy. Built once per argument tuple and read-only, because every
+    window and thread shares it.
     """
     n_bins = window_size // 2 + 1
     bin_hz = np.arange(n_bins) * sample_rate / window_size
@@ -105,6 +108,7 @@ def mel_filterbank(window_size: int, sample_rate: int, n_bands: int = 64) -> np.
         rising = (bin_hz - lo) / (mid - lo)
         falling = (hi - bin_hz) / (hi - mid)
         filters[k] = np.clip(np.minimum(rising, falling), 0.0, None)
+    filters.setflags(write=False)
     return filters
 
 

@@ -95,6 +95,9 @@ def build_audio_tokens(windows: list[AlignedWindow], sample_rate: int) -> list[S
     return [spectral_stats(window.samples, sample_rate) for window in windows]
 
 
+FLOW_COLUMN = 3  # the flow magnitude's column in visual_matrix rows
+
+
 def visual_matrix(tokens: list[VisualToken]) -> np.ndarray:
     """Rows of (bbox count, mean confidence, wavelet energy, flow magnitude)."""
     return np.asarray([(t.bbox_count, t.mean_confidence, t.wavelet_energy, t.flow_mean_magnitude)

@@ -40,6 +40,7 @@ from .config import Config
 from .detect_track import Tracker, cross_detector_merge, nms, scripted_detector
 from .errors import AvFuseError, InvalidConfig, InvalidInput
 from .fusion import (
+    FLOW_COLUMN,
     LabeledSequence,
     TokenNormalizer,
     audio_matrix,
@@ -159,6 +160,9 @@ class PipelineContext:
         self.stat_window = StatWindow(config.anomaly.history)
         self.audio_baseline = AudioBaseline(config.anomaly.history)
         self.export_dir = Path(export_dir) if export_dir else None
+        # Horn-Schunck is most of analyze; skip it when nothing reads the flow.
+        self._flow_read = (self.model.config.visual_features > FLOW_COLUMN
+                           or self.export_dir is not None)
 
     # Stage functions, in pipeline order.
 
@@ -167,7 +171,7 @@ class PipelineContext:
         frame = preprocess_frame(job.raw, patch=v.nlm_patch, search=v.nlm_search,
                                  strength=v.nlm_strength)
         wavelet = dwt2_energy(frame)
-        if self._prev_frame is None:
+        if self._prev_frame is None or not self._flow_read:
             flow = FlowStats(0.0, 0.0, 0.0)
         else:
             field_uv = self.flow_estimator(self._prev_frame, frame)

@@ -1,10 +1,14 @@
 """Frame preprocessing, wavelet texture energy, and dense optical flow.
 
 Preprocessing is patch-based non-local means denoising on 8-bit grayscale.
-Texture energy comes from a 2-level Daubechies-2 decomposition with periodic
-extension, which makes subband energies sum exactly to the pixel energy.
-Dense motion is estimated with the Horn-Schunck variational scheme behind
-the ``DenseFlow`` interface so a different solver can be slotted in later.
+Its patch distances are box sums of squared pixel differences, taken by
+shifted adds into buffers reused across the search offsets; on 8-bit input
+every such sum is an exact integer in float64. Texture energy comes from a
+2-level Daubechies-2 decomposition with periodic extension, which makes
+subband energies sum exactly to the pixel energy. Dense motion is estimated
+with the Horn-Schunck variational scheme behind the ``DenseFlow`` interface
+so a different solver can be slotted in later; its Jacobi sweeps update one
+edge-padded (u, v) buffer in place.
 """
 
 from __future__ import annotations
@@ -70,19 +74,20 @@ def to_grayscale(pixels: np.ndarray) -> np.ndarray:
     raise InvalidInput(f"expected (H, W) or (H, W, 3) pixel grid, got shape {pixels.shape}")
 
 
-def _patch_sum(values: np.ndarray, patch: int) -> np.ndarray:
-    """Sliding patch-window sum; input is padded by patch//2 on each side."""
-    acc = values
-    for axis in (0, 1):
-        sliced = np.cumsum(acc, axis=axis)
-        sliced = np.concatenate(
-            [np.take(sliced, [patch - 1], axis=axis),
-             np.take(sliced, range(patch, acc.shape[axis]), axis=axis)
-             - np.take(sliced, range(acc.shape[axis] - patch), axis=axis)],
-            axis=axis,
-        )
-        acc = sliced
-    return acc
+def _box_sum(values: np.ndarray, patch: int, rows: np.ndarray, out: np.ndarray) -> None:
+    """Sliding ``patch`` x ``patch`` window sums of ``values`` into ``out``.
+
+    ``rows`` holds the vertical pass. Summed by shifted adds; on squared
+    differences of 8-bit pixels every partial sum is an integer below 2**53,
+    so the result is exact whatever the order of the additions.
+    """
+    n, m = rows.shape[0], out.shape[1]
+    np.copyto(rows, values[:n])
+    for k in range(1, patch):
+        rows += values[k:k + n]
+    np.copyto(out, rows[:, :m])
+    for k in range(1, patch):
+        out += rows[:, k:k + m]
 
 
 def nlm_denoise(
@@ -95,20 +100,32 @@ def nlm_denoise(
     participates with weight 1, so constants are preserved exactly.
     """
     img = pixels.astype(np.float64)
+    if img.ndim != 2 or img.size == 0:
+        raise InvalidInput(f"expected a 2-D frame with non-zero area, got shape {img.shape}")
+    if patch < 1 or patch % 2 == 0:
+        raise InvalidInput(f"patch must be odd and positive, got {patch}")
     pr, sr = patch // 2, search // 2
     padded = np.pad(img, sr + pr, mode="reflect")
     h, w = img.shape
 
     center_patch = padded[sr:sr + h + 2 * pr, sr:sr + w + 2 * pr]
+    diff = np.empty_like(center_patch)
+    rows = np.empty((h, w + 2 * pr))
+    weight = np.empty_like(img)
+    weighted = np.empty_like(img)
     weight_sum = np.zeros_like(img)
     value_sum = np.zeros_like(img)
-    inv_h2 = 1.0 / (strength * strength * patch * patch)
+    neg_inv_h2 = -1.0 / (strength * strength * patch * patch)
     for dy in range(-sr, sr + 1):
         for dx in range(-sr, sr + 1):
             shifted_patch = padded[sr + dy:sr + dy + h + 2 * pr, sr + dx:sr + dx + w + 2 * pr]
-            dist = _patch_sum((center_patch - shifted_patch) ** 2, patch)
-            weight = np.exp(-dist * inv_h2)
-            value_sum += weight * shifted_patch[pr:pr + h, pr:pr + w]
+            np.subtract(center_patch, shifted_patch, out=diff)
+            np.multiply(diff, diff, out=diff)
+            _box_sum(diff, patch, rows, weight)
+            np.multiply(weight, neg_inv_h2, out=weight)
+            np.exp(weight, out=weight)
+            np.multiply(weight, shifted_patch[pr:pr + h, pr:pr + w], out=weighted)
+            value_sum += weighted
             weight_sum += weight
     return np.clip(np.rint(value_sum / weight_sum), 0, 255).astype(np.uint8)
 
@@ -116,20 +133,21 @@ def nlm_denoise(
 def preprocess_frame(pixels: np.ndarray, patch: int = 3, search: int = 7, strength: float = 10.0) -> np.ndarray:
     """Grayscale conversion (if needed) followed by non-local means denoising."""
     gray = to_grayscale(pixels)
-    if gray.size == 0:
-        raise InvalidInput("frame has zero area")
     return nlm_denoise(gray, patch=patch, search=search, strength=strength)
 
 
 def _dwt_step(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """One periodic db2 analysis step along ``axis``; length must be even."""
+    """One periodic db2 analysis step along ``axis``; length must be even.
+
+    Tap ``k`` of output ``j`` reads sample ``(2j + k) mod n``: a stride-2
+    slice of one copy extended periodically by two samples.
+    """
     n = values.shape[axis]
-    lo = np.zeros_like(np.take(values, range(0, n, 2), axis=axis))
-    hi = np.zeros_like(lo)
-    for tap in range(4):
-        rolled = np.take(np.roll(values, -tap, axis=axis), range(0, n, 2), axis=axis)
-        lo = lo + DB2_LO[tap] * rolled
-        hi = hi + DB2_HI[tap] * rolled
+    extended = np.concatenate([values, values.take([0, 1], axis=axis)], axis=axis)
+    lead = (slice(None),) * axis
+    taps = [extended[lead + (slice(tap, tap + n, 2),)] for tap in range(4)]
+    lo = DB2_LO[0] * taps[0] + DB2_LO[1] * taps[1] + DB2_LO[2] * taps[2] + DB2_LO[3] * taps[3]
+    hi = DB2_HI[0] * taps[0] + DB2_HI[1] * taps[1] + DB2_HI[2] * taps[2] + DB2_HI[3] * taps[3]
     return lo, hi
 
 
@@ -168,11 +186,6 @@ def dwt2_energy(pixels: np.ndarray) -> WaveletEnergy:
     )
 
 
-def _neighbor_mean(values: np.ndarray) -> np.ndarray:
-    padded = np.pad(values, 1, mode="edge")
-    return 0.25 * (padded[:-2, 1:-1] + padded[2:, 1:-1] + padded[1:-1, :-2] + padded[1:-1, 2:])
-
-
 class DenseFlow:
     """Horn-Schunck dense flow estimator.
 
@@ -193,21 +206,38 @@ class DenseFlow:
             raise InvalidInput(
                 f"frames must be 2-D and equal-sized, got {prev.shape} vs {nxt.shape}"
             )
+        if min(prev.shape) < 2:
+            raise InvalidInput(f"frames must be at least 2x2 for a gradient, got {prev.shape}")
 
         mean_img = 0.5 * (prev + nxt)
         iy, ix = np.gradient(mean_img)
         it = nxt - prev
         denom = self.alpha ** 2 + ix ** 2 + iy ** 2
+        grad = np.stack([ix, iy])
 
-        u = np.zeros_like(prev)
-        v = np.zeros_like(prev)
+        # u and v, edge-padded by one pixel; the Jacobi sweep writes the
+        # interior in place and the border is refreshed before each sweep.
+        padded = np.zeros((2, prev.shape[0] + 2, prev.shape[1] + 2))
+        uv = padded[:, 1:-1, 1:-1]
+        bar = np.empty_like(grad)
+        step = np.empty_like(grad)
+        residual = np.empty_like(it)
         for _ in range(self.iterations):
-            u_bar = _neighbor_mean(u)
-            v_bar = _neighbor_mean(v)
-            residual = (ix * u_bar + iy * v_bar + it) / denom
-            u = u_bar - ix * residual
-            v = v_bar - iy * residual
-        return FlowField(u=u, v=v)
+            padded[:, 0, 1:-1] = padded[:, 1, 1:-1]
+            padded[:, -1, 1:-1] = padded[:, -2, 1:-1]
+            padded[:, 1:-1, 0] = padded[:, 1:-1, 1]
+            padded[:, 1:-1, -1] = padded[:, 1:-1, -2]
+            np.add(padded[:, :-2, 1:-1], padded[:, 2:, 1:-1], out=bar)
+            bar += padded[:, 1:-1, :-2]
+            bar += padded[:, 1:-1, 2:]
+            bar *= 0.25
+            np.multiply(grad, bar, out=step)
+            np.add(step[0], step[1], out=residual)
+            residual += it
+            residual /= denom
+            np.multiply(grad, residual, out=step)
+            np.subtract(bar, step, out=uv)
+        return FlowField(u=uv[0].copy(), v=uv[1].copy())
 
 
 def dense_flow(frame_prev, frame_next, alpha: float = 10.0, iterations: int = 100) -> FlowField:

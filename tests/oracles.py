@@ -133,6 +133,95 @@ def ref_advanced_forward(params, config, visual, audio, fused):
     return _ref_linear(pooled, params, "head.motion"), _ref_linear(pooled, params, "head.event")
 
 
+# Vision kernels as they were before the in-place rewrite. The rewrite keeps
+# every floating-point operation and its order, so tests demand equal bytes.
+
+DB2_LO = np.array([1.0 + np.sqrt(3.0), 3.0 + np.sqrt(3.0), 3.0 - np.sqrt(3.0),
+                   1.0 - np.sqrt(3.0)]) / (4.0 * np.sqrt(2.0))
+DB2_HI = np.array([DB2_LO[3], -DB2_LO[2], DB2_LO[1], -DB2_LO[0]])
+
+
+def _cumsum_patch_sum(values, patch):
+    acc = values
+    for axis in (0, 1):
+        sliced = np.cumsum(acc, axis=axis)
+        sliced = np.concatenate(
+            [np.take(sliced, [patch - 1], axis=axis),
+             np.take(sliced, range(patch, acc.shape[axis]), axis=axis)
+             - np.take(sliced, range(acc.shape[axis] - patch), axis=axis)],
+            axis=axis,
+        )
+        acc = sliced
+    return acc
+
+
+def reference_nlm(pixels, patch=3, search=7, strength=10.0):
+    """Non-local means with cumulative-sum patch sums and fresh arrays per offset."""
+    img = pixels.astype(np.float64)
+    pr, sr = patch // 2, search // 2
+    padded = np.pad(img, sr + pr, mode="reflect")
+    h, w = img.shape
+    center_patch = padded[sr:sr + h + 2 * pr, sr:sr + w + 2 * pr]
+    weight_sum = np.zeros_like(img)
+    value_sum = np.zeros_like(img)
+    inv_h2 = 1.0 / (strength * strength * patch * patch)
+    for dy in range(-sr, sr + 1):
+        for dx in range(-sr, sr + 1):
+            shifted_patch = padded[sr + dy:sr + dy + h + 2 * pr, sr + dx:sr + dx + w + 2 * pr]
+            dist = _cumsum_patch_sum((center_patch - shifted_patch) ** 2, patch)
+            weight = np.exp(-dist * inv_h2)
+            value_sum += weight * shifted_patch[pr:pr + h, pr:pr + w]
+            weight_sum += weight
+    return np.clip(np.rint(value_sum / weight_sum), 0, 255).astype(np.uint8)
+
+
+def _rolled_dwt_step(values, axis):
+    n = values.shape[axis]
+    lo = np.zeros_like(np.take(values, range(0, n, 2), axis=axis))
+    hi = np.zeros_like(lo)
+    for tap in range(4):
+        rolled = np.take(np.roll(values, -tap, axis=axis), range(0, n, 2), axis=axis)
+        lo = lo + DB2_LO[tap] * rolled
+        hi = hi + DB2_HI[tap] * rolled
+    return lo, hi
+
+
+def reference_dwt2_energies(pixels):
+    """(ll2, lh2, hl2, hh2, lh1, hl1, hh1) energies from np.roll db2 steps."""
+    def level(values):
+        lo_r, hi_r = _rolled_dwt_step(values, axis=0)
+        ll, lh = _rolled_dwt_step(lo_r, axis=1)
+        hl, hh = _rolled_dwt_step(hi_r, axis=1)
+        return ll, lh, hl, hh
+
+    ll1, lh1, hl1, hh1 = level(np.asarray(pixels, dtype=np.float64))
+    ll2, lh2, hl2, hh2 = level(ll1)
+    return tuple(float(np.sum(b * b)) for b in (ll2, lh2, hl2, hh2, lh1, hl1, hh1))
+
+
+def _padded_neighbor_mean(values):
+    padded = np.pad(values, 1, mode="edge")
+    return 0.25 * (padded[:-2, 1:-1] + padded[2:, 1:-1] + padded[1:-1, :-2] + padded[1:-1, 2:])
+
+
+def reference_horn_schunck(frame_prev, frame_next, alpha=10.0, iterations=100):
+    """Jacobi Horn-Schunck with an np.pad per sweep; returns (u, v)."""
+    prev = np.asarray(frame_prev, dtype=np.float64)
+    nxt = np.asarray(frame_next, dtype=np.float64)
+    iy, ix = np.gradient(0.5 * (prev + nxt))
+    it = nxt - prev
+    denom = alpha ** 2 + ix ** 2 + iy ** 2
+    u = np.zeros_like(prev)
+    v = np.zeros_like(prev)
+    for _ in range(iterations):
+        u_bar = _padded_neighbor_mean(u)
+        v_bar = _padded_neighbor_mean(v)
+        residual = (ix * u_bar + iy * v_bar + it) / denom
+        u = u_bar - ix * residual
+        v = v_bar - iy * residual
+    return u, v
+
+
 def ranking_auc(scores, labels):
     """Mann-Whitney AUC of scores against binary labels (ties count half)."""
     pos = [s for s, l in zip(scores, labels) if l]

@@ -93,6 +93,14 @@ class TestMelSpectrogram:
         filters = mel_filterbank(1024, SR)
         assert filters.sum(axis=0).max() <= 1.0 + 1e-12
 
+    def test_cached_filterbank_is_read_only_and_equal_to_a_fresh_build(self):
+        cached = mel_filterbank(1024, SR)
+        assert mel_filterbank(1024, SR) is cached
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0, 0] = 1.0
+        np.testing.assert_array_equal(cached, mel_filterbank.__wrapped__(1024, SR))
+
     def test_parseval_bound(self):
         rng = np.random.default_rng(9)
         for _ in range(5):

@@ -16,6 +16,7 @@ from avfuse.fusion import build_model
 from avfuse.io import read_pgm, write_pgm
 from avfuse.pipeline import run_pipeline, run_stages, train_on_scenario
 from avfuse.scenario import generate_scenario, preset_scenario
+from avfuse.vision_dsp import DenseFlow
 
 TIMEOUT_S = 60.0
 
@@ -195,3 +196,49 @@ class TestAdvancedModelAndTraining:
         result = train_on_scenario(canonical_capture, config, tmp_path / "models")
         assert result["sequences"] == 1
         assert len(built) == 1
+
+
+class TestFlowOnlyWhenRead:
+    """Horn-Schunck runs for window 1 onward only if the model or an export reads it."""
+
+    @pytest.fixture(scope="class")
+    def injection_capture(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("injection")
+        generate_scenario(preset_scenario("injection", seed=0), directory)
+        return directory
+
+    @pytest.fixture
+    def flow_calls(self, monkeypatch):
+        calls = []
+        original = DenseFlow.__call__
+
+        def counting(self, frame_prev, frame_next):
+            calls.append(1)
+            return original(self, frame_prev, frame_next)
+
+        monkeypatch.setattr(DenseFlow, "__call__", counting)
+        return calls
+
+    def test_basic_run_skips_flow(self, injection_capture, tmp_path, flow_calls):
+        run_pipeline(injection_capture, Config(), tmp_path / "out", deterministic=True)
+        assert len(flow_calls) == 0
+
+    def test_basic_run_with_export_computes_flow(self, injection_capture, tmp_path, flow_calls):
+        export = tmp_path / "features"
+        run_pipeline(injection_capture, Config(), tmp_path / "out", deterministic=True,
+                     export_dir=export)
+        assert len(flow_calls) == 119
+        assert len(list(export.glob("flow_*.csv"))) == 119
+
+    def test_advanced_run_computes_flow(self, injection_capture, tmp_path, flow_calls):
+        config = Config()
+        config.fusion.model = "advanced"
+        run_pipeline(injection_capture, config, tmp_path / "out", deterministic=True)
+        assert len(flow_calls) == 119
+
+    def test_basic_train_skips_flow(self, injection_capture, tmp_path, flow_calls):
+        config = Config()
+        config.fusion.steps = 1
+        config.anomaly.autoencoder_steps = 1
+        train_on_scenario(injection_capture, config, tmp_path / "models")
+        assert len(flow_calls) == 0

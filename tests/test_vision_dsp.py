@@ -12,6 +12,14 @@ from avfuse.vision_dsp import (
     preprocess_frame,
     to_grayscale,
 )
+from oracles import reference_dwt2_energies, reference_horn_schunck, reference_nlm
+
+SHAPES = [(8, 8), (12, 20), (36, 52), (64, 64)]
+
+
+def random_frames(shape, count=2):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    return [rng.integers(0, 256, size=shape, dtype=np.uint8) for _ in range(count)]
 
 
 def scalar_nlm(pixels, patch=3, search=7, strength=10.0):
@@ -83,6 +91,23 @@ class TestPreprocessFrame:
         with pytest.raises(InvalidInput):
             preprocess_frame(np.zeros((0, 8), dtype=np.uint8))
 
+    @pytest.mark.parametrize("shape", [(0, 8), (8, 0), (0, 0)])
+    def test_nlm_zero_area_names_the_shape(self, shape):
+        with pytest.raises(InvalidInput, match=rf"shape \({shape[0]}, {shape[1]}\)"):
+            nlm_denoise(np.zeros(shape, dtype=np.uint8))
+
+    @pytest.mark.parametrize("patch", [0, 2, 4])
+    def test_even_patch_rejected(self, patch):
+        with pytest.raises(InvalidInput, match="patch must be odd"):
+            nlm_denoise(np.zeros((8, 8), dtype=np.uint8), patch=patch)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("patch,search", [(1, 3), (3, 7), (5, 7)])
+    def test_bytes_equal_cumsum_reference(self, shape, patch, search):
+        for frame in random_frames(shape):
+            np.testing.assert_array_equal(nlm_denoise(frame, patch, search),
+                                          reference_nlm(frame, patch, search))
+
 
 class TestDwt2Energy:
     def test_zero_frame_all_zero(self):
@@ -109,6 +134,12 @@ class TestDwt2Energy:
     def test_too_small_frame_rejected(self):
         with pytest.raises(InvalidInput):
             dwt2_energy(np.zeros((4, 16)))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_equal_to_rolled_reference(self, shape):
+        rng = np.random.default_rng(4)
+        for frame in [*random_frames(shape), rng.normal(0.0, 100.0, size=shape)]:
+            assert tuple(dwt2_energy(frame).subband_energies) == reference_dwt2_energies(frame)
 
 
 class TestDenseFlow:
@@ -145,6 +176,21 @@ class TestDenseFlow:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidInput):
             dense_flow(np.zeros((8, 8)), np.zeros((8, 10)))
+
+    @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (1, 1), (0, 4)])
+    def test_degenerate_frames_name_the_shape(self, shape):
+        with pytest.raises(InvalidInput, match=rf"\({shape[0]}, {shape[1]}\)"):
+            dense_flow(np.zeros(shape), np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("iterations", [1, 7, 100])
+    @pytest.mark.parametrize("alpha", [1.0, 10.0])
+    def test_bytes_equal_padded_jacobi_reference(self, shape, iterations, alpha):
+        prev, nxt = random_frames(shape)
+        flow = dense_flow(prev, nxt, alpha=alpha, iterations=iterations)
+        u, v = reference_horn_schunck(prev, nxt, alpha=alpha, iterations=iterations)
+        np.testing.assert_array_equal(flow.u, u)
+        np.testing.assert_array_equal(flow.v, v)
 
     def test_estimator_parameters_validated(self):
         with pytest.raises(InvalidInput):
