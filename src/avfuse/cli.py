@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--export-features", type=Path,
                      help="write spectrogram/scalogram/flow CSVs here")
     run.add_argument("--single-thread", action="store_true",
-                     help="run stages inline instead of on worker threads")
+                     help="accepted and ignored: every run is single-threaded")
 
     train = sub.add_parser("train", help="train fusion model and autoencoder on a scenario")
     train.add_argument("capture", type=Path, help="directory produced by `generate`")
@@ -80,7 +80,6 @@ def cmd_run(args, config) -> int:
         model_path=args.params,
         autoencoder_path=args.autoencoder,
         export_dir=args.export_features,
-        single_thread=args.single_thread,
         seed=args.seed,
     )
     print(f"processed {summary.windows_processed}/{summary.windows_ingested} windows, "

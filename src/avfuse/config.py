@@ -90,7 +90,6 @@ class AnomalyConfig:
 @dataclass
 class RuntimeConfig:
     queue_capacity: int = 64
-    stage_delays: dict = field(default_factory=dict)  # stage name -> seconds, test hook
 
 
 @dataclass
@@ -172,10 +171,7 @@ class Config:
         bad_labels = [l for l in an.anomaly_labels if l not in self.event_labels]
         check(not bad_labels, f"anomaly.anomaly_labels not in event_labels: {bad_labels}")
 
-        r = self.runtime
-        check(r.queue_capacity >= 1, "runtime.queue_capacity must be >= 1")
-        check(all(d >= 0.0 for d in r.stage_delays.values()),
-              "runtime.stage_delays must be non-negative")
+        check(self.runtime.queue_capacity >= 1, "runtime.queue_capacity must be >= 1")
 
         if problems:
             raise InvalidConfig(problems)
@@ -196,8 +192,7 @@ def _json_type(value) -> str:
 def _merge(base: dict, override: dict, path: str, problems: list[str]) -> None:
     """Overlay ``override`` on ``base``; every value must have its default's JSON type.
 
-    An integer may stand for a number. ``weights`` and ``stage_delays`` map
-    names to numbers.
+    An integer may stand for a number. ``weights`` maps names to numbers.
     """
     for key, value in override.items():
         if key not in base:
@@ -206,7 +201,7 @@ def _merge(base: dict, override: dict, path: str, problems: list[str]) -> None:
         want, got = _json_type(base[key]), _json_type(value)
         if want != got and (want, got) != ("number", "integer"):
             problems.append(f"{path}{key} must be a JSON {want}, got {got}")
-        elif key in ("weights", "stage_delays"):
+        elif key == "weights":
             bad = sorted(k for k, v in value.items() if _json_type(v) not in ("integer", "number"))
             if bad:
                 problems.append(f"{path}{key} values must be numbers, got {bad}")

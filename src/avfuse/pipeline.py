@@ -1,20 +1,18 @@
-"""Staged concurrent runtime: bounded queues, event log, artifacts, training.
+"""Staged runtime: bounded queues, event log, artifacts, training.
 
 Windows flow through ingest -> analyze -> detect -> tokenize -> fuse ->
 score -> sink. One runner, :func:`run_stages`, drives every stage chain,
-training included. Stages communicate only through bounded drop-oldest
-queues, so a slow stage sheds load instead of blocking its producer; every
-drop is counted and ``ingested == processed + dropped`` holds exactly per
-stage. Threaded runs give each stage a worker thread; inline runs drain one
-stage at a time through the same queues. With drops disabled both modes
-produce identical output. The first stage that raises stops every worker,
-and the run fails with an error naming the window and the stage.
+training included, on the calling thread: each stage drains its bounded
+drop-oldest queue into the next before the next stage starts. A queue that
+overflows sheds its oldest window; every drop is counted and
+``ingested == processed + dropped`` holds exactly per stage. The first
+stage that raises fails the run with an error naming the window and the
+stage.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 import time
 from collections import deque
 from dataclasses import asdict, dataclass, field, replace
@@ -54,18 +52,22 @@ from .fusion import (
 from .io import load_capture, write_pgm, write_wav
 from .scenario import Scenario
 from .timebase import AudioClip, align_audio_to_frames, validate_burst
-from .vision_dsp import DenseFlow, FlowStats, WaveletEnergy, dwt2_energy, flow_stats, preprocess_frame
+from .vision_dsp import (
+    DenseFlow,
+    FlowStats,
+    WaveletEnergy,
+    check_dwt_sides,
+    dwt2_energy,
+    flow_stats,
+    preprocess_frame,
+)
 
 KIND_ORDER = {"detection": 0, "track": 1, "classification": 2, "anomaly": 3, "metric": 4}
 
 
 @dataclass(frozen=True)
 class WindowJob:
-    """Everything known about one window; stages fill in their outputs.
-
-    Ownership transfers with the queue hand-off, so although fields are
-    filled progressively, no two threads ever hold the same job.
-    """
+    """Everything known about one window; stages fill in their outputs."""
 
     index: int
     timestamp: float
@@ -94,44 +96,28 @@ class EventRecord:
 
 
 class StageQueue:
-    """Bounded FIFO with drop-oldest overflow; producers never block."""
+    """Bounded FIFO with drop-oldest overflow, so a put never fails."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise InvalidInput(f"queue capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._items: deque = deque()
-        self._cond = threading.Condition()
-        self._closed = False
+        self._items: deque = deque(maxlen=capacity)
         self.pushed = 0
         self.popped = 0
         self.dropped = 0
 
     def put(self, item) -> None:
-        with self._cond:
-            if self._closed:
-                raise RuntimeError("put on a closed queue")
-            if len(self._items) >= self.capacity:
-                self._items.popleft()
-                self.dropped += 1
-            self._items.append(item)
-            self.pushed += 1
-            self._cond.notify()
+        if len(self._items) == self._items.maxlen:
+            self.dropped += 1  # the append below evicts the oldest item
+        self._items.append(item)
+        self.pushed += 1
 
     def get(self):
-        """Next item, or None once the queue is closed and drained."""
-        with self._cond:
-            while not self._items and not self._closed:
-                self._cond.wait(timeout=0.1)
-            if self._items:
-                self.popped += 1
-                return self._items.popleft()
+        """Next item, or None when the queue is empty."""
+        if not self._items:
             return None
-
-    def close(self) -> None:
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
+        self.popped += 1
+        return self._items.popleft()
 
 
 class PipelineContext:
@@ -397,6 +383,7 @@ def open_capture(capture_dir: str | Path) -> tuple[Scenario, AudioClip, list[Win
     validation = validate_burst(burst)
     if not validation.ok:
         raise InvalidInput("invalid burst: " + "; ".join(validation.violations))
+    check_dwt_sides(*burst.frames[0].pixels.shape)
     jobs = [
         WindowJob(index=w.frame_index, timestamp=burst.frames[w.frame_index].timestamp,
                   raw=burst.frames[w.frame_index].pixels, samples=w.samples)
@@ -405,61 +392,31 @@ def open_capture(capture_dir: str | Path) -> tuple[Scenario, AudioClip, list[Win
     return scenario, clip, jobs
 
 
-def run_stages(stages: list, jobs: list[WindowJob], capacity: int, threaded: bool = False,
-               delays: dict | None = None) -> tuple[list[StageQueue], dict[str, StageMetrics]]:
+def run_stages(stages: list, jobs: list[WindowJob],
+               capacity: int) -> tuple[list[StageQueue], dict[str, StageMetrics]]:
     """Push ``jobs`` through ``(name, fn)`` stages over bounded queues.
 
-    Stage ``i`` pops from ``queues[i]`` and pushes to ``queues[i + 1]``.
-    Threaded runs give every stage a worker thread; inline runs call the
-    workers in turn, so each stage drains fully before the next starts,
-    which gives the same output because every stage owns its own state.
-    ``delays`` sleeps before each call of the named stages (a test hook).
-    The first stage that raises stops every worker and is re-raised as an
-    :class:`AvFuseError` naming the window and the stage.
+    Stage ``i`` drains ``queues[i]`` into ``queues[i + 1]`` before stage
+    ``i + 1`` starts, all on the calling thread, so a queue sheds only what
+    overflows its ``capacity``. The first stage that raises is re-raised as
+    an :class:`AvFuseError` naming the window and the stage.
     """
-    delays = delays or {}
     queues = [StageQueue(capacity) for _ in stages]
     metrics = {name: StageMetrics() for name, _ in stages}
-    failures: list[tuple[int, str, Exception]] = []
-
-    def worker(stage_index: int) -> None:
-        name, fn = stages[stage_index]
-        q_in = queues[stage_index]
-        q_out = queues[stage_index + 1] if stage_index + 1 < len(stages) else None
-        delay = delays.get(name, 0.0)
-        try:
-            while not failures and (job := q_in.get()) is not None:
-                if delay:
-                    time.sleep(delay)
-                start = time.perf_counter()
-                try:
-                    out = fn(job)
-                except Exception as exc:
-                    failures.append((job.index, name, exc))
-                    return
-                metrics[name].latencies_ms.append((time.perf_counter() - start) * 1e3)
-                metrics[name].processed += 1
-                if q_out is not None:
-                    q_out.put(out)
-        finally:
-            if q_out is not None:
-                q_out.close()
-
-    threads = [threading.Thread(target=worker, args=(i,), daemon=True)
-               for i in range(len(stages))] if threaded else []
-    for thread in threads:
-        thread.start()
     for job in jobs:
         queues[0].put(job)
-    queues[0].close()
-    for thread in threads:
-        thread.join()
-    if not threaded:
-        for i in range(len(stages)):
-            worker(i)
-    if failures:
-        index, name, exc = failures[0]
-        raise AvFuseError(f"window {index}: {name} stage failed: {exc}") from exc
+    for i, (name, fn) in enumerate(stages):
+        q_out = queues[i + 1] if i + 1 < len(stages) else None
+        while (job := queues[i].get()) is not None:
+            start = time.perf_counter()
+            try:
+                out = fn(job)
+            except Exception as exc:
+                raise AvFuseError(f"window {job.index}: {name} stage failed: {exc}") from exc
+            metrics[name].latencies_ms.append((time.perf_counter() - start) * 1e3)
+            metrics[name].processed += 1
+            if q_out is not None:
+                q_out.put(out)
     return queues, metrics
 
 
@@ -472,18 +429,19 @@ def run_pipeline(
     model_path: str | Path | None = None,
     autoencoder_path: str | Path | None = None,
     export_dir: str | Path | None = None,
-    single_thread: bool = False,
     seed: int = 0,
 ) -> RunSummary:
     """Run the staged pipeline over a capture directory.
 
+    ``queue_capacity`` overrides ``runtime.queue_capacity`` and is
+    validated with the rest of the config before any file loads.
     ``deterministic`` sizes queues to hold every window so nothing drops;
     with drops impossible the event log and artifacts are byte-identical
-    across runs. ``single_thread`` runs the same stages inline, one stage
-    at a time through the same bounded queues, so drops are counted the
-    same way. A stage that raises fails the run with an
+    across runs. A stage that raises fails the run with an
     :class:`AvFuseError` naming the window and the stage (exit code 2).
     """
+    if queue_capacity is not None:
+        config = replace(config, runtime=replace(config.runtime, queue_capacity=queue_capacity))
     config.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -506,11 +464,10 @@ def run_pipeline(
         ("score", context.score),
         ("sink", sink),
     ]
-    capacity = queue_capacity if queue_capacity is not None else config.runtime.queue_capacity
+    capacity = config.runtime.queue_capacity
     if deterministic:
         capacity = max(capacity, len(jobs) + 1)
-    queues, metrics = run_stages(stages, jobs, capacity, threaded=not single_thread,
-                                 delays=config.runtime.stage_delays)
+    queues, metrics = run_stages(stages, jobs, capacity)
     drops = {name: queue.dropped for (name, _), queue in zip(stages, queues)}
 
     for name, _ in stages:

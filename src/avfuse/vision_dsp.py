@@ -158,21 +158,28 @@ def _dwt2_level(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     return ll, lh, hl, hh
 
 
-def dwt2_energy(pixels: np.ndarray) -> WaveletEnergy:
-    """Subband energies of a 2-level periodic db2 decomposition.
+def check_dwt_sides(h: int, w: int) -> None:
+    """Raise InvalidInput unless an ``h`` x ``w`` frame fits :func:`dwt2_energy`.
 
-    Both dimensions must be at least 8 and divisible by 4 so two dyadic
-    halvings stay even. Orthonormality plus periodic extension makes the
-    total equal the pixel sum of squares.
+    Both sides must be at least 8 and divisible by 4 so two dyadic halvings
+    stay even.
     """
-    img = np.asarray(pixels, dtype=np.float64)
-    if img.ndim != 2:
-        raise InvalidInput(f"expected a 2-D frame, got shape {img.shape}")
-    h, w = img.shape
     if h < 8 or w < 8:
         raise InvalidInput(f"frame must be at least 8x8, got {h}x{w}")
     if h % 4 or w % 4:
         raise InvalidInput(f"frame dimensions must be divisible by 4, got {h}x{w}")
+
+
+def dwt2_energy(pixels: np.ndarray) -> WaveletEnergy:
+    """Subband energies of a 2-level periodic db2 decomposition.
+
+    The frame's sides must pass :func:`check_dwt_sides`. Orthonormality plus
+    periodic extension makes the total equal the pixel sum of squares.
+    """
+    img = np.asarray(pixels, dtype=np.float64)
+    if img.ndim != 2:
+        raise InvalidInput(f"expected a 2-D frame, got shape {img.shape}")
+    check_dwt_sides(*img.shape)
 
     ll1, lh1, hl1, hh1 = _dwt2_level(img)
     ll2, lh2, hl2, hh2 = _dwt2_level(ll1)

@@ -348,9 +348,7 @@ def test_criterion_9_end_to_end_determinism(canonical_capture, injection_flow, t
         assert summary.accounting_ok
         assert summary.windows_ingested == summary.windows_processed + sum(summary.drops.values())
 
-    stress_config = Config()
-    stress_config.runtime.stage_delays = {"analyze": 0.05}
-    stress = run_pipeline(canonical_capture, stress_config, tmp_path / "stress", queue_capacity=1)
+    stress = run_pipeline(canonical_capture, Config(), tmp_path / "stress", queue_capacity=1)
     assert sum(stress.drops.values()) > 0
     assert stress.accounting_ok
     passed(9, "determinism: byte-identical logs+artifacts, exact accounting, capacity-1 stress completes")

@@ -90,11 +90,21 @@ def test_unreadable_wav_exits_2_naming_it(canonical_capture, tmp_path, capsys, k
     assert str(wav) in capsys.readouterr().err
 
 
-def test_negative_stage_delay_is_a_config_error(tmp_path, capsys):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"runtime": {"stage_delays": {"detect": -1}}}))
-    assert cli_main(["--config", str(config), "--out", str(tmp_path / "out"), "generate"]) == 1
-    assert "config error: runtime.stage_delays " in capsys.readouterr().err
+@pytest.mark.parametrize("flags", [["--queue-capacity", "0"],
+                                   ["--queue-capacity", "-3", "--deterministic"]],
+                         ids=["zero", "negative deterministic"])
+def test_bad_queue_capacity_is_a_config_error_before_loading(canonical_capture, tmp_path, capsys,
+                                                            monkeypatch, flags):
+    import avfuse.pipeline
+
+    loaded = []
+    for name in ("load_capture", "load_model"):
+        monkeypatch.setattr(avfuse.pipeline, name, lambda path, name=name: loaded.append(name))
+    argv = ["--out", str(tmp_path / "out"), *flags,
+            "run", str(canonical_capture), "--params", str(tmp_path / "fusion.bin")]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err == "config error: runtime.queue_capacity must be >= 1\n"
+    assert loaded == []
 
 
 def scenario_with(**changes):

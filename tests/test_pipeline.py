@@ -87,7 +87,6 @@ class TestStageQueue:
         queue = StageQueue(capacity=3)
         for item in range(10):
             queue.put(item)
-        queue.close()
         drained = 0
         while queue.get() is not None:
             drained += 1
@@ -95,9 +94,11 @@ class TestStageQueue:
         assert queue.popped == drained
         assert queue.pushed == queue.popped + queue.dropped
 
-    def test_get_after_close_returns_none(self):
+    def test_get_on_empty_queue_returns_none(self):
         queue = StageQueue(capacity=1)
-        queue.close()
+        assert queue.get() is None
+        queue.put(1)
+        assert queue.get() == 1
         assert queue.get() is None
 
 
@@ -129,14 +130,17 @@ class TestPipelineRun:
         assert Path(first.log_path).read_bytes() == Path(second.log_path).read_bytes()
 
     def test_single_thread_matches_threaded(self, canonical_capture, tmp_path):
-        threaded = run_canonical(canonical_capture, tmp_path / "threaded")
-        inline = run_canonical(canonical_capture, tmp_path / "inline", single_thread=True)
-        assert Path(threaded.log_path).read_bytes() == Path(inline.log_path).read_bytes()
+        """``--single-thread`` still parses and changes nothing."""
+        logs = []
+        for mode in ([], ["--single-thread"]):
+            out = tmp_path / f"out{len(logs)}"
+            assert cli_main(["--out", str(out), "--deterministic",
+                             "run", str(canonical_capture), *mode]) == 0
+            logs.append((out / "events.jsonl").read_bytes())
+        assert logs[0] == logs[1]
 
     def test_capacity_one_with_slow_stage_drops_but_completes(self, canonical_capture, tmp_path):
-        config = Config()
-        config.runtime.stage_delays = {"analyze": 0.05}
-        summary = run_pipeline(canonical_capture, config, tmp_path / "out", queue_capacity=1)
+        summary = run_pipeline(canonical_capture, Config(), tmp_path / "out", queue_capacity=1)
         assert sum(summary.drops.values()) > 0
         assert summary.accounting_ok
         assert summary.windows_processed + summary.drops["analyze"] >= 10

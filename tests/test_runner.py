@@ -2,7 +2,6 @@
 
 import json
 import shutil
-import sys
 import threading
 from pathlib import Path
 from types import SimpleNamespace
@@ -57,28 +56,35 @@ def cropped_capture(canonical_capture, tmp_path_factory):
     return directory
 
 
-class TestStageFailure:
-    def test_threaded_run_raises_instead_of_hanging(self, cropped_capture, tmp_path):
-        kind, threaded = finishes(lambda: run_pipeline(cropped_capture, Config(), tmp_path / "t"))
-        assert kind == "error"
-        assert isinstance(threaded, AvFuseError)
-        assert "window 0" in str(threaded) and "analyze" in str(threaded)
+@pytest.fixture
+def failing_analyze(monkeypatch):
+    """Make the DWT inside analyze raise on every frame."""
+    import avfuse.pipeline
 
-        kind, inline = finishes(lambda: run_pipeline(cropped_capture, Config(), tmp_path / "i",
-                                                     single_thread=True))
+    def broken(frame):
+        raise ValueError("broken DWT")
+
+    monkeypatch.setattr(avfuse.pipeline, "dwt2_energy", broken)
+
+
+class TestStageFailure:
+    def test_run_raises_naming_window_and_stage(self, canonical_capture, tmp_path,
+                                                failing_analyze):
+        kind, error = finishes(lambda: run_pipeline(canonical_capture, Config(), tmp_path / "t"))
         assert kind == "error"
-        assert type(inline) is type(threaded)
-        assert str(inline) == str(threaded)
+        assert isinstance(error, AvFuseError)
+        assert str(error) == "window 0: analyze stage failed: broken DWT"
+        assert isinstance(error.__cause__, ValueError)
 
     @pytest.mark.parametrize("mode", [[], ["--single-thread"]], ids=["threaded", "inline"])
-    def test_cli_exits_2_naming_window_and_stage(self, cropped_capture, tmp_path, capsys, mode):
-        argv = ["--out", str(tmp_path / "out"), "run", str(cropped_capture), *mode]
+    def test_cli_exits_2_naming_window_and_stage(self, canonical_capture, tmp_path, capsys, mode,
+                                                 failing_analyze):
+        argv = ["--out", str(tmp_path / "out"), "run", str(canonical_capture), *mode]
         assert finishes(lambda: cli_main(argv)) == ("value", 2)
         err = capsys.readouterr().err
         assert "window 0: analyze stage failed" in err
 
-    @pytest.mark.parametrize("threaded", [True, False], ids=["threaded", "inline"])
-    def test_first_failure_stops_every_worker(self, threaded):
+    def test_first_failure_stops_every_worker(self):
         seen = {"a": [], "b": [], "c": []}
 
         def stage(name, fail_at=None):
@@ -91,8 +97,7 @@ class TestStageFailure:
 
         jobs = [SimpleNamespace(index=i) for i in range(20)]
         kind, error = finishes(lambda: run_stages(
-            [stage("a"), stage("b", fail_at=3), stage("c")], jobs, capacity=32,
-            threaded=threaded))
+            [stage("a"), stage("b", fail_at=3), stage("c")], jobs, capacity=32))
         assert kind == "error"
         assert isinstance(error, AvFuseError)
         assert str(error) == "window 3: b stage failed: boom"
@@ -100,26 +105,17 @@ class TestStageFailure:
         assert seen["b"] == [0, 1, 2]
         assert set(seen["c"]) <= {0, 1, 2}
 
-    def test_concurrent_failures_end_every_worker(self):
-        """More stage threads than cores, several raising, frequent thread switches."""
-        def failing(name, at):
-            def fn(job):
-                if job.index == at:
-                    raise ValueError(name)
-                return job
-            return name, fn
+    def test_no_stage_starts_a_thread(self, canonical_capture, tmp_path, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("a stage started a thread")
 
-        stages = [failing(f"s{i}", at=9 - i) for i in range(8)]
-        possible = {f"window {9 - i}: s{i} stage failed: s{i}" for i in range(8)}
-        jobs = [SimpleNamespace(index=i) for i in range(50)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(20):
-                kind, error = finishes(lambda: run_stages(stages, jobs, capacity=64, threaded=True))
-                assert kind == "error" and str(error) in possible
-        finally:
-            sys.setswitchinterval(interval)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        config = Config()
+        config.fusion.steps = 1
+        config.anomaly.autoencoder_steps = 1
+        summary = run_pipeline(canonical_capture, config, tmp_path / "run")
+        assert summary.windows_processed == 10
+        assert train_on_scenario(canonical_capture, config, tmp_path / "models")["sequences"] == 1
 
 
 class TestDropAccounting:
@@ -130,7 +126,7 @@ class TestDropAccounting:
         return directory
 
     def test_inline_run_sheds_from_the_same_queues(self, injection_capture, tmp_path):
-        summary = run_pipeline(injection_capture, Config(), tmp_path / "out", single_thread=True)
+        summary = run_pipeline(injection_capture, Config(), tmp_path / "out")
         assert summary.windows_ingested == 120
         assert summary.drops == {"analyze": 56, "detect": 0, "tokenize": 0,
                                  "fuse": 0, "score": 0, "sink": 0}
@@ -167,6 +163,20 @@ class TestSharedCaptureLoader:
         capture = shutil.copytree(canonical_capture, tmp_path / "capture")
         (capture / "scenario.json").unlink()
         self.fails_alike(capture, tmp_path, "missing scenario definition")
+
+    def test_frame_sides_the_dwt_cannot_take(self, cropped_capture, tmp_path, monkeypatch):
+        import avfuse.pipeline
+
+        loads = []
+        monkeypatch.setattr(avfuse.pipeline, "load_model", loads.append)
+        with pytest.raises(InvalidInput) as from_run:
+            run_pipeline(cropped_capture, Config(), tmp_path / "run",
+                         model_path=tmp_path / "fusion.bin")
+        with pytest.raises(InvalidInput) as from_train:
+            train_on_scenario(cropped_capture, Config(), tmp_path / "train")
+        assert str(from_run.value) == "frame dimensions must be divisible by 4, got 62x62"
+        assert str(from_train.value) == str(from_run.value)
+        assert loads == []
 
 
 class TestAdvancedModelAndTraining:
