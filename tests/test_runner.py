@@ -84,7 +84,9 @@ class TestStageFailure:
         err = capsys.readouterr().err
         assert "window 0: analyze stage failed" in err
 
-    def test_first_failure_stops_every_worker(self):
+    @pytest.mark.parametrize("on_helper_thread", [True, False], ids=["threaded", "inline"])
+    def test_first_failure_stops_every_worker(self, on_helper_thread):
+        """The runner stops at the first failure on whichever thread calls it."""
         seen = {"a": [], "b": [], "c": []}
 
         def stage(name, fail_at=None):
@@ -96,8 +98,16 @@ class TestStageFailure:
             return name, fn
 
         jobs = [SimpleNamespace(index=i) for i in range(20)]
-        kind, error = finishes(lambda: run_stages(
-            [stage("a"), stage("b", fail_at=3), stage("c")], jobs, capacity=32))
+
+        def run():
+            return run_stages([stage("a"), stage("b", fail_at=3), stage("c")], jobs, capacity=32)
+
+        if on_helper_thread:
+            kind, error = finishes(run)
+        else:
+            with pytest.raises(AvFuseError) as raised:
+                run()
+            kind, error = "error", raised.value
         assert kind == "error"
         assert isinstance(error, AvFuseError)
         assert str(error) == "window 3: b stage failed: boom"
