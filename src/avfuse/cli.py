@@ -31,9 +31,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run seed (preset rendering, detector noise, autoencoder init); "
                              "fusion weights come from fusion.seed in the config")
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-    parser.add_argument("--queue-capacity", type=int, help="bounded stage-queue capacity")
+    parser.add_argument("--queue-capacity", type=int,
+                        help="bounded stage-queue capacity (run only)")
     parser.add_argument("--deterministic", action="store_true",
-                        help="size queues to hold every window so nothing drops")
+                        help="size queues to hold every window so nothing drops (run only)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="synthesize a scenario capture directory")
@@ -141,6 +142,10 @@ COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        run_only = [flag for flag, given in (("--queue-capacity", args.queue_capacity is not None),
+                                             ("--deterministic", args.deterministic)) if given]
+        if args.command != "run" and run_only:
+            raise InvalidConfig([f"{flag} applies only to run" for flag in run_only])
         config = load_config(args.config)
         return COMMANDS[args.command](args, config)
     except InvalidConfig as exc:

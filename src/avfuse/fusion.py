@@ -17,24 +17,28 @@ Both models keep one contract, so callers never ask which one they hold:
   per-window fused audio vector, or ``None`` when the model reads none;
 - ``predict(visual, audio, fused=None)``: flat ``(motion_logits,
   event_logits)``, the second ``None`` for a model without an event head;
-- ``loss(example)``: the training loss of one :class:`LabeledSequence`.
+- ``loss(*examples)``: the mean training loss of equal-length
+  :class:`LabeledSequence` examples, one graph for all of them.
 
 Only :func:`build_model` and the save/load kind table name a model kind.
 Every weight, the ensemble's included, lives in a :class:`tensor.ParamStore`
 and :func:`train_step` updates them through :func:`tensor.sgd_step`.
 
-Each model has one forward over the blocks its store returned. Both run
-one :func:`_encoder_layer`, the basic model within its stream, the advanced
-model across streams. Every attention block is a single
-:func:`tensor.attention` call over all its heads, in training and at
-inference alike; ``predict`` runs that forward inside
-:func:`tensor.inference`, so it records no graph.
+Each model has one forward over the blocks its store returned. It takes
+(n, f) token arrays for one sequence or (B, n, f) arrays for a batch of B,
+which it stacks as B row blocks of n rows (see :mod:`tensor`) and returns
+one row of logits per sequence. Both run one :func:`_encoder_layer`, the
+basic model within its stream, the advanced model across streams. Every
+attention block is a single :func:`tensor.attention` call over all its
+heads and row blocks, in training and at inference alike; ``predict``
+runs that forward at B = 1 inside :func:`tensor.inference`, so it records
+no graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, fields
-from functools import lru_cache, reduce
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -221,20 +225,38 @@ def fuse_audio_ensemble(e1, e2, e3, fusion: AudioEnsembleFusion | None = None, s
     return (fusion or AudioEnsembleFusion(seed=seed)).fuse(e1, e2, e3)
 
 
-def _token_arrays(config, visual, audio) -> tuple[np.ndarray, np.ndarray]:
-    """Both token matrices as 2-D float64, checked against the model's widths."""
+def _token_arrays(config, visual, audio) -> tuple[Tensor, Tensor, int]:
+    """Both token arrays as row-block tensors, checked against the model's widths, and B.
+
+    (B, n, f) arrays are B sequences of n tokens, stacked as B*n rows; an
+    (n, f) array is one sequence.
+    """
     visual = np.atleast_2d(np.asarray(visual, dtype=np.float64))
     audio = np.atleast_2d(np.asarray(audio, dtype=np.float64))
-    if visual.shape[0] != audio.shape[0] or visual.shape[0] == 0:
+    if visual.ndim > 3 or audio.ndim > 3:
+        raise InvalidInput(f"token arrays must be (n, f) or (B, n, f): "
+                           f"visual {visual.shape}, audio {audio.shape}")
+    if visual.shape[:-1] != audio.shape[:-1] or 0 in visual.shape[:-1]:
         raise InvalidInput(
             f"token counts differ or empty: visual {visual.shape}, audio {audio.shape}"
         )
-    if visual.shape[1] != config.visual_features or audio.shape[1] != config.audio_features:
+    if visual.shape[-1] != config.visual_features or audio.shape[-1] != config.audio_features:
         raise InvalidInput(
             f"expected {config.visual_features}/{config.audio_features} features, "
-            f"got {visual.shape[1]}/{audio.shape[1]}"
+            f"got {visual.shape[-1]}/{audio.shape[-1]}"
         )
-    return visual, audio
+    blocks = visual.shape[0] if visual.ndim == 3 else 1
+    return (Tensor(visual.reshape(-1, visual.shape[-1])),
+            Tensor(audio.reshape(-1, audio.shape[-1])), blocks)
+
+
+def _stack(field: str, arrays) -> np.ndarray:
+    """The equal-shape ``field`` arrays of a batch's sequences as one (B, n, f) array."""
+    arrays = [np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in arrays]
+    shapes = sorted({a.shape for a in arrays})
+    if len(shapes) != 1:
+        raise InvalidInput(f"batch sequences differ in shape or are none: {field} {shapes}")
+    return np.stack(arrays)
 
 
 def _attention_block(store, prefix: str, dim: int) -> tuple:
@@ -247,14 +269,16 @@ def _attention_block(store, prefix: str, dim: int) -> tuple:
     return q, store.make(f"{prefix}.k.weight", dim, (dim, dim)), v, out
 
 
-def _encoder_layer(block, x: Tensor, context: Tensor, heads: int, trace: list | None) -> Tensor:
+def _encoder_layer(block, x: Tensor, context: Tensor, heads: int, blocks: int,
+                   trace: list | None) -> Tensor:
     """Attention of ``x`` over ``context``, then a feed-forward, each inside residual + layer norm.
 
-    ``block`` is ((q, k, v, out), attention norm, feed-forward, feed-forward norm).
+    ``block`` is ((q, k, v, out), attention norm, feed-forward, feed-forward norm);
+    each of the ``blocks`` row blocks of ``x`` attends within its own block of ``context``.
     """
     (q, k, v, out), attention_norm, ffn, ffn_norm = block
     merged = tz.attention(tz.linear(x, q), tz.matmul(context, k), tz.linear(context, v),
-                          heads, trace)
+                          heads, trace, blocks)
     x = tz.layer_norm(tz.add(x, tz.linear(merged, out)), *attention_norm)
     return tz.layer_norm(tz.add(x, tz.feed_forward(x, *ffn)), *ffn_norm)
 
@@ -297,13 +321,12 @@ class BasicFusionModel:
         self.ensemble = None
 
     def forward(self, visual: np.ndarray, audio: np.ndarray, trace: list | None = None) -> Tensor:
-        """Motion logits (1 x 2) for one token sequence."""
-        visual, audio = _token_arrays(self.config, visual, audio)
-        x = tz.add(tz.linear(Tensor(visual), self.proj_visual),
-                   tz.linear(Tensor(audio), self.proj_audio))
+        """Motion logits (B x 2), one row per token sequence."""
+        visual, audio, blocks = _token_arrays(self.config, visual, audio)
+        x = tz.add(tz.linear(visual, self.proj_visual), tz.linear(audio, self.proj_audio))
         for block in self.layers:
-            x = _encoder_layer(block, x, x, self.config.heads, trace)
-        return tz.linear(tz.mean(x, axis=0), self.head_motion)
+            x = _encoder_layer(block, x, x, self.config.heads, blocks, trace)
+        return tz.linear(tz.mean(x, 0, blocks), self.head_motion)
 
     def predict(self, visual: np.ndarray, audio: np.ndarray,
                 fused=None) -> tuple[np.ndarray, None]:
@@ -314,10 +337,13 @@ class BasicFusionModel:
     def predict_motion(self, visual: np.ndarray, audio: np.ndarray) -> int:
         return int(np.argmax(self.predict(visual, audio)[0]))
 
-    def loss(self, example: "LabeledSequence") -> Tensor:
-        """Motion cross-entropy of one labeled sequence."""
-        _check_label("motion", example.motion_label, self.config.motion_classes)
-        return tz.cross_entropy(self.forward(example.visual, example.audio), [example.motion_label])
+    def loss(self, *examples: "LabeledSequence") -> Tensor:
+        """Mean motion cross-entropy of equal-length labeled sequences."""
+        for example in examples:
+            _check_label("motion", example.motion_label, self.config.motion_classes)
+        logits = self.forward(_stack("visual", [e.visual for e in examples]),
+                              _stack("audio", [e.audio for e in examples]))
+        return tz.cross_entropy(logits, [example.motion_label for example in examples])
 
     def parameters(self) -> list[Tensor]:
         return list(self.store.params.values())
@@ -380,32 +406,37 @@ class AdvancedFusionModel:
 
     def forward_graph(self, visual: np.ndarray, audio: np.ndarray, fused=None,
                       trace: list | None = None) -> tuple[Tensor, Tensor]:
-        """Motion and event logit tensors; a ``fused`` of ``None`` reads as zeros."""
-        visual, audio = _token_arrays(self.config, visual, audio)
+        """Motion and event logit tensors, one row per token sequence.
+
+        ``fused`` holds one FUSED_DIM vector per sequence; ``None`` reads as zeros.
+        """
+        visual, audio, blocks = _token_arrays(self.config, visual, audio)
         c = self.config
-        n_tokens = visual.shape[0]
+        n_tokens = visual.shape[0] // blocks
         if n_tokens > c.max_tokens:
             raise InvalidInput(f"{n_tokens} tokens exceed positional table of {c.max_tokens}")
-        fused = np.zeros(FUSED_DIM) if fused is None else fused
-        fused = np.asarray(fused, dtype=np.float64).reshape(1, -1)
-        if fused.shape[1] != FUSED_DIM:
-            raise InvalidInput(f"fused embedding must be {FUSED_DIM}-dim, got {fused.shape[1]}")
-        fused = Tensor(fused)
+        fused = np.zeros((blocks, FUSED_DIM)) if fused is None else np.asarray(fused, np.float64)
+        if fused.size != blocks * FUSED_DIM:
+            raise InvalidInput(f"fused embedding must be {FUSED_DIM}-dim per sequence, "
+                               f"got shape {fused.shape} for {blocks} sequences")
+        # The fused vector is a constant input: repeat it onto every token of its sequence.
+        fused = Tensor(np.repeat(fused.reshape(blocks, FUSED_DIM), n_tokens, axis=0))
 
-        v = tz.add(tz.linear(Tensor(visual), self.proj_visual),
-                   tz.slice_rows(self.pos_visual, 0, n_tokens))
-        a = tz.add(tz.linear(Tensor(audio), self.proj_audio),
-                   tz.slice_rows(self.pos_audio, 0, n_tokens))
+        v = tz.add_bias(tz.linear(visual, self.proj_visual),
+                        tz.slice_rows(self.pos_visual, 0, n_tokens))
+        a = tz.add_bias(tz.linear(audio, self.proj_audio),
+                        tz.slice_rows(self.pos_audio, 0, n_tokens))
         a = tz.add_bias(a, fused)
         for visual_block, audio_block in self.layers:
             # Both attentions read the streams as they were before this layer.
-            v, a = (_encoder_layer(visual_block, v, a, c.heads, trace),
-                    _encoder_layer(audio_block, a, v, c.heads, trace))
-        pooled = tz.concat([tz.mean(v, axis=0), tz.mean(a, axis=0)])
+            v, a = (_encoder_layer(visual_block, v, a, c.heads, blocks, trace),
+                    _encoder_layer(audio_block, a, v, c.heads, blocks, trace))
+        pooled = tz.concat([tz.mean(v, 0, blocks), tz.mean(a, 0, blocks)])
         return tz.linear(pooled, self.head_motion), tz.linear(pooled, self.head_event)
 
     def forward(self, visual: np.ndarray, audio: np.ndarray, fused,
                 trace: list | None = None) -> AdvancedOutput:
+        """The logits of :meth:`forward_graph`, flat, one sequence's after another."""
         motion, event = self.forward_graph(visual, audio, fused, trace)
         return AdvancedOutput(motion.data.reshape(-1).copy(), event.data.reshape(-1).copy())
 
@@ -416,14 +447,19 @@ class AdvancedFusionModel:
             out = self.forward(visual, audio, fused)
         return out.motion_logits, out.event_logits
 
-    def loss(self, example: "LabeledSequence") -> Tensor:
-        """Motion plus event cross-entropy of one labeled sequence."""
+    def loss(self, *examples: "LabeledSequence") -> Tensor:
+        """Mean motion plus mean event cross-entropy of equal-length labeled sequences."""
         c = self.config
-        _check_label("motion", example.motion_label, c.motion_classes)
-        _check_label("event", example.event_label, c.event_classes)
-        motion, event = self.forward_graph(example.visual, example.audio, example.fused)
-        return tz.add(tz.cross_entropy(motion, [example.motion_label]),
-                      tz.cross_entropy(event, [example.event_label]))
+        for example in examples:
+            _check_label("motion", example.motion_label, c.motion_classes)
+            _check_label("event", example.event_label, c.event_classes)
+        motion, event = self.forward_graph(
+            _stack("visual", [e.visual for e in examples]),
+            _stack("audio", [e.audio for e in examples]),
+            _stack("fused", [np.zeros(FUSED_DIM) if e.fused is None else e.fused
+                             for e in examples]))
+        return tz.add(tz.cross_entropy(motion, [e.motion_label for e in examples]),
+                      tz.cross_entropy(event, [e.event_label for e in examples]))
 
     def parameters(self) -> list[Tensor]:
         return list(self.store.params.values())
@@ -462,15 +498,15 @@ def build_model(f: FusionConfig) -> BasicFusionModel | AdvancedFusionModel:
 
 
 def train_step(model, batch: list[LabeledSequence], learning_rate: float) -> float:
-    """One full-batch gradient step on the mean ``model.loss``; returns that loss.
+    """One full-batch gradient step on ``model.loss`` of the whole batch; returns that loss.
 
-    ``learning_rate`` 0 reports the loss without updating.
+    The batch is one graph, its sequences stacked as row blocks, so they
+    must have equal length. ``learning_rate`` 0 reports the loss without
+    updating.
     """
     if not batch:
         raise InvalidInput("empty training batch")
-    losses = [model.loss(example) for example in batch]
-    total = tz.scale(reduce(tz.add, losses), 1.0 / len(batch))
-    return tz.sgd_step(model.parameters(), total, learning_rate)
+    return tz.sgd_step(model.parameters(), model.loss(*batch), learning_rate)
 
 
 # meta.arch[0] of a saved model indexes this table; the rest of the record

@@ -15,9 +15,19 @@ Models hold what the store's ``linear``, ``layer_norm`` and
 :func:`layer_norm` and :func:`feed_forward`. Inside a :func:`param_budget`
 block the stores of one thread create no more values than a file holds.
 
-Multi-head attention is one operation: :func:`attention` runs every head at
-once over an (H, n, d/H) view of its inputs and has its own backward.
-:func:`attention_weights` and :func:`softmax` share its softmax code.
+A batch of B equal-length sequences of n tokens is one tensor of B*n rows,
+sequence b in rows b*n to (b+1)*n: a row block. Row-wise operations
+(:func:`linear`, :func:`layer_norm`, :func:`gelu`, :func:`add`) need no
+batch axis, so one graph trains on the whole batch. Three operations read
+the blocks: :func:`attention` attends within each block only,
+``mean(x, 0, blocks)`` pools each block into one row, and :func:`add_bias`
+adds an (m, d) bias onto every block of m rows (m = 1 for an ordinary
+bias). A single sequence is one block.
+
+Multi-head attention is one operation: :func:`attention` runs every block
+and head at once over a (B, H, n, d/H) view of its inputs and has its own
+backward. :func:`attention_weights` and :func:`softmax` share its softmax
+code.
 
 All correctness tests run at float64.
 """
@@ -144,11 +154,19 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def add_bias(x: Tensor, bias: Tensor) -> Tensor:
-    """Row-broadcast add of a (1, d) bias onto an (n, d) tensor."""
-    if bias.shape != (1, x.shape[1]):
+    """Add an (m, d) bias onto every block of m rows of a (B*m, d) tensor.
+
+    A (1, d) bias is added to every row.
+    """
+    m, d = bias.shape
+    if m < 1 or d != x.shape[1] or x.shape[0] % m:
         raise InvalidInput(f"add_bias: bias shape {bias.shape} does not broadcast onto {x.shape}")
-    return _node(x.data + bias.data, (x, bias),
-                 (lambda g: g, lambda g: g.sum(axis=0, keepdims=True)))
+    blocks = x.shape[0] // m
+    # One bias row or one block broadcasts as it is. The (B, m, d) view costs
+    # a few microseconds more per call, and one forward calls this 13 to 47 times.
+    data = (x.data + bias.data if m == 1 or blocks == 1
+            else (x.data.reshape(blocks, m, d) + bias.data).reshape(x.shape))
+    return _node(data, (x, bias), (lambda g: g, lambda g: g.reshape(blocks, m, d).sum(axis=0)))
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -219,13 +237,20 @@ def gelu(x: Tensor) -> Tensor:
     return _node(out, (x,), (grad,))
 
 
-def mean(x: Tensor, axis: int) -> Tensor:
-    """Mean over one axis, keeping it as size 1."""
+def mean(x: Tensor, axis: int, blocks: int = 1) -> Tensor:
+    """Mean over one axis, keeping it as size 1.
+
+    Over axis 0 with ``blocks`` B, each of B equal row blocks pools into one
+    row: (B*n, d) becomes (B, d).
+    """
     if axis not in (0, 1):
         raise InvalidInput(f"mean: axis must be 0 or 1, got {axis}")
-    n = x.shape[axis]
-    return _node(x.data.mean(axis=axis, keepdims=True), (x,),
-                 (lambda g: np.repeat(g, n, axis=axis) / n,))
+    if blocks < 1 or x.shape[0] % blocks or (axis == 1 and blocks != 1):
+        raise InvalidInput(f"mean: {x.shape} does not split into {blocks} blocks over axis {axis}")
+    n = x.shape[axis] // blocks
+    data = (x.data.reshape(blocks, n, -1).mean(axis=1) if axis == 0
+            else x.data.mean(axis=1, keepdims=True))
+    return _node(data, (x,), (lambda g: np.repeat(g, n, axis=axis) / n,))
 
 
 def concat(tensors: list[Tensor]) -> Tensor:
@@ -295,16 +320,16 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     return _node(np.array([[loss]]), (logits,), (grad,))
 
 
-def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
-    """(n, H*d) columns as an (H, n, d) view, head h holding block h."""
-    n, width = x.shape
-    return x.reshape(n, heads, width // heads).transpose(1, 0, 2)
+def _split_heads(x: np.ndarray, heads: int, blocks: int) -> np.ndarray:
+    """(B*n, H*d) as a (B, H, n, d) view: row block b, column block h."""
+    rows, width = x.shape
+    return x.reshape(blocks, rows // blocks, heads, width // heads).transpose(0, 2, 1, 3)
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_split_heads`: (H, n, d) back to (n, H*d)."""
-    heads, n, d = x.shape
-    return x.transpose(1, 0, 2).reshape(n, heads * d)
+    """Inverse of :func:`_split_heads`: (B, H, n, d) back to (B*n, H*d)."""
+    blocks, heads, n, d = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(blocks * n, heads * d)
 
 
 def _scaled_scores(q: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, float]:
@@ -313,13 +338,16 @@ def _scaled_scores(q: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, float]:
     return _softmax_last((q @ k.swapaxes(-1, -2)) * c), c
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1, trace: list | None = None) -> Tensor:
-    """Scaled dot-product attention softmax(Q K^T / sqrt(d_k)) V, per head.
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1, trace: list | None = None,
+              blocks: int = 1) -> Tensor:
+    """Scaled dot-product attention softmax(Q K^T / sqrt(d_k)) V, per head and row block.
 
     The columns of q, k and v split into ``heads`` equal blocks; head h
     attends with block h of each, all heads at once, and the head outputs
-    are joined in the same column order. ``trace``, when given, receives
-    each head's (n, m) weight matrix in head order.
+    are joined in the same column order. The rows split into ``blocks``
+    equal blocks, and the queries of block b attend only to the keys and
+    values of block b. ``trace``, when given, receives each head's (n, m)
+    weight matrix, in head order within row-block order.
     """
     if q.shape[1] != k.shape[1]:
         raise InvalidInput(
@@ -333,19 +361,23 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1, trace: list | Non
         raise InvalidInput(
             f"attention: widths {q.shape[1]} and {v.shape[1]} do not split into {heads} heads"
         )
-    qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
+    if blocks < 1 or q.shape[0] % blocks or k.shape[0] % blocks:
+        raise InvalidInput(
+            f"attention: row counts {q.shape[0]} and {k.shape[0]} do not split into {blocks} blocks"
+        )
+    qh, kh, vh = (_split_heads(t.data, heads, blocks) for t in (q, k, v))
     w, c = _scaled_scores(qh, kh)
     if trace is not None:
-        trace.extend(w)
+        trace.extend(w.reshape(-1, *w.shape[2:]))
 
     def grad_scores(g):
-        return _softmax_last_grad(w, _split_heads(g, heads) @ vh.swapaxes(-1, -2)) * c
+        return _softmax_last_grad(w, _split_heads(g, heads, blocks) @ vh.swapaxes(-1, -2)) * c
 
     return _node(
         _merge_heads(w @ vh), (q, k, v),
         (lambda g: _merge_heads(grad_scores(g) @ kh),
          lambda g: _merge_heads(grad_scores(g).swapaxes(-1, -2) @ qh),
-         lambda g: _merge_heads(w.swapaxes(-1, -2) @ _split_heads(g, heads))),
+         lambda g: _merge_heads(w.swapaxes(-1, -2) @ _split_heads(g, heads, blocks))),
     )
 
 
@@ -490,7 +522,7 @@ def sgd_step(params, loss: Tensor, learning_rate: float) -> float:
     backward(loss)
     for p in params:
         if p.grad is not None:
-            p.data = p.data - learning_rate * p.grad
+            p.data -= learning_rate * p.grad
     return loss.item()
 
 

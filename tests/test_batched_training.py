@@ -1,0 +1,173 @@
+"""One graph per training step: a batch of equal-length sequences stacked as row blocks.
+
+The per-example loss, summed and scaled the way training used to build it,
+is the reference. The batched loss and its gradients sum the same terms in
+another order, so they agree to 1e-12 relative, not bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from avfuse import tensor as tz
+from avfuse.errors import InvalidInput
+from avfuse.fusion import (
+    FUSED_DIM,
+    AdvancedFusionModel,
+    BasicFusionModel,
+    LabeledSequence,
+    train_step,
+)
+
+GRAD_TOL = 1e-4
+BATCH_RTOL = 1e-12
+MODELS = {
+    "basic": lambda: BasicFusionModel(seed=3),
+    "advanced": lambda: AdvancedFusionModel(seed=3),
+}
+
+
+def param(rng, *shape):
+    return tz.Tensor(rng.normal(size=shape), requires_grad=True)
+
+
+def make_batch(model, count, tokens=10, seed=0):
+    rng = np.random.default_rng(seed)
+    c = model.config
+    advanced = isinstance(model, AdvancedFusionModel)
+    return [LabeledSequence(rng.normal(size=(tokens, c.visual_features)),
+                            rng.normal(size=(tokens, c.audio_features)),
+                            motion_label=i % c.motion_classes,
+                            fused=rng.normal(size=FUSED_DIM) if advanced else None,
+                            event_label=(5 * i) % c.event_classes if advanced else None)
+            for i in range(count)]
+
+
+class TestRowBlockOps:
+    def test_block_attention_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(0)
+        q, k, v = param(rng, 3 * 4, 6), param(rng, 3 * 5, 6), param(rng, 3 * 5, 4)
+        mix = tz.Tensor(rng.normal(size=(3 * 4, 4)))
+
+        def f():
+            return tz.sum_all(tz.mul(tz.attention(q, k, v, heads=2, blocks=3), mix))
+
+        assert tz.finite_diff_check(f, [q, k, v]) < GRAD_TOL
+
+    def test_block_attention_attends_within_each_block(self):
+        rng = np.random.default_rng(1)
+        q, k, v = (rng.normal(size=(3 * n, 6)) for n in (4, 5, 5))
+        batched = tz.attention(tz.Tensor(q), tz.Tensor(k), tz.Tensor(v), heads=2, blocks=3).data
+        for b in range(3):
+            alone = tz.attention(tz.Tensor(q[4 * b:4 * b + 4]), tz.Tensor(k[5 * b:5 * b + 5]),
+                                 tz.Tensor(v[5 * b:5 * b + 5]), heads=2).data
+            np.testing.assert_array_equal(batched[4 * b:4 * b + 4], alone)
+
+    def test_block_mean_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(2)
+        x, w = param(rng, 3 * 4, 5), param(rng, 3, 5)
+        assert tz.mean(x, 0, 3).shape == (3, 5)
+
+        def f():
+            return tz.sum_all(tz.mul(tz.gelu(tz.mean(x, 0, 3)), w))
+
+        assert tz.finite_diff_check(f, [x, w]) < GRAD_TOL
+
+    def test_block_bias_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(3)
+        x, bias = param(rng, 3 * 4, 5), param(rng, 4, 5)
+        np.testing.assert_array_equal(tz.add_bias(x, bias).data,
+                                      x.data + np.tile(bias.data, (3, 1)))
+
+        def f():
+            return tz.sum_all(tz.gelu(tz.add_bias(x, bias)))
+
+        assert tz.finite_diff_check(f, [x, bias]) < GRAD_TOL
+
+    @pytest.mark.parametrize("build", [
+        lambda x: tz.attention(x, x, x, heads=2, blocks=5),
+        lambda x: tz.mean(x, 0, 5),
+        lambda x: tz.mean(x, 1, 2),
+        lambda x: tz.add_bias(x, tz.Tensor(np.zeros((5, 4)))),
+    ], ids=["attention", "mean", "mean over columns", "add_bias"])
+    def test_rows_that_do_not_split_into_blocks_are_rejected(self, build):
+        with pytest.raises(InvalidInput):
+            build(tz.Tensor(np.ones((12, 4))))
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+class TestBatchedLoss:
+    def test_loss_and_gradients_equal_the_per_example_mean(self, kind):
+        model = MODELS[kind]()
+        batch = make_batch(model, 4)
+        params = model.parameters()
+        summed = [np.zeros_like(p.data) for p in params]
+        losses = []
+        for example in batch:
+            for p in params:
+                p.grad = None
+            loss = model.loss(example)
+            tz.backward(loss)
+            losses.append(loss.item())
+            for total, p in zip(summed, params):
+                if p.grad is not None:
+                    total += p.grad
+
+        for p in params:
+            p.grad = None
+        loss = model.loss(*batch)
+        tz.backward(loss)
+        assert loss.item() == pytest.approx(np.mean(losses), rel=BATCH_RTOL)
+        for (name, p), total in zip(model.store.params.items(), summed):
+            got = np.zeros_like(p.data) if p.grad is None else p.grad
+            expected = total / len(batch)
+            gap = np.max(np.abs(got - expected), initial=0.0)
+            assert gap <= BATCH_RTOL * np.max(np.abs(expected), initial=0.0), name
+
+    def test_batched_forward_gives_each_sequence_its_own_row(self, kind):
+        model = MODELS[kind]()
+        batch = make_batch(model, 3, seed=1)
+        visual = np.stack([e.visual for e in batch])
+        audio = np.stack([e.audio for e in batch])
+        if kind == "basic":
+            rows = model.forward(visual, audio).data
+            alone = [model.forward(e.visual, e.audio).data[0] for e in batch]
+        else:
+            rows = model.forward_graph(visual, audio, np.stack([e.fused for e in batch]))[1].data
+            alone = [model.forward_graph(e.visual, e.audio, e.fused)[1].data[0] for e in batch]
+        np.testing.assert_allclose(rows, np.stack(alone), rtol=BATCH_RTOL, atol=1e-14)
+
+    def test_sequences_of_different_length_are_rejected(self, kind):
+        model = MODELS[kind]()
+        long, short = make_batch(model, 1, tokens=10)[0], make_batch(model, 1, tokens=8)[0]
+        with pytest.raises(InvalidInput) as err:
+            model.loss(long, short)
+        assert "(10, " in str(err.value) and "(8, " in str(err.value)
+        with pytest.raises(InvalidInput):
+            train_step(model, [long, short], 0.1)
+
+
+def test_advanced_train_step_over_12_examples_is_one_small_graph(monkeypatch):
+    model = AdvancedFusionModel(seed=0)
+    batch = make_batch(model, 12)
+    nodes = []
+    node = tz._node
+
+    def counting(*args):
+        nodes.append(1)
+        return node(*args)
+
+    monkeypatch.setattr(tz, "_node", counting)
+    train_step(model, batch, 0.1)
+    assert 0 < len(nodes) <= 200
+
+
+def test_sgd_step_updates_in_place_with_the_old_bits():
+    rng = np.random.default_rng(9)
+    p = tz.Tensor(rng.normal(size=(7, 5)), requires_grad=True)
+    w = tz.Tensor(rng.normal(size=(5, 3)))
+    loss = tz.sum_all(tz.gelu(tz.matmul(p, w)))
+    data = p.data
+    before = data.copy()
+    tz.sgd_step([p], loss, 0.37)
+    assert p.data is data
+    np.testing.assert_array_equal(p.data, before - 0.37 * p.grad)

@@ -107,6 +107,22 @@ def test_bad_queue_capacity_is_a_config_error_before_loading(canonical_capture, 
     assert loaded == []
 
 
+@pytest.mark.parametrize("flags, flag", [(["--queue-capacity", "0"], "--queue-capacity"),
+                                         (["--deterministic"], "--deterministic")],
+                         ids=["queue capacity", "deterministic"])
+@pytest.mark.parametrize("command", ["generate", "train"])
+def test_run_only_flag_on_another_command_is_a_config_error(canonical_capture, tmp_path, capsys,
+                                                            monkeypatch, command, flags, flag):
+    import avfuse.cli
+
+    called = []
+    monkeypatch.setattr(avfuse.cli, "COMMANDS", {command: lambda args, config: called.append(1)})
+    argv = [command] + ([str(canonical_capture)] if command == "train" else [])
+    assert cli_main(["--out", str(tmp_path / "out"), *flags, *argv]) == 1
+    assert capsys.readouterr().err == f"config error: {flag} applies only to run\n"
+    assert called == []
+
+
 def scenario_with(**changes):
     return json.dumps({**json.loads(json.dumps(CANONICAL)), **changes})
 
