@@ -156,9 +156,10 @@ def save_autoencoder(path, model: DenseAutoencoder) -> None:
 def load_autoencoder(path) -> DenseAutoencoder:
     """Rebuild a trained autoencoder; a malformed file raises :class:`InvalidInput`."""
     state = tz.load_tensors(path)
-    model = DenseAutoencoder()
     try:
-        tz.load_state(model.params, state, records=("meta.training_mse",))
+        with tz.reading(state):
+            model = DenseAutoencoder()
+        tz.reject_extra(state, model.params, ("meta.training_mse",))
     except InvalidInput as exc:
         raise InvalidInput(f"{path}: autoencoder {exc}") from exc
     mse = state.get("meta.training_mse")

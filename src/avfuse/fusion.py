@@ -541,10 +541,10 @@ def load_model(path: str | Path):
         raise InvalidInput(f"{path}: architecture record {arch.tolist()} must hold "
                            f"{len(fields(config_cls))} positive integers after kind {int(arch[0])}")
     try:
-        with tz.param_budget(sum(value.size for value in state.values())):
+        with tz.reading(state):
             model = model_cls(config_cls(*(int(x) for x in dims)))
         normalizer = TokenNormalizer.from_state(state)
-        tz.load_state(model.store.params, state, records=("meta.arch", *normalizer.state()))
+        tz.reject_extra(state, model.store.params, ("meta.arch", *normalizer.state()))
         c = model.config
         widths = [v.size for v in normalizer.state().values()]
         if widths != [c.visual_features] * 2 + [c.audio_features] * 2:

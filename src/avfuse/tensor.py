@@ -12,8 +12,9 @@ by :func:`sgd_step`.
 
 Models hold what the store's ``linear``, ``layer_norm`` and
 ``feed_forward`` builders return and run it through :func:`linear`,
-:func:`layer_norm` and :func:`feed_forward`. Inside a :func:`param_budget`
-block the stores of one thread create no more values than a file holds.
+:func:`layer_norm` and :func:`feed_forward`. Inside a :func:`reading`
+block the stores of one thread read every parameter from a file's tensors
+instead of drawing it, so a loader builds its model once, from the file.
 
 A batch of B equal-length sequences of n tokens is one tensor of B*n rows,
 sequence b in rows b*n to (b+1)*n: a row block. Row-wise operations
@@ -34,7 +35,6 @@ All correctness tests run at float64.
 
 from __future__ import annotations
 
-import math
 import struct
 import threading
 from contextlib import contextmanager
@@ -86,7 +86,7 @@ class Tensor:
 
 class _Mode(threading.local):
     no_graph = False
-    budget = None  # values a ParamStore may still create; None: no limit
+    source = None  # name -> array a ParamStore reads instead of drawing; None: draw
 
 
 _MODE = _Mode()
@@ -446,57 +446,61 @@ class ParamStore:
 
     Weights draw uniform(+-1/sqrt(fan_in)) values from one generator seeded
     at construction, in creation order; biases and gains start constant.
+    Inside :func:`reading` each parameter is instead the file's array of
+    its name, uncopied, checked for presence, shape and finiteness before
+    anything is allocated, so a corrupt architecture record fails at its
+    first mis-shaped tensor.
     """
 
     def __init__(self, seed: int = 0):
         self.rng = np.random.default_rng(seed)
         self.params: dict[str, Tensor] = {}
 
-    def make(self, name: str, fan_in: int, shape) -> Tensor:
-        _spend(math.prod(shape))
+    def make(self, name: str, fan_in: int, shape: tuple[int, int]) -> Tensor:
         bound = 1.0 / np.sqrt(fan_in)
-        return self._add(name, self.rng.uniform(-bound, bound, size=shape))
+        return self._add(name, shape, lambda: self.rng.uniform(-bound, bound, size=shape))
 
-    def make_const(self, name: str, value: np.ndarray) -> Tensor:
-        _spend(np.size(value))
-        return self._add(name, value)
+    def make_const(self, name: str, shape: tuple[int, int], fill: float) -> Tensor:
+        return self._add(name, shape, lambda: np.full(shape, fill))
 
-    def _add(self, name: str, value: np.ndarray) -> Tensor:
-        tensor = Tensor(value, requires_grad=True)
+    def _add(self, name: str, shape: tuple[int, int], draw) -> Tensor:
+        source = _MODE.source
+        if source is not None:
+            if name not in source:
+                raise InvalidInput(f"parameter file missing tensor {name}")
+            if source[name].shape != shape:
+                raise InvalidInput(f"{name}: shape {source[name].shape} does not match model {shape}")
+        try:
+            tensor = Tensor(draw() if source is None else source[name], requires_grad=True)
+        except InvalidInput as exc:
+            raise InvalidInput(f"{name}: {exc}") from None
         self.params[name] = tensor
         return tensor
 
     def linear(self, name: str, d_in: int, d_out: int) -> tuple[Tensor, Tensor]:
         return (self.make(f"{name}.weight", d_in, (d_in, d_out)),
-                self.make_const(f"{name}.bias", np.zeros((1, d_out))))
+                self.make_const(f"{name}.bias", (1, d_out), 0.0))
 
     def layer_norm(self, name: str, dim: int) -> tuple[Tensor, Tensor]:
-        return (self.make_const(f"{name}.gain", np.ones((1, dim))),
-                self.make_const(f"{name}.bias", np.zeros((1, dim))))
+        return (self.make_const(f"{name}.gain", (1, dim), 1.0),
+                self.make_const(f"{name}.bias", (1, dim), 0.0))
 
     def feed_forward(self, name: str, dim: int, hidden: int) -> tuple[tuple, tuple]:
         return self.linear(f"{name}.w1", dim, hidden), self.linear(f"{name}.w2", hidden, dim)
 
 
 @contextmanager
-def param_budget(values: int):
-    """Let every :class:`ParamStore` in this thread create at most ``values`` values in all.
+def reading(state: dict[str, np.ndarray]):
+    """Let every :class:`ParamStore` in this thread take its parameters from ``state``.
 
-    A loader sizes the model a file describes by the values the file holds,
-    so a corrupt architecture record fails before it allocates gigabytes.
+    ``state`` maps names to arrays as :func:`load_tensors` gives them. The
+    previous mode comes back on exit, also when the block raises.
     """
-    previous, _MODE.budget = _MODE.budget, values
+    previous, _MODE.source = _MODE.source, state
     try:
         yield
     finally:
-        _MODE.budget = previous
-
-
-def _spend(values: int) -> None:
-    if _MODE.budget is not None:
-        if values > _MODE.budget:
-            raise InvalidInput("the architecture needs more values than the file holds")
-        _MODE.budget -= values
+        _MODE.source = previous
 
 
 def linear(x: Tensor, layer: tuple[Tensor, Tensor]) -> Tensor:
@@ -616,21 +620,8 @@ def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
     return out
 
 
-def load_state(params: dict[str, Tensor], state: dict[str, np.ndarray], records=()) -> None:
-    """Point ``params`` at the arrays of ``state``, uncopied, as :func:`load_tensors` gives them.
-
-    Each must be present, same-shaped and finite. Every other name in
-    ``state`` must be one of the ``records`` the caller reads itself.
-    """
-    for name, tensor in params.items():
-        if name not in state:
-            raise InvalidInput(f"parameter file missing tensor {name}")
-        value = state[name]
-        if value.shape != tensor.data.shape:
-            raise InvalidInput(f"{name}: shape {value.shape} does not match model {tensor.data.shape}")
-        if not np.all(np.isfinite(value)):
-            raise InvalidInput(f"{name}: tensor data must be finite")
-        tensor.data = value
+def reject_extra(state: dict[str, np.ndarray], params, records=()) -> None:
+    """Every name in ``state`` must be one of ``params`` or a record the caller reads itself."""
     extra = sorted(set(state) - set(params) - set(records))
     if extra:
         raise InvalidInput(f"unexpected tensor {', '.join(extra)}")

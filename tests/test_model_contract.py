@@ -1,6 +1,7 @@
 """One fusion-model contract, the saved-model format, and malformed model files."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from avfuse.fusion import (
 )
 from avfuse.pipeline import PipelineContext, open_capture
 from avfuse.scenario import generate_scenario, preset_scenario
+from test_param_layout import PINNED, layout_digests
 
 
 def tokens(rng, model, n=3):
@@ -154,6 +156,9 @@ FUSION_DEFECTS = {
     "heads do not split hidden": set_arch([0, 128, 2, 3, 512, 3, 4, 2]),
     "arch larger than the file": set_arch([0, 128, 2, 4, 512 * 2.0 ** 49, 3, 4, 2]),
     "extra tensor": lambda state: state.__setitem__("bogus.weight", np.zeros((2, 2))),
+    "missing tensor": lambda state: state.pop("enc1.ffn.w2.bias"),
+    "mis-shaped tensor": lambda state: state.__setitem__("proj.audio.weight", np.zeros((4, 64))),
+    "enormous first tensor": set_arch([0, 2 ** 50, 2, 4, 512, 3, 4, 2]),
 }
 
 AUTOENCODER_DEFECTS = {
@@ -225,3 +230,94 @@ class TestFileBoundary:
     def test_constructors_reject_a_head_split(self, build):
         with pytest.raises(InvalidInput, match="3 heads do not split"):
             build()
+
+
+@pytest.fixture(scope="module")
+def loadable(tmp_path_factory):
+    """A basic, a small advanced and an autoencoder file, each saved from a non-default seed."""
+    root = tmp_path_factory.mktemp("loadable")
+    rng = np.random.default_rng(7)
+    normalizer = TokenNormalizer(rng.normal(size=3), rng.uniform(1, 2, size=3),
+                                 rng.normal(size=4), rng.uniform(1, 2, size=4))
+    save_model(root / "basic.bin", BasicFusionModel(seed=5), normalizer)
+    advanced = AdvancedFusionModel(fusion.AdvancedFusionConfig(layers=1, ffn_hidden=64, max_tokens=8),
+                                   seed=6)
+    wide = TokenNormalizer(rng.normal(size=4), rng.uniform(1, 2, size=4),
+                           rng.normal(size=5), rng.uniform(1, 2, size=5))
+    save_model(root / "advanced.bin", advanced, wide)
+    autoencoder = DenseAutoencoder(seed=4)
+    autoencoder.training_mse = 0.0125
+    save_autoencoder(root / "autoencoder.bin", autoencoder)
+    return root
+
+
+LOADED_PARAMS = {
+    "basic.bin": lambda path: fusion.load_model(path)[0].store.params,
+    "advanced.bin": lambda path: fusion.load_model(path)[0].store.params,
+    "autoencoder.bin": lambda path: load_autoencoder(path).params,
+}
+
+
+class RefusingGenerator:
+    """Stands in for a seeded generator and fails on any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"a loader drew from a seeded generator ({name})")
+
+
+class TestLoadPath:
+    @pytest.mark.parametrize("name", sorted(LOADED_PARAMS))
+    def test_loaders_read_every_parameter_and_draw_nothing(self, loadable, monkeypatch, name):
+        returned = []
+
+        def recording(path, load=tz.load_tensors):
+            returned.append(load(path))
+            return returned[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: RefusingGenerator())
+        monkeypatch.setattr(tz, "load_tensors", recording)
+        params = LOADED_PARAMS[name](loadable / name)
+        [state] = returned
+        assert params
+        for key, tensor in params.items():
+            assert tensor.data is state[key], key
+
+    @pytest.mark.parametrize("name", sorted(LOADED_PARAMS))
+    def test_saving_what_was_loaded_gives_the_same_bytes(self, loadable, tmp_path, name):
+        again = tmp_path / name
+        if name == "autoencoder.bin":
+            save_autoencoder(again, load_autoencoder(loadable / name))
+        else:
+            save_model(again, *fusion.load_model(loadable / name))
+        assert again.read_bytes() == (loadable / name).read_bytes()
+
+
+class TestReadingModeIsUndone:
+    @pytest.mark.parametrize("defect", ["missing tensor", "mis-shaped tensor", "nan weight"])
+    def test_after_a_rejected_file(self, model_files, tmp_path, defect):
+        bad = tmp_path / "fusion.bin"
+        rewrite(model_files / "fusion.bin", bad, FUSION_DEFECTS[defect])
+        with pytest.raises(InvalidInput):
+            fusion.load_model(bad)
+        assert layout_digests(BasicFusionModel(seed=0).store.params) == PINNED["basic"]
+
+    def test_another_thread_keeps_drawing(self, loadable):
+        state = tz.load_tensors(loadable / "basic.bin")
+        entered, built = threading.Event(), threading.Event()
+        seen = {}
+
+        def build():
+            assert entered.wait(timeout=10)
+            seen["digests"] = layout_digests(BasicFusionModel(seed=0).store.params)
+            built.set()
+
+        worker = threading.Thread(target=build)
+        worker.start()
+        with tz.reading(state):
+            entered.set()
+            assert built.wait(timeout=10)
+            read = BasicFusionModel(seed=0).store.params
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert seen["digests"] == PINNED["basic"]
+        assert all(read[name].data is state[name] for name in read)
