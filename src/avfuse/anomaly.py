@@ -150,6 +150,7 @@ def save_autoencoder(path, model: DenseAutoencoder) -> None:
         raise NotTrained("refusing to persist an untrained autoencoder")
     state = {name: t.data for name, t in model.params.items()}
     state["meta.training_mse"] = np.array([[model.training_mse]])
+    tz.reject_nonfinite(path, state)
     tz.save_tensors(path, state)
 
 

@@ -32,9 +32,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "fusion weights come from fusion.seed in the config")
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     parser.add_argument("--queue-capacity", type=int,
-                        help="bounded stage-queue capacity (run only)")
+                        help="capacity of the bounded ingest queue (run only)")
     parser.add_argument("--deterministic", action="store_true",
-                        help="size queues to hold every window so nothing drops (run only)")
+                        help="size the ingest queue to hold every window so nothing drops (run only)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="synthesize a scenario capture directory")

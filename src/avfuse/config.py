@@ -10,6 +10,7 @@ reported in full.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -165,6 +166,8 @@ class Config:
         check(any(w > 0.0 for w in an.weights.values()), "anomaly.weights must include a positive weight")
         check(0.0 <= an.threshold <= 1.0, "anomaly.threshold must be in [0, 1]")
         check(an.history >= 2, "anomaly.history must be >= 2")
+        check(an.autoencoder_learning_rate >= 0.0,
+              "anomaly.autoencoder_learning_rate must be non-negative")
         check(0.0 <= an.event_probability_threshold <= 1.0,
               "anomaly.event_probability_threshold must be in [0, 1]")
         check(len(self.event_labels) == 32, "event_labels must list exactly 32 labels")
@@ -192,7 +195,8 @@ def _json_type(value) -> str:
 def _merge(base: dict, override: dict, path: str, problems: list[str]) -> None:
     """Overlay ``override`` on ``base``; every value must have its default's JSON type.
 
-    An integer may stand for a number. ``weights`` maps names to numbers.
+    An integer may stand for a number, and a number must be finite (``json``
+    reads ``NaN`` and ``Infinity``). ``weights`` maps names to finite numbers.
     """
     for key, value in override.items():
         if key not in base:
@@ -201,10 +205,13 @@ def _merge(base: dict, override: dict, path: str, problems: list[str]) -> None:
         want, got = _json_type(base[key]), _json_type(value)
         if want != got and (want, got) != ("number", "integer"):
             problems.append(f"{path}{key} must be a JSON {want}, got {got}")
+        elif got == "number" and not math.isfinite(value):
+            problems.append(f"{path}{key} must be a finite number, got {value}")
         elif key == "weights":
-            bad = sorted(k for k, v in value.items() if _json_type(v) not in ("integer", "number"))
+            bad = sorted(k for k, v in value.items()
+                         if _json_type(v) not in ("integer", "number") or not math.isfinite(v))
             if bad:
-                problems.append(f"{path}{key} values must be numbers, got {bad}")
+                problems.append(f"{path}{key} values must be finite numbers, got {bad}")
             else:
                 base[key] = value
         elif got == "object":

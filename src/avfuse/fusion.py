@@ -520,6 +520,7 @@ def save_model(path: str | Path, model, normalizer: TokenNormalizer) -> None:
     state.update(normalizer.state())
     kind = [cls for cls, _ in MODEL_KINDS].index(type(model))
     state["meta.arch"] = np.array([[kind, *astuple(model.config)]], dtype=np.float64)
+    tz.reject_nonfinite(path, state)
     tz.save_tensors(path, state)
 
 

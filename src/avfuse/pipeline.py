@@ -1,13 +1,13 @@
-"""Staged runtime: bounded queues, event log, artifacts, training.
+"""Staged runtime: a bounded ingest queue, event log, artifacts, training.
 
 Windows flow through ingest -> analyze -> detect -> tokenize -> fuse ->
 score -> sink. One runner, :func:`run_stages`, drives every stage chain,
-training included, on the calling thread: each stage drains its bounded
-drop-oldest queue into the next before the next stage starts. A queue that
-overflows sheds its oldest window; every drop is counted and
-``ingested == processed + dropped`` holds exactly per stage. The first
-stage that raises fails the run with an error naming the window and the
-stage.
+training included, on the calling thread: ingest fills one bounded
+drop-oldest queue, and each stage then runs over every window the queue
+released before the next stage starts. An overflowing queue sheds its
+oldest window; every drop is counted and ``ingested == processed +
+dropped`` holds exactly. The first stage that raises fails the run with an
+error naming the window and the stage.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import time
 from collections import deque
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -321,20 +321,15 @@ def emit_event_log(records: list[EventRecord], path: str | Path) -> Path:
     return path
 
 
-@dataclass
-class StageMetrics:
-    processed: int = 0
-    latencies_ms: list = field(default_factory=list)
-
-    def percentiles(self) -> dict:
-        if not self.latencies_ms:
-            return {"p50_ms": 0.0, "p95_ms": 0.0, "max_ms": 0.0}
-        values = np.array(self.latencies_ms)
-        return {
-            "p50_ms": float(np.percentile(values, 50)),
-            "p95_ms": float(np.percentile(values, 95)),
-            "max_ms": float(values.max()),
-        }
+def percentiles(latencies_ms: list[float]) -> dict:
+    if not latencies_ms:
+        return {"p50_ms": 0.0, "p95_ms": 0.0, "max_ms": 0.0}
+    values = np.array(latencies_ms)
+    return {
+        "p50_ms": float(np.percentile(values, 50)),
+        "p95_ms": float(np.percentile(values, 95)),
+        "max_ms": float(values.max()),
+    }
 
 
 @dataclass
@@ -393,31 +388,30 @@ def open_capture(capture_dir: str | Path) -> tuple[Scenario, AudioClip, list[Win
 
 
 def run_stages(stages: list, jobs: list[WindowJob],
-               capacity: int) -> tuple[list[StageQueue], dict[str, StageMetrics]]:
-    """Push ``jobs`` through ``(name, fn)`` stages over bounded queues.
+               capacity: int) -> tuple[list, StageQueue, dict[str, list[float]]]:
+    """Push ``jobs`` through ``(name, fn)`` stages behind one bounded queue.
 
-    Stage ``i`` drains ``queues[i]`` into ``queues[i + 1]`` before stage
-    ``i + 1`` starts, all on the calling thread, so a queue sheds only what
-    overflows its ``capacity``. The first stage that raises is re-raised as
-    an :class:`AvFuseError` naming the window and the stage.
+    Ingest puts every job into one drop-oldest queue of ``capacity``, which
+    sheds what overflows; then each stage runs over every window the queue
+    released, in order, before the next stage starts, all on the calling
+    thread. Returns the last stage's outputs, the queue and each stage's
+    latencies in ms. The first stage that raises is re-raised as an
+    :class:`AvFuseError` naming the window and the stage.
     """
-    queues = [StageQueue(capacity) for _ in stages]
-    metrics = {name: StageMetrics() for name, _ in stages}
+    queue = StageQueue(capacity)
     for job in jobs:
-        queues[0].put(job)
-    for i, (name, fn) in enumerate(stages):
-        q_out = queues[i + 1] if i + 1 < len(stages) else None
-        while (job := queues[i].get()) is not None:
+        queue.put(job)
+    batch = list(iter(queue.get, None))
+    latencies: dict[str, list[float]] = {name: [] for name, _ in stages}
+    for name, fn in stages:
+        for i, job in enumerate(batch):
             start = time.perf_counter()
             try:
-                out = fn(job)
+                batch[i] = fn(job)
             except Exception as exc:
                 raise AvFuseError(f"window {job.index}: {name} stage failed: {exc}") from exc
-            metrics[name].latencies_ms.append((time.perf_counter() - start) * 1e3)
-            metrics[name].processed += 1
-            if q_out is not None:
-                q_out.put(out)
-    return queues, metrics
+            latencies[name].append((time.perf_counter() - start) * 1e3)
+    return batch, queue, latencies
 
 
 def run_pipeline(
@@ -433,11 +427,12 @@ def run_pipeline(
 ) -> RunSummary:
     """Run the staged pipeline over a capture directory.
 
-    ``queue_capacity`` overrides ``runtime.queue_capacity`` and is
-    validated with the rest of the config before any file loads.
-    ``deterministic`` sizes queues to hold every window so nothing drops;
-    with drops impossible the event log and artifacts are byte-identical
-    across runs. A stage that raises fails the run with an
+    ``queue_capacity`` overrides ``runtime.queue_capacity``, the capacity
+    of the one ingest queue, and is validated with the rest of the config
+    before any file loads. Only that queue can drop, so every other stage
+    reports 0 dropped. ``deterministic`` sizes it to hold every window so
+    nothing drops; with drops impossible the event log and artifacts are
+    byte-identical across runs. A stage that raises fails the run with an
     :class:`AvFuseError` naming the window and the stage (exit code 2).
     """
     if queue_capacity is not None:
@@ -467,24 +462,24 @@ def run_pipeline(
     capacity = config.runtime.queue_capacity
     if deterministic:
         capacity = max(capacity, len(jobs) + 1)
-    queues, metrics = run_stages(stages, jobs, capacity)
-    drops = {name: queue.dropped for (name, _), queue in zip(stages, queues)}
+    _, queue, latencies = run_stages(stages, jobs, capacity)
+    drops = dict.fromkeys(latencies, 0) | {"analyze": queue.dropped}
 
     for name, _ in stages:
         sink.records.append(EventRecord(jobs[-1].timestamp, len(jobs) - 1, "metric", {
             "stage": name,
-            "processed": metrics[name].processed,
+            "processed": len(latencies[name]),
             "dropped": drops[name],
         }))
 
     log_path = emit_event_log(sink.records, out_dir / "events.jsonl")
     summary = RunSummary(
-        windows_ingested=queues[0].pushed,
+        windows_ingested=queue.pushed,
         windows_processed=sink.windows_processed,
         anomalies_triggered=sink.anomalies_triggered,
         drops=drops,
-        stage_latency={name: metrics[name].percentiles() for name, _ in stages},
-        accounting_ok=all(q.pushed == q.popped + q.dropped for q in queues),
+        stage_latency={name: percentiles(latencies[name]) for name, _ in stages},
+        accounting_ok=queue.pushed == sink.windows_processed + queue.dropped,
         artifact_errors=sink.artifact_errors,
         log_path=str(log_path),
         deterministic=deterministic,
@@ -503,10 +498,8 @@ def build_training_sequences(capture_dir: str | Path, config: Config, seed: int 
     """
     scenario, clip, jobs = open_capture(capture_dir)
     context = PipelineContext(config, scenario, clip.sample_rate, seed=seed)
-    tokens: list[WindowJob] = []
-    run_stages([("analyze", context.analyze), ("detect", context.detect),
-                ("tokenize", context.tokenize), ("collect", tokens.append)],
-               jobs, capacity=len(jobs) + 1)
+    tokens, _, _ = run_stages([("analyze", context.analyze), ("detect", context.detect),
+                               ("tokenize", context.tokenize)], jobs, capacity=len(jobs) + 1)
 
     chunk = config.fusion.burst_tokens
     sequences = []

@@ -620,6 +620,13 @@ def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
     return out
 
 
+def reject_nonfinite(path: str | Path, state: dict[str, np.ndarray]) -> None:
+    """Refuse to write ``state`` to ``path`` if a tensor holds a value no loader accepts."""
+    for name, array in state.items():
+        if not np.all(np.isfinite(array)):
+            raise InvalidInput(f"{path}: refusing to write {name}: tensor data must be finite")
+
+
 def reject_extra(state: dict[str, np.ndarray], params, records=()) -> None:
     """Every name in ``state`` must be one of ``params`` or a record the caller reads itself."""
     extra = sorted(set(state) - set(params) - set(records))

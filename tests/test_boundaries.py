@@ -24,7 +24,13 @@ def canonical_capture(tmp_path_factory):
     ({"anomaly": {"weights": {"audio": "1"}}}, "anomaly.weights"),
     ({"tracker": 5}, "tracker"),
     ({"detector": {"dual": 1}}, "detector.dual"),
-], ids=["string steps", "list weights", "string weight", "number section", "integer flag"])
+    ({"anomaly": {"weights": {"audio": float("inf")}}}, "anomaly.weights"),
+    ({"fusion": {"learning_rate": float("inf")}}, "fusion.learning_rate"),
+    ({"vision": {"flow_alpha": float("inf")}}, "vision.flow_alpha"),
+    ({"anomaly": {"autoencoder_learning_rate": -0.5}}, "anomaly.autoencoder_learning_rate"),
+], ids=["string steps", "list weights", "string weight", "number section", "integer flag",
+        "infinite weight", "infinite learning rate", "infinite flow alpha",
+        "negative autoencoder learning rate"])
 def test_wrong_json_type_is_a_config_error(tmp_path, capsys, override, key):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(override))

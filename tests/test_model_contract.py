@@ -232,6 +232,28 @@ class TestFileBoundary:
             build()
 
 
+class TestWritersRefuseNonFinite:
+    """A writer refuses, before writing anything, a tensor its loader would reject."""
+
+    def test_save_model(self, tmp_path):
+        model = BasicFusionModel()
+        model.store.params["proj.visual.weight"].data[0, 0] = np.nan
+        path = tmp_path / "fusion.bin"
+        with pytest.raises(InvalidInput, match="proj.visual.weight") as err:
+            save_model(path, model, TokenNormalizer.identity(3, 4))
+        assert str(path) in str(err.value)
+        assert not path.exists()
+
+    def test_save_autoencoder(self, tmp_path):
+        autoencoder = DenseAutoencoder()
+        autoencoder.training_mse = float("inf")
+        path = tmp_path / "autoencoder.bin"
+        with pytest.raises(InvalidInput, match="meta.training_mse") as err:
+            save_autoencoder(path, autoencoder)
+        assert str(path) in str(err.value)
+        assert not path.exists()
+
+
 @pytest.fixture(scope="module")
 def loadable(tmp_path_factory):
     """A basic, a small advanced and an autoencoder file, each saved from a non-default seed."""

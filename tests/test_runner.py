@@ -128,6 +128,25 @@ class TestStageFailure:
         assert train_on_scenario(canonical_capture, config, tmp_path / "models")["sequences"] == 1
 
 
+class TestOneIngestQueue:
+    def test_stages_run_in_order_over_what_the_ingest_queue_released(self):
+        calls = []
+
+        def stage(name):
+            def fn(job):
+                calls.append((name, job.index))
+                return SimpleNamespace(index=job.index, by=name)
+            return name, fn
+
+        jobs = [SimpleNamespace(index=i) for i in range(5)]
+        outputs, queue, latencies = run_stages([stage("a"), stage("b"), stage("c")], jobs,
+                                               capacity=3)
+        assert calls == [(name, i) for name in "abc" for i in (2, 3, 4)]
+        assert [(job.index, job.by) for job in outputs] == [(2, "c"), (3, "c"), (4, "c")]
+        assert queue.dropped == 2
+        assert {name: len(ms) for name, ms in latencies.items()} == {"a": 3, "b": 3, "c": 3}
+
+
 class TestDropAccounting:
     @pytest.fixture(scope="class")
     def injection_capture(self, tmp_path_factory):
