@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .errors import InvalidConfig, InvalidInput, NotTrained
+from .errors import AvFuseError, InvalidConfig, InvalidInput, NotTrained
 from .tensor import Tensor
 
 Z_CAP = 6.0
@@ -121,17 +121,23 @@ def autoencoder_train(
     learning_rate: float = 0.1,
     seed: int = 0,
 ) -> DenseAutoencoder:
-    """Fit the reconstruction model on normal frames by full-batch descent."""
+    """Fit the reconstruction model on normal frames by full-batch descent.
+
+    Raises :class:`AvFuseError` at the first step whose loss is not finite.
+    """
     if len(frames) < 32:
         raise InvalidInput(f"need at least 32 training frames, got {len(frames)}")
     data = np.stack([frame_to_vector(f) for f in frames])
     model = DenseAutoencoder(seed=seed)
     x = Tensor(data)
     inv_n = 1.0 / data.size
-    for _ in range(steps):
+    for step in range(1, steps + 1):
         diff = tz.sub(model._forward(x), x)
         loss = tz.scale(tz.sum_all(tz.mul(diff, diff)), inv_n)
-        tz.sgd_step(model.params.values(), loss, learning_rate)
+        value = tz.sgd_step(model.params.values(), loss, learning_rate)
+        if not np.isfinite(value):
+            raise AvFuseError(f"autoencoder diverged: loss {value} at step {step}; "
+                              "lower anomaly.autoencoder_learning_rate")
     recon = model._forward(Tensor(data)).data
     model.training_mse = float(np.mean((recon - data) ** 2))
     return model

@@ -146,6 +146,8 @@ def main(argv=None) -> int:
                                              ("--deterministic", args.deterministic)) if given]
         if args.command != "run" and run_only:
             raise InvalidConfig([f"{flag} applies only to run" for flag in run_only])
+        if args.seed < 0:
+            raise InvalidConfig([f"--seed must be non-negative, got {args.seed}"])
         config = load_config(args.config)
         return COMMANDS[args.command](args, config)
     except InvalidConfig as exc:

@@ -150,8 +150,10 @@ class Config:
         check(f.learning_rate >= 0.0, "fusion.learning_rate must be non-negative")
         check(f.steps >= 1, "fusion.steps must be >= 1")
         check(f.burst_tokens >= 1, "fusion.burst_tokens must be >= 1")
-        check(f.basic_hidden >= f.basic_heads and f.basic_hidden % f.basic_heads == 0,
-              "fusion.basic_hidden must be a positive multiple of basic_heads")
+        check(f.seed >= 0, "fusion.seed must be non-negative")
+        check(f.basic_heads >= 1 and f.basic_hidden >= f.basic_heads
+              and f.basic_hidden % f.basic_heads == 0,
+              "fusion.basic_heads must be >= 1 and divide fusion.basic_hidden")
         check(f.advanced_heads >= 1 and 256 % f.advanced_heads == 0,
               "fusion.advanced_heads must divide 256, the fused audio embedding width")
         check(f.basic_layers >= 1 and f.advanced_layers >= 1, "fusion layer counts must be >= 1")

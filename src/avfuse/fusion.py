@@ -9,14 +9,18 @@ cross-attention (visual queries over audio keys/values and vice versa) with
 per-stream feed-forward blocks across 4 layers of 8 heads, ending in motion
 and 32-way event heads.
 
-Both models keep one contract, so callers never ask which one they hold:
+Both models keep one contract, written once in :class:`FusionModel`, so
+callers never ask which one they hold:
 
 - ``config.visual_features`` / ``config.audio_features``: how many leading
-  columns of :func:`visual_matrix` / :func:`audio_matrix` the model reads;
+  values of :func:`visual_row` / :func:`audio_row` the model reads;
 - ``ensemble``: the :class:`AudioEnsembleFusion` whose ``embed`` gives the
   per-window fused audio vector, or ``None`` when the model reads none;
-- ``predict(visual, audio, fused=None)``: flat ``(motion_logits,
-  event_logits)``, the second ``None`` for a model without an event head;
+- ``forward(visual, audio, fused=None, trace=None)``: the ``(motion,
+  event)`` logit tensors, one row per sequence, ``event`` ``None`` for a
+  model without an event head; the only method a model writes itself;
+- ``predict(visual, audio, fused=None)``: those logits flat, recording no
+  graph;
 - ``loss(*examples)``: the mean training loss of equal-length
   :class:`LabeledSequence` examples, one graph for all of them.
 
@@ -24,15 +28,14 @@ Only :func:`build_model` and the save/load kind table name a model kind.
 Every weight, the ensemble's included, lives in a :class:`tensor.ParamStore`
 and :func:`train_step` updates them through :func:`tensor.sgd_step`.
 
-Each model has one forward over the blocks its store returned. It takes
+``forward`` runs over the blocks the model's store returned. It takes
 (n, f) token arrays for one sequence or (B, n, f) arrays for a batch of B,
-which it stacks as B row blocks of n rows (see :mod:`tensor`) and returns
-one row of logits per sequence. Both run one :func:`_encoder_layer`, the
-basic model within its stream, the advanced model across streams. Every
-attention block is a single :func:`tensor.attention` call over all its
-heads and row blocks, in training and at inference alike; ``predict``
-runs that forward at B = 1 inside :func:`tensor.inference`, so it records
-no graph.
+which it stacks as B row blocks of n rows (see :mod:`tensor`). Both models
+run one :func:`_encoder_layer`, the basic model within its stream, the
+advanced model across streams. Every attention block is a single
+:func:`tensor.attention` call over all its heads and row blocks, in
+training and at inference alike; ``predict`` runs the forward inside
+:func:`tensor.inference`, so it records no graph.
 """
 
 from __future__ import annotations
@@ -44,12 +47,11 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as tz
-from .audio_dsp import SpectralStats, mel_spectrogram, spectral_stats, stft
+from .audio_dsp import SpectralStats, mel_spectrogram, stft
 from .config import FusionConfig
 from .detect_track import Detection
 from .errors import InvalidInput
 from .tensor import Tensor
-from .timebase import AlignedWindow
 from .vision_dsp import FlowStats, WaveletEnergy
 
 EMBED_DIM = 768
@@ -57,61 +59,24 @@ FUSED_DIM = 256
 ENSEMBLE_MODELS = ("general", "speech", "scene")
 
 
-@dataclass(frozen=True)
-class VisualToken:
-    bbox_count: int
-    mean_confidence: float
-    wavelet_energy: float
-    flow_mean_magnitude: float = 0.0
+FLOW_COLUMN = 3  # the flow magnitude's index in a visual_row
 
 
-def build_visual_tokens(
-    detections_per_frame: list[list[Detection]],
-    wavelet_energies: list[WaveletEnergy],
-    flow_stats: list[FlowStats] | None = None,
-) -> list[VisualToken]:
-    """One token per frame from detection counts, confidence, and texture.
+def visual_row(detections: tuple[Detection, ...], wavelet: WaveletEnergy,
+               flow: FlowStats) -> np.ndarray:
+    """One window's (bbox count, mean confidence, wavelet energy, flow magnitude).
 
-    The wavelet feature is the sum of all seven subband energies. Flow
-    statistics are optional; without them the flow feature stays 0 (the
-    basic model never reads it).
+    The wavelet feature is the sum of all seven subband energies.
     """
-    if len(detections_per_frame) != len(wavelet_energies):
-        raise InvalidInput(
-            f"{len(detections_per_frame)} detection lists vs {len(wavelet_energies)} energies"
-        )
-    if flow_stats is not None and len(flow_stats) != len(wavelet_energies):
-        raise InvalidInput(
-            f"{len(flow_stats)} flow stats vs {len(wavelet_energies)} energies"
-        )
-    tokens = []
-    for i, (dets, energy) in enumerate(zip(detections_per_frame, wavelet_energies)):
-        mean_conf = float(np.mean([d.confidence for d in dets])) if dets else 0.0
-        flow_mag = flow_stats[i].mean_magnitude if flow_stats is not None else 0.0
-        tokens.append(VisualToken(len(dets), mean_conf, energy.total, flow_mag))
-    return tokens
+    confidence = float(np.mean([d.confidence for d in detections])) if detections else 0.0
+    return np.array([len(detections), confidence, wavelet.total, flow.mean_magnitude],
+                    dtype=np.float64)
 
 
-def build_audio_tokens(windows: list[AlignedWindow], sample_rate: int) -> list[SpectralStats]:
-    """One token, the spectral statistics, per aligned window."""
-    if not windows:
-        raise InvalidInput("no aligned windows to tokenize")
-    return [spectral_stats(window.samples, sample_rate) for window in windows]
-
-
-FLOW_COLUMN = 3  # the flow magnitude's column in visual_matrix rows
-
-
-def visual_matrix(tokens: list[VisualToken]) -> np.ndarray:
-    """Rows of (bbox count, mean confidence, wavelet energy, flow magnitude)."""
-    return np.asarray([(t.bbox_count, t.mean_confidence, t.wavelet_energy, t.flow_mean_magnitude)
-                       for t in tokens], dtype=np.float64)
-
-
-def audio_matrix(tokens: list[SpectralStats]) -> np.ndarray:
-    """Rows of (zcr, centroid, bandwidth, rolloff, energy)."""
-    return np.asarray([(t.zcr, t.centroid_hz, t.bandwidth_hz, t.rolloff_hz, t.energy)
-                       for t in tokens], dtype=np.float64)
+def audio_row(stats: SpectralStats) -> np.ndarray:
+    """One window's (zcr, centroid, bandwidth, rolloff, energy)."""
+    return np.array([stats.zcr, stats.centroid_hz, stats.bandwidth_hz, stats.rolloff_hz,
+                     stats.energy], dtype=np.float64)
 
 
 class TokenNormalizer:
@@ -220,11 +185,6 @@ class AudioEnsembleFusion:
         return self.fuse(*stub_audio_embeddings(samples, sample_rate))
 
 
-def fuse_audio_ensemble(e1, e2, e3, fusion: AudioEnsembleFusion | None = None, seed: int = 0) -> np.ndarray:
-    """Module-level convenience around :class:`AudioEnsembleFusion`."""
-    return (fusion or AudioEnsembleFusion(seed=seed)).fuse(e1, e2, e3)
-
-
 def _token_arrays(config, visual, audio) -> tuple[Tensor, Tensor, int]:
     """Both token arrays as row-block tensors, checked against the model's widths, and B.
 
@@ -288,6 +248,47 @@ def _check_heads(config) -> None:
         raise InvalidInput(f"{config.heads} heads do not split hidden dim {config.hidden}")
 
 
+def _cross_entropy(kind: str, logits: Tensor, labels: list) -> Tensor:
+    """Mean cross-entropy of ``logits`` rows against labels, each checked against the width."""
+    classes = logits.shape[1]
+    for label in labels:
+        if label is None or not 0 <= label < classes:
+            raise InvalidInput(f"{kind} label {label} outside [0, {classes})")
+    return tz.cross_entropy(logits, labels)
+
+
+class FusionModel:
+    """The contract both models share; each defines only ``__init__`` and ``forward``."""
+
+    ensemble: AudioEnsembleFusion | None = None
+
+    def predict(self, visual: np.ndarray, audio: np.ndarray,
+                fused=None) -> tuple[np.ndarray, np.ndarray | None]:
+        """Flat motion and event logits, the second ``None`` without an event head."""
+        with tz.inference():
+            motion, event = self.forward(visual, audio, fused)
+        return motion.data.reshape(-1), None if event is None else event.data.reshape(-1)
+
+    def loss(self, *examples: "LabeledSequence") -> Tensor:
+        """Mean motion (plus mean event) cross-entropy of equal-length labeled sequences.
+
+        ``fused`` is read only by a model with an ensemble; a missing one reads as zeros.
+        """
+        fused = None
+        if self.ensemble is not None:
+            fused = _stack("fused", [np.zeros(FUSED_DIM) if e.fused is None else e.fused
+                                     for e in examples])
+        motion, event = self.forward(_stack("visual", [e.visual for e in examples]),
+                                     _stack("audio", [e.audio for e in examples]), fused)
+        loss = _cross_entropy("motion", motion, [e.motion_label for e in examples])
+        if event is None:
+            return loss
+        return tz.add(loss, _cross_entropy("event", event, [e.event_label for e in examples]))
+
+    def parameters(self) -> list[Tensor]:
+        return list(self.store.params.values())
+
+
 @dataclass(frozen=True)
 class BasicFusionConfig:
     hidden: int = 128
@@ -299,7 +300,7 @@ class BasicFusionConfig:
     motion_classes: int = 2
 
 
-class BasicFusionModel:
+class BasicFusionModel(FusionModel):
     """Shared-stream encoder for binary motion classification.
 
     No positional embeddings: attention plus mean pooling makes predictions
@@ -318,35 +319,18 @@ class BasicFusionModel:
                         store.layer_norm(f"enc{layer}.ln2", c.hidden))
                        for layer in range(c.layers)]
         self.head_motion = store.linear("head.motion", c.hidden, c.motion_classes)
-        self.ensemble = None
 
-    def forward(self, visual: np.ndarray, audio: np.ndarray, trace: list | None = None) -> Tensor:
-        """Motion logits (B x 2), one row per token sequence."""
+    def forward(self, visual: np.ndarray, audio: np.ndarray, fused=None,
+                trace: list | None = None) -> tuple[Tensor, None]:
+        """Motion logits (B x 2), one row per token sequence, and no event logits.
+
+        ``fused`` is not read.
+        """
         visual, audio, blocks = _token_arrays(self.config, visual, audio)
         x = tz.add(tz.linear(visual, self.proj_visual), tz.linear(audio, self.proj_audio))
         for block in self.layers:
             x = _encoder_layer(block, x, x, self.config.heads, blocks, trace)
-        return tz.linear(tz.mean(x, 0, blocks), self.head_motion)
-
-    def predict(self, visual: np.ndarray, audio: np.ndarray,
-                fused=None) -> tuple[np.ndarray, None]:
-        """Flat motion logits and no event logits; ``fused`` is not read."""
-        with tz.inference():
-            return self.forward(visual, audio).data.reshape(-1), None
-
-    def predict_motion(self, visual: np.ndarray, audio: np.ndarray) -> int:
-        return int(np.argmax(self.predict(visual, audio)[0]))
-
-    def loss(self, *examples: "LabeledSequence") -> Tensor:
-        """Mean motion cross-entropy of equal-length labeled sequences."""
-        for example in examples:
-            _check_label("motion", example.motion_label, self.config.motion_classes)
-        logits = self.forward(_stack("visual", [e.visual for e in examples]),
-                              _stack("audio", [e.audio for e in examples]))
-        return tz.cross_entropy(logits, [example.motion_label for example in examples])
-
-    def parameters(self) -> list[Tensor]:
-        return list(self.store.params.values())
+        return tz.linear(tz.mean(x, 0, blocks), self.head_motion), None
 
 
 @dataclass(frozen=True)
@@ -362,13 +346,7 @@ class AdvancedFusionConfig:
     max_tokens: int = 64
 
 
-@dataclass(frozen=True)
-class AdvancedOutput:
-    motion_logits: np.ndarray  # (2,)
-    event_logits: np.ndarray  # (32,)
-
-
-class AdvancedFusionModel:
+class AdvancedFusionModel(FusionModel):
     """Bidirectional cross-attention fusion with motion and event heads.
 
     Each layer attends visual queries over audio keys/values and audio
@@ -404,8 +382,8 @@ class AdvancedFusionModel:
         self.ensemble = AudioEnsembleFusion(seed=seed + 1)
         store.params.update(self.ensemble.store.params)
 
-    def forward_graph(self, visual: np.ndarray, audio: np.ndarray, fused=None,
-                      trace: list | None = None) -> tuple[Tensor, Tensor]:
+    def forward(self, visual: np.ndarray, audio: np.ndarray, fused=None,
+                trace: list | None = None) -> tuple[Tensor, Tensor]:
         """Motion and event logit tensors, one row per token sequence.
 
         ``fused`` holds one FUSED_DIM vector per sequence; ``None`` reads as zeros.
@@ -434,36 +412,6 @@ class AdvancedFusionModel:
         pooled = tz.concat([tz.mean(v, 0, blocks), tz.mean(a, 0, blocks)])
         return tz.linear(pooled, self.head_motion), tz.linear(pooled, self.head_event)
 
-    def forward(self, visual: np.ndarray, audio: np.ndarray, fused,
-                trace: list | None = None) -> AdvancedOutput:
-        """The logits of :meth:`forward_graph`, flat, one sequence's after another."""
-        motion, event = self.forward_graph(visual, audio, fused, trace)
-        return AdvancedOutput(motion.data.reshape(-1).copy(), event.data.reshape(-1).copy())
-
-    def predict(self, visual: np.ndarray, audio: np.ndarray,
-                fused=None) -> tuple[np.ndarray, np.ndarray]:
-        """Flat motion and event logits."""
-        with tz.inference():
-            out = self.forward(visual, audio, fused)
-        return out.motion_logits, out.event_logits
-
-    def loss(self, *examples: "LabeledSequence") -> Tensor:
-        """Mean motion plus mean event cross-entropy of equal-length labeled sequences."""
-        c = self.config
-        for example in examples:
-            _check_label("motion", example.motion_label, c.motion_classes)
-            _check_label("event", example.event_label, c.event_classes)
-        motion, event = self.forward_graph(
-            _stack("visual", [e.visual for e in examples]),
-            _stack("audio", [e.audio for e in examples]),
-            _stack("fused", [np.zeros(FUSED_DIM) if e.fused is None else e.fused
-                             for e in examples]))
-        return tz.add(tz.cross_entropy(motion, [e.motion_label for e in examples]),
-                      tz.cross_entropy(event, [e.event_label for e in examples]))
-
-    def parameters(self) -> list[Tensor]:
-        return list(self.store.params.values())
-
 
 @dataclass(frozen=True)
 class LabeledSequence:
@@ -479,12 +427,7 @@ class LabeledSequence:
     event_label: int | None = None
 
 
-def _check_label(kind: str, label, classes: int) -> None:
-    if label is None or not 0 <= label < classes:
-        raise InvalidInput(f"{kind} label {label} outside [0, {classes})")
-
-
-def build_model(f: FusionConfig) -> BasicFusionModel | AdvancedFusionModel:
+def build_model(f: FusionConfig) -> FusionModel:
     """Fresh seeded model of the kind and dimensions ``f`` asks for."""
     if f.model == "advanced":
         return AdvancedFusionModel(AdvancedFusionConfig(

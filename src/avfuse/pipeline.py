@@ -41,13 +41,12 @@ from .fusion import (
     FLOW_COLUMN,
     LabeledSequence,
     TokenNormalizer,
-    audio_matrix,
+    audio_row,
     build_model,
-    build_visual_tokens,
     load_model,
     save_model,
     train_step,
-    visual_matrix,
+    visual_row,
 )
 from .io import load_capture, write_pgm, write_wav
 from .scenario import Scenario
@@ -189,11 +188,11 @@ class PipelineContext:
         return replace(job, detections=tuple(merged), tracks=tracks)
 
     def tokenize(self, job: WindowJob) -> WindowJob:
-        (visual_token,) = build_visual_tokens([list(job.detections)], [job.wavelet], [job.flow])
         c = self.model.config
-        visual_row = self.normalizer.normalize_visual(visual_matrix([visual_token])[0, :c.visual_features])
-        audio_row = self.normalizer.normalize_audio(audio_matrix([job.stats])[0, :c.audio_features])
-        return replace(job, visual_row=visual_row, audio_row=audio_row)
+        visual = visual_row(job.detections, job.wavelet, job.flow)[:c.visual_features]
+        audio = audio_row(job.stats)[:c.audio_features]
+        return replace(job, visual_row=self.normalizer.normalize_visual(visual),
+                       audio_row=self.normalizer.normalize_audio(audio))
 
     def fuse(self, job: WindowJob) -> WindowJob:
         self._visual_rows.append(job.visual_row)
@@ -524,7 +523,9 @@ def train_on_scenario(capture_dir: str | Path, config: Config, out_dir: str | Pa
 
     Raw (unnormalized) token sequences are refit through a fresh
     normalizer, the configured model is trained to convergence or
-    ``fusion.steps``, and both artifacts land in ``out_dir``.
+    ``fusion.steps``, and both artifacts land in ``out_dir``. A non-finite
+    loss in either trainer raises :class:`AvFuseError` before any file is
+    written.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -540,20 +541,26 @@ def train_on_scenario(capture_dir: str | Path, config: Config, out_dir: str | Pa
     accuracy = 0.0
     for step in range(1, config.fusion.steps + 1):
         loss = train_step(model, batch, config.fusion.learning_rate)
+        if not np.isfinite(loss):
+            raise AvFuseError(f"fusion model diverged: loss {loss} at step {step}; "
+                              "lower fusion.learning_rate")
         if step % 10 == 0 or step == config.fusion.steps:
             accuracy = _motion_accuracy(model, batch)
             if accuracy >= 0.98:
                 break
 
-    model_path = out_dir / "fusion.bin"
-    save_model(model_path, model, normalizer)
-
-    ae_path = None
+    autoencoder = None
     if len(normal_frames) >= 32:
         autoencoder = autoencoder_train(
             normal_frames, steps=config.anomaly.autoencoder_steps,
             learning_rate=config.anomaly.autoencoder_learning_rate, seed=seed,
         )
+
+    # Written only once both have trained, so a diverged trainer leaves no file.
+    model_path = out_dir / "fusion.bin"
+    save_model(model_path, model, normalizer)
+    ae_path = None
+    if autoencoder is not None:
         ae_path = out_dir / "autoencoder.bin"
         anomaly_mod.save_autoencoder(ae_path, autoencoder)
 

@@ -85,6 +85,8 @@ class Scenario:
             problems.append("fps must be positive")
         if self.sample_rate <= 0:
             problems.append("sample_rate must be positive")
+        if self.seed < 0:
+            problems.append("seed must be non-negative")
         if self.n_frames < 1:
             problems.append("scenario must render at least one frame")
         if self.width % 4 or self.height % 4 or self.width < 8 or self.height < 8:

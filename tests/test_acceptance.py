@@ -91,7 +91,7 @@ def test_criterion_1_gradient_correctness():
         aud = data.normal(size=(3, 4))
 
         def f_basic():
-            return tz.cross_entropy(model.forward(vis, aud), [seed % 2])
+            return tz.cross_entropy(model.forward(vis, aud)[0], [seed % 2])
 
         err = tz.finite_diff_check(f_basic, model.parameters(), max_coords_per_param=2, seed=seed)
         assert err < 1e-4, f"basic model: {err}"
@@ -103,7 +103,7 @@ def test_criterion_1_gradient_correctness():
     fused = data.normal(size=FUSED_DIM)
 
     def f_advanced():
-        motion, event = advanced.forward_graph(vis, aud, fused)
+        motion, event = advanced.forward(vis, aud, fused)
         return tz.add(tz.cross_entropy(motion, [1]), tz.cross_entropy(event, [5]))
 
     # Four stacked layers leave f with ~1e-12 evaluation noise, so the
@@ -250,7 +250,7 @@ def test_criterion_6_fusion_training():
         train_step(model, batch, 0.1)
         if step % 10 == 0:
             accuracy = np.mean(
-                [model.predict_motion(e.visual, e.audio) == e.motion_label for e in batch]
+                [np.argmax(model.predict(e.visual, e.audio)[0]) == e.motion_label for e in batch]
             )
             if accuracy >= 0.95:
                 steps_used = step

@@ -129,11 +129,11 @@ class TestBatchedLoss:
         visual = np.stack([e.visual for e in batch])
         audio = np.stack([e.audio for e in batch])
         if kind == "basic":
-            rows = model.forward(visual, audio).data
-            alone = [model.forward(e.visual, e.audio).data[0] for e in batch]
+            rows = model.forward(visual, audio)[0].data
+            alone = [model.forward(e.visual, e.audio)[0].data[0] for e in batch]
         else:
-            rows = model.forward_graph(visual, audio, np.stack([e.fused for e in batch]))[1].data
-            alone = [model.forward_graph(e.visual, e.audio, e.fused)[1].data[0] for e in batch]
+            rows = model.forward(visual, audio, np.stack([e.fused for e in batch]))[1].data
+            alone = [model.forward(e.visual, e.audio, e.fused)[1].data[0] for e in batch]
         np.testing.assert_allclose(rows, np.stack(alone), rtol=BATCH_RTOL, atol=1e-14)
 
     def test_sequences_of_different_length_are_rejected(self, kind):

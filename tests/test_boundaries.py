@@ -1,6 +1,7 @@
 """Malformed configs, captures and event logs exit cleanly, naming what is wrong."""
 
 import json
+import re
 import shutil
 
 import pytest
@@ -28,9 +29,13 @@ def canonical_capture(tmp_path_factory):
     ({"fusion": {"learning_rate": float("inf")}}, "fusion.learning_rate"),
     ({"vision": {"flow_alpha": float("inf")}}, "vision.flow_alpha"),
     ({"anomaly": {"autoencoder_learning_rate": -0.5}}, "anomaly.autoencoder_learning_rate"),
+    ({"fusion": {"seed": -1}}, "fusion.seed"),
+    ({"fusion": {"basic_heads": 0}}, "fusion.basic_heads"),
+    ({"fusion": {"basic_heads": -4}}, "fusion.basic_heads"),
 ], ids=["string steps", "list weights", "string weight", "number section", "integer flag",
         "infinite weight", "infinite learning rate", "infinite flow alpha",
-        "negative autoencoder learning rate"])
+        "negative autoencoder learning rate", "negative fusion seed", "zero basic heads",
+        "negative basic heads"])
 def test_wrong_json_type_is_a_config_error(tmp_path, capsys, override, key):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(override))
@@ -129,6 +134,45 @@ def test_run_only_flag_on_another_command_is_a_config_error(canonical_capture, t
     assert called == []
 
 
+@pytest.mark.parametrize("command", ["generate", "run", "train"])
+def test_negative_seed_flag_is_a_config_error_before_anything_runs(canonical_capture, tmp_path,
+                                                                  capsys, monkeypatch, command):
+    import avfuse.cli
+
+    called = []
+    monkeypatch.setattr(avfuse.cli, "COMMANDS", {command: lambda args, config: called.append(1)})
+    argv = [command] + ([str(canonical_capture)] if command != "generate" else [])
+    assert cli_main(["--out", str(tmp_path / "out"), "--seed", "-1", *argv]) == 1
+    assert capsys.readouterr().err == "config error: --seed must be non-negative, got -1\n"
+    assert called == []
+
+
+@pytest.fixture(scope="module")
+def training_capture(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("training")
+    generate_scenario(preset_scenario("training", seed=0), directory)
+    return directory
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"fusion": {"learning_rate": 1e6, "steps": 8}},
+     r"fusion model diverged: loss \S+ at step \d+; lower fusion\.learning_rate"),
+    ({"fusion": {"steps": 2}, "anomaly": {"autoencoder_learning_rate": 1e8,
+                                          "autoencoder_steps": 20}},
+     r"autoencoder diverged: loss \S+ at step \d+; lower anomaly\.autoencoder_learning_rate"),
+], ids=["fusion", "autoencoder"])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_diverging_trainer_exits_2_and_writes_no_model(training_capture, tmp_path, capsys,
+                                                      override, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(override))
+    out = tmp_path / "models"
+    assert cli_main(["--config", str(config), "--out", str(out), "train",
+                     str(training_capture)]) == 2
+    assert re.search(f"^error: {message}$", capsys.readouterr().err, re.MULTILINE)
+    assert not list(out.glob("*.bin"))
+
+
 def scenario_with(**changes):
     return json.dumps({**json.loads(json.dumps(CANONICAL)), **changes})
 
@@ -148,8 +192,10 @@ def without(record, *keys):
     (scenario_with(injections=[{"window_start": 1}]), "injections[0].window_end: missing"),
     (scenario_with(injections=[{"window_start": 1}]), "injections[0].kind: missing"),
     (scenario_with(fps=0), "fps must be positive"),
+    (scenario_with(seed=-3), "seed must be non-negative"),
 ], ids=["invalid json", "not an object", "string duration", "null fps", "object without start",
-        "unknown object key", "injection without window_end", "injection without kind", "zero fps"])
+        "unknown object key", "injection without window_end", "injection without kind", "zero fps",
+        "negative seed"])
 @pytest.mark.parametrize("command", ["generate", "run"])
 def test_malformed_scenario_exits_1_naming_file_and_key(canonical_capture, tmp_path, capsys,
                                                         command, text, key):

@@ -115,8 +115,8 @@ class TestBatchedAttention:
         model = AdvancedFusionModel(AdvancedFusionConfig(layers=2, heads=4, ffn_hidden=64))
         rng = np.random.default_rng(32)
         trace = []
-        model.forward_graph(rng.normal(size=(6, 4)), rng.normal(size=(6, 5)),
-                            rng.normal(size=FUSED_DIM), trace=trace)
+        model.forward(rng.normal(size=(6, 4)), rng.normal(size=(6, 5)),
+                      rng.normal(size=FUSED_DIM), trace=trace)
         assert len(trace) == 2 * 2 * 4
         assert all(w.shape == (6, 6) for w in trace)
 
@@ -173,7 +173,7 @@ class TestInferenceMode:
         visual, audio = rng.normal(size=(7, 3)), rng.normal(size=(7, 4))
         motion, event = model.predict(visual, audio)
         assert event is None
-        np.testing.assert_allclose(motion, model.forward(visual, audio).data.reshape(-1),
+        np.testing.assert_allclose(motion, model.forward(visual, audio)[0].data.reshape(-1),
                                    rtol=1e-12, atol=0)
 
     def test_advanced_predict_equals_forward_graph(self):
@@ -182,7 +182,7 @@ class TestInferenceMode:
         visual, audio = rng.normal(size=(6, 4)), rng.normal(size=(6, 5))
         fused = rng.normal(size=FUSED_DIM)
         motion, event = model.predict(visual, audio, fused)
-        graph_motion, graph_event = model.forward_graph(visual, audio, fused)
+        graph_motion, graph_event = model.forward(visual, audio, fused)
         np.testing.assert_allclose(motion, graph_motion.data.reshape(-1), rtol=1e-12, atol=0)
         np.testing.assert_allclose(event, graph_event.data.reshape(-1), rtol=1e-12, atol=0)
 

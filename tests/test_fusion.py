@@ -12,16 +12,15 @@ from avfuse.fusion import (
     BasicFusionModel,
     LabeledSequence,
     TokenNormalizer,
-    build_audio_tokens,
-    build_visual_tokens,
-    fuse_audio_ensemble,
+    audio_row,
     load_model,
     save_model,
     stub_audio_embeddings,
     train_step,
+    visual_row,
 )
-from avfuse.timebase import AlignedWindow
-from avfuse.vision_dsp import dwt2_energy
+from avfuse.audio_dsp import spectral_stats
+from avfuse.vision_dsp import FlowStats, dwt2_energy
 from oracles import ref_advanced_forward, ref_basic_forward
 
 SR = 16000
@@ -70,51 +69,38 @@ def make_separable_set(n_per_class=8, t=6, advanced=False, seed=42):
 
 class TestTokens:
     def test_frame_without_detections(self):
-        energies = [dwt2_energy(np.zeros((8, 8)))]
-        (token,) = build_visual_tokens([[]], energies)
-        assert token.bbox_count == 0
-        assert token.mean_confidence == 0.0
-        assert token.wavelet_energy == 0.0
+        row = visual_row([], dwt2_energy(np.zeros((8, 8))), FlowStats(0.0, 0.0, 0.0))
+        bbox_count, mean_confidence, wavelet_energy, _ = row
+        assert bbox_count == 0
+        assert mean_confidence == 0.0
+        assert wavelet_energy == 0.0
 
     def test_mean_confidence_of_two_detections(self):
         dets = [
             Detection(BBox(0, 0, 5, 5), 0.4, 0),
             Detection(BBox(10, 10, 15, 15), 0.6, 0),
         ]
-        energies = [dwt2_energy(np.ones((8, 8)))]
-        (token,) = build_visual_tokens([dets], energies)
-        assert token.mean_confidence == pytest.approx(0.5)
-        assert token.bbox_count == 2
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(InvalidInput):
-            build_visual_tokens([[], []], [dwt2_energy(np.zeros((8, 8)))])
+        row = visual_row(dets, dwt2_energy(np.ones((8, 8))), FlowStats(0.0, 0.0, 0.0))
+        bbox_count, mean_confidence, _, _ = row
+        assert mean_confidence == pytest.approx(0.5)
+        assert bbox_count == 2
 
     def test_zero_window_token_is_zeros(self):
-        window = AlignedWindow(0, np.zeros(1600), 0, 0)
-        (token,) = build_audio_tokens([window], SR)
-        assert (token.zcr, token.centroid_hz, token.bandwidth_hz, token.rolloff_hz, token.energy) == (
-            0.0, 0.0, 0.0, 0.0, 0.0,
-        )
+        token = audio_row(spectral_stats(np.zeros(1600), SR))
+        assert tuple(token) == (0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_sine_window_centroid(self):
         samples = np.sin(2 * np.pi * 1000 * np.arange(3200) / SR)
-        (token,) = build_audio_tokens([AlignedWindow(0, samples, 0, 0)], SR)
-        assert abs(token.centroid_hz - 1000.0) <= 10.0
-
-    def test_token_count_matches_window_count(self):
-        windows = [AlignedWindow(i, np.ones(100), 0, 0) for i in range(7)]
-        assert len(build_audio_tokens(windows, SR)) == 7
+        _, centroid_hz, _, _, _ = audio_row(spectral_stats(samples, SR))
+        assert abs(centroid_hz - 1000.0) <= 10.0
 
     def test_audio_tokens_invariant_under_positive_rescaling(self):
         rng = np.random.default_rng(6)
         samples = rng.uniform(-1, 1, size=1600)
-        base = build_audio_tokens([AlignedWindow(0, samples, 0, 0)], SR)[0]
-        scaled = build_audio_tokens([AlignedWindow(0, samples * 4.2, 0, 0)], SR)[0]
-        assert (scaled.zcr, scaled.centroid_hz, scaled.bandwidth_hz, scaled.rolloff_hz) == pytest.approx(
-            (base.zcr, base.centroid_hz, base.bandwidth_hz, base.rolloff_hz)
-        )
-        assert scaled.energy == pytest.approx(base.energy * 4.2 ** 2)
+        base = audio_row(spectral_stats(samples, SR))
+        scaled = audio_row(spectral_stats(samples * 4.2, SR))
+        assert tuple(scaled[:4]) == pytest.approx(tuple(base[:4]))
+        assert scaled[4] == pytest.approx(base[4] * 4.2 ** 2)
 
 
 class TestAudioEnsemble:
@@ -137,7 +123,7 @@ class TestAudioEnsemble:
         rng = np.random.default_rng(2)
         fusion = AudioEnsembleFusion(seed=7)
         e1, e2, e3 = (rng.normal(size=EMBED_DIM) for _ in range(3))
-        got = fuse_audio_ensemble(e1, e2, e3, fusion)
+        got = fusion.fuse(e1, e2, e3)
         stacked = np.concatenate([e1, e2, e3])
         expected = np.array([
             sum(stacked[i] * fusion.weight.data[i, j] for i in range(3 * EMBED_DIM))
@@ -174,16 +160,16 @@ class TestBasicModel:
         model = BasicFusionModel(seed=1)
         vis = rng.normal(size=(8, 3))
         aud = rng.normal(size=(8, 4))
-        base = model.forward(vis, aud).data
+        base = model.forward(vis, aud)[0].data
         perm = rng.permutation(8)
-        np.testing.assert_allclose(model.forward(vis[perm], aud[perm]).data, base, atol=1e-12)
+        np.testing.assert_allclose(model.forward(vis[perm], aud[perm])[0].data, base, atol=1e-12)
 
     def test_matches_scalar_reference_forward(self):
         rng = np.random.default_rng(5)
         model = BasicFusionModel(seed=2)
         vis = rng.normal(size=(6, 3))
         aud = rng.normal(size=(6, 4))
-        got = model.forward(vis, aud).data
+        got = model.forward(vis, aud)[0].data
         expected = ref_basic_forward(param_arrays(model), model.config, vis, aud)
         np.testing.assert_allclose(got, expected, atol=1e-8)
 
@@ -209,9 +195,9 @@ class TestAdvancedModel:
             tensor.data = np.zeros_like(tensor.data)
         model.store.params["head.motion.bias"].data = np.array([[0.3, -0.7]])
         model.store.params["head.event.bias"].data = np.arange(32.0).reshape(1, 32)
-        out = model.forward(np.zeros((4, 4)), np.zeros((4, 5)), np.zeros(FUSED_DIM))
-        np.testing.assert_array_equal(out.motion_logits, [0.3, -0.7])
-        np.testing.assert_array_equal(out.event_logits, np.arange(32.0))
+        motion, event = model.forward(np.zeros((4, 4)), np.zeros((4, 5)), np.zeros(FUSED_DIM))
+        np.testing.assert_array_equal(motion.data.reshape(-1), [0.3, -0.7])
+        np.testing.assert_array_equal(event.data.reshape(-1), np.arange(32.0))
 
     def test_single_token_cross_attention_weights_are_one(self):
         model = AdvancedFusionModel(seed=1)
@@ -227,10 +213,10 @@ class TestAdvancedModel:
         vis = rng.normal(size=(3, 4))
         aud = rng.normal(size=(3, 5))
         fused = rng.normal(size=FUSED_DIM)
-        out = model.forward(vis, aud, fused)
+        got_motion, got_event = model.forward(vis, aud, fused)
         motion, event = ref_advanced_forward(param_arrays(model), model.config, vis, aud, fused)
-        np.testing.assert_allclose(out.motion_logits, motion.reshape(-1), atol=1e-8)
-        np.testing.assert_allclose(out.event_logits, event.reshape(-1), atol=1e-8)
+        np.testing.assert_allclose(got_motion.data.reshape(-1), motion.reshape(-1), atol=1e-8)
+        np.testing.assert_allclose(got_event.data.reshape(-1), event.reshape(-1), atol=1e-8)
 
     def test_attention_rows_sum_to_one(self):
         rng = np.random.default_rng(10)
@@ -273,7 +259,7 @@ class TestTraining:
             train_step(model, batch, 0.1)
             if step % 10 == 0:
                 accuracy = np.mean(
-                    [model.predict_motion(e.visual, e.audio) == e.motion_label for e in batch]
+                    [np.argmax(model.predict(e.visual, e.audio)[0]) == e.motion_label for e in batch]
                 )
                 if accuracy >= 0.95:
                     break
@@ -297,7 +283,7 @@ class TestTraining:
         aud = rng.normal(size=(3, 4))
 
         def f():
-            return tz.cross_entropy(model.forward(vis, aud), [1])
+            return tz.cross_entropy(model.forward(vis, aud)[0], [1])
 
         err = tz.finite_diff_check(f, model.parameters(), max_coords_per_param=2, seed=0)
         assert err < 1e-4
@@ -313,7 +299,7 @@ class TestTraining:
         loaded, loaded_norm = load_model(path)
         vis = rng.normal(size=(5, 3))
         aud = rng.normal(size=(5, 4))
-        np.testing.assert_array_equal(loaded.forward(vis, aud).data, model.forward(vis, aud).data)
+        np.testing.assert_array_equal(loaded.forward(vis, aud)[0].data, model.forward(vis, aud)[0].data)
         np.testing.assert_array_equal(loaded_norm.visual_mean, norm.visual_mean)
 
     def test_advanced_model_save_load_round_trip(self, tmp_path):
@@ -328,5 +314,5 @@ class TestTraining:
         fused = rng.normal(size=FUSED_DIM)
         got = loaded.forward(vis, aud, fused)
         expected = model.forward(vis, aud, fused)
-        np.testing.assert_array_equal(got.motion_logits, expected.motion_logits)
-        np.testing.assert_array_equal(got.event_logits, expected.event_logits)
+        np.testing.assert_array_equal(got[0].data, expected[0].data)
+        np.testing.assert_array_equal(got[1].data, expected[1].data)

@@ -2,6 +2,7 @@
 
 import json
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,32 +31,76 @@ def tokens(rng, model, n=3):
     return rng.normal(size=(n, c.visual_features)), rng.normal(size=(n, c.audio_features))
 
 
-class TestPredictAndLoss:
-    def test_basic_predict_and_loss_match_forward(self):
-        rng = np.random.default_rng(0)
-        model = BasicFusionModel(seed=1)
-        vis, aud = tokens(rng, model)
-        motion, event = model.predict(vis, aud)
-        np.testing.assert_array_equal(motion, model.forward(vis, aud).data.reshape(-1))
-        assert event is None
-        assert model.ensemble is None
-        expected = tz.cross_entropy(model.forward(vis, aud), [1]).item()
-        assert model.loss(LabeledSequence(vis, aud, 1)).item() == expected
+MODELS = {
+    "basic": lambda: BasicFusionModel(seed=1),
+    "advanced": lambda: AdvancedFusionModel(seed=2),
+}
 
-    def test_advanced_predict_and_loss_match_forward_graph(self):
+
+class TestPredictAndLoss:
+    """The contract of :class:`fusion.FusionModel`, checked on both model kinds."""
+
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    def test_forward_gives_one_row_per_sequence(self, kind):
+        rng = np.random.default_rng(0)
+        model = MODELS[kind]()
+        c = model.config
+        visual = rng.normal(size=(4, 3, c.visual_features))
+        audio = rng.normal(size=(4, 3, c.audio_features))
+        motion, event = model.forward(visual, audio, rng.normal(size=(4, FUSED_DIM)))
+        assert motion.shape == (4, c.motion_classes)
+        if kind == "basic":
+            assert event is None
+            assert model.ensemble is None
+        else:
+            assert event.shape == (4, c.event_classes)
+
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    def test_predict_and_loss_match_forward(self, kind):
         rng = np.random.default_rng(1)
-        model = AdvancedFusionModel(seed=2)
+        model = MODELS[kind]()
         vis, aud = tokens(rng, model)
         fused = rng.normal(size=FUSED_DIM)
-        out = model.forward(vis, aud, fused)
-        motion, event = model.predict(vis, aud, fused)
-        np.testing.assert_array_equal(motion, out.motion_logits)
-        np.testing.assert_array_equal(event, out.event_logits)
-
-        motion_g, event_g = model.forward_graph(vis, aud, fused)
-        expected = (tz.cross_entropy(motion_g, [1]).item(), tz.cross_entropy(event_g, [5]).item())
+        motion, event = model.forward(vis, aud, fused)
+        got_motion, got_event = model.predict(vis, aud, fused)
+        np.testing.assert_array_equal(got_motion, motion.data.reshape(-1))
+        expected = tz.cross_entropy(motion, [1]).item()
+        if event is None:
+            assert got_event is None
+        else:
+            np.testing.assert_array_equal(got_event, event.data.reshape(-1))
+            expected += tz.cross_entropy(event, [5]).item()
         loss = model.loss(LabeledSequence(vis, aud, 1, fused=fused, event_label=5)).item()
-        assert loss == expected[0] + expected[1]
+        assert loss == expected
+
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    def test_a_bad_label_is_named(self, kind):
+        rng = np.random.default_rng(3)
+        model = MODELS[kind]()
+        vis, aud = tokens(rng, model)
+        with pytest.raises(InvalidInput, match="motion label 7 outside"):
+            model.loss(LabeledSequence(vis, aud, 7, event_label=0))
+        for label in (32, None):
+            bad_event = LabeledSequence(vis, aud, 0, event_label=label)
+            if kind == "basic":
+                assert np.isfinite(model.loss(bad_event).item())  # no event head reads it
+            else:
+                with pytest.raises(InvalidInput, match=f"event label {label} outside"):
+                    model.loss(bad_event)
+
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    def test_fused_is_read_only_with_an_ensemble(self, kind):
+        rng = np.random.default_rng(4)
+        model = MODELS[kind]()
+        vis, aud = tokens(rng, model)
+        examples = [LabeledSequence(vis, aud, 1, fused=fused, event_label=2)
+                    for fused in (np.zeros(7), np.ones((2, 3)), None)]
+        if kind == "basic":
+            loss = model.loss(*examples).item()
+            assert loss == model.loss(*(replace(e, fused=None) for e in examples)).item()
+        else:
+            with pytest.raises(InvalidInput, match="fused"):
+                model.loss(*examples)
 
     def test_advanced_missing_fused_reads_as_zeros(self):
         rng = np.random.default_rng(2)
