@@ -4,15 +4,17 @@ Defaults mirror the per-module decisions (detector thresholds 0.3/0.5,
 tracker 0.5/0.1 with IoU floor 0.2, STFT 1024/512, Horn-Schunck alpha 10
 with 100 iterations, equal anomaly weights with trigger threshold 0.5).
 Validation collects every problem before rejecting, so a bad file is
-reported in full.
+reported in full. :func:`read_record` reads this file and a capture's
+``scenario.json`` alike, by the type hints of their dataclasses.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import asdict, dataclass, field
+import sys
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .detect_track import TrackerThresholds
 from .errors import InvalidConfig
@@ -77,13 +79,13 @@ class FusionConfig:
 
 @dataclass
 class AnomalyConfig:
-    weights: dict = field(default_factory=lambda: {
+    weights: dict[str, float] = field(default_factory=lambda: {
         "statistical": 0.25, "reconstruction": 0.25, "audio": 0.25, "event": 0.25,
     })
     threshold: float = 0.5
     history: int = 64
     event_probability_threshold: float = 0.5
-    anomaly_labels: tuple = DEFAULT_ANOMALY_LABELS
+    anomaly_labels: tuple[str, ...] = DEFAULT_ANOMALY_LABELS
     autoencoder_steps: int = 1500
     autoencoder_learning_rate: float = 0.1
 
@@ -102,10 +104,7 @@ class Config:
     fusion: FusionConfig = field(default_factory=FusionConfig)
     anomaly: AnomalyConfig = field(default_factory=AnomalyConfig)
     runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
-    event_labels: tuple = DEFAULT_EVENT_LABELS
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+    event_labels: tuple[str, ...] = DEFAULT_EVENT_LABELS
 
     def validate(self) -> None:
         """Raise InvalidConfig listing every problem found."""
@@ -177,6 +176,8 @@ class Config:
         check(not bad_labels, f"anomaly.anomaly_labels not in event_labels: {bad_labels}")
 
         check(self.runtime.queue_capacity >= 1, "runtime.queue_capacity must be >= 1")
+        check(self.runtime.queue_capacity <= sys.maxsize,
+              f"runtime.queue_capacity must be <= {sys.maxsize}")
 
         if problems:
             raise InvalidConfig(problems)
@@ -186,66 +187,84 @@ class Config:
         return tuple(index[name] for name in self.anomaly.anomaly_labels)
 
 
-def _json_type(value) -> str:
-    for kind, types in (("boolean", bool), ("integer", int), ("number", float), ("string", str),
-                        ("array", (list, tuple)), ("object", dict)):
-        if isinstance(value, types):
-            return kind
-    return "null"
+def _number(value) -> bool:
+    """A JSON number that fits a float64: no boolean, NaN, infinity or huge integer."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
-def _merge(base: dict, override: dict, path: str, problems: list[str]) -> None:
-    """Overlay ``override`` on ``base``; every value must have its default's JSON type.
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and abs(value) <= sys.maxsize
 
-    An integer may stand for a number, and a number must be finite (``json``
-    reads ``NaN`` and ``Infinity``). ``weights`` maps names to finite numbers.
+
+# The JSON value each field type of a record takes.
+_JSON_KINDS = {
+    bool: ("a boolean", lambda v: isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    int: ("an integer", _integer),
+    float: ("a finite number", _number),
+    int | None: ("an integer or null", lambda v: v is None or _integer(v)),
+    tuple[float, float]: ("a list of two numbers",
+                          lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+                          and all(map(_number, v))),
+    tuple[str, ...]: ("a list of strings", lambda v: isinstance(v, (list, tuple))
+                      and all(isinstance(s, str) for s in v)),
+    dict[str, float]: ("an object of finite numbers",
+                       lambda v: isinstance(v, dict) and all(map(_number, v.values()))),
+}
+
+
+def read_record(cls, raw, where: str, problems: list[str]):
+    """``cls(**raw)`` for a JSON object holding fields of dataclass ``cls``.
+
+    A field typed with a dataclass holds an object for that record, and a
+    field typed ``list[R]`` a list of objects for records ``R``; a field
+    left out keeps its default. Each problem is appended to ``problems``,
+    its key path prefixed by ``where``, and then the result is ``None``.
     """
-    for key, value in override.items():
-        if key not in base:
-            problems.append(f"unknown config key: {path}{key}")
-            continue
-        want, got = _json_type(base[key]), _json_type(value)
-        if want != got and (want, got) != ("number", "integer"):
-            problems.append(f"{path}{key} must be a JSON {want}, got {got}")
-        elif got == "number" and not math.isfinite(value):
-            problems.append(f"{path}{key} must be a finite number, got {value}")
-        elif key == "weights":
-            bad = sorted(k for k, v in value.items()
-                         if _json_type(v) not in ("integer", "number") or not math.isfinite(v))
-            if bad:
-                problems.append(f"{path}{key} values must be finite numbers, got {bad}")
+    if not isinstance(raw, dict):
+        problems.append(f"{where.rstrip('.') or cls.__name__.lower()} must be a JSON object")
+        return None
+    before = len(problems)
+    hints = get_type_hints(cls)
+    problems.extend(f"{where}{f.name}: missing" for f in fields(cls) if f.name not in raw
+                    and f.default is MISSING and f.default_factory is MISSING)
+    values = {}
+    for key, value in raw.items():
+        hint = hints.get(key)
+        if hint is None:
+            problems.append(f"{where}{key}: unknown key")
+        elif is_dataclass(hint):
+            values[key] = read_record(hint, value, f"{where}{key}.", problems)
+        elif get_origin(hint) is list:
+            if isinstance(value, list):
+                values[key] = [read_record(get_args(hint)[0], item, f"{where}{key}[{i}].", problems)
+                               for i, item in enumerate(value)]
             else:
-                base[key] = value
-        elif got == "object":
-            _merge(base[key], value, f"{path}{key}.", problems)
+                problems.append(f"{where}{key} must be a list")
         else:
-            base[key] = value
+            kind, fits = _JSON_KINDS[hint]
+            if fits(value):
+                values[key] = tuple(value) if isinstance(value, (list, tuple)) else value
+            else:
+                problems.append(f"{where}{key} must be {kind}, got {json.dumps(value, default=repr)}")
+    return cls(**values) if len(problems) == before else None
 
 
 def load_config(path: str | Path | None = None) -> Config:
-    """Defaults overridden by an optional JSON document, then validated."""
-    merged = Config().to_dict()
-    if path is not None:
-        try:
-            override = json.loads(Path(path).read_text())
-        except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 errors
-            raise InvalidConfig([f"cannot read config {path}: {exc}"]) from exc
-        if not isinstance(override, dict):
-            raise InvalidConfig([f"config {path} must hold a JSON object"])
-        problems: list[str] = []
-        _merge(merged, override, "", problems)
+    """Defaults overridden by an optional JSON document, then validated; problems name ``path``."""
+    if path is None:
+        return Config()
+    try:
+        raw = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 errors
+        raise InvalidConfig([f"{path}: cannot read config: {exc}"]) from exc
+    problems: list[str] = []
+    config = read_record(Config, raw, "", problems)
+    try:
         if problems:
             raise InvalidConfig(problems)
-    config = Config(
-        detector=DetectorConfig(**merged["detector"]),
-        tracker=TrackerThresholds(**merged["tracker"]),
-        audio=AudioFeatureConfig(**merged["audio"]),
-        vision=VisionConfig(**merged["vision"]),
-        fusion=FusionConfig(**merged["fusion"]),
-        anomaly=AnomalyConfig(**{**merged["anomaly"],
-                                 "anomaly_labels": tuple(merged["anomaly"]["anomaly_labels"])}),
-        runtime=RuntimeConfig(**merged["runtime"]),
-        event_labels=tuple(merged["event_labels"]),
-    )
-    config.validate()
+        config.validate()
+    except InvalidConfig as exc:
+        raise InvalidConfig([f"{path}: {problem}" for problem in exc.problems]) from exc
     return config

@@ -539,22 +539,24 @@ def train_on_scenario(capture_dir: str | Path, config: Config, out_dir: str | Pa
 
     loss = float("nan")
     accuracy = 0.0
-    for step in range(1, config.fusion.steps + 1):
-        loss = train_step(model, batch, config.fusion.learning_rate)
-        if not np.isfinite(loss):
-            raise AvFuseError(f"fusion model diverged: loss {loss} at step {step}; "
-                              "lower fusion.learning_rate")
-        if step % 10 == 0 or step == config.fusion.steps:
-            accuracy = _motion_accuracy(model, batch)
-            if accuracy >= 0.98:
-                break
-
     autoencoder = None
-    if len(normal_frames) >= 32:
-        autoencoder = autoencoder_train(
-            normal_frames, steps=config.anomaly.autoencoder_steps,
-            learning_rate=config.anomaly.autoencoder_learning_rate, seed=seed,
-        )
+    # A diverging trainer is reported by its non-finite loss, not by numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, config.fusion.steps + 1):
+            loss = train_step(model, batch, config.fusion.learning_rate)
+            if not np.isfinite(loss):
+                raise AvFuseError(f"fusion model diverged: loss {loss} at step {step}; "
+                                  "lower fusion.learning_rate")
+            if step % 10 == 0 or step == config.fusion.steps:
+                accuracy = _motion_accuracy(model, batch)
+                if accuracy >= 0.98:
+                    break
+
+        if len(normal_frames) >= 32:
+            autoencoder = autoencoder_train(
+                normal_frames, steps=config.anomaly.autoencoder_steps,
+                learning_rate=config.anomaly.autoencoder_learning_rate, seed=seed,
+            )
 
     # Written only once both have trained, so a diverged trainer leaves no file.
     model_path = out_dir / "fusion.bin"

@@ -9,16 +9,16 @@ labels). The same seed always renders byte-identical PGM and WAV output.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from .config import read_record
 from .detect_track import DetectionScript, ScriptedObject
-from .errors import InvalidConfig
+from .errors import InvalidConfig, InvalidInput
 from .io import write_manifest, write_pgm, write_wav
+from .vision_dsp import check_dwt_sides
 
 INJECTION_KINDS = ("visual_burst", "audio_burst", "event_label")
 
@@ -89,8 +89,10 @@ class Scenario:
             problems.append("seed must be non-negative")
         if self.n_frames < 1:
             problems.append("scenario must render at least one frame")
-        if self.width % 4 or self.height % 4 or self.width < 8 or self.height < 8:
-            problems.append("frame dimensions must be >= 8 and divisible by 4")
+        try:
+            check_dwt_sides(self.height, self.width)
+        except InvalidInput as exc:
+            problems.append(str(exc))
         if self.fps > 0 and self.sample_rate > 0 and self.n_frames >= 1:
             last_t = self.frame_timestamp(self.n_frames - 1)
             if last_t >= self.duration_s + self.window_samples / self.sample_rate:
@@ -157,7 +159,7 @@ class Scenario:
     def from_dict(cls, raw) -> "Scenario":
         """The scenario of a JSON document; every key and type problem is reported."""
         problems: list[str] = []
-        scenario = _record(cls, raw, "", problems)
+        scenario = read_record(cls, raw, "", problems)
         if problems:
             raise InvalidConfig(problems)
         return scenario
@@ -175,59 +177,6 @@ class Scenario:
         except InvalidConfig as exc:
             raise InvalidConfig([f"{path}: {problem}" for problem in exc.problems]) from exc
         return scenario
-
-
-def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-
-
-def _integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-# The JSON value each field type of a scenario record takes.
-_JSON_KINDS = {
-    str: ("a string", lambda v: isinstance(v, str)),
-    int: ("an integer", _integer),
-    float: ("a finite number", _number),
-    int | None: ("an integer or null", lambda v: v is None or _integer(v)),
-    tuple[float, float]: ("a list of two numbers",
-                          lambda v: isinstance(v, (list, tuple)) and len(v) == 2
-                          and all(map(_number, v))),
-}
-
-
-def _record(cls, raw, where: str, problems: list[str]):
-    """``cls(**raw)`` for a JSON object holding fields of dataclass ``cls``.
-
-    A field typed ``list[R]`` holds objects for records ``R``. Each problem
-    is appended to ``problems``, its key path prefixed by ``where``, and
-    then the result is ``None``.
-    """
-    if not isinstance(raw, dict):
-        problems.append(f"{where.rstrip('.') or 'scenario'} must be a JSON object")
-        return None
-    before = len(problems)
-    hints = get_type_hints(cls)
-    problems.extend(f"{where}{key}: unknown key" for key in raw if key not in hints)
-    problems.extend(f"{where}{f.name}: missing" for f in fields(cls) if f.name not in raw
-                    and f.default is MISSING and f.default_factory is MISSING)
-    values = {}
-    for key, value in raw.items():
-        hint = hints.get(key)
-        if get_origin(hint) is list:
-            if isinstance(value, list):
-                values[key] = [_record(get_args(hint)[0], item, f"{where}{key}[{i}].", problems)
-                               for i, item in enumerate(value)]
-            else:
-                problems.append(f"{where}{key} must be a list")
-        elif hint is not None:
-            kind, fits = _JSON_KINDS[hint]
-            if fits(value):
-                values[key] = tuple(value) if isinstance(value, (list, tuple)) else value
-            else:
-                problems.append(f"{where}{key} must be {kind}, got {json.dumps(value, default=repr)}")
-    return cls(**values) if len(problems) == before else None
 
 
 def render_frames(scenario: Scenario) -> list[np.ndarray]:

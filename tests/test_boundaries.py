@@ -3,6 +3,7 @@
 import json
 import re
 import shutil
+import sys
 
 import pytest
 
@@ -32,15 +33,20 @@ def canonical_capture(tmp_path_factory):
     ({"fusion": {"seed": -1}}, "fusion.seed"),
     ({"fusion": {"basic_heads": 0}}, "fusion.basic_heads"),
     ({"fusion": {"basic_heads": -4}}, "fusion.basic_heads"),
+    ({"vision": {"flow_alpha": 10**399}}, "vision.flow_alpha"),
+    ({"anomaly": {"history": 10**30}}, "anomaly.history"),
+    ({"anomaly": {"weights": {"audio": -10**400}}}, "anomaly.weights"),
+    ({"runtime": {"queue_capacity": 10**30}}, "runtime.queue_capacity"),
 ], ids=["string steps", "list weights", "string weight", "number section", "integer flag",
         "infinite weight", "infinite learning rate", "infinite flow alpha",
         "negative autoencoder learning rate", "negative fusion seed", "zero basic heads",
-        "negative basic heads"])
+        "negative basic heads", "400-digit flow alpha", "huge history", "huge weight",
+        "huge queue capacity"])
 def test_wrong_json_type_is_a_config_error(tmp_path, capsys, override, key):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(override))
     assert cli_main(["--config", str(config), "--out", str(tmp_path / "out"), "generate"]) == 1
-    assert f"config error: {key} " in capsys.readouterr().err
+    assert f"config error: {config}: {key} " in capsys.readouterr().err
 
 
 def test_config_that_is_not_an_object_is_a_config_error(tmp_path, capsys):
@@ -101,11 +107,13 @@ def test_unreadable_wav_exits_2_naming_it(canonical_capture, tmp_path, capsys, k
     assert str(wav) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags", [["--queue-capacity", "0"],
-                                   ["--queue-capacity", "-3", "--deterministic"]],
-                         ids=["zero", "negative deterministic"])
+@pytest.mark.parametrize("flags, problem", [
+    (["--queue-capacity", "0"], "runtime.queue_capacity must be >= 1"),
+    (["--queue-capacity", "-3", "--deterministic"], "runtime.queue_capacity must be >= 1"),
+    (["--queue-capacity", str(10**30)], f"runtime.queue_capacity must be <= {sys.maxsize}"),
+], ids=["zero", "negative deterministic", "huge"])
 def test_bad_queue_capacity_is_a_config_error_before_loading(canonical_capture, tmp_path, capsys,
-                                                            monkeypatch, flags):
+                                                            monkeypatch, flags, problem):
     import avfuse.pipeline
 
     loaded = []
@@ -114,7 +122,7 @@ def test_bad_queue_capacity_is_a_config_error_before_loading(canonical_capture, 
     argv = ["--out", str(tmp_path / "out"), *flags,
             "run", str(canonical_capture), "--params", str(tmp_path / "fusion.bin")]
     assert cli_main(argv) == 1
-    assert capsys.readouterr().err == "config error: runtime.queue_capacity must be >= 1\n"
+    assert capsys.readouterr().err == f"config error: {problem}\n"
     assert loaded == []
 
 
@@ -161,7 +169,7 @@ def training_capture(tmp_path_factory):
                                           "autoencoder_steps": 20}},
      r"autoencoder diverged: loss \S+ at step \d+; lower anomaly\.autoencoder_learning_rate"),
 ], ids=["fusion", "autoencoder"])
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_trainer_exits_2_and_writes_no_model(training_capture, tmp_path, capsys,
                                                       override, message):
     config = tmp_path / "config.json"
@@ -193,9 +201,13 @@ def without(record, *keys):
     (scenario_with(injections=[{"window_start": 1}]), "injections[0].kind: missing"),
     (scenario_with(fps=0), "fps must be positive"),
     (scenario_with(seed=-3), "seed must be non-negative"),
+    (scenario_with(duration_s=10**399), "duration_s must be a finite number"),
+    (scenario_with(objects=[{**CANONICAL["objects"][0], "start": [10**399, 0]}]),
+     "objects[0].start must be a list of two numbers"),
+    (scenario_with(width=62), "frame dimensions must be divisible by 4, got 64x62"),
 ], ids=["invalid json", "not an object", "string duration", "null fps", "object without start",
         "unknown object key", "injection without window_end", "injection without kind", "zero fps",
-        "negative seed"])
+        "negative seed", "400-digit duration", "400-digit object start", "width 62"])
 @pytest.mark.parametrize("command", ["generate", "run"])
 def test_malformed_scenario_exits_1_naming_file_and_key(canonical_capture, tmp_path, capsys,
                                                         command, text, key):

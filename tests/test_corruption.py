@@ -10,6 +10,7 @@ Hypothesis runs derandomized, 30 examples per format.
 import json
 import shutil
 import threading
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -65,7 +66,7 @@ def originals(tmp_path_factory):
     autoencoder = DenseAutoencoder()
     autoencoder.training_mse = 0.01
     save_autoencoder(root / "autoencoder.bin", autoencoder)
-    (root / "config.json").write_text(json.dumps(Config().to_dict(), indent=2))
+    (root / "config.json").write_text(json.dumps(asdict(Config()), indent=2))
     (root / "events.jsonl").write_text("".join(json.dumps(e) + "\n" for e in EVENTS))
     scratch = tmp_path_factory.mktemp("corrupted")
     shutil.copytree(root / "capture", scratch / "capture")

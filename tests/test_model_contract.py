@@ -145,7 +145,7 @@ class TestFusionConfig:
     def test_advanced_hidden_is_not_a_config_key(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"fusion": {"advanced_hidden": 256}}))
-        with pytest.raises(InvalidConfig, match="unknown config key: fusion.advanced_hidden"):
+        with pytest.raises(InvalidConfig, match="fusion.advanced_hidden: unknown key"):
             load_config(path)
 
     def test_advanced_heads_must_divide_fused_width(self, tmp_path):

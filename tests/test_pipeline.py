@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -346,4 +347,31 @@ class TestConfig:
         bad.write_text(json.dumps({"detecter": {"dual": True}}))
         with pytest.raises(InvalidConfig) as err:
             load_config(bad)
-        assert "unknown config key" in err.value.problems[0]
+        assert "detecter: unknown key" in err.value.problems[0]
+
+    def test_defaults_round_trip_through_a_file(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(asdict(Config())))
+        assert load_config(path) == Config()
+
+    def test_one_key_overridden_in_every_section(self, tmp_path):
+        labels = tuple(reversed(Config().event_labels))
+        override = {
+            "detector": {"dual": False}, "tracker": {"max_misses": 5},
+            "audio": {"hop_length": 256}, "vision": {"flow_alpha": 4},
+            "fusion": {"model": "advanced"}, "anomaly": {"weights": {"audio": 1.0}},
+            "runtime": {"queue_capacity": 8}, "event_labels": list(labels),
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(override))
+        default = Config()
+        assert load_config(path) == Config(
+            detector=replace(default.detector, dual=False),
+            tracker=replace(default.tracker, max_misses=5),
+            audio=replace(default.audio, hop_length=256),
+            vision=replace(default.vision, flow_alpha=4),
+            fusion=replace(default.fusion, model="advanced"),
+            anomaly=replace(default.anomaly, weights={"audio": 1.0}),
+            runtime=replace(default.runtime, queue_capacity=8),
+            event_labels=labels,
+        )
