@@ -1,4 +1,5 @@
-"""``tools/identical_outputs.py --compare`` on small synthetic output trees."""
+"""``tools/identical_outputs.py``: the rendered outputs against the golden manifest,
+and ``--compare`` on small synthetic output trees."""
 
 import json
 import shutil
@@ -12,6 +13,7 @@ import pytest
 from avfuse import tensor as tz
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "identical_outputs.py"
+GOLDEN = Path(__file__).resolve().parent / "golden" / "identical_outputs.sha256"
 RUN = Path("runs") / "advanced-trained-threaded"
 MODEL = Path("models") / "advanced" / "fusion.bin"
 
@@ -129,3 +131,20 @@ def test_changed_capture_byte_fails(tree):
     result = compare(tree, other)
     assert result.returncode == 1
     assert "frame_0000.pgm: bytes differ" in result.stderr
+
+
+def test_rendered_outputs_match_the_golden_manifest(tmp_path):
+    rendered_tree = tmp_path / "out"
+    result = subprocess.run([sys.executable, str(TOOL), "--manifest", str(rendered_tree)],
+                            capture_output=True, text=True, timeout=900)
+    assert result.returncode == 0, result.stderr[-2000:]
+    golden, rendered = GOLDEN.read_text().splitlines(), result.stdout.splitlines()
+    if golden[0] != rendered[0]:
+        pytest.skip(f"{GOLDEN.name} was rendered with {golden[0][2:]}; "
+                    f"this machine has {rendered[0][2:]}")
+    differing = sorted({line.split(" ", 2)[2] for line in set(golden) ^ set(rendered)})
+    assert not differing, (
+        f"{len(differing)} rendered files differ from {GOLDEN.name}, first: {differing[:5]}; "
+        f"render OUT here and at the parent with `python3 tools/identical_outputs.py OUT` and "
+        f"check them with `--compare`, or regenerate the manifest for an intended change")
+    shutil.rmtree(rendered_tree)

@@ -3,6 +3,7 @@
 Usage::
 
     python3 tools/identical_outputs.py OUT
+    python3 tools/identical_outputs.py --manifest OUT
     python3 tools/identical_outputs.py --compare OUT_A OUT_B
 
 OUT must not exist. The script renders the ``injection`` and ``training``
@@ -21,6 +22,12 @@ Render OUT once from each of two checkouts and compare with
 ``diff -r OUT_A OUT_B``. ``OPENBLAS_NUM_THREADS`` is pinned to 1 before
 numpy loads, because a multi-threaded BLAS may sum in a different order.
 
+``--manifest`` renders OUT the same way and prints one ``sha256 size
+path`` line per file, sorted by path, under a header naming the numpy and
+BLAS versions. ``tests/golden/identical_outputs.sha256`` is that output;
+a change that alters an output byte on purpose regenerates it with
+``--manifest OUT > tests/golden/identical_outputs.sha256``.
+
 ``--compare`` checks two rendered trees within stated tolerances, for a
 change that alters float arithmetic on purpose. Both trees must hold the
 same files. Floats in ``events.jsonl`` and ``report.json`` must agree to
@@ -38,7 +45,9 @@ import sys
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
+import hashlib  # noqa: E402
 import json  # noqa: E402
+from contextlib import redirect_stdout  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -80,6 +89,22 @@ def render(out: Path) -> None:
                 avfuse(*common, "--out", run_dir, "--deterministic", "run",
                        captures / "injection", *model_args, *mode_args)
                 (run_dir / "summary.json").unlink()
+
+
+def versions() -> str:
+    """The numpy and BLAS builds that rendered a tree; other builds may round differently."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return f"numpy {np.__version__}, {blas.get('name')} {blas.get('version')}"
+
+
+def manifest(tree: Path) -> str:
+    """A header naming :func:`versions`, then ``sha256 size path`` per file, sorted by path."""
+    files = sorted((p.relative_to(tree).as_posix(), p) for p in tree.rglob("*") if p.is_file())
+    lines = [f"# {versions()}"]
+    for relative, path in files:
+        data = path.read_bytes()
+        lines.append(f"{hashlib.sha256(data).hexdigest()} {len(data)} {relative}")
+    return "".join(line + "\n" for line in lines)
 
 
 def json_difference(a, b, field: str) -> str | None:
@@ -163,9 +188,15 @@ if __name__ == "__main__":
             raise SystemExit(f"outside the bounds: {difference}")
         print(f"within the bounds: floats to {JSON_RTOL:g} relative, tensors to {TENSOR_RTOL:g}")
         raise SystemExit(0)
-    if len(sys.argv) != 2:
+    listing = len(sys.argv) == 3 and sys.argv[1] == "--manifest"
+    if len(sys.argv) != 2 and not listing:
         raise SystemExit(__doc__)
-    target = Path(sys.argv[1])
+    target = Path(sys.argv[-1])
     if target.exists():
         raise SystemExit(f"{target} already exists")
-    render(target)
+    if listing:
+        with redirect_stdout(sys.stderr):  # the commands' own output
+            render(target)
+        sys.stdout.write(manifest(target))
+    else:
+        render(target)
