@@ -4,7 +4,7 @@ Defaults mirror the per-module decisions (detector thresholds 0.3/0.5,
 tracker 0.5/0.1 with IoU floor 0.2, STFT 1024/512, Horn-Schunck alpha 10
 with 100 iterations, equal anomaly weights with trigger threshold 0.5).
 Validation collects every problem before rejecting, so a bad file is
-reported in full. :func:`read_record` reads this file and a capture's
+reported in full. :func:`read_file` reads this file and a capture's
 ``scenario.json`` alike, by the type hints of their dataclasses.
 """
 
@@ -28,6 +28,8 @@ DEFAULT_EVENT_LABELS = (
 )
 
 DEFAULT_ANOMALY_LABELS = ("smoke", "fire", "leak", "structural_damage", "explosion", "collapse")
+
+MAX_TOKENS = 64  # positions in the advanced fusion model's table
 
 
 @dataclass
@@ -66,15 +68,7 @@ class FusionConfig:
     seed: int = 0
     learning_rate: float = 0.1
     steps: int = 300
-    burst_tokens: int = 10  # sliding context length at inference
-    basic_hidden: int = 128
-    basic_layers: int = 2
-    basic_heads: int = 4
-    basic_ffn: int = 512
-    advanced_layers: int = 4
-    advanced_heads: int = 8
-    advanced_ffn: int = 1024
-    max_tokens: int = 64
+    burst_tokens: int = 10  # sliding context length at inference, at most MAX_TOKENS
 
 
 @dataclass
@@ -150,15 +144,8 @@ class Config:
         check(f.steps >= 1, "fusion.steps must be >= 1")
         check(f.burst_tokens >= 1, "fusion.burst_tokens must be >= 1")
         check(f.seed >= 0, "fusion.seed must be non-negative")
-        check(f.basic_heads >= 1 and f.basic_hidden >= f.basic_heads
-              and f.basic_hidden % f.basic_heads == 0,
-              "fusion.basic_heads must be >= 1 and divide fusion.basic_hidden")
-        check(f.advanced_heads >= 1 and 256 % f.advanced_heads == 0,
-              "fusion.advanced_heads must divide 256, the fused audio embedding width")
-        check(f.basic_layers >= 1 and f.advanced_layers >= 1, "fusion layer counts must be >= 1")
-        check(f.basic_ffn >= 1 and f.advanced_ffn >= 1, "fusion FFN widths must be >= 1")
-        check(f.burst_tokens <= f.max_tokens,
-              "fusion.burst_tokens cannot exceed fusion.max_tokens")
+        check(f.burst_tokens <= MAX_TOKENS,
+              f"fusion.burst_tokens cannot exceed {MAX_TOKENS}, the advanced model's positions")
 
         an = self.anomaly
         unknown = set(an.weights) - {"statistical", "reconstruction", "audio", "event"}
@@ -251,20 +238,29 @@ def read_record(cls, raw, where: str, problems: list[str]):
     return cls(**values) if len(problems) == before else None
 
 
-def load_config(path: str | Path | None = None) -> Config:
-    """Defaults overridden by an optional JSON document, then validated; problems name ``path``."""
-    if path is None:
-        return Config()
+def read_file(cls, path: str | Path):
+    """The validated ``cls`` record of the JSON file at ``path``; every problem names ``path``.
+
+    ``--config`` and ``--scenario`` files both come through here, so an
+    unreadable file, a broken document and a bad key read the same for both.
+    """
     try:
         raw = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 errors
-        raise InvalidConfig([f"{path}: cannot read config: {exc}"]) from exc
+    except OSError as exc:
+        raise InvalidConfig([f"{path}: cannot read ({exc})"]) from exc
+    except ValueError as exc:  # JSON and UTF-8 errors
+        raise InvalidConfig([f"{path}: not a JSON document ({exc})"]) from exc
     problems: list[str] = []
-    config = read_record(Config, raw, "", problems)
+    record = read_record(cls, raw, "", problems)
     try:
         if problems:
             raise InvalidConfig(problems)
-        config.validate()
+        record.validate()
     except InvalidConfig as exc:
         raise InvalidConfig([f"{path}: {problem}" for problem in exc.problems]) from exc
-    return config
+    return record
+
+
+def load_config(path: str | Path | None = None) -> Config:
+    """Defaults overridden by an optional JSON document, then validated; problems name ``path``."""
+    return Config() if path is None else read_file(Config, path)

@@ -16,15 +16,17 @@ callers never ask which one they hold:
   values of :func:`visual_row` / :func:`audio_row` the model reads;
 - ``ensemble``: the :class:`AudioEnsembleFusion` whose ``embed`` gives the
   per-window fused audio vector, or ``None`` when the model reads none;
-- ``forward(visual, audio, fused=None, trace=None)``: the ``(motion,
-  event)`` logit tensors, one row per sequence, ``event`` ``None`` for a
-  model without an event head; the only method a model writes itself;
+- ``forward(visual, audio, fused=None)``: the ``(motion, event)`` logit
+  tensors, one row per sequence, ``event`` ``None`` for a model without an
+  event head; the only method a model writes itself;
 - ``predict(visual, audio, fused=None)``: those logits flat, recording no
   graph;
 - ``loss(*examples)``: the mean training loss of equal-length
   :class:`LabeledSequence` examples, one graph for all of them.
 
 Only :func:`build_model` and the save/load kind table name a model kind.
+The shapes above are each model's config defaults; a run builds exactly
+these, and only a saved model file records other shapes.
 Every weight, the ensemble's included, lives in a :class:`tensor.ParamStore`
 and :func:`train_step` updates them through :func:`tensor.sgd_step`.
 
@@ -48,11 +50,11 @@ import numpy as np
 
 from . import tensor as tz
 from .audio_dsp import SpectralStats, mel_spectrogram, stft
-from .config import FusionConfig
+from .config import MAX_TOKENS, FusionConfig
 from .detect_track import Detection
 from .errors import InvalidInput
 from .tensor import Tensor
-from .vision_dsp import FlowStats, WaveletEnergy
+from .vision_dsp import WaveletEnergy
 
 EMBED_DIM = 768
 FUSED_DIM = 256
@@ -63,14 +65,14 @@ FLOW_COLUMN = 3  # the flow magnitude's index in a visual_row
 
 
 def visual_row(detections: tuple[Detection, ...], wavelet: WaveletEnergy,
-               flow: FlowStats) -> np.ndarray:
+               flow: float) -> np.ndarray:
     """One window's (bbox count, mean confidence, wavelet energy, flow magnitude).
 
-    The wavelet feature is the sum of all seven subband energies.
+    The wavelet feature is the sum of all seven subband energies; ``flow``
+    is the mean magnitude of the window's flow field.
     """
     confidence = float(np.mean([d.confidence for d in detections])) if detections else 0.0
-    return np.array([len(detections), confidence, wavelet.total, flow.mean_magnitude],
-                    dtype=np.float64)
+    return np.array([len(detections), confidence, wavelet.total, flow], dtype=np.float64)
 
 
 def audio_row(stats: SpectralStats) -> np.ndarray:
@@ -229,8 +231,7 @@ def _attention_block(store, prefix: str, dim: int) -> tuple:
     return q, store.make(f"{prefix}.k.weight", dim, (dim, dim)), v, out
 
 
-def _encoder_layer(block, x: Tensor, context: Tensor, heads: int, blocks: int,
-                   trace: list | None) -> Tensor:
+def _encoder_layer(block, x: Tensor, context: Tensor, heads: int, blocks: int) -> Tensor:
     """Attention of ``x`` over ``context``, then a feed-forward, each inside residual + layer norm.
 
     ``block`` is ((q, k, v, out), attention norm, feed-forward, feed-forward norm);
@@ -238,7 +239,7 @@ def _encoder_layer(block, x: Tensor, context: Tensor, heads: int, blocks: int,
     """
     (q, k, v, out), attention_norm, ffn, ffn_norm = block
     merged = tz.attention(tz.linear(x, q), tz.matmul(context, k), tz.linear(context, v),
-                          heads, trace, blocks)
+                          heads, blocks)
     x = tz.layer_norm(tz.add(x, tz.linear(merged, out)), *attention_norm)
     return tz.layer_norm(tz.add(x, tz.feed_forward(x, *ffn)), *ffn_norm)
 
@@ -320,8 +321,7 @@ class BasicFusionModel(FusionModel):
                        for layer in range(c.layers)]
         self.head_motion = store.linear("head.motion", c.hidden, c.motion_classes)
 
-    def forward(self, visual: np.ndarray, audio: np.ndarray, fused=None,
-                trace: list | None = None) -> tuple[Tensor, None]:
+    def forward(self, visual: np.ndarray, audio: np.ndarray, fused=None) -> tuple[Tensor, None]:
         """Motion logits (B x 2), one row per token sequence, and no event logits.
 
         ``fused`` is not read.
@@ -329,7 +329,7 @@ class BasicFusionModel(FusionModel):
         visual, audio, blocks = _token_arrays(self.config, visual, audio)
         x = tz.add(tz.linear(visual, self.proj_visual), tz.linear(audio, self.proj_audio))
         for block in self.layers:
-            x = _encoder_layer(block, x, x, self.config.heads, blocks, trace)
+            x = _encoder_layer(block, x, x, self.config.heads, blocks)
         return tz.linear(tz.mean(x, 0, blocks), self.head_motion), None
 
 
@@ -343,7 +343,7 @@ class AdvancedFusionConfig:
     audio_features: int = 5
     motion_classes: int = 2
     event_classes: int = 32
-    max_tokens: int = 64
+    max_tokens: int = MAX_TOKENS
 
 
 class AdvancedFusionModel(FusionModel):
@@ -382,8 +382,7 @@ class AdvancedFusionModel(FusionModel):
         self.ensemble = AudioEnsembleFusion(seed=seed + 1)
         store.params.update(self.ensemble.store.params)
 
-    def forward(self, visual: np.ndarray, audio: np.ndarray, fused=None,
-                trace: list | None = None) -> tuple[Tensor, Tensor]:
+    def forward(self, visual: np.ndarray, audio: np.ndarray, fused=None) -> tuple[Tensor, Tensor]:
         """Motion and event logit tensors, one row per token sequence.
 
         ``fused`` holds one FUSED_DIM vector per sequence; ``None`` reads as zeros.
@@ -407,8 +406,8 @@ class AdvancedFusionModel(FusionModel):
         a = tz.add_bias(a, fused)
         for visual_block, audio_block in self.layers:
             # Both attentions read the streams as they were before this layer.
-            v, a = (_encoder_layer(visual_block, v, a, c.heads, blocks, trace),
-                    _encoder_layer(audio_block, a, v, c.heads, blocks, trace))
+            v, a = (_encoder_layer(visual_block, v, a, c.heads, blocks),
+                    _encoder_layer(audio_block, a, v, c.heads, blocks))
         pooled = tz.concat([tz.mean(v, 0, blocks), tz.mean(a, 0, blocks)])
         return tz.linear(pooled, self.head_motion), tz.linear(pooled, self.head_event)
 
@@ -428,16 +427,9 @@ class LabeledSequence:
 
 
 def build_model(f: FusionConfig) -> FusionModel:
-    """Fresh seeded model of the kind and dimensions ``f`` asks for."""
-    if f.model == "advanced":
-        return AdvancedFusionModel(AdvancedFusionConfig(
-            hidden=FUSED_DIM, layers=f.advanced_layers, heads=f.advanced_heads,
-            ffn_hidden=f.advanced_ffn, max_tokens=f.max_tokens,
-        ), seed=f.seed)
-    return BasicFusionModel(BasicFusionConfig(
-        hidden=f.basic_hidden, layers=f.basic_layers, heads=f.basic_heads,
-        ffn_hidden=f.basic_ffn,
-    ), seed=f.seed)
+    """Fresh model of the kind ``f`` asks for, in its default shape, seeded by ``f.seed``."""
+    model_cls = AdvancedFusionModel if f.model == "advanced" else BasicFusionModel
+    return model_cls(seed=f.seed)
 
 
 def train_step(model, batch: list[LabeledSequence], learning_rate: float) -> float:

@@ -34,7 +34,7 @@ from .anomaly import (
     zscore_score,
 )
 from .audio_dsp import SpectralStats, cwt_scalogram, default_cwt_scales, spectral_stats, stft
-from .config import Config
+from .config import Config, VisionConfig
 from .detect_track import Tracker, cross_detector_merge, nms, scripted_detector
 from .errors import AvFuseError, InvalidConfig, InvalidInput
 from .fusion import (
@@ -53,15 +53,18 @@ from .scenario import Scenario
 from .timebase import AudioClip, align_audio_to_frames, validate_burst
 from .vision_dsp import (
     DenseFlow,
-    FlowStats,
     WaveletEnergy,
     check_dwt_sides,
+    check_nlm_search,
     dwt2_energy,
-    flow_stats,
     preprocess_frame,
 )
 
 KIND_ORDER = {"detection": 0, "track": 1, "classification": 2, "anomaly": 3, "metric": 4}
+
+# A fusion loss above this multiple of the first step's has diverged, even while finite.
+# Healthy runs on the training preset peak near 2.6 times; diverging ones reach 1e9 and more.
+DIVERGED_LOSS_RATIO = 1000.0
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,7 @@ class WindowJob:
     samples: np.ndarray
     preprocessed: np.ndarray | None = None
     wavelet: WaveletEnergy | None = None
-    flow: FlowStats | None = None
+    flow: float = 0.0  # mean flow magnitude; 0.0 where no flow runs
     stats: SpectralStats | None = None
     fused: np.ndarray | None = None
     detections: tuple = ()
@@ -102,7 +105,6 @@ class StageQueue:
             raise InvalidInput(f"queue capacity must be >= 1, got {capacity}")
         self._items: deque = deque(maxlen=capacity)
         self.pushed = 0
-        self.popped = 0
         self.dropped = 0
 
     def put(self, item) -> None:
@@ -113,10 +115,7 @@ class StageQueue:
 
     def get(self):
         """Next item, or None when the queue is empty."""
-        if not self._items:
-            return None
-        self.popped += 1
-        return self._items.popleft()
+        return self._items.popleft() if self._items else None
 
 
 class PipelineContext:
@@ -156,11 +155,10 @@ class PipelineContext:
         frame = preprocess_frame(job.raw, patch=v.nlm_patch, search=v.nlm_search,
                                  strength=v.nlm_strength)
         wavelet = dwt2_energy(frame)
-        if self._prev_frame is None or not self._flow_read:
-            flow = FlowStats(0.0, 0.0, 0.0)
-        else:
+        flow = 0.0
+        if self._prev_frame is not None and self._flow_read:
             field_uv = self.flow_estimator(self._prev_frame, frame)
-            flow = flow_stats(field_uv)
+            flow = float(field_uv.magnitude.mean())
             if self.export_dir is not None:
                 export_flow_csv(self.export_dir / f"flow_{job.index:04d}.csv", field_uv)
         self._prev_frame = frame
@@ -366,8 +364,12 @@ def export_audio_features(samples: np.ndarray, sample_rate: int, config: Config,
                    scalogram.coefficients[:, ::a.hop_length], delimiter=",")
 
 
-def open_capture(capture_dir: str | Path) -> tuple[Scenario, AudioClip, list[WindowJob]]:
-    """Scenario, audio clip and one fresh job per aligned window of a capture."""
+def open_capture(capture_dir: str | Path,
+                 vision: VisionConfig) -> tuple[Scenario, AudioClip, list[WindowJob]]:
+    """Scenario, audio clip and one fresh job per aligned window of a capture.
+
+    A ``vision.nlm_search`` wider than the frames is a config error.
+    """
     capture_dir = Path(capture_dir)
     scenario_path = capture_dir / "scenario.json"
     if not scenario_path.exists():
@@ -378,6 +380,10 @@ def open_capture(capture_dir: str | Path) -> tuple[Scenario, AudioClip, list[Win
     if not validation.ok:
         raise InvalidInput("invalid burst: " + "; ".join(validation.violations))
     check_dwt_sides(*burst.frames[0].pixels.shape)
+    try:
+        check_nlm_search(vision.nlm_search, *burst.frames[0].pixels.shape)
+    except InvalidInput as exc:
+        raise InvalidConfig([f"vision.nlm_search: {exc} in {capture_dir}"]) from exc
     jobs = [
         WindowJob(index=w.frame_index, timestamp=burst.frames[w.frame_index].timestamp,
                   raw=burst.frames[w.frame_index].pixels, samples=w.samples)
@@ -439,7 +445,7 @@ def run_pipeline(
     config.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    scenario, clip, jobs = open_capture(capture_dir)
+    scenario, clip, jobs = open_capture(capture_dir, config.vision)
 
     model_bundle = load_model(model_path) if model_path else None
     autoencoder = anomaly_mod.load_autoencoder(autoencoder_path) if autoencoder_path else None
@@ -495,7 +501,7 @@ def build_training_sequences(capture_dir: str | Path, config: Config, seed: int 
     inherits the scenario's motion and event ground truth. Returns the
     sequences, the preprocessed normal frames and the model, untrained.
     """
-    scenario, clip, jobs = open_capture(capture_dir)
+    scenario, clip, jobs = open_capture(capture_dir, config.vision)
     context = PipelineContext(config, scenario, clip.sample_rate, seed=seed)
     tokens, _, _ = run_stages([("analyze", context.analyze), ("detect", context.detect),
                                ("tokenize", context.tokenize)], jobs, capacity=len(jobs) + 1)
@@ -524,7 +530,8 @@ def train_on_scenario(capture_dir: str | Path, config: Config, out_dir: str | Pa
     Raw (unnormalized) token sequences are refit through a fresh
     normalizer, the configured model is trained to convergence or
     ``fusion.steps``, and both artifacts land in ``out_dir``. A non-finite
-    loss in either trainer raises :class:`AvFuseError` before any file is
+    loss in either trainer, or a fusion loss above ``DIVERGED_LOSS_RATIO``
+    times the first step's, raises :class:`AvFuseError` before any file is
     written.
     """
     out_dir = Path(out_dir)
@@ -544,7 +551,9 @@ def train_on_scenario(capture_dir: str | Path, config: Config, out_dir: str | Pa
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, config.fusion.steps + 1):
             loss = train_step(model, batch, config.fusion.learning_rate)
-            if not np.isfinite(loss):
+            if step == 1:
+                first_loss = loss
+            if not np.isfinite(loss) or loss > DIVERGED_LOSS_RATIO * first_loss:
                 raise AvFuseError(f"fusion model diverged: loss {loss} at step {step}; "
                                   "lower fusion.learning_rate")
             if step % 10 == 0 or step == config.fusion.steps:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import read_record
+from .config import read_file
 from .detect_track import DetectionScript, ScriptedObject
 from .errors import InvalidConfig, InvalidInput
 from .io import write_manifest, write_pgm, write_wav
@@ -156,27 +156,9 @@ class Scenario:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, raw) -> "Scenario":
-        """The scenario of a JSON document; every key and type problem is reported."""
-        problems: list[str] = []
-        scenario = read_record(cls, raw, "", problems)
-        if problems:
-            raise InvalidConfig(problems)
-        return scenario
-
-    @classmethod
     def from_json(cls, path: str | Path) -> "Scenario":
         """Read and validate a scenario file; each problem names ``path``."""
-        try:
-            raw = json.loads(Path(path).read_text())
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-            raise InvalidConfig([f"{path}: not a JSON document ({exc})"]) from exc
-        try:
-            scenario = cls.from_dict(raw)
-            scenario.validate()
-        except InvalidConfig as exc:
-            raise InvalidConfig([f"{path}: {problem}" for problem in exc.problems]) from exc
-        return scenario
+        return read_file(cls, path)
 
 
 def render_frames(scenario: Scenario) -> list[np.ndarray]:

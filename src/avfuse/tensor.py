@@ -338,16 +338,14 @@ def _scaled_scores(q: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, float]:
     return _softmax_last((q @ k.swapaxes(-1, -2)) * c), c
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1, trace: list | None = None,
-              blocks: int = 1) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1, blocks: int = 1) -> Tensor:
     """Scaled dot-product attention softmax(Q K^T / sqrt(d_k)) V, per head and row block.
 
     The columns of q, k and v split into ``heads`` equal blocks; head h
     attends with block h of each, all heads at once, and the head outputs
     are joined in the same column order. The rows split into ``blocks``
     equal blocks, and the queries of block b attend only to the keys and
-    values of block b. ``trace``, when given, receives each head's (n, m)
-    weight matrix, in head order within row-block order.
+    values of block b.
     """
     if q.shape[1] != k.shape[1]:
         raise InvalidInput(
@@ -367,8 +365,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1, trace: list | Non
         )
     qh, kh, vh = (_split_heads(t.data, heads, blocks) for t in (q, k, v))
     w, c = _scaled_scores(qh, kh)
-    if trace is not None:
-        trace.extend(w.reshape(-1, *w.shape[2:]))
 
     def grad_scores(g):
         return _softmax_last_grad(w, _split_heads(g, heads, blocks) @ vh.swapaxes(-1, -2)) * c
@@ -528,50 +524,6 @@ def sgd_step(params, loss: Tensor, learning_rate: float) -> float:
         if p.grad is not None:
             p.data -= learning_rate * p.grad
     return loss.item()
-
-
-def finite_diff_check(
-    f,
-    params: list[Tensor],
-    step: float = 1e-5,
-    max_coords_per_param: int | None = None,
-    seed: int = 0,
-) -> float:
-    """Worst relative error between analytic gradients and central differences.
-
-    ``f`` must rebuild its graph from the current parameter data on every
-    call and return a scalar Tensor. For large parameters a random subset of
-    coordinates can be checked. The relative-error denominator is floored at
-    1e-8 so near-zero gradients compare absolutely.
-    """
-    if step <= 0:
-        raise InvalidInput("step must be positive")
-    for p in params:
-        p.grad = None
-    backward(f())
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
-
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for p, grad in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        n = flat.size
-        if max_coords_per_param is not None and n > max_coords_per_param:
-            coords = rng.choice(n, size=max_coords_per_param, replace=False)
-        else:
-            coords = range(n)
-        for idx in coords:
-            original = flat[idx]
-            flat[idx] = original + step
-            plus = f().item()
-            flat[idx] = original - step
-            minus = f().item()
-            flat[idx] = original
-            numeric = (plus - minus) / (2.0 * step)
-            reference = grad.reshape(-1)[idx]
-            denom = max(abs(numeric), abs(reference), 1e-8)
-            worst = max(worst, abs(numeric - reference) / denom)
-    return worst
 
 
 def save_tensors(path: str | Path, tensors: dict[str, np.ndarray | Tensor]) -> None:

@@ -38,13 +38,6 @@ class FlowField:
 
 
 @dataclass(frozen=True)
-class FlowStats:
-    mean_magnitude: float
-    max_magnitude: float
-    mean_angle: float  # magnitude-weighted circular mean, radians
-
-
-@dataclass(frozen=True)
 class WaveletEnergy:
     ll2: float
     lh2: float
@@ -104,6 +97,7 @@ def nlm_denoise(
         raise InvalidInput(f"expected a 2-D frame with non-zero area, got shape {img.shape}")
     if patch < 1 or patch % 2 == 0:
         raise InvalidInput(f"patch must be odd and positive, got {patch}")
+    check_nlm_search(search, *img.shape)
     pr, sr = patch // 2, search // 2
     padded = np.pad(img, sr + pr, mode="reflect")
     h, w = img.shape
@@ -128,6 +122,16 @@ def nlm_denoise(
             value_sum += weighted
             weight_sum += weight
     return np.clip(np.rint(value_sum / weight_sum), 0, 255).astype(np.uint8)
+
+
+def check_nlm_search(search: int, h: int, w: int) -> None:
+    """Raise InvalidInput unless a ``search`` x ``search`` window fits an ``h`` x ``w`` frame.
+
+    The work and memory of :func:`nlm_denoise` grow with the square of the
+    window, so a window wider than the frame only costs time.
+    """
+    if search > min(h, w):
+        raise InvalidInput(f"search window {search} exceeds the smaller side of a {h}x{w} frame")
 
 
 def preprocess_frame(pixels: np.ndarray, patch: int = 3, search: int = 7, strength: float = 10.0) -> np.ndarray:
@@ -245,19 +249,3 @@ class DenseFlow:
             np.multiply(grad, residual, out=step)
             np.subtract(bar, step, out=uv)
         return FlowField(u=uv[0].copy(), v=uv[1].copy())
-
-
-def dense_flow(frame_prev, frame_next, alpha: float = 10.0, iterations: int = 100) -> FlowField:
-    return DenseFlow(alpha=alpha, iterations=iterations)(frame_prev, frame_next)
-
-
-def flow_stats(flow: FlowField) -> FlowStats:
-    """Magnitude statistics plus the magnitude-weighted mean direction."""
-    mag = flow.magnitude
-    # Weighting each unit direction by its magnitude reduces to summing (u, v).
-    angle = float(np.arctan2(flow.v.sum(), flow.u.sum()))
-    return FlowStats(
-        mean_magnitude=float(mag.mean()),
-        max_magnitude=float(mag.max()),
-        mean_angle=angle,
-    )

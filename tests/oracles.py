@@ -6,6 +6,9 @@ against the contracts, not against the package internals it checks.
 
 import numpy as np
 
+from avfuse.errors import InvalidInput
+from avfuse.tensor import Tensor, backward
+
 
 def brute_force_nms(boxes, scores, class_ids, sources, threshold):
     """Array-based greedy NMS; returns indices kept, per class."""
@@ -57,6 +60,19 @@ def scalar_attention(q, k, v):
             for c in range(v.shape[1]):
                 out[i, c] += weights[j] * v[j, c]
     return out
+
+
+def identity_value_weights(attention, q, k, heads=1, blocks=1):
+    """Each head's (n, m) weight matrix of ``attention(q, k, v, heads, blocks)``, in head
+    order within row-block order.
+
+    Read through the kernel's own output: with every head's block of the
+    values an m x m identity matrix, the attended values are the weights.
+    """
+    n, m = q.shape[0] // blocks, k.shape[0] // blocks
+    values = Tensor(np.tile(np.eye(m), (blocks, heads)))
+    out = attention(q, k, values, heads, blocks).data
+    return list(out.reshape(blocks, n, heads, m).transpose(0, 2, 1, 3).reshape(-1, n, m))
 
 
 def scalar_softmax_rows(x):
@@ -236,3 +252,47 @@ def ranking_auc(scores, labels):
             elif p == n:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def finite_diff_check(
+    f,
+    params: list[Tensor],
+    step: float = 1e-5,
+    max_coords_per_param: int | None = None,
+    seed: int = 0,
+) -> float:
+    """Worst relative error between analytic gradients and central differences.
+
+    ``f`` must rebuild its graph from the current parameter data on every
+    call and return a scalar Tensor. For large parameters a random subset of
+    coordinates can be checked. The relative-error denominator is floored at
+    1e-8 so near-zero gradients compare absolutely.
+    """
+    if step <= 0:
+        raise InvalidInput("step must be positive")
+    for p in params:
+        p.grad = None
+    backward(f())
+    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
+
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for p, grad in zip(params, analytic):
+        flat = p.data.reshape(-1)
+        n = flat.size
+        if max_coords_per_param is not None and n > max_coords_per_param:
+            coords = rng.choice(n, size=max_coords_per_param, replace=False)
+        else:
+            coords = range(n)
+        for idx in coords:
+            original = flat[idx]
+            flat[idx] = original + step
+            plus = f().item()
+            flat[idx] = original - step
+            minus = f().item()
+            flat[idx] = original
+            numeric = (plus - minus) / (2.0 * step)
+            reference = grad.reshape(-1)[idx]
+            denom = max(abs(numeric), abs(reference), 1e-8)
+            worst = max(worst, abs(numeric - reference) / denom)
+    return worst

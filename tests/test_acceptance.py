@@ -34,7 +34,7 @@ from avfuse.vision_dsp import dwt2_energy
 from avfuse.anomaly import METHODS, combine_scores
 from avfuse.pipeline import train_on_scenario
 
-from oracles import brute_force_nms, ranking_auc, scalar_attention
+from oracles import brute_force_nms, finite_diff_check, ranking_auc, scalar_attention
 from test_detect_track import random_detections
 from test_fusion import make_separable_set
 from test_tensor import primitive_cases
@@ -80,7 +80,7 @@ def test_criterion_1_gradient_correctness():
         for name, f, params in primitive_cases(rng):
             for p in params:
                 p.grad = None
-            err = tz.finite_diff_check(f, params, seed=configs)
+            err = finite_diff_check(f, params, seed=configs)
             assert err < 1e-4, f"primitive {name}: {err}"
             configs += 1
 
@@ -93,7 +93,7 @@ def test_criterion_1_gradient_correctness():
         def f_basic():
             return tz.cross_entropy(model.forward(vis, aud)[0], [seed % 2])
 
-        err = tz.finite_diff_check(f_basic, model.parameters(), max_coords_per_param=2, seed=seed)
+        err = finite_diff_check(f_basic, model.parameters(), max_coords_per_param=2, seed=seed)
         assert err < 1e-4, f"basic model: {err}"
 
     advanced = AdvancedFusionModel(seed=0)
@@ -108,8 +108,8 @@ def test_criterion_1_gradient_correctness():
 
     # Four stacked layers leave f with ~1e-12 evaluation noise, so the
     # rounding/truncation balance sits near step 1e-4 for this composite.
-    err = tz.finite_diff_check(f_advanced, advanced.parameters(), step=1e-4,
-                               max_coords_per_param=1, seed=3)
+    err = finite_diff_check(f_advanced, advanced.parameters(), step=1e-4,
+                            max_coords_per_param=1, seed=3)
     assert err < 1e-4, f"advanced model: {err}"
 
     elapsed = time.perf_counter() - started

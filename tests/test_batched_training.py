@@ -17,6 +17,7 @@ from avfuse.fusion import (
     LabeledSequence,
     train_step,
 )
+from oracles import finite_diff_check
 
 GRAD_TOL = 1e-4
 BATCH_RTOL = 1e-12
@@ -51,7 +52,7 @@ class TestRowBlockOps:
         def f():
             return tz.sum_all(tz.mul(tz.attention(q, k, v, heads=2, blocks=3), mix))
 
-        assert tz.finite_diff_check(f, [q, k, v]) < GRAD_TOL
+        assert finite_diff_check(f, [q, k, v]) < GRAD_TOL
 
     def test_block_attention_attends_within_each_block(self):
         rng = np.random.default_rng(1)
@@ -70,7 +71,7 @@ class TestRowBlockOps:
         def f():
             return tz.sum_all(tz.mul(tz.gelu(tz.mean(x, 0, 3)), w))
 
-        assert tz.finite_diff_check(f, [x, w]) < GRAD_TOL
+        assert finite_diff_check(f, [x, w]) < GRAD_TOL
 
     def test_block_bias_gradients_match_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -81,7 +82,7 @@ class TestRowBlockOps:
         def f():
             return tz.sum_all(tz.gelu(tz.add_bias(x, bias)))
 
-        assert tz.finite_diff_check(f, [x, bias]) < GRAD_TOL
+        assert finite_diff_check(f, [x, bias]) < GRAD_TOL
 
     @pytest.mark.parametrize("build", [
         lambda x: tz.attention(x, x, x, heads=2, blocks=5),

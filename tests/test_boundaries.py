@@ -31,17 +31,14 @@ def canonical_capture(tmp_path_factory):
     ({"vision": {"flow_alpha": float("inf")}}, "vision.flow_alpha"),
     ({"anomaly": {"autoencoder_learning_rate": -0.5}}, "anomaly.autoencoder_learning_rate"),
     ({"fusion": {"seed": -1}}, "fusion.seed"),
-    ({"fusion": {"basic_heads": 0}}, "fusion.basic_heads"),
-    ({"fusion": {"basic_heads": -4}}, "fusion.basic_heads"),
     ({"vision": {"flow_alpha": 10**399}}, "vision.flow_alpha"),
     ({"anomaly": {"history": 10**30}}, "anomaly.history"),
     ({"anomaly": {"weights": {"audio": -10**400}}}, "anomaly.weights"),
     ({"runtime": {"queue_capacity": 10**30}}, "runtime.queue_capacity"),
 ], ids=["string steps", "list weights", "string weight", "number section", "integer flag",
         "infinite weight", "infinite learning rate", "infinite flow alpha",
-        "negative autoencoder learning rate", "negative fusion seed", "zero basic heads",
-        "negative basic heads", "400-digit flow alpha", "huge history", "huge weight",
-        "huge queue capacity"])
+        "negative autoencoder learning rate", "negative fusion seed", "400-digit flow alpha",
+        "huge history", "huge weight", "huge queue capacity"])
 def test_wrong_json_type_is_a_config_error(tmp_path, capsys, override, key):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(override))
@@ -126,6 +123,26 @@ def test_bad_queue_capacity_is_a_config_error_before_loading(canonical_capture, 
     assert loaded == []
 
 
+@pytest.mark.parametrize("search", [301, 100001])
+@pytest.mark.parametrize("command", ["run", "train"])
+def test_nlm_search_wider_than_the_frames_is_a_config_error_before_any_model(
+        canonical_capture, tmp_path, capsys, monkeypatch, command, search):
+    import avfuse.pipeline
+
+    built = []
+    for name in ("build_model", "load_model"):
+        monkeypatch.setattr(avfuse.pipeline, name, lambda *args, name=name: built.append(name))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"vision": {"nlm_search": search}}))
+    params = ["--params", str(tmp_path / "fusion.bin")] if command == "run" else []
+    assert cli_main(["--config", str(config), "--out", str(tmp_path / "out"), command,
+                     str(canonical_capture), *params]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: vision.nlm_search: search window {search} exceeds the smaller side "
+        f"of a 64x64 frame in {canonical_capture}\n")
+    assert built == []
+
+
 @pytest.mark.parametrize("flags, flag", [(["--queue-capacity", "0"], "--queue-capacity"),
                                          (["--deterministic"], "--deterministic")],
                          ids=["queue capacity", "deterministic"])
@@ -165,10 +182,12 @@ def training_capture(tmp_path_factory):
 @pytest.mark.parametrize("override, message", [
     ({"fusion": {"learning_rate": 1e6, "steps": 8}},
      r"fusion model diverged: loss \S+ at step \d+; lower fusion\.learning_rate"),
+    ({"fusion": {"learning_rate": 1e6, "steps": 4}},  # exploded, but still finite
+     r"fusion model diverged: loss \d[\d.e+]* at step 2; lower fusion\.learning_rate"),
     ({"fusion": {"steps": 2}, "anomaly": {"autoencoder_learning_rate": 1e8,
                                           "autoencoder_steps": 20}},
      r"autoencoder diverged: loss \S+ at step \d+; lower anomaly\.autoencoder_learning_rate"),
-], ids=["fusion", "autoencoder"])
+], ids=["fusion", "fusion finite", "autoencoder"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_trainer_exits_2_and_writes_no_model(training_capture, tmp_path, capsys,
                                                       override, message):
@@ -179,6 +198,21 @@ def test_diverging_trainer_exits_2_and_writes_no_model(training_capture, tmp_pat
                      str(training_capture)]) == 2
     assert re.search(f"^error: {message}$", capsys.readouterr().err, re.MULTILINE)
     assert not list(out.glob("*.bin"))
+
+
+@pytest.mark.parametrize("flag", ["--config", "--scenario"])
+@pytest.mark.parametrize("make, problem", [
+    (lambda path: None, "cannot read ([Errno 2] "),
+    (lambda path: path.mkdir(), "cannot read ([Errno 21] "),
+    (lambda path: path.write_text("{not json"), "not a JSON document ("),
+], ids=["missing", "directory", "invalid json"])
+def test_unreadable_config_and_scenario_files_read_alike(tmp_path, capsys, flag, make, problem):
+    path = tmp_path / "given.json"
+    make(path)
+    given = ["--config", str(path), "generate"] if flag == "--config" else [
+        "generate", "--scenario", str(path)]
+    assert cli_main(["--out", str(tmp_path / "out"), *given]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {path}: {problem}")
 
 
 def scenario_with(**changes):

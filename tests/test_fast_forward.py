@@ -20,7 +20,7 @@ from avfuse.fusion import (
     build_model,
     stub_audio_embeddings,
 )
-from oracles import scalar_gelu
+from oracles import finite_diff_check, identity_value_weights, scalar_gelu, scalar_softmax_rows
 
 HEADS = (1, 2, 4, 8)
 GRAD_TOL = 1e-4
@@ -55,7 +55,7 @@ class TestBatchedAttention:
         def f():
             return tz.sum_all(tz.mul(tz.attention(x, x, x, heads), mix))
 
-        assert tz.finite_diff_check(f, [x]) < GRAD_TOL
+        assert finite_diff_check(f, [x]) < GRAD_TOL
 
     @pytest.mark.parametrize("heads", HEADS)
     def test_cross_attention_gradients_match_finite_differences(self, heads):
@@ -66,7 +66,7 @@ class TestBatchedAttention:
         def f():
             return tz.sum_all(tz.mul(tz.attention(q, k, v, heads), mix))
 
-        assert tz.finite_diff_check(f, [q, k, v]) < GRAD_TOL
+        assert finite_diff_check(f, [q, k, v]) < GRAD_TOL
 
     @pytest.mark.parametrize("heads", HEADS)
     def test_matches_per_head_composition(self, heads):
@@ -84,17 +84,17 @@ class TestBatchedAttention:
         for batched, composed in zip(*grads):
             np.testing.assert_allclose(batched, composed, rtol=0, atol=1e-12)
 
-    def test_trace_gets_each_heads_weights_in_order(self):
+    def test_identity_values_give_each_heads_weights_in_order(self):
         rng = np.random.default_rng(30)
-        q, k, v = (tz.Tensor(rng.normal(size=shape)) for shape in ((3, 8), (5, 8), (5, 8)))
-        trace = []
-        tz.attention(q, k, v, 4, trace)
-        assert len(trace) == 4
-        for h, weights in enumerate(trace):
-            expected = tz.attention_weights(tz.slice_cols(q, 2 * h, 2 * h + 2),
-                                            tz.slice_cols(k, 2 * h, 2 * h + 2)).data
-            assert weights.shape == (3, 5)
-            np.testing.assert_allclose(weights, expected, rtol=0, atol=1e-15)
+        q, k = (rng.normal(size=shape) for shape in ((3, 8), (5, 8)))
+        weights = identity_value_weights(tz.attention, tz.Tensor(q), tz.Tensor(k), heads=4)
+        assert len(weights) == 4
+        for h, w in enumerate(weights):
+            cols = slice(2 * h, 2 * h + 2)
+            expected = scalar_softmax_rows(q[:, cols] @ k[:, cols].T / np.sqrt(2))
+            assert w.shape == (3, 5)
+            np.testing.assert_allclose(w, expected, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-15)
 
     def test_widths_that_do_not_split_are_rejected(self):
         x = tz.Tensor(np.zeros((2, 6)))
@@ -103,22 +103,19 @@ class TestBatchedAttention:
         with pytest.raises(InvalidInput, match="0 heads"):
             tz.attention(x, x, x, 0)
 
-    def test_basic_trace_holds_layers_times_heads(self):
+    def test_basic_trace_holds_layers_times_heads(self, attention_weights):
         model = BasicFusionModel(BasicFusionConfig(layers=3, heads=2))
         rng = np.random.default_rng(31)
-        trace = []
-        model.forward(rng.normal(size=(5, 3)), rng.normal(size=(5, 4)), trace=trace)
-        assert len(trace) == 3 * 2
-        assert all(w.shape == (5, 5) for w in trace)
+        model.forward(rng.normal(size=(5, 3)), rng.normal(size=(5, 4)))
+        assert len(attention_weights) == 3 * 2
+        assert all(w.shape == (5, 5) for w in attention_weights)
 
-    def test_advanced_trace_holds_layers_times_two_times_heads(self):
+    def test_advanced_trace_holds_layers_times_two_times_heads(self, attention_weights):
         model = AdvancedFusionModel(AdvancedFusionConfig(layers=2, heads=4, ffn_hidden=64))
         rng = np.random.default_rng(32)
-        trace = []
-        model.forward(rng.normal(size=(6, 4)), rng.normal(size=(6, 5)),
-                      rng.normal(size=FUSED_DIM), trace=trace)
-        assert len(trace) == 2 * 2 * 4
-        assert all(w.shape == (6, 6) for w in trace)
+        model.forward(rng.normal(size=(6, 4)), rng.normal(size=(6, 5)), rng.normal(size=FUSED_DIM))
+        assert len(attention_weights) == 2 * 2 * 4
+        assert all(w.shape == (6, 6) for w in attention_weights)
 
 
 class TestInferenceMode:

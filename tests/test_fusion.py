@@ -20,8 +20,8 @@ from avfuse.fusion import (
     visual_row,
 )
 from avfuse.audio_dsp import spectral_stats
-from avfuse.vision_dsp import FlowStats, dwt2_energy
-from oracles import ref_advanced_forward, ref_basic_forward
+from avfuse.vision_dsp import dwt2_energy
+from oracles import finite_diff_check, ref_advanced_forward, ref_basic_forward
 
 SR = 16000
 
@@ -69,7 +69,7 @@ def make_separable_set(n_per_class=8, t=6, advanced=False, seed=42):
 
 class TestTokens:
     def test_frame_without_detections(self):
-        row = visual_row([], dwt2_energy(np.zeros((8, 8))), FlowStats(0.0, 0.0, 0.0))
+        row = visual_row([], dwt2_energy(np.zeros((8, 8))), 0.0)
         bbox_count, mean_confidence, wavelet_energy, _ = row
         assert bbox_count == 0
         assert mean_confidence == 0.0
@@ -80,7 +80,7 @@ class TestTokens:
             Detection(BBox(0, 0, 5, 5), 0.4, 0),
             Detection(BBox(10, 10, 15, 15), 0.6, 0),
         ]
-        row = visual_row(dets, dwt2_energy(np.ones((8, 8))), FlowStats(0.0, 0.0, 0.0))
+        row = visual_row(dets, dwt2_energy(np.ones((8, 8))), 0.0)
         bbox_count, mean_confidence, _, _ = row
         assert mean_confidence == pytest.approx(0.5)
         assert bbox_count == 2
@@ -148,11 +148,11 @@ class TestAudioEnsemble:
 
 
 class TestBasicModel:
-    def test_single_token_attention_is_identity_weight(self):
+    def test_single_token_attention_is_identity_weight(self, attention_weights):
         model = BasicFusionModel(seed=0)
-        trace = []
-        model.forward(np.ones((1, 3)), np.ones((1, 4)), trace=trace)
-        for weights in trace:
+        model.forward(np.ones((1, 3)), np.ones((1, 4)))
+        assert attention_weights
+        for weights in attention_weights:
             np.testing.assert_array_equal(weights, [[1.0]])
 
     def test_permutation_invariant_without_positions(self):
@@ -178,13 +178,12 @@ class TestBasicModel:
         with pytest.raises(InvalidInput):
             model.forward(np.ones((3, 3)), np.ones((4, 4)))
 
-    def test_attention_rows_sum_to_one_everywhere(self):
+    def test_attention_rows_sum_to_one_everywhere(self, attention_weights):
         rng = np.random.default_rng(8)
         model = BasicFusionModel(seed=3)
-        trace = []
-        model.forward(rng.normal(size=(5, 3)), rng.normal(size=(5, 4)), trace=trace)
-        assert len(trace) == model.config.layers * model.config.heads
-        for weights in trace:
+        model.forward(rng.normal(size=(5, 3)), rng.normal(size=(5, 4)))
+        assert len(attention_weights) == model.config.layers * model.config.heads
+        for weights in attention_weights:
             np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-9)
 
 
@@ -199,12 +198,11 @@ class TestAdvancedModel:
         np.testing.assert_array_equal(motion.data.reshape(-1), [0.3, -0.7])
         np.testing.assert_array_equal(event.data.reshape(-1), np.arange(32.0))
 
-    def test_single_token_cross_attention_weights_are_one(self):
+    def test_single_token_cross_attention_weights_are_one(self, attention_weights):
         model = AdvancedFusionModel(seed=1)
-        trace = []
-        model.forward(np.ones((1, 4)), np.ones((1, 5)), np.zeros(FUSED_DIM), trace=trace)
-        assert len(trace) == model.config.layers * 2 * model.config.heads
-        for weights in trace:
+        model.forward(np.ones((1, 4)), np.ones((1, 5)), np.zeros(FUSED_DIM))
+        assert len(attention_weights) == model.config.layers * 2 * model.config.heads
+        for weights in attention_weights:
             np.testing.assert_array_equal(weights, [[1.0]])
 
     def test_matches_scalar_reference_forward(self):
@@ -218,13 +216,12 @@ class TestAdvancedModel:
         np.testing.assert_allclose(got_motion.data.reshape(-1), motion.reshape(-1), atol=1e-8)
         np.testing.assert_allclose(got_event.data.reshape(-1), event.reshape(-1), atol=1e-8)
 
-    def test_attention_rows_sum_to_one(self):
+    def test_attention_rows_sum_to_one(self, attention_weights):
         rng = np.random.default_rng(10)
         model = AdvancedFusionModel(seed=3)
-        trace = []
-        model.forward(rng.normal(size=(5, 4)), rng.normal(size=(5, 5)),
-                      rng.normal(size=FUSED_DIM), trace=trace)
-        for weights in trace:
+        model.forward(rng.normal(size=(5, 4)), rng.normal(size=(5, 5)), rng.normal(size=FUSED_DIM))
+        assert attention_weights
+        for weights in attention_weights:
             np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-9)
 
     def test_wrong_fused_dimension_rejected(self):
@@ -285,7 +282,7 @@ class TestTraining:
         def f():
             return tz.cross_entropy(model.forward(vis, aud)[0], [1])
 
-        err = tz.finite_diff_check(f, model.parameters(), max_coords_per_param=2, seed=0)
+        err = finite_diff_check(f, model.parameters(), max_coords_per_param=2, seed=0)
         assert err < 1e-4
 
     def test_model_save_load_round_trip(self, tmp_path):

@@ -1,6 +1,7 @@
 """One fusion-model contract, the saved-model format, and malformed model files."""
 
 import json
+import re
 import threading
 from dataclasses import replace
 
@@ -122,7 +123,7 @@ class TestBasicContext:
 
         monkeypatch.setattr(fusion.AudioEnsembleFusion, "__init__", refuse)
         generate_scenario(preset_scenario("canonical", seed=0), tmp_path)
-        scenario, clip, jobs = open_capture(tmp_path)
+        scenario, clip, jobs = open_capture(tmp_path, Config().vision)
         context = PipelineContext(Config(), scenario, clip.sample_rate)
         assert context.model.ensemble is None
         assert context.analyze(jobs[0]).fused is None
@@ -142,16 +143,17 @@ class TestModelFileFormat:
 
 
 class TestFusionConfig:
-    def test_advanced_hidden_is_not_a_config_key(self, tmp_path):
+    @pytest.mark.parametrize("key, value", [
+        ("advanced_hidden", 256), ("basic_hidden", 4 * 10**9), ("basic_layers", 3),
+        ("basic_heads", 0), ("basic_heads", -4), ("basic_ffn", 10**11),
+        ("advanced_layers", 10**8), ("advanced_heads", 3), ("advanced_ffn", 64),
+        ("max_tokens", 10**12),
+    ])
+    def test_advanced_hidden_is_not_a_config_key(self, tmp_path, key, value):
+        """The two architectures are fixed: no model size is a config key."""
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"fusion": {"advanced_hidden": 256}}))
-        with pytest.raises(InvalidConfig, match="fusion.advanced_hidden: unknown key"):
-            load_config(path)
-
-    def test_advanced_heads_must_divide_fused_width(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"fusion": {"advanced_heads": 3}}))
-        with pytest.raises(InvalidConfig, match="fusion.advanced_heads must divide 256"):
+        path.write_text(json.dumps({"fusion": {key: value}}))
+        with pytest.raises(InvalidConfig, match=rf"{re.escape(str(path))}: fusion\.{key}: unknown key"):
             load_config(path)
 
 

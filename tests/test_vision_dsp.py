@@ -4,10 +4,7 @@ import pytest
 from avfuse.errors import InvalidInput
 from avfuse.vision_dsp import (
     DenseFlow,
-    FlowField,
-    dense_flow,
     dwt2_energy,
-    flow_stats,
     nlm_denoise,
     preprocess_frame,
     to_grayscale,
@@ -101,6 +98,11 @@ class TestPreprocessFrame:
         with pytest.raises(InvalidInput, match="patch must be odd"):
             nlm_denoise(np.zeros((8, 8), dtype=np.uint8), patch=patch)
 
+    def test_search_window_wider_than_the_frame_rejected(self):
+        nlm_denoise(np.zeros((7, 12), dtype=np.uint8), search=7)
+        with pytest.raises(InvalidInput, match="search window 9 exceeds the smaller side of a 8x12"):
+            nlm_denoise(np.zeros((8, 12), dtype=np.uint8), search=9)
+
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("patch,search", [(1, 3), (3, 7), (5, 7)])
     def test_bytes_equal_cumsum_reference(self, shape, patch, search):
@@ -145,13 +147,13 @@ class TestDwt2Energy:
 class TestDenseFlow:
     def test_identical_frames_give_zero_flow(self):
         frame = gaussian_blob(32, 32, 16, 16)
-        flow = dense_flow(frame, frame)
+        flow = DenseFlow()(frame, frame)
         assert np.abs(flow.magnitude).max() < 1e-3
 
     def test_horizontal_shift_recovered_in_blob_interior(self):
         f1 = gaussian_blob(64, 64, 32, 31)
         f2 = gaussian_blob(64, 64, 32, 32)
-        flow = dense_flow(f1, f2)
+        flow = DenseFlow()(f1, f2)
         interior = f1 > 40
         assert abs(flow.u[interior].mean() - 1.0) <= 0.25
         assert abs(flow.v[interior].mean()) <= 0.25
@@ -159,7 +161,7 @@ class TestDenseFlow:
     def test_vertical_shift_by_axis_symmetry(self):
         f1 = gaussian_blob(64, 64, 31, 32)
         f2 = gaussian_blob(64, 64, 32, 32)
-        flow = dense_flow(f1, f2)
+        flow = DenseFlow()(f1, f2)
         interior = f1 > 40
         assert abs(flow.v[interior].mean() - 1.0) <= 0.25
         assert abs(flow.u[interior].mean()) <= 0.25
@@ -169,25 +171,25 @@ class TestDenseFlow:
         f2 = gaussian_blob(64, 64, 32, 32)
         g1 = gaussian_blob(64, 64, 37, 34)
         g2 = gaussian_blob(64, 64, 37, 35)
-        base = dense_flow(f1, f2).u[f1 > 40].mean()
-        shifted = dense_flow(g1, g2).u[g1 > 40].mean()
+        base = DenseFlow()(f1, f2).u[f1 > 40].mean()
+        shifted = DenseFlow()(g1, g2).u[g1 > 40].mean()
         assert abs(shifted - base) <= 0.1 * abs(base)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidInput):
-            dense_flow(np.zeros((8, 8)), np.zeros((8, 10)))
+            DenseFlow()(np.zeros((8, 8)), np.zeros((8, 10)))
 
     @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (1, 1), (0, 4)])
     def test_degenerate_frames_name_the_shape(self, shape):
         with pytest.raises(InvalidInput, match=rf"\({shape[0]}, {shape[1]}\)"):
-            dense_flow(np.zeros(shape), np.zeros(shape))
+            DenseFlow()(np.zeros(shape), np.zeros(shape))
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("iterations", [1, 7, 100])
     @pytest.mark.parametrize("alpha", [1.0, 10.0])
     def test_bytes_equal_padded_jacobi_reference(self, shape, iterations, alpha):
         prev, nxt = random_frames(shape)
-        flow = dense_flow(prev, nxt, alpha=alpha, iterations=iterations)
+        flow = DenseFlow(alpha, iterations)(prev, nxt)
         u, v = reference_horn_schunck(prev, nxt, alpha=alpha, iterations=iterations)
         np.testing.assert_array_equal(flow.u, u)
         np.testing.assert_array_equal(flow.v, v)
@@ -198,18 +200,3 @@ class TestDenseFlow:
         with pytest.raises(InvalidInput):
             DenseFlow(iterations=0)
 
-
-class TestFlowStats:
-    def test_zero_flow(self):
-        stats = flow_stats(FlowField(np.zeros((4, 4)), np.zeros((4, 4))))
-        assert stats.mean_magnitude == 0.0
-        assert stats.max_magnitude == 0.0
-
-    def test_uniform_three_four_five(self):
-        stats = flow_stats(FlowField(np.full((4, 4), 3.0), np.full((4, 4), 4.0)))
-        assert stats.mean_magnitude == pytest.approx(5.0)
-        assert stats.max_magnitude == pytest.approx(5.0)
-
-    def test_uniform_horizontal_angle_zero(self):
-        stats = flow_stats(FlowField(np.ones((4, 4)), np.zeros((4, 4))))
-        assert stats.mean_angle == pytest.approx(0.0)
