@@ -9,13 +9,14 @@ Usage::
 OUT must not exist. The script renders the ``injection`` and ``training``
 presets at seed 5, trains a basic and an advanced model on ``training``
 (``fusion.steps`` 10) and runs ``--deterministic`` on ``injection`` with
-each model kind, untrained and trained, threaded and ``--single-thread``.
-Every ``summary.json`` is deleted because it holds wall-clock timings, so
-what stays under OUT is bytes the program promises to reproduce:
+each model kind, untrained and trained. ``--single-thread`` runs the same
+path, so it is not rendered again. Every ``summary.json`` is deleted
+because it holds wall-clock timings, so what stays under OUT is bytes the
+program promises to reproduce:
 
     OUT/captures/<preset>/     the rendered captures
     OUT/models/<kind>/         fusion.bin and autoencoder.bin
-    OUT/runs/<kind>-<trained|untrained>-<threaded|single-thread>/
+    OUT/runs/<kind>-<trained|untrained>-threaded/
                                events.jsonl and anomalies/
 
 Render OUT once from each of two checkouts and compare with
@@ -84,11 +85,10 @@ def render(out: Path) -> None:
             model_args = (["--params", models / "fusion.bin",
                            "--autoencoder", models / "autoencoder.bin"]
                           if trained == "trained" else [])
-            for mode, mode_args in (("threaded", []), ("single-thread", ["--single-thread"])):
-                run_dir = out / "runs" / f"{kind}-{trained}-{mode}"
-                avfuse(*common, "--out", run_dir, "--deterministic", "run",
-                       captures / "injection", *model_args, *mode_args)
-                (run_dir / "summary.json").unlink()
+            run_dir = out / "runs" / f"{kind}-{trained}-threaded"
+            avfuse(*common, "--out", run_dir, "--deterministic", "run",
+                   captures / "injection", *model_args)
+            (run_dir / "summary.json").unlink()
 
 
 def versions() -> str:
