@@ -154,26 +154,13 @@ def autoencoder_score(model: DenseAutoencoder, frame: np.ndarray) -> float:
 def save_autoencoder(path, model: DenseAutoencoder) -> None:
     if model.training_mse is None:
         raise NotTrained("refusing to persist an untrained autoencoder")
-    state = {name: t.data for name, t in model.params.items()}
-    state["meta.training_mse"] = np.array([[model.training_mse]])
-    tz.reject_nonfinite(path, state)
-    tz.save_tensors(path, state)
+    tz.save(path, model.params, {"meta.training_mse": np.array([[model.training_mse]])})
 
 
 def load_autoencoder(path) -> DenseAutoencoder:
     """Rebuild a trained autoencoder; a malformed file raises :class:`InvalidInput`."""
-    state = tz.load_tensors(path)
-    try:
-        with tz.reading(state):
-            model = DenseAutoencoder()
-        tz.reject_extra(state, model.params, ("meta.training_mse",))
-    except InvalidInput as exc:
-        raise InvalidInput(f"{path}: autoencoder {exc}") from exc
-    mse = state.get("meta.training_mse")
-    if mse is None or mse.size != 1 or not np.isfinite(mse).all():
-        raise InvalidInput(f"{path}: autoencoder file needs one finite meta.training_mse value")
-    model.training_mse = float(mse.item())
-    return model
+    return tz.load(path, lambda: DenseAutoencoder(
+        training_mse=float(tz.read("meta.training_mse", (1, 1))[0, 0])))
 
 
 class AudioBaseline:

@@ -93,6 +93,9 @@ class TokenNormalizer:
         self.visual_std = np.asarray(visual_std, dtype=np.float64)
         self.audio_mean = np.asarray(audio_mean, dtype=np.float64)
         self.audio_std = np.asarray(audio_std, dtype=np.float64)
+        for name, std in (("norm.visual_std", self.visual_std), ("norm.audio_std", self.audio_std)):
+            if not np.all(std > 0.0):
+                raise InvalidInput(f"{name}: normalizer std must be positive")
 
     @classmethod
     def fit(cls, visual_matrices: list[np.ndarray], audio_matrices: list[np.ndarray]) -> "TokenNormalizer":
@@ -119,18 +122,6 @@ class TokenNormalizer:
             "norm.visual_mean": self.visual_mean, "norm.visual_std": self.visual_std,
             "norm.audio_mean": self.audio_mean, "norm.audio_std": self.audio_std,
         }
-
-    @classmethod
-    def from_state(cls, state: dict[str, np.ndarray]) -> "TokenNormalizer":
-        names = ("norm.visual_mean", "norm.visual_std", "norm.audio_mean", "norm.audio_std")
-        for name in names:
-            if name not in state:
-                raise InvalidInput(f"parameter file missing tensor {name}")
-            if not np.all(np.isfinite(state[name])):
-                raise InvalidInput(f"{name}: normalizer values must be finite")
-            if name.endswith("_std") and not np.all(state[name] > 0.0):
-                raise InvalidInput(f"{name}: normalizer std must be positive")
-        return cls(*(state[name].reshape(-1) for name in names))
 
 
 def stub_audio_embeddings(samples, sample_rate: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -450,13 +441,10 @@ MODEL_KINDS = ((BasicFusionModel, BasicFusionConfig), (AdvancedFusionModel, Adva
 
 
 def save_model(path: str | Path, model, normalizer: TokenNormalizer) -> None:
-    """Persist model parameters, architecture, and normalizer in one file."""
-    state: dict[str, np.ndarray] = {name: t.data for name, t in model.store.params.items()}
-    state.update(normalizer.state())
+    """Persist model parameters, normalizer and architecture in one file."""
     kind = [cls for cls, _ in MODEL_KINDS].index(type(model))
-    state["meta.arch"] = np.array([[kind, *astuple(model.config)]], dtype=np.float64)
-    tz.reject_nonfinite(path, state)
-    tz.save_tensors(path, state)
+    arch = np.array([[kind, *astuple(model.config)]], dtype=np.float64)
+    tz.save(path, model.store.params, {**normalizer.state(), "meta.arch": arch})
 
 
 def load_model(path: str | Path):
@@ -464,28 +452,20 @@ def load_model(path: str | Path):
 
     A malformed file raises :class:`InvalidInput` naming ``path``.
     """
-    state = tz.load_tensors(path)
-    if "meta.arch" not in state:
-        raise InvalidInput(f"{path}: not a fusion model file (no architecture record)")
-    arch = state["meta.arch"].reshape(-1)
-    if arch.size == 0 or arch[0] not in range(len(MODEL_KINDS)):
-        raise InvalidInput(f"{path}: unknown model kind in architecture record {arch.tolist()}")
-    model_cls, config_cls = MODEL_KINDS[int(arch[0])]
-    dims = arch[1:]
-    if dims.size != len(fields(config_cls)) or not np.all(
-            np.isfinite(dims) & (dims >= 1) & (dims == np.round(dims))):
-        raise InvalidInput(f"{path}: architecture record {arch.tolist()} must hold "
-                           f"{len(fields(config_cls))} positive integers after kind {int(arch[0])}")
-    try:
-        with tz.reading(state):
-            model = model_cls(config_cls(*(int(x) for x in dims)))
-        normalizer = TokenNormalizer.from_state(state)
-        tz.reject_extra(state, model.store.params, ("meta.arch", *normalizer.state()))
-        c = model.config
-        widths = [v.size for v in normalizer.state().values()]
-        if widths != [c.visual_features] * 2 + [c.audio_features] * 2:
-            raise InvalidInput(f"normalizer widths {widths} do not match the model's "
-                               f"{c.visual_features} visual and {c.audio_features} audio features")
-    except InvalidInput as exc:
-        raise InvalidInput(f"{path}: {exc}") from exc
-    return model, normalizer
+    def build():
+        arch = tz.read("meta.arch").reshape(-1)
+        if arch.size == 0 or arch[0] not in range(len(MODEL_KINDS)):
+            raise InvalidInput(f"unknown model kind in architecture record {arch.tolist()}")
+        model_cls, config_cls = MODEL_KINDS[int(arch[0])]
+        dims = arch[1:]
+        if dims.size != len(fields(config_cls)) or not np.all(
+                (dims >= 1) & (dims == np.round(dims))):
+            raise InvalidInput(f"architecture record {arch.tolist()} must hold "
+                               f"{len(fields(config_cls))} positive integers after kind {int(arch[0])}")
+        model = model_cls(config_cls(*(int(x) for x in dims)))
+        visual, audio = (model.config.visual_features,), (model.config.audio_features,)
+        return model, TokenNormalizer(
+            tz.read("norm.visual_mean", visual), tz.read("norm.visual_std", visual),
+            tz.read("norm.audio_mean", audio), tz.read("norm.audio_std", audio))
+
+    return tz.load(path, build)

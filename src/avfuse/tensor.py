@@ -12,9 +12,11 @@ by :func:`sgd_step`.
 
 Models hold what the store's ``linear``, ``layer_norm`` and
 ``feed_forward`` builders return and run it through :func:`linear`,
-:func:`layer_norm` and :func:`feed_forward`. Inside a :func:`reading`
-block the stores of one thread read every parameter from a file's tensors
-instead of drawing it, so a loader builds its model once, from the file.
+:func:`layer_norm` and :func:`feed_forward`. Inside :func:`load` the
+stores of one thread take every parameter from a file through :func:`read`
+instead of drawing it, so a loader builds its model once, from the file,
+and the file must hold nothing the loader does not read. :func:`save` is
+the one writer.
 
 A batch of B equal-length sequences of n tokens is one tensor of B*n rows,
 sequence b in rows b*n to (b+1)*n: a row block. Row-wise operations
@@ -87,6 +89,7 @@ class Tensor:
 class _Mode(threading.local):
     no_graph = False
     source = None  # name -> array a ParamStore reads instead of drawing; None: draw
+    unread = None  # the names in source that nothing has read yet
 
 
 _MODE = _Mode()
@@ -442,10 +445,9 @@ class ParamStore:
 
     Weights draw uniform(+-1/sqrt(fan_in)) values from one generator seeded
     at construction, in creation order; biases and gains start constant.
-    Inside :func:`reading` each parameter is instead the file's array of
-    its name, uncopied, checked for presence, shape and finiteness before
-    anything is allocated, so a corrupt architecture record fails at its
-    first mis-shaped tensor.
+    Inside :func:`reading` each parameter is instead :func:`read` of its
+    name, uncopied and checked before anything is allocated, so a corrupt
+    architecture record fails at its first mis-shaped tensor.
     """
 
     def __init__(self, seed: int = 0):
@@ -460,16 +462,7 @@ class ParamStore:
         return self._add(name, shape, lambda: np.full(shape, fill))
 
     def _add(self, name: str, shape: tuple[int, int], draw) -> Tensor:
-        source = _MODE.source
-        if source is not None:
-            if name not in source:
-                raise InvalidInput(f"parameter file missing tensor {name}")
-            if source[name].shape != shape:
-                raise InvalidInput(f"{name}: shape {source[name].shape} does not match model {shape}")
-        try:
-            tensor = Tensor(draw() if source is None else source[name], requires_grad=True)
-        except InvalidInput as exc:
-            raise InvalidInput(f"{name}: {exc}") from None
+        tensor = Tensor(draw() if _MODE.source is None else read(name, shape), requires_grad=True)
         self.params[name] = tensor
         return tensor
 
@@ -487,16 +480,34 @@ class ParamStore:
 
 @contextmanager
 def reading(state: dict[str, np.ndarray]):
-    """Let every :class:`ParamStore` in this thread take its parameters from ``state``.
+    """Let every :class:`ParamStore` and :func:`read` in this thread take tensors from ``state``.
 
     ``state`` maps names to arrays as :func:`load_tensors` gives them. The
-    previous mode comes back on exit, also when the block raises.
+    block receives the set of names not read yet. The previous mode comes
+    back on exit, also when the block raises.
     """
-    previous, _MODE.source = _MODE.source, state
+    previous = _MODE.source, _MODE.unread
+    _MODE.source, _MODE.unread = state, set(state)
     try:
-        yield
+        yield _MODE.unread
     finally:
-        _MODE.source = previous
+        _MODE.source, _MODE.unread = previous
+
+
+def read(name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """The tensor ``name`` of the :func:`reading` state, uncopied, now marked read.
+
+    It must be present, of exactly ``shape`` when one is given, and finite.
+    """
+    array = _MODE.source.get(name)
+    if array is None:
+        raise InvalidInput(f"parameter file missing tensor {name}")
+    if shape is not None and array.shape != shape:
+        raise InvalidInput(f"{name}: shape {array.shape} does not match model {shape}")
+    if not np.all(np.isfinite(array)):
+        raise InvalidInput(f"{name}: tensor data must be finite")
+    _MODE.unread.discard(name)
+    return array
 
 
 def linear(x: Tensor, layer: tuple[Tensor, Tensor]) -> Tensor:
@@ -572,15 +583,27 @@ def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
     return out
 
 
-def reject_nonfinite(path: str | Path, state: dict[str, np.ndarray]) -> None:
-    """Refuse to write ``state`` to ``path`` if a tensor holds a value no loader accepts."""
+def save(path: str | Path, params: dict[str, Tensor], records: dict[str, np.ndarray]) -> None:
+    """Write ``params``, then ``records``, refusing before any byte a value no loader accepts."""
+    state = {name: t.data for name, t in params.items()} | records
     for name, array in state.items():
         if not np.all(np.isfinite(array)):
             raise InvalidInput(f"{path}: refusing to write {name}: tensor data must be finite")
+    save_tensors(path, state)
 
 
-def reject_extra(state: dict[str, np.ndarray], params, records=()) -> None:
-    """Every name in ``state`` must be one of ``params`` or a record the caller reads itself."""
-    extra = sorted(set(state) - set(params) - set(records))
-    if extra:
-        raise InvalidInput(f"unexpected tensor {', '.join(extra)}")
+def load(path: str | Path, build):
+    """``build()`` inside :func:`reading` of the file at ``path``.
+
+    The file must hold no tensor ``build`` did not read. A malformed file
+    raises :class:`InvalidInput` naming ``path``.
+    """
+    state = load_tensors(path)
+    try:
+        with reading(state) as unread:
+            built = build()
+        if unread:
+            raise InvalidInput(f"unexpected tensor {', '.join(sorted(unread))}")
+    except InvalidInput as exc:
+        raise InvalidInput(f"{path}: {exc}") from exc
+    return built

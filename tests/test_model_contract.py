@@ -200,6 +200,7 @@ FUSION_DEFECTS = {
         {"norm.visual_mean": np.zeros(4), "norm.visual_std": np.ones(4)}),
     "zero std": lambda state: state.__setitem__("norm.audio_std", np.zeros(4)),
     "nan mean": lambda state: state.__setitem__("norm.visual_mean", np.array([0.0, np.nan, 0.0])),
+    "normalizer row": lambda state: state.__setitem__("norm.visual_mean", np.zeros((1, 3))),
     "heads do not split hidden": set_arch([0, 128, 2, 3, 512, 3, 4, 2]),
     "arch larger than the file": set_arch([0, 128, 2, 4, 512 * 2.0 ** 49, 3, 4, 2]),
     "extra tensor": lambda state: state.__setitem__("bogus.weight", np.zeros((2, 2))),
@@ -214,6 +215,8 @@ AUTOENCODER_DEFECTS = {
     "missing tensor": lambda state: state.pop("dec.bias"),
     "nan tensor": lambda state: state.__setitem__("dec.bias", np.full((1, 64), np.nan)),
     "extra tensor": lambda state: state.__setitem__("bogus.weight", np.zeros((2, 2))),
+    "training mse of shape (1,)": lambda state: state.__setitem__("meta.training_mse",
+                                                                  np.array([0.01])),
 }
 
 
