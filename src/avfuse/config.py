@@ -16,6 +16,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
+from .anomaly import METHODS
 from .detect_track import TrackerThresholds
 from .errors import InvalidConfig
 
@@ -128,6 +129,11 @@ class Config:
               "audio.window_size must be a power of two")
         check(a.hop_length >= 1, "audio.hop_length must be positive")
         check(a.cwt_scales >= 1, "audio.cwt_scales must be >= 1")
+        # The scalogram export holds one clip-long row per scale; capping the
+        # rows at the spectrogram's bin count ties its memory to window_size.
+        check(a.cwt_scales <= a.window_size // 2 + 1,
+              f"audio.cwt_scales cannot exceed {a.window_size // 2 + 1}, "
+              f"the STFT bin count of audio.window_size")
         check(0.0 < a.cwt_fmin_hz < a.cwt_fmax_hz, "audio cwt band must satisfy 0 < fmin < fmax")
 
         v = self.vision
@@ -148,7 +154,7 @@ class Config:
               f"fusion.burst_tokens cannot exceed {MAX_TOKENS}, the advanced model's positions")
 
         an = self.anomaly
-        unknown = set(an.weights) - {"statistical", "reconstruction", "audio", "event"}
+        unknown = set(an.weights) - set(METHODS)
         check(not unknown, f"anomaly.weights has unknown methods: {sorted(unknown)}")
         check(all(w >= 0.0 for w in an.weights.values()), "anomaly.weights must be non-negative")
         check(any(w > 0.0 for w in an.weights.values()), "anomaly.weights must include a positive weight")

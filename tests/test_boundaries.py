@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from avfuse.cli import main as cli_main
+from avfuse.config import AudioFeatureConfig, Config
 from avfuse.scenario import generate_scenario, preset_scenario
 
 CANONICAL = preset_scenario("canonical", seed=0).to_dict()
@@ -35,10 +36,11 @@ def canonical_capture(tmp_path_factory):
     ({"anomaly": {"history": 10**30}}, "anomaly.history"),
     ({"anomaly": {"weights": {"audio": -10**400}}}, "anomaly.weights"),
     ({"runtime": {"queue_capacity": 10**30}}, "runtime.queue_capacity"),
+    ({"anomaly": {"weights": {"audio": 1, "colour": 1}}}, "anomaly.weights"),
 ], ids=["string steps", "list weights", "string weight", "number section", "integer flag",
         "infinite weight", "infinite learning rate", "infinite flow alpha",
         "negative autoencoder learning rate", "negative fusion seed", "400-digit flow alpha",
-        "huge history", "huge weight", "huge queue capacity"])
+        "huge history", "huge weight", "huge queue capacity", "unknown method weight"])
 def test_wrong_json_type_is_a_config_error(tmp_path, capsys, override, key):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(override))
@@ -121,6 +123,30 @@ def test_bad_queue_capacity_is_a_config_error_before_loading(canonical_capture, 
     assert cli_main(argv) == 1
     assert capsys.readouterr().err == f"config error: {problem}\n"
     assert loaded == []
+
+
+def test_cwt_scales_beyond_the_stft_bins_is_a_config_error_before_loading(
+        canonical_capture, tmp_path, capsys, monkeypatch):
+    import avfuse.pipeline
+
+    called = []
+    for name in ("load_capture", "load_model", "export_audio_features"):
+        monkeypatch.setattr(avfuse.pipeline, name, lambda *args, name=name: called.append(name))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"audio": {"cwt_scales": 10**8}}))
+    out = tmp_path / "out"
+    assert cli_main(["--config", str(config), "--out", str(out), "run", str(canonical_capture),
+                     "--export-features", str(out / "features")]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: {config}: audio.cwt_scales cannot exceed 513, "
+        f"the STFT bin count of audio.window_size\n")
+    assert called == []
+
+
+@pytest.mark.parametrize("audio", [{}, {"cwt_scales": 513}, {"window_size": 64, "cwt_scales": 33}],
+                         ids=["default", "at the bound", "at a smaller window's bound"])
+def test_cwt_scales_up_to_the_stft_bins_are_accepted(audio):
+    Config(audio=AudioFeatureConfig(**audio)).validate()
 
 
 @pytest.mark.parametrize("search", [301, 100001])
