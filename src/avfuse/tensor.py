@@ -234,8 +234,23 @@ def gelu(x: Tensor) -> Tensor:
     out *= 0.5
 
     def grad(g, x=x.data, t=t):
-        du = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
-        return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
+        # g * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * du), with
+        # du = _GELU_C * (1 + 3 * 0.044715 * x * x), on three buffers in the
+        # same operation order, so the bits equal the fresh-array expression.
+        du = x * x
+        du *= 3 * 0.044715
+        du += 1.0
+        du *= _GELU_C
+        slope = t * t
+        np.subtract(1.0, slope, out=slope)
+        term = 0.5 * x
+        term *= slope
+        term *= du
+        np.add(t, 1.0, out=slope)
+        slope *= 0.5
+        slope += term
+        slope *= g
+        return slope
 
     return _node(out, (x,), (grad,))
 
@@ -369,8 +384,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1, blocks: int = 1) 
     qh, kh, vh = (_split_heads(t.data, heads, blocks) for t in (q, k, v))
     w, c = _scaled_scores(qh, kh)
 
+    memo: list = []  # (g, its score gradient): the query and key gradients share it
+
     def grad_scores(g):
-        return _softmax_last_grad(w, _split_heads(g, heads, blocks) @ vh.swapaxes(-1, -2)) * c
+        if not memo or memo[0] is not g:
+            memo[:] = g, _softmax_last_grad(w, _split_heads(g, heads, blocks)
+                                            @ vh.swapaxes(-1, -2)) * c
+        return memo[1]
 
     return _node(
         _merge_heads(w @ vh), (q, k, v),

@@ -98,6 +98,18 @@ def scalar_gelu(x):
     return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x ** 3)))
 
 
+def reference_gelu_grad(x, g):
+    """The gradient of :func:`tensor.gelu` at ``x`` times ``g``, one fresh array per step.
+
+    Frozen from the kernel's closure before it ran in place; ``t`` takes the
+    forward's operation order, so the two agree to the bit.
+    """
+    c = float(np.sqrt(2.0 / np.pi))
+    t = np.tanh(c * (x * x * x * 0.044715 + x))
+    du = c * (1.0 + 3 * 0.044715 * (x * x))
+    return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
+
+
 def _ref_linear(x, params, name):
     return x @ params[f"{name}.weight"] + params[f"{name}.bias"]
 

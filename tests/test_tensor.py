@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from avfuse import tensor as T
 from avfuse.errors import InvalidInput
-from oracles import finite_diff_check, scalar_attention
+from oracles import finite_diff_check, reference_gelu_grad, scalar_attention
 
 GRAD_TOL = 1e-4
 
@@ -58,6 +58,28 @@ class TestAttention:
         assert "(2, 3)" in str(err.value) and "(4, 5)" in str(err.value)
         with pytest.raises(InvalidInput):
             T.attention(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((4, 3))), T.Tensor(np.zeros((5, 2))))
+
+
+class TestBackwardBytes:
+    """In-place and shared backward steps give the bits of the plain expressions."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (32, 1024), (384, 256)])
+    def test_gelu_gradient_equals_the_fresh_array_oracle(self, shape):
+        rng = np.random.default_rng(shape[0])
+        x = rng.normal(scale=3.0, size=shape)
+        g = rng.normal(size=shape)
+        (grad,) = T.gelu(T.Tensor(x, requires_grad=True))._grad_fns
+        assert grad(g).tobytes() == reference_gelu_grad(x, g).tobytes()
+
+    def test_attention_query_and_key_gradients_equal_separate_calls(self):
+        rng = np.random.default_rng(1)
+        q, k, v = (T.Tensor(rng.normal(size=(12, 8)), requires_grad=True) for _ in range(3))
+        node = T.attention(q, k, v, heads=2, blocks=3)
+        g = rng.normal(size=node.shape)
+        shared = [fn(g) for fn in node._grad_fns]
+        alone = [fn(g.copy()) for fn in node._grad_fns]
+        for a, b in zip(shared, alone):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestSoftmax:
