@@ -133,6 +133,28 @@ def test_changed_capture_byte_fails(tree):
     assert "frame_0000.pgm: bytes differ" in result.stderr
 
 
+def test_every_file_outside_the_bounds_is_listed_with_its_largest_gap(tree):
+    other = copy_of(tree)
+    records = events(other)
+    for record, relative in zip(records, (1e-10, 1e-9)):
+        record["payload"]["combined"] *= 1 + relative
+    write_events(other, records)
+    state = tz.load_tensors(other / MODEL)
+    state["proj.weight"][0, 1] *= 1 + 1e-6
+    state["proj.weight"][3, 0] *= 1 + 1e-4
+    tz.save_tensors(other / MODEL, state)
+    (other / "captures" / "injection" / "frame_0000.pgm").write_bytes(b"P5\n2 1\n255\n\x01\x03")
+    result = compare(tree, other)
+    assert result.returncode == 1
+    lines = result.stderr.splitlines()
+    assert lines[0] == "outside the bounds in 3 files:"
+    assert lines[1] == "captures/injection/frame_0000.pgm: bytes differ"
+    assert lines[2].startswith("models/advanced/fusion.bin: proj.weight[3, 0]: ")
+    assert lines[2].endswith("relative gap 0.0001 (largest of 2 outside the bounds)")
+    assert lines[3].startswith(f"{RUN.as_posix()}/events.jsonl: line 2.payload.combined: ")
+    assert "relative gap 1e-09 (largest of 2 outside the bounds)" in lines[3]
+
+
 def test_rendered_outputs_match_the_golden_manifest(tmp_path):
     rendered_tree = tmp_path / "out"
     result = subprocess.run([sys.executable, str(TOOL), "--manifest", str(rendered_tree)],

@@ -37,8 +37,9 @@ triggers, labels) must be equal. The tensors in ``fusion.bin`` and
 ``autoencoder.bin`` must have the same names and shapes, and each value
 must agree to a relative ``TENSOR_RTOL``. A relative gap is the
 difference over the larger magnitude of the two values. Every other file,
-the captures included, must be byte-identical. The first
-offending file and field is printed and the exit status is 1.
+the captures included, must be byte-identical. Every file outside the
+bounds is printed, one line each, with its largest gap and where it
+occurs, and the exit status is 1.
 """
 
 import os
@@ -107,74 +108,98 @@ def manifest(tree: Path) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def json_difference(a, b, field: str) -> str | None:
-    """Where two parsed JSON values differ beyond ``JSON_RTOL``, or None."""
+def relative_gap(a, b) -> float:
+    """The difference over the larger magnitude; 0 for equal values, inf where undefined."""
+    if a == b:
+        return 0.0
+    gap = abs(a - b) / max(abs(a), abs(b))
+    return gap if gap == gap else float("inf")
+
+
+def json_gaps(a, b, field: str):
+    """Every place two parsed JSON values differ beyond ``JSON_RTOL``, as (gap, where).
+
+    A difference other than between two floats has an infinite gap.
+    """
     if isinstance(a, float) and isinstance(b, float):
-        if a == b or abs(a - b) <= JSON_RTOL * max(abs(a), abs(b)):
-            return None
-        return f"{field}: {a!r} vs {b!r}"
+        if not (a == b or abs(a - b) <= JSON_RTOL * max(abs(a), abs(b))):
+            yield relative_gap(a, b), f"{field}: {a!r} vs {b!r}"
+        return
     if type(a) is not type(b):
-        return f"{field}: {a!r} vs {b!r}"
+        yield float("inf"), f"{field}: {a!r} vs {b!r}"
+        return
     if isinstance(a, dict):
         if a.keys() != b.keys():
-            return f"{field}: keys {sorted(a)} vs {sorted(b)}"
+            yield float("inf"), f"{field}: keys {sorted(a)} vs {sorted(b)}"
+            return
         items = ((f"{field}.{key}", a[key], b[key]) for key in a)
     elif isinstance(a, list):
         if len(a) != len(b):
-            return f"{field}: {len(a)} vs {len(b)} entries"
+            yield float("inf"), f"{field}: {len(a)} vs {len(b)} entries"
+            return
         items = ((f"{field}[{i}]", x, y) for i, (x, y) in enumerate(zip(a, b)))
     else:
-        return None if a == b else f"{field}: {a!r} vs {b!r}"
+        if a != b:
+            yield float("inf"), f"{field}: {a!r} vs {b!r}"
+        return
     for name, x, y in items:
-        found = json_difference(x, y, name)
-        if found:
-            return found
-    return None
+        yield from json_gaps(x, y, name)
 
 
-def file_difference(a: Path, b: Path) -> str | None:
-    """Where two files of the same relative path differ beyond the bounds."""
+def tensor_gaps(name: str, x: np.ndarray, y: np.ndarray):
+    """The largest relative gap of one tensor outside ``TENSOR_RTOL``, as (gap, where, count)."""
+    if x.shape != y.shape:
+        yield float("inf"), f"{name}: shape {x.shape} vs {y.shape}", 1
+        return
+    outside = np.abs(x - y) > TENSOR_RTOL * np.maximum(np.abs(x), np.abs(y))
+    if outside.any():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gaps = np.where(outside, np.abs(x - y) / np.maximum(np.abs(x), np.abs(y)), 0.0)
+        at = tuple(int(i) for i in np.unravel_index(np.argmax(gaps), x.shape))
+        yield (float(gaps[at]), f"{name}{list(at)}: {float(x[at])!r} vs {float(y[at])!r}",
+               int(outside.sum()))
+
+
+def file_gaps(a: Path, b: Path) -> list[tuple[float, str, int]]:
+    """Where two files of the same relative path differ beyond the bounds, as (gap, where, count)."""
     if a.name == "events.jsonl":
         lines_a, lines_b = a.read_text().splitlines(), b.read_text().splitlines()
         if len(lines_a) != len(lines_b):
-            return f"{len(lines_a)} vs {len(lines_b)} records"
-        for number, (x, y) in enumerate(zip(lines_a, lines_b), 1):
-            found = json_difference(json.loads(x), json.loads(y), f"line {number}")
-            if found:
-                return found
-        return None
+            return [(float("inf"), f"{len(lines_a)} vs {len(lines_b)} records", 1)]
+        return [(gap, where, 1) for number, (x, y) in enumerate(zip(lines_a, lines_b), 1)
+                for gap, where in json_gaps(json.loads(x), json.loads(y), f"line {number}")]
     if a.name == "report.json":
-        return json_difference(json.loads(a.read_text()), json.loads(b.read_text()), "report")
+        return [(gap, where, 1) for gap, where in
+                json_gaps(json.loads(a.read_text()), json.loads(b.read_text()), "report")]
     if a.name in TENSOR_FILES:
         tensors_a, tensors_b = load_tensors(a), load_tensors(b)
         if tensors_a.keys() != tensors_b.keys():
-            return f"tensors {sorted(tensors_a)} vs {sorted(tensors_b)}"
-        for name, x in tensors_a.items():
-            y = tensors_b[name]
-            if x.shape != y.shape:
-                return f"{name}: shape {x.shape} vs {y.shape}"
-            outside = np.abs(x - y) > TENSOR_RTOL * np.maximum(np.abs(x), np.abs(y))
-            if outside.any():
-                at = tuple(int(i) for i in np.unravel_index(np.argmax(outside), x.shape))
-                return f"{name}{list(at)}: {float(x[at])!r} vs {float(y[at])!r}"
-        return None
-    return None if a.read_bytes() == b.read_bytes() else "bytes differ"
+            return [(float("inf"), f"tensors {sorted(tensors_a)} vs {sorted(tensors_b)}", 1)]
+        return [gap for name, x in tensors_a.items() for gap in tensor_gaps(name, x, tensors_b[name])]
+    return [] if a.read_bytes() == b.read_bytes() else [(float("inf"), "bytes differ", 1)]
 
 
-def compare(a: Path, b: Path) -> str | None:
-    """The first file and field where tree ``b`` leaves tree ``a``'s bounds, or None."""
+def describe(gaps: list[tuple[float, str, int]]) -> str:
+    """A file's largest gap and where it occurs, and how many values left the bounds."""
+    gap, where, _ = max(gaps, key=lambda g: g[0])
+    count = sum(g[2] for g in gaps)
+    text = where if gap == float("inf") else f"{where}, relative gap {gap:.3g}"
+    return text if count == 1 else f"{text} (largest of {count} outside the bounds)"
+
+
+def compare(a: Path, b: Path) -> list[str]:
+    """One line per file where tree ``b`` leaves tree ``a``'s bounds; empty when none does."""
     files = [sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file()) for root in (a, b)]
-    if files[0] != files[1]:
-        only = sorted(set(files[0]) ^ set(files[1]))
-        return f"file lists differ: {only[0]} is in only one tree"
-    for relative in files[0]:
+    found = [f"file lists differ: {only} is in only one tree"
+             for only in sorted(set(files[0]) ^ set(files[1]))]
+    for relative in sorted(set(files[0]) & set(files[1])):
         try:
-            found = file_difference(a / relative, b / relative)
+            gaps = file_gaps(a / relative, b / relative)
         except (ValueError, InvalidInput) as exc:  # ValueError covers bad JSON
-            found = f"unreadable ({exc})"
-        if found:
-            return f"{relative}: {found}"
-    return None
+            gaps = [(float("inf"), f"unreadable ({exc})", 1)]
+        if gaps:
+            found.append(f"{relative}: {describe(gaps)}")
+    return found
 
 
 if __name__ == "__main__":
@@ -183,9 +208,10 @@ if __name__ == "__main__":
         for tree in trees:
             if not tree.is_dir():
                 raise SystemExit(f"{tree} is not a directory")
-        difference = compare(*trees)
-        if difference:
-            raise SystemExit(f"outside the bounds: {difference}")
+        differences = compare(*trees)
+        if differences:
+            raise SystemExit(f"outside the bounds in {len(differences)} files:\n"
+                             + "\n".join(differences))
         print(f"within the bounds: floats to {JSON_RTOL:g} relative, tensors to {TENSOR_RTOL:g}")
         raise SystemExit(0)
     listing = len(sys.argv) == 3 and sys.argv[1] == "--manifest"
