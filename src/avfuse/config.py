@@ -19,6 +19,7 @@ from typing import get_args, get_origin, get_type_hints
 from .anomaly import METHODS
 from .detect_track import TrackerThresholds
 from .errors import InvalidConfig
+from .vision_dsp import FLOW_ALPHA_MAX, FLOW_ALPHA_MIN
 
 DEFAULT_EVENT_LABELS = (
     "normal", "machine_operation", "tool_usage", "smoke", "fire", "leak",
@@ -141,7 +142,9 @@ class Config:
         check(v.nlm_search % 2 == 1 and v.nlm_search >= v.nlm_patch,
               "vision.nlm_search must be odd and >= patch")
         check(v.nlm_strength > 0.0, "vision.nlm_strength must be positive")
-        check(v.flow_alpha > 0.0, "vision.flow_alpha must be positive")
+        check(FLOW_ALPHA_MIN <= v.flow_alpha <= FLOW_ALPHA_MAX,
+              f"vision.flow_alpha must be between {FLOW_ALPHA_MIN:g} and {FLOW_ALPHA_MAX}, "
+              f"because Horn-Schunck squares it in float32")
         check(v.flow_iterations >= 1, "vision.flow_iterations must be >= 1")
 
         f = self.fusion

@@ -166,7 +166,7 @@ class AudioEnsembleFusion:
 
     def fuse(self, e1, e2, e3) -> np.ndarray:
         """The 256-dim fused vector of three 768-dim embeddings."""
-        inputs = [np.asarray(e, dtype=np.float64).reshape(-1) for e in (e1, e2, e3)]
+        inputs = [np.asarray(e, dtype=self.weight.data.dtype).reshape(-1) for e in (e1, e2, e3)]
         for i, e in enumerate(inputs):
             if e.size != EMBED_DIM:
                 raise InvalidInput(f"ensemble input {i} must have {EMBED_DIM} values")
@@ -178,14 +178,16 @@ class AudioEnsembleFusion:
         return self.fuse(*stub_audio_embeddings(samples, sample_rate))
 
 
-def _token_arrays(config, visual, audio) -> tuple[Tensor, Tensor, int]:
-    """Both token arrays as row-block tensors, checked against the model's widths, and B.
+def _token_arrays(model, visual, audio) -> tuple[Tensor, Tensor, int]:
+    """Both token arrays as row-block tensors of the model's dtype, checked against its
+    widths, and B.
 
     (B, n, f) arrays are B sequences of n tokens, stacked as B*n rows; an
     (n, f) array is one sequence.
     """
-    visual = np.atleast_2d(np.asarray(visual, dtype=np.float64))
-    audio = np.atleast_2d(np.asarray(audio, dtype=np.float64))
+    config = model.config
+    visual = np.atleast_2d(np.asarray(visual, dtype=model.dtype))
+    audio = np.atleast_2d(np.asarray(audio, dtype=model.dtype))
     if visual.ndim > 3 or audio.ndim > 3:
         raise InvalidInput(f"token arrays must be (n, f) or (B, n, f): "
                            f"visual {visual.shape}, audio {audio.shape}")
@@ -280,6 +282,27 @@ class FusionModel:
     def parameters(self) -> list[Tensor]:
         return list(self.store.params.values())
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of the weights; ``forward`` casts its inputs to it."""
+        return self.proj_visual[0].data.dtype
+
+    def cast_to_float32(self) -> None:
+        """Cast every parameter, the ensemble's included, to float32 in place.
+
+        Inference then runs in float32 (see :mod:`tensor`). A value that is
+        too large for float32 raises :class:`InvalidInput` naming its
+        tensor, before any parameter changes.
+        """
+        with np.errstate(over="ignore"):
+            cast = {name: t.data.astype(np.float32) for name, t in self.store.params.items()}
+        for name, data in cast.items():
+            if not np.all(np.isfinite(data)):
+                peak = np.abs(self.store.params[name].data).max()
+                raise InvalidInput(f"{name}: value {peak:g} overflows float32")
+        for name, data in cast.items():
+            self.store.params[name].data = data
+
 
 @dataclass(frozen=True)
 class BasicFusionConfig:
@@ -317,7 +340,7 @@ class BasicFusionModel(FusionModel):
 
         ``fused`` is not read.
         """
-        visual, audio, blocks = _token_arrays(self.config, visual, audio)
+        visual, audio, blocks = _token_arrays(self, visual, audio)
         x = tz.add(tz.linear(visual, self.proj_visual), tz.linear(audio, self.proj_audio))
         for block in self.layers:
             x = _encoder_layer(block, x, x, self.config.heads, blocks)
@@ -378,12 +401,12 @@ class AdvancedFusionModel(FusionModel):
 
         ``fused`` holds one FUSED_DIM vector per sequence; ``None`` reads as zeros.
         """
-        visual, audio, blocks = _token_arrays(self.config, visual, audio)
+        visual, audio, blocks = _token_arrays(self, visual, audio)
         c = self.config
         n_tokens = visual.shape[0] // blocks
         if n_tokens > c.max_tokens:
             raise InvalidInput(f"{n_tokens} tokens exceed positional table of {c.max_tokens}")
-        fused = np.zeros((blocks, FUSED_DIM)) if fused is None else np.asarray(fused, np.float64)
+        fused = np.asarray(np.zeros((blocks, FUSED_DIM)) if fused is None else fused, self.dtype)
         if fused.size != blocks * FUSED_DIM:
             raise InvalidInput(f"fused embedding must be {FUSED_DIM}-dim per sequence, "
                                f"got shape {fused.shape} for {blocks} sequences")

@@ -452,6 +452,10 @@ def run_pipeline(
     context = PipelineContext(config, scenario, clip.sample_rate,
                               model_bundle=model_bundle, autoencoder=autoencoder,
                               export_dir=export_dir, seed=seed)
+    try:
+        context.model.cast_to_float32()  # inference runs in float32; see tensor
+    except InvalidInput as exc:
+        raise InvalidInput(f"{model_path}: {exc}") from exc
     if export_dir is not None:
         export_audio_features(clip.samples, clip.sample_rate, config, Path(export_dir))
 

@@ -32,7 +32,13 @@ and head at once over a (B, H, n, d/H) view of its inputs and has its own
 backward. :func:`attention_weights` and :func:`softmax` share its softmax
 code.
 
-All correctness tests run at float64.
+Precision: a :class:`Tensor` keeps float32 data as float32 and makes
+anything else float64, and every operation computes in the dtype of its
+inputs. Every scalar the kernel multiplies by is a Python float, which
+NEP 50 casts to the array's dtype, so a float32 forward stays float32; in
+float64 a Python float gives the same bits as a numpy one. Training,
+parameter files and the test oracles are float64. ``avfuse run`` casts
+its model to float32 once and does its inference arithmetic there.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ import numpy as np
 from .errors import InvalidInput
 
 LAYERNORM_EPS = 1e-5
-_GELU_C = np.sqrt(2.0 / np.pi)
+_GELU_C = float(np.sqrt(2.0 / np.pi))
 
 PARAM_MAGIC = b"AVTF"
 PARAM_VERSION = 1
@@ -57,7 +63,9 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fns", "_consumed")
 
     def __init__(self, data, requires_grad: bool = False):
-        array = np.asarray(data, dtype=np.float64)
+        array = np.asarray(data)
+        if array.dtype != np.float32:
+            array = array.astype(np.float64, copy=False)
         if array.ndim == 0:
             array = array.reshape(1, 1)
         elif array.ndim == 1:
@@ -352,7 +360,7 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 
 def _scaled_scores(q: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, float]:
     """softmax(Q K^T / sqrt(d_k)) over the last two axes, and the scale."""
-    c = 1.0 / np.sqrt(q.shape[-1])
+    c = float(1.0 / np.sqrt(q.shape[-1]))
     return _softmax_last((q @ k.swapaxes(-1, -2)) * c), c
 
 

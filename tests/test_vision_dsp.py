@@ -187,12 +187,16 @@ class TestDenseFlow:
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("iterations", [1, 7, 100])
     @pytest.mark.parametrize("alpha", [1.0, 10.0])
-    def test_bytes_equal_padded_jacobi_reference(self, shape, iterations, alpha):
+    def test_float32_sweeps_stay_within_1e_5_of_float64_reference(self, shape, iterations, alpha):
+        """The field within 1e-5 of its largest magnitude, the mean magnitude within 1e-5."""
         prev, nxt = random_frames(shape)
         flow = DenseFlow(alpha, iterations)(prev, nxt)
         u, v = reference_horn_schunck(prev, nxt, alpha=alpha, iterations=iterations)
-        np.testing.assert_array_equal(flow.u, u)
-        np.testing.assert_array_equal(flow.v, v)
+        magnitude = np.hypot(u, v)
+        assert flow.u.dtype == flow.v.dtype == np.float32
+        assert np.abs(flow.u - u).max() <= 1e-5 * magnitude.max()
+        assert np.abs(flow.v - v).max() <= 1e-5 * magnitude.max()
+        assert abs(flow.magnitude.mean() - magnitude.mean()) <= 1e-5 * magnitude.mean()
 
     def test_estimator_parameters_validated(self):
         with pytest.raises(InvalidInput):
