@@ -7,9 +7,9 @@ every such sum is an exact integer in float64. Texture energy comes from a
 2-level Daubechies-2 decomposition with periodic extension, which makes
 subband energies sum exactly to the pixel energy. Dense motion is estimated
 with the Horn-Schunck variational scheme behind the ``DenseFlow`` interface
-so a different solver can be slotted in later; its Jacobi sweeps update one
+so a different solver can be slotted in later. Its Jacobi sweeps update one
 edge-padded (u, v) buffer in place, in float32, for ``train`` and ``run``
-alike. Against the float64 sweeps the field stays within 1e-5 of its
+alike; against the float64 sweeps the field stays within 1e-5 of its
 largest magnitude.
 """
 
@@ -232,32 +232,40 @@ class DenseFlow:
         if min(prev.shape) < 2:
             raise InvalidInput(f"frames must be at least 2x2 for a gradient, got {prev.shape}")
 
-        mean_img = 0.5 * (prev + nxt)
-        iy, ix = np.gradient(mean_img)
-        it = nxt - prev
+        h, w = prev.shape
+        iy, ix = np.gradient(0.5 * (prev + nxt))
         denom = self.alpha ** 2 + ix ** 2 + iy ** 2
-        grad = np.stack([ix, iy])
 
-        # u and v, edge-padded by one pixel; the Jacobi sweep writes the
-        # interior in place and the border is refreshed before each sweep.
-        padded = np.zeros((2, prev.shape[0] + 2, prev.shape[1] + 2), dtype=np.float32)
-        uv = padded[:, 1:-1, 1:-1]
+        # u and v, edge-padded by one pixel. Each sweep writes rows 1..h,
+        # border columns included, so that every neighbour sum is a shift of
+        # one contiguous run per plane; those columns get a gradient of 0 and
+        # throwaway values, and the border is refreshed before each sweep.
+        def rows(values, fill: float) -> np.ndarray:
+            out = np.full((h, w + 2), fill, dtype=np.float32)
+            out[:, 1:-1] = values
+            return out.reshape(-1)
+
+        grad = np.stack([rows(ix, 0.0), rows(iy, 0.0)])
+        it, denom = rows(nxt - prev, 0.0), rows(denom, 1.0)
+        padded = np.zeros((2, h + 2, w + 2), dtype=np.float32)
+        runs = padded.reshape(2, -1)
+        width, lo, hi = w + 2, w + 2, (w + 2) * (h + 1)
         bar = np.empty_like(grad)
         step = np.empty_like(grad)
         residual = np.empty_like(it)
         for _ in range(self.iterations):
-            padded[:, 0, 1:-1] = padded[:, 1, 1:-1]
-            padded[:, -1, 1:-1] = padded[:, -2, 1:-1]
-            padded[:, 1:-1, 0] = padded[:, 1:-1, 1]
-            padded[:, 1:-1, -1] = padded[:, 1:-1, -2]
-            np.add(padded[:, :-2, 1:-1], padded[:, 2:, 1:-1], out=bar)
-            bar += padded[:, 1:-1, :-2]
-            bar += padded[:, 1:-1, 2:]
+            padded[:, 0] = padded[:, 1]
+            padded[:, -1] = padded[:, -2]
+            padded[:, :, 0] = padded[:, :, 1]
+            padded[:, :, -1] = padded[:, :, -2]
+            np.add(runs[:, lo - width:hi - width], runs[:, lo + width:hi + width], out=bar)
+            bar += runs[:, lo - 1:hi - 1]
+            bar += runs[:, lo + 1:hi + 1]
             bar *= 0.25
             np.multiply(grad, bar, out=step)
             np.add(step[0], step[1], out=residual)
             residual += it
             residual /= denom
             np.multiply(grad, residual, out=step)
-            np.subtract(bar, step, out=uv)
-        return FlowField(u=uv[0].copy(), v=uv[1].copy())
+            np.subtract(bar, step, out=runs[:, lo:hi])
+        return FlowField(u=padded[0, 1:-1, 1:-1].copy(), v=padded[1, 1:-1, 1:-1].copy())
