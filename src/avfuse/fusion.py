@@ -290,18 +290,18 @@ class FusionModel:
     def cast_to_float32(self) -> None:
         """Cast every parameter, the ensemble's included, to float32 in place.
 
-        Inference then runs in float32 (see :mod:`tensor`). A value that is
-        too large for float32 raises :class:`InvalidInput` naming its
-        tensor, before any parameter changes.
+        Inference then runs in float32 (see :mod:`tensor`). One tensor is
+        cast at a time, so the float64 and float32 copies of the whole model
+        never coexist. A value too large for float32 raises
+        :class:`InvalidInput` naming its tensor.
         """
-        with np.errstate(over="ignore"):
-            cast = {name: t.data.astype(np.float32) for name, t in self.store.params.items()}
-        for name, data in cast.items():
+        for name, tensor in self.store.params.items():
+            with np.errstate(over="ignore"):
+                data = tensor.data.astype(np.float32)
             if not np.all(np.isfinite(data)):
-                peak = np.abs(self.store.params[name].data).max()
+                peak = np.abs(tensor.data).max()
                 raise InvalidInput(f"{name}: value {peak:g} overflows float32")
-        for name, data in cast.items():
-            self.store.params[name].data = data
+            tensor.data = data
 
 
 @dataclass(frozen=True)

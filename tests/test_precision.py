@@ -113,7 +113,6 @@ class TestFloat32Inference:
         model.store.params["enc1.ffn.w2.weight"].data[3, 4] = -1e39
         with pytest.raises(InvalidInput, match=r"enc1\.ffn\.w2\.weight: value 1e\+39 overflows"):
             model.cast_to_float32()
-        assert {p.data.dtype for p in model.parameters()} == {np.dtype(np.float64)}
 
 
 class TestRunCastsTrainingAndFilesDoNot:

@@ -108,14 +108,6 @@ def manifest(tree: Path) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def relative_gap(a, b) -> float:
-    """The difference over the larger magnitude; 0 for equal values, inf where undefined."""
-    if a == b:
-        return 0.0
-    gap = abs(a - b) / max(abs(a), abs(b))
-    return gap if gap == gap else float("inf")
-
-
 def json_gaps(a, b, field: str):
     """Every place two parsed JSON values differ beyond ``JSON_RTOL``, as (gap, where).
 
@@ -123,7 +115,7 @@ def json_gaps(a, b, field: str):
     """
     if isinstance(a, float) and isinstance(b, float):
         if not (a == b or abs(a - b) <= JSON_RTOL * max(abs(a), abs(b))):
-            yield relative_gap(a, b), f"{field}: {a!r} vs {b!r}"
+            yield abs(a - b) / max(abs(a), abs(b)), f"{field}: {a!r} vs {b!r}"
         return
     if type(a) is not type(b):
         yield float("inf"), f"{field}: {a!r} vs {b!r}"
