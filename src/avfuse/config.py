@@ -144,7 +144,7 @@ class Config:
         check(v.nlm_strength > 0.0, "vision.nlm_strength must be positive")
         check(FLOW_ALPHA_MIN <= v.flow_alpha <= FLOW_ALPHA_MAX,
               f"vision.flow_alpha must be between {FLOW_ALPHA_MIN:g} and {FLOW_ALPHA_MAX}, "
-              f"because Horn-Schunck squares it in float32")
+              "because Horn-Schunck squares it in float32")
         check(v.flow_iterations >= 1, "vision.flow_iterations must be >= 1")
 
         f = self.fusion

@@ -218,7 +218,7 @@ class DenseFlow:
     def __init__(self, alpha: float = 10.0, iterations: int = 100):
         if not FLOW_ALPHA_MIN <= alpha <= FLOW_ALPHA_MAX or iterations < 1:
             raise InvalidInput(f"alpha must be in [{FLOW_ALPHA_MIN:g}, {FLOW_ALPHA_MAX}] "
-                               f"and iterations >= 1")
+                               "and iterations >= 1")
         self.alpha = float(alpha)
         self.iterations = int(iterations)
 
