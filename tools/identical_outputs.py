@@ -6,18 +6,23 @@ Usage::
     python3 tools/identical_outputs.py --manifest OUT
     python3 tools/identical_outputs.py --compare OUT_A OUT_B
 
-OUT must not exist. The script renders the ``injection`` and ``training``
-presets at seed 5, trains a basic and an advanced model on ``training``
-(``fusion.steps`` 10) and runs ``--deterministic`` on ``injection`` with
-each model kind, untrained and trained. ``--single-thread`` runs the same
-path, so it is not rendered again. Every ``summary.json`` is deleted
-because it holds wall-clock timings, so what stays under OUT is bytes the
-program promises to reproduce:
+OUT must not exist. The script renders the ``canonical``, ``injection``
+and ``training`` presets at seed 5, trains a basic and an advanced model on
+``training`` (``fusion.steps`` 10) and runs ``--deterministic`` on
+``injection`` with each model kind, untrained and trained. One more run,
+of the untrained basic model on ``canonical`` with ``--export-features``,
+covers the feature dump. ``--single-thread`` runs the same path, so it is
+not rendered again. Every ``summary.json`` is deleted because it holds
+wall-clock timings, so what stays under OUT is bytes the program promises
+to reproduce:
 
     OUT/captures/<preset>/     the rendered captures
     OUT/models/<kind>/         fusion.bin and autoencoder.bin
     OUT/runs/<kind>-<trained|untrained>-threaded/
                                events.jsonl and anomalies/
+    OUT/runs/basic-untrained-export/
+                               events.jsonl, and under features/ the
+                               flow_*.csv, spectrogram.csv and scalogram.csv
 
 Render OUT once from each of two checkouts and compare with
 ``diff -r OUT_A OUT_B``. ``OPENBLAS_NUM_THREADS`` is pinned to 1 before
@@ -74,8 +79,12 @@ def avfuse(*argv) -> None:
 
 def render(out: Path) -> None:
     captures = out / "captures"
-    for preset in ("injection", "training"):
+    for preset in ("canonical", "injection", "training"):
         avfuse("--seed", SEED, "--out", captures / preset, "generate", "--preset", preset)
+    export_run = out / "runs" / "basic-untrained-export"
+    avfuse("--seed", SEED, "--out", export_run, "--deterministic", "run", captures / "canonical",
+           "--export-features", export_run / "features")
+    (export_run / "summary.json").unlink()
     for kind in ("basic", "advanced"):
         config = out / f"config-{kind}.json"
         config.write_text(json.dumps({"fusion": {"model": kind, "steps": 10}}) + "\n")
