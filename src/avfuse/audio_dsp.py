@@ -18,6 +18,7 @@ from .errors import InvalidInput
 
 MORLET_OMEGA0 = 6.0
 ROLLOFF_FRACTION = 0.85
+CWT_SCALES, CWT_FMIN_HZ, CWT_FMAX_HZ = 32, 50.0, 8000.0
 
 
 @dataclass(frozen=True)
@@ -132,11 +133,9 @@ def morlet_wavelet(scale: float, omega0: float = MORLET_OMEGA0) -> np.ndarray:
     return np.pi ** -0.25 * np.exp(1j * omega0 * t) * np.exp(-0.5 * t * t) / np.sqrt(scale)
 
 
-def default_cwt_scales(
-    sample_rate: int, n_scales: int = 32, fmin_hz: float = 50.0, fmax_hz: float = 8000.0
-) -> np.ndarray:
-    """Log-spaced scales whose pseudo-frequencies span [fmin, fmax]."""
-    freqs = np.geomspace(fmax_hz, fmin_hz, n_scales)
+def default_cwt_scales(sample_rate: int) -> np.ndarray:
+    """``CWT_SCALES`` log-spaced scales whose pseudo-frequencies span [CWT_FMIN_HZ, CWT_FMAX_HZ]."""
+    freqs = np.geomspace(CWT_FMAX_HZ, CWT_FMIN_HZ, CWT_SCALES)
     return MORLET_OMEGA0 * sample_rate / (2.0 * np.pi * freqs)
 
 

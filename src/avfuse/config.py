@@ -1,8 +1,8 @@
 """Run configuration: one JSON document covering every tunable.
 
 Defaults mirror the per-module decisions (detector thresholds 0.3/0.5,
-tracker 0.5/0.1 with IoU floor 0.2, STFT 1024/512, Horn-Schunck alpha 10
-with 100 iterations, equal anomaly weights with trigger threshold 0.5).
+tracker 0.5/0.1 with IoU floor 0.2, Horn-Schunck alpha 10 with 100
+iterations, equal anomaly weights with trigger threshold 0.5).
 Validation collects every problem before rejecting, so a bad file is
 reported in full. :func:`read_file` reads this file and a capture's
 ``scenario.json`` alike, by the type hints of their dataclasses.
@@ -47,15 +47,6 @@ class DetectorConfig:
 
 
 @dataclass
-class AudioFeatureConfig:
-    window_size: int = 1024
-    hop_length: int = 512
-    cwt_scales: int = 32
-    cwt_fmin_hz: float = 50.0
-    cwt_fmax_hz: float = 8000.0
-
-
-@dataclass
 class VisionConfig:
     nlm_patch: int = 3
     nlm_search: int = 7
@@ -95,7 +86,6 @@ class RuntimeConfig:
 class Config:
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     tracker: TrackerThresholds = field(default_factory=TrackerThresholds)
-    audio: AudioFeatureConfig = field(default_factory=AudioFeatureConfig)
     vision: VisionConfig = field(default_factory=VisionConfig)
     fusion: FusionConfig = field(default_factory=FusionConfig)
     anomaly: AnomalyConfig = field(default_factory=AnomalyConfig)
@@ -124,18 +114,6 @@ class Config:
         check(0.0 < t.match_iou <= 1.0, "tracker.match_iou must be in (0, 1]")
         check(t.max_misses >= 1, "tracker.max_misses must be >= 1")
         check(t.confirm_hits >= 1, "tracker.confirm_hits must be >= 1")
-
-        a = self.audio
-        check(a.window_size >= 2 and a.window_size & (a.window_size - 1) == 0,
-              "audio.window_size must be a power of two")
-        check(a.hop_length >= 1, "audio.hop_length must be positive")
-        check(a.cwt_scales >= 1, "audio.cwt_scales must be >= 1")
-        # The scalogram export holds one clip-long row per scale; capping the
-        # rows at the spectrogram's bin count ties its memory to window_size.
-        check(a.cwt_scales <= a.window_size // 2 + 1,
-              f"audio.cwt_scales cannot exceed {a.window_size // 2 + 1}, "
-              f"the STFT bin count of audio.window_size")
-        check(0.0 < a.cwt_fmin_hz < a.cwt_fmax_hz, "audio cwt band must satisfy 0 < fmin < fmax")
 
         v = self.vision
         check(v.nlm_patch % 2 == 1 and v.nlm_patch >= 1, "vision.nlm_patch must be odd and positive")

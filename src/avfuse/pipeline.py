@@ -349,19 +349,19 @@ def export_flow_csv(path: Path, flow_field) -> None:
     np.savetxt(path, stacked, delimiter=",")
 
 
-def export_audio_features(samples: np.ndarray, sample_rate: int, config: Config,
-                          export_dir: Path) -> None:
+EXPORT_WINDOW, EXPORT_HOP = 1024, 512  # samples, for the --export-features STFT
+
+
+def export_audio_features(samples: np.ndarray, sample_rate: int, export_dir: Path) -> None:
     """Whole-clip spectrogram and scalogram CSVs for debugging."""
     export_dir.mkdir(parents=True, exist_ok=True)
-    a = config.audio
-    if len(samples) >= a.window_size:
-        spec = stft(samples, a.window_size, a.hop_length, sample_rate)
+    if len(samples) >= EXPORT_WINDOW:
+        spec = stft(samples, EXPORT_WINDOW, EXPORT_HOP, sample_rate)
         np.savetxt(export_dir / "spectrogram.csv", spec.magnitudes, delimiter=",")
-        scales = default_cwt_scales(sample_rate, a.cwt_scales, a.cwt_fmin_hz, a.cwt_fmax_hz)
-        scalogram = cwt_scalogram(samples, scales, sample_rate)
+        scalogram = cwt_scalogram(samples, default_cwt_scales(sample_rate), sample_rate)
         # Full time resolution would be enormous; sample at the STFT hop.
         np.savetxt(export_dir / "scalogram.csv",
-                   scalogram.coefficients[:, ::a.hop_length], delimiter=",")
+                   scalogram.coefficients[:, ::EXPORT_HOP], delimiter=",")
 
 
 def open_capture(capture_dir: str | Path,
@@ -457,7 +457,7 @@ def run_pipeline(
     except InvalidInput as exc:
         raise InvalidInput(f"{model_path}: {exc}") from exc
     if export_dir is not None:
-        export_audio_features(clip.samples, clip.sample_rate, config, Path(export_dir))
+        export_audio_features(clip.samples, clip.sample_rate, Path(export_dir))
 
     sink = Sink(out_dir, clip.sample_rate)
     stages = [

@@ -8,7 +8,6 @@ import sys
 import pytest
 
 from avfuse.cli import main as cli_main
-from avfuse.config import AudioFeatureConfig, Config
 from avfuse.scenario import generate_scenario, preset_scenario
 
 CANONICAL = preset_scenario("canonical", seed=0).to_dict()
@@ -125,28 +124,21 @@ def test_bad_queue_capacity_is_a_config_error_before_loading(canonical_capture, 
     assert loaded == []
 
 
-def test_cwt_scales_beyond_the_stft_bins_is_a_config_error_before_loading(
-        canonical_capture, tmp_path, capsys, monkeypatch):
+def test_audio_section_is_an_unknown_key_before_loading(canonical_capture, tmp_path, capsys,
+                                                        monkeypatch):
+    """The feature dump runs at fixed parameters, so a config cannot set them."""
     import avfuse.pipeline
 
     called = []
     for name in ("load_capture", "load_model", "export_audio_features"):
         monkeypatch.setattr(avfuse.pipeline, name, lambda *args, name=name: called.append(name))
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"audio": {"cwt_scales": 10**8}}))
+    config.write_text(json.dumps({"audio": {"cwt_fmin_hz": 1e-300}}))
     out = tmp_path / "out"
     assert cli_main(["--config", str(config), "--out", str(out), "run", str(canonical_capture),
                      "--export-features", str(out / "features")]) == 1
-    assert capsys.readouterr().err == (
-        f"config error: {config}: audio.cwt_scales cannot exceed 513, "
-        f"the STFT bin count of audio.window_size\n")
+    assert capsys.readouterr().err == f"config error: {config}: audio: unknown key\n"
     assert called == []
-
-
-@pytest.mark.parametrize("audio", [{}, {"cwt_scales": 513}, {"window_size": 64, "cwt_scales": 33}],
-                         ids=["default", "at the bound", "at a smaller window's bound"])
-def test_cwt_scales_up_to_the_stft_bins_are_accepted(audio):
-    Config(audio=AudioFeatureConfig(**audio)).validate()
 
 
 @pytest.mark.parametrize("search", [301, 100001])

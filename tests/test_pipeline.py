@@ -317,7 +317,7 @@ class TestConfig:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({
             "tracker": {"high_confidence": -1.0, "max_misses": 0},
-            "audio": {"window_size": 1000},
+            "vision": {"nlm_patch": 4},
         }))
         with pytest.raises(InvalidConfig) as err:
             load_config(bad)
@@ -339,7 +339,7 @@ class TestConfig:
         labels = tuple(reversed(Config().event_labels))
         override = {
             "detector": {"dual": False}, "tracker": {"max_misses": 5},
-            "audio": {"hop_length": 256}, "vision": {"flow_alpha": 4},
+            "vision": {"flow_alpha": 4},
             "fusion": {"model": "advanced"}, "anomaly": {"weights": {"audio": 1.0}},
             "runtime": {"queue_capacity": 8}, "event_labels": list(labels),
         }
@@ -349,7 +349,6 @@ class TestConfig:
         assert load_config(path) == Config(
             detector=replace(default.detector, dual=False),
             tracker=replace(default.tracker, max_misses=5),
-            audio=replace(default.audio, hop_length=256),
             vision=replace(default.vision, flow_alpha=4),
             fusion=replace(default.fusion, model="advanced"),
             anomaly=replace(default.anomaly, weights={"audio": 1.0}),
