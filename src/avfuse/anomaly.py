@@ -236,7 +236,10 @@ def combine_scores(
     weight_values = np.array([max(0.0, float(weights.get(m, 0.0))) for m in METHODS])
     if any(float(weights.get(m, 0.0)) < 0.0 for m in METHODS):
         raise InvalidConfig(["anomaly weights must be non-negative"])
-    total = weight_values.sum()
+    with np.errstate(over="ignore"):
+        total = weight_values.sum()
+    if not np.isfinite(total):
+        raise InvalidConfig(["anomaly weights must sum to a finite number"])
     if total <= 0.0:
         raise InvalidConfig(["all anomaly weights are zero"])
     weight_values /= total

@@ -11,6 +11,7 @@ reported in full. :func:`read_file` reads this file and a capture's
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -139,6 +140,8 @@ class Config:
         check(not unknown, f"anomaly.weights has unknown methods: {sorted(unknown)}")
         check(all(w >= 0.0 for w in an.weights.values()), "anomaly.weights must be non-negative")
         check(any(w > 0.0 for w in an.weights.values()), "anomaly.weights must include a positive weight")
+        check(math.isfinite(sum(map(float, an.weights.values()))),
+              "anomaly.weights must sum to a finite number")
         check(0.0 <= an.threshold <= 1.0, "anomaly.threshold must be in [0, 1]")
         check(an.history >= 2, "anomaly.history must be >= 2")
         check(an.autoencoder_learning_rate >= 0.0,

@@ -100,6 +100,8 @@ class Scenario:
                     f"frames extend to {last_t:.3f}s, beyond the {self.duration_s:.3f}s clip"
                 )
         for obj in self.objects:
+            if min(obj.size) <= 0:
+                problems.append(f"object {obj.object_id}: size must be positive")
             if obj.first_frame < 0 or obj.first_frame >= self.n_frames:
                 problems.append(f"object {obj.object_id}: first_frame outside scenario")
             if obj.last_frame is not None and obj.last_frame >= self.n_frames:

@@ -195,6 +195,16 @@ class TestCombineScores:
         with pytest.raises(InvalidConfig):
             combine_scores({m: 0.5 for m in METHODS}, {m: -1.0 for m in METHODS}, 0.5)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_weight_sum_rejected(self):
+        with pytest.raises(InvalidConfig, match="finite"):
+            combine_scores({m: 1.0 for m in METHODS}, {"statistical": 1e308, "audio": 1e308}, 0.5)
+
+    def test_one_weight_near_the_float64_limit_weighs_like_one(self):
+        scores = dict(zip(METHODS, (0.2, 0.4, 0.0, 1.0)))
+        assert (combine_scores(scores, {"event": 1.7e308}, 0.5)
+                == combine_scores(scores, {"event": 1.0}, 0.5))
+
     @settings(max_examples=80, deadline=None)
     @given(
         base=st.lists(st.floats(0, 1), min_size=4, max_size=4),

@@ -36,10 +36,12 @@ def canonical_capture(tmp_path_factory):
     ({"anomaly": {"weights": {"audio": -10**400}}}, "anomaly.weights"),
     ({"runtime": {"queue_capacity": 10**30}}, "runtime.queue_capacity"),
     ({"anomaly": {"weights": {"audio": 1, "colour": 1}}}, "anomaly.weights"),
+    ({"anomaly": {"weights": {"statistical": 1e308, "audio": 1e308}}}, "anomaly.weights"),
 ], ids=["string steps", "list weights", "string weight", "number section", "integer flag",
         "infinite weight", "infinite learning rate", "infinite flow alpha",
         "negative autoencoder learning rate", "negative fusion seed", "400-digit flow alpha",
-        "huge history", "huge weight", "huge queue capacity", "unknown method weight"])
+        "huge history", "huge weight", "huge queue capacity", "unknown method weight",
+        "overflowing weight sum"])
 def test_wrong_json_type_is_a_config_error(tmp_path, capsys, override, key):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(override))
@@ -57,6 +59,12 @@ def test_config_that_is_not_an_object_is_a_config_error(tmp_path, capsys):
 def test_integer_where_a_number_is_expected_is_accepted(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"anomaly": {"threshold": 1, "weights": {"audio": 1}}}))
+    assert cli_main(["--config", str(config), "--out", str(tmp_path / "out"), "generate"]) == 0
+
+
+def test_one_weight_near_the_float64_limit_is_accepted(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"anomaly": {"weights": {"audio": 1.7e308}}}))
     assert cli_main(["--config", str(config), "--out", str(tmp_path / "out"), "generate"]) == 0
 
 
@@ -257,9 +265,12 @@ def without(record, *keys):
     (scenario_with(objects=[{**CANONICAL["objects"][0], "start": [10**399, 0]}]),
      "objects[0].start must be a list of two numbers"),
     (scenario_with(width=62), "frame dimensions must be divisible by 4, got 64x62"),
+    (scenario_with(objects=[{**CANONICAL["objects"][0], "size": [-4.0, 4.0]}]),
+     f"object {CANONICAL['objects'][0]['object_id']}: size must be positive"),
 ], ids=["invalid json", "not an object", "string duration", "null fps", "object without start",
         "unknown object key", "injection without window_end", "injection without kind", "zero fps",
-        "negative seed", "400-digit duration", "400-digit object start", "width 62"])
+        "negative seed", "400-digit duration", "400-digit object start", "width 62",
+        "negative object size"])
 @pytest.mark.parametrize("command", ["generate", "run"])
 def test_malformed_scenario_exits_1_naming_file_and_key(canonical_capture, tmp_path, capsys,
                                                         command, text, key):
