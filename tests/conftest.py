@@ -3,7 +3,31 @@
 import pytest
 
 from avfuse import tensor as tz
+from avfuse.scenario import generate_scenario, preset_scenario
 from oracles import identity_value_weights
+
+
+def _preset_capture(tmp_path_factory, preset: str):
+    directory = tmp_path_factory.mktemp(preset)
+    generate_scenario(preset_scenario(preset, seed=0), directory)
+    return directory
+
+
+# One rendering per preset, shared by every module: a test that changes a
+# capture copies it first.
+@pytest.fixture(scope="session")
+def canonical_capture(tmp_path_factory):
+    return _preset_capture(tmp_path_factory, "canonical")
+
+
+@pytest.fixture(scope="session")
+def injection_capture(tmp_path_factory):
+    return _preset_capture(tmp_path_factory, "injection")
+
+
+@pytest.fixture(scope="session")
+def training_capture(tmp_path_factory):
+    return _preset_capture(tmp_path_factory, "training")
 
 
 @pytest.fixture

@@ -46,13 +46,6 @@ def passed(number: int, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def canonical_capture(tmp_path_factory):
-    directory = tmp_path_factory.mktemp("acc_canonical")
-    generate_scenario(preset_scenario("canonical", seed=0), directory)
-    return directory
-
-
-@pytest.fixture(scope="module")
 def injection_flow(tmp_path_factory):
     """Generate + train + two deterministic runs on the injection scenario."""
     root = tmp_path_factory.mktemp("acc_injection")

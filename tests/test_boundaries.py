@@ -8,16 +8,9 @@ import sys
 import pytest
 
 from avfuse.cli import main as cli_main
-from avfuse.scenario import generate_scenario, preset_scenario
+from avfuse.scenario import preset_scenario
 
 CANONICAL = preset_scenario("canonical", seed=0).to_dict()
-
-
-@pytest.fixture(scope="module")
-def canonical_capture(tmp_path_factory):
-    directory = tmp_path_factory.mktemp("canonical")
-    generate_scenario(preset_scenario("canonical", seed=0), directory)
-    return directory
 
 
 @pytest.mark.parametrize("override, key", [
@@ -196,13 +189,6 @@ def test_negative_seed_flag_is_a_config_error_before_anything_runs(canonical_cap
     assert cli_main(["--out", str(tmp_path / "out"), "--seed", "-1", *argv]) == 1
     assert capsys.readouterr().err == "config error: --seed must be non-negative, got -1\n"
     assert called == []
-
-
-@pytest.fixture(scope="module")
-def training_capture(tmp_path_factory):
-    directory = tmp_path_factory.mktemp("training")
-    generate_scenario(preset_scenario("training", seed=0), directory)
-    return directory
 
 
 @pytest.mark.parametrize("override, message", [

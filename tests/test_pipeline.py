@@ -21,13 +21,6 @@ from avfuse.pipeline import (
 from avfuse.scenario import AudioSegment, Injection, Scenario, generate_scenario, preset_scenario
 
 
-@pytest.fixture(scope="session")
-def canonical_capture(tmp_path_factory):
-    directory = tmp_path_factory.mktemp("canonical")
-    generate_scenario(preset_scenario("canonical", seed=0), directory)
-    return directory
-
-
 def run_canonical(capture, out, **kwargs):
     return run_pipeline(capture, Config(), out, deterministic=True, **kwargs)
 

@@ -20,7 +20,6 @@ from avfuse.fusion import (
     save_model,
 )
 from avfuse.pipeline import run_pipeline
-from avfuse.scenario import generate_scenario, preset_scenario
 from avfuse.vision_dsp import FLOW_ALPHA_MAX, FLOW_ALPHA_MIN, DenseFlow
 
 MODELS = {
@@ -40,13 +39,6 @@ def float32_model(kind):
     model = MODELS[kind]()
     model.cast_to_float32()
     return model
-
-
-@pytest.fixture(scope="module")
-def canonical_capture(tmp_path_factory):
-    directory = tmp_path_factory.mktemp("canonical")
-    generate_scenario(preset_scenario("canonical", seed=0), directory)
-    return directory
 
 
 @pytest.fixture

@@ -15,7 +15,6 @@ from avfuse.errors import AvFuseError, InvalidInput
 from avfuse.fusion import FLOW_COLUMN, build_model
 from avfuse.io import read_pgm, write_pgm
 from avfuse.pipeline import PipelineContext, open_capture, run_pipeline, run_stages, train_on_scenario
-from avfuse.scenario import generate_scenario, preset_scenario
 from avfuse.vision_dsp import DenseFlow
 
 TIMEOUT_S = 60.0
@@ -39,13 +38,6 @@ def finishes(fn, timeout: float = TIMEOUT_S):
     thread.join(timeout)
     assert not thread.is_alive(), f"did not finish within {timeout:g} s"
     return outcome[0]
-
-
-@pytest.fixture(scope="module")
-def canonical_capture(tmp_path_factory):
-    directory = tmp_path_factory.mktemp("canonical")
-    generate_scenario(preset_scenario("canonical", seed=0), directory)
-    return directory
 
 
 @pytest.fixture(scope="module")
@@ -149,12 +141,6 @@ class TestOneIngestQueue:
 
 
 class TestDropAccounting:
-    @pytest.fixture(scope="class")
-    def injection_capture(self, tmp_path_factory):
-        directory = tmp_path_factory.mktemp("injection")
-        generate_scenario(preset_scenario("injection", seed=0), directory)
-        return directory
-
     def test_inline_run_sheds_from_the_same_queues(self, injection_capture, tmp_path):
         summary = run_pipeline(injection_capture, Config(), tmp_path / "out")
         assert summary.windows_ingested == 120
@@ -240,12 +226,6 @@ class TestAdvancedModelAndTraining:
 
 class TestFlowOnlyWhenRead:
     """Horn-Schunck runs for window 1 onward only if the model or an export reads it."""
-
-    @pytest.fixture(scope="class")
-    def injection_capture(self, tmp_path_factory):
-        directory = tmp_path_factory.mktemp("injection")
-        generate_scenario(preset_scenario("injection", seed=0), directory)
-        return directory
 
     @pytest.fixture
     def flow_calls(self, monkeypatch):
