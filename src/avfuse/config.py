@@ -20,7 +20,7 @@ from typing import get_args, get_origin, get_type_hints
 from .anomaly import METHODS
 from .detect_track import TrackerThresholds
 from .errors import InvalidConfig
-from .vision_dsp import FLOW_ALPHA_MAX, FLOW_ALPHA_MIN
+from .vision_dsp import FLOW_ALPHA_MAX, FLOW_ALPHA_MIN, NLM_STRENGTH_MIN
 
 DEFAULT_EVENT_LABELS = (
     "normal", "machine_operation", "tool_usage", "smoke", "fire", "leak",
@@ -106,8 +106,10 @@ class Config:
         check(0.0 < d.nms_iou_threshold <= 1.0, "detector.nms_iou_threshold must be in (0, 1]")
         check(0.0 < d.cross_merge_iou <= 1.0, "detector.cross_merge_iou must be in (0, 1]")
         check(0.0 <= d.drop_probability <= 1.0, "detector.drop_probability must be in [0, 1]")
-        check(d.jitter_px >= 0.0, "detector.jitter_px must be non-negative")
-        check(d.false_positive_rate >= 0.0, "detector.false_positive_rate must be non-negative")
+        check(0.0 <= d.jitter_px <= 1e6, "detector.jitter_px must be in [0, 1e6]")
+        check(0.0 <= d.false_positive_rate <= 100.0,
+              "detector.false_positive_rate must be in [0, 100] boxes per frame, "
+              "because NMS and tracking are quadratic in the boxes")
 
         t = self.tracker
         check(0.0 <= t.low_confidence < t.high_confidence <= 1.0,
@@ -120,7 +122,8 @@ class Config:
         check(v.nlm_patch % 2 == 1 and v.nlm_patch >= 1, "vision.nlm_patch must be odd and positive")
         check(v.nlm_search % 2 == 1 and v.nlm_search >= v.nlm_patch,
               "vision.nlm_search must be odd and >= patch")
-        check(v.nlm_strength > 0.0, "vision.nlm_strength must be positive")
+        check(v.nlm_strength >= NLM_STRENGTH_MIN,
+              f"vision.nlm_strength must be >= {NLM_STRENGTH_MIN:g}, because NLM divides by its square")
         check(FLOW_ALPHA_MIN <= v.flow_alpha <= FLOW_ALPHA_MAX,
               f"vision.flow_alpha must be between {FLOW_ALPHA_MIN:g} and {FLOW_ALPHA_MAX}, "
               "because Horn-Schunck squares it in float32")

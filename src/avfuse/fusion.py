@@ -27,8 +27,9 @@ callers never ask which one they hold:
 Only :func:`build_model` and the save/load kind table name a model kind.
 The shapes above are each model's config defaults; a run builds exactly
 these, and only a saved model file records other shapes.
-Every weight, the ensemble's included, lives in a :class:`tensor.ParamStore`
-and :func:`train_step` updates them through :func:`tensor.sgd_step`.
+Every weight but the ensemble's fixed reduction lives in a
+:class:`tensor.ParamStore` and :func:`train_step` updates them through
+:func:`tensor.sgd_step`.
 
 ``forward`` runs over the blocks the model's store returned. It takes
 (n, f) token arrays for one sequence or (B, n, f) arrays for a batch of B,
@@ -43,7 +44,7 @@ training and at inference alike; ``predict`` runs the forward inside
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -158,20 +159,25 @@ def _ensemble_projections(width: int) -> tuple[np.ndarray, ...]:
 
 
 class AudioEnsembleFusion:
-    """Linear reduction of three concatenated 768-dim embeddings to 256."""
+    """Fixed linear reduction of three concatenated 768-dim embeddings to 256.
 
-    def __init__(self, seed: int = 0):
-        self.store = tz.ParamStore(seed)
-        self.weight, self.bias = self.store.linear("ensemble", 3 * EMBED_DIM, FUSED_DIM)
+    A stand-in like the embeddings, so it never trains: a random-features map
+    (Rahimi & Recht, NIPS 2007).
+    """
+
+    @cached_property
+    def weight(self) -> np.ndarray:
+        """uniform(+-1/sqrt(fan_in)) from seed 1, drawn on first use, so a load draws nothing."""
+        bound = 1.0 / np.sqrt(3 * EMBED_DIM)
+        return np.random.default_rng(1).uniform(-bound, bound, size=(3 * EMBED_DIM, FUSED_DIM))
 
     def fuse(self, e1, e2, e3) -> np.ndarray:
         """The 256-dim fused vector of three 768-dim embeddings."""
-        inputs = [np.asarray(e, dtype=self.weight.data.dtype).reshape(-1) for e in (e1, e2, e3)]
+        inputs = [np.asarray(e, dtype=self.weight.dtype).reshape(-1) for e in (e1, e2, e3)]
         for i, e in enumerate(inputs):
             if e.size != EMBED_DIM:
                 raise InvalidInput(f"ensemble input {i} must have {EMBED_DIM} values")
-        concat = np.concatenate(inputs).reshape(1, -1)
-        return (concat @ self.weight.data + self.bias.data).reshape(-1)
+        return (np.concatenate(inputs).reshape(1, -1) @ self.weight).reshape(-1)
 
     def embed(self, samples, sample_rate: int) -> np.ndarray:
         """The fused vector of one audio window's three stand-in embeddings."""
@@ -288,11 +294,11 @@ class FusionModel:
         return self.proj_visual[0].data.dtype
 
     def cast_to_float32(self) -> None:
-        """Cast every parameter, the ensemble's included, to float32 in place.
+        """Cast every parameter and the ensemble's fixed reduction to float32 in place.
 
         Inference then runs in float32 (see :mod:`tensor`). One tensor is
         cast at a time, so the float64 and float32 copies of the whole model
-        never coexist. A value too large for float32 raises
+        never coexist. A parameter too large for float32 raises
         :class:`InvalidInput` naming its tensor.
         """
         for name, tensor in self.store.params.items():
@@ -302,6 +308,8 @@ class FusionModel:
                 peak = np.abs(tensor.data).max()
                 raise InvalidInput(f"{name}: value {peak:g} overflows float32")
             tensor.data = data
+        if self.ensemble is not None:
+            self.ensemble.weight = self.ensemble.weight.astype(np.float32)
 
 
 @dataclass(frozen=True)
@@ -393,8 +401,7 @@ class AdvancedFusionModel(FusionModel):
             self.layers.append(((va, ln_v, ffn_v, out_v), (av, ln_a, ffn_a, out_a)))
         self.head_motion = store.linear("head.motion", 2 * c.hidden, c.motion_classes)
         self.head_event = store.linear("head.event", 2 * c.hidden, c.event_classes)
-        self.ensemble = AudioEnsembleFusion(seed=seed + 1)
-        store.params.update(self.ensemble.store.params)
+        self.ensemble = AudioEnsembleFusion()
 
     def forward(self, visual: np.ndarray, audio: np.ndarray, fused=None) -> tuple[Tensor, Tensor]:
         """Motion and event logit tensors, one row per token sequence.

@@ -102,6 +102,15 @@ class Scenario:
         for obj in self.objects:
             if min(obj.size) <= 0:
                 problems.append(f"object {obj.object_id}: size must be positive")
+            elif 0 <= obj.first_frame < self.n_frames:
+                # Positions move linearly: the coarsest float spacing is at the first or last frame.
+                last = min(self.n_frames if obj.last_frame is None else obj.last_frame, self.n_frames - 1)
+                for frame in (obj.first_frame, last):
+                    try:
+                        obj.bbox_at(frame)
+                    except InvalidInput as exc:
+                        problems.append(f"object {obj.object_id}: {exc} at frame {frame}")
+                        break
             if obj.first_frame < 0 or obj.first_frame >= self.n_frames:
                 problems.append(f"object {obj.object_id}: first_frame outside scenario")
             if obj.last_frame is not None and obj.last_frame >= self.n_frames:

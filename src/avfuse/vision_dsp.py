@@ -36,6 +36,9 @@ RGB_LUMA = np.array([0.299, 0.587, 0.114])  # ITU-R 601
 FLOW_ALPHA_MIN = 1e-9
 FLOW_ALPHA_MAX = float(np.sqrt(np.float64(np.finfo(np.float32).max)))
 
+# nlm_denoise's weight exponents are at most 255^2 / strength^2; this keeps them finite.
+NLM_STRENGTH_MIN = 1e-150
+
 
 @dataclass(frozen=True)
 class FlowField:

@@ -305,7 +305,7 @@ def test_criterion_8_latency_budget():
     fusion_ms = float(np.median(times)) * 1e3
     assert fusion_ms <= 60.0, f"advanced fusion forward took {fusion_ms:.1f} ms"
 
-    ensemble = AudioEnsembleFusion(seed=0)
+    ensemble = AudioEnsembleFusion()
     embeddings = [rng.normal(size=768) for _ in range(3)]
     ensemble.fuse(*embeddings)  # warm-up
     times = []

@@ -30,11 +30,17 @@ CANONICAL = preset_scenario("canonical", seed=0).to_dict()
     ({"runtime": {"queue_capacity": 10**30}}, "runtime.queue_capacity"),
     ({"anomaly": {"weights": {"audio": 1, "colour": 1}}}, "anomaly.weights"),
     ({"anomaly": {"weights": {"statistical": 1e308, "audio": 1e308}}}, "anomaly.weights"),
+    ({"vision": {"nlm_strength": 1e-300}}, "vision.nlm_strength"),
+    ({"vision": {"nlm_strength": 1e-160}}, "vision.nlm_strength"),
+    ({"detector": {"false_positive_rate": 1e300}}, "detector.false_positive_rate"),
+    ({"detector": {"false_positive_rate": 101}}, "detector.false_positive_rate"),
+    ({"detector": {"jitter_px": 1e300}}, "detector.jitter_px"),
 ], ids=["string steps", "list weights", "string weight", "number section", "integer flag",
         "infinite weight", "infinite learning rate", "infinite flow alpha",
         "negative autoencoder learning rate", "negative fusion seed", "400-digit flow alpha",
         "huge history", "huge weight", "huge queue capacity", "unknown method weight",
-        "overflowing weight sum"])
+        "overflowing weight sum", "nlm strength 1e-300", "nlm strength 1e-160",
+        "false positive rate 1e300", "false positive rate 101", "jitter 1e300"])
 def test_wrong_json_type_is_a_config_error(tmp_path, capsys, override, key):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(override))
@@ -59,6 +65,15 @@ def test_one_weight_near_the_float64_limit_is_accepted(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"anomaly": {"weights": {"audio": 1.7e308}}}))
     assert cli_main(["--config", str(config), "--out", str(tmp_path / "out"), "generate"]) == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_nlm_strength_and_detector_knobs_at_their_bounds_run(canonical_capture, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"vision": {"nlm_strength": 1e-150},
+                                  "detector": {"false_positive_rate": 100, "jitter_px": 1e6}}))
+    assert cli_main(["--config", str(config), "--out", str(tmp_path / "out"), "--deterministic",
+                     "run", str(canonical_capture)]) == 0
 
 
 def run_capture(capture, tmp_path):
@@ -253,10 +268,17 @@ def without(record, *keys):
     (scenario_with(width=62), "frame dimensions must be divisible by 4, got 64x62"),
     (scenario_with(objects=[{**CANONICAL["objects"][0], "size": [-4.0, 4.0]}]),
      f"object {CANONICAL['objects'][0]['object_id']}: size must be positive"),
+    (scenario_with(objects=[{**CANONICAL["objects"][0], "size": [1e-300, 1e-300]}]),
+     f"object {CANONICAL['objects'][0]['object_id']}: degenerate box (10.0,24.0,10.0,24.0) "
+     "at frame 0"),
+    (scenario_with(objects=[{**CANONICAL["objects"][0], "size": [4.0, 4.0],
+                             "velocity": [1e17, 0.0]}]),
+     f"object {CANONICAL['objects'][0]['object_id']}: degenerate box (9e+17,24.0,9e+17,28.0) "
+     "at frame 9"),
 ], ids=["invalid json", "not an object", "string duration", "null fps", "object without start",
         "unknown object key", "injection without window_end", "injection without kind", "zero fps",
         "negative seed", "400-digit duration", "400-digit object start", "width 62",
-        "negative object size"])
+        "negative object size", "object size 1e-300", "object that collapses at its last frame"])
 @pytest.mark.parametrize("command", ["generate", "run"])
 def test_malformed_scenario_exits_1_naming_file_and_key(canonical_capture, tmp_path, capsys,
                                                         command, text, key):

@@ -104,36 +104,34 @@ class TestTokens:
 
 
 class TestAudioEnsemble:
-    def test_zero_inputs_zero_bias_zero_output(self):
-        fusion = AudioEnsembleFusion(seed=0)
+    def test_zero_inputs_zero_output(self):
+        fusion = AudioEnsembleFusion()
         zero = np.zeros(EMBED_DIM)
         assert np.all(fusion.fuse(zero, zero, zero) == 0.0)
 
     def test_selection_matrix_picks_first_embedding(self):
-        fusion = AudioEnsembleFusion(seed=0)
+        fusion = AudioEnsembleFusion()
         selection = np.zeros((3 * EMBED_DIM, FUSED_DIM))
         selection[:FUSED_DIM, :] = np.eye(FUSED_DIM)
-        fusion.weight.data = selection
-        fusion.bias.data = np.zeros((1, FUSED_DIM))
+        fusion.weight = selection
         rng = np.random.default_rng(1)
         e1, e2, e3 = (rng.normal(size=EMBED_DIM) for _ in range(3))
         np.testing.assert_array_equal(fusion.fuse(e1, e2, e3), e1[:FUSED_DIM])
 
     def test_matches_scalar_dot_product_oracle(self):
         rng = np.random.default_rng(2)
-        fusion = AudioEnsembleFusion(seed=7)
+        fusion = AudioEnsembleFusion()
         e1, e2, e3 = (rng.normal(size=EMBED_DIM) for _ in range(3))
         got = fusion.fuse(e1, e2, e3)
         stacked = np.concatenate([e1, e2, e3])
         expected = np.array([
-            sum(stacked[i] * fusion.weight.data[i, j] for i in range(3 * EMBED_DIM))
-            + fusion.bias.data[0, j]
+            sum(stacked[i] * fusion.weight[i, j] for i in range(3 * EMBED_DIM))
             for j in range(FUSED_DIM)
         ])
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
     def test_wrong_length_rejected(self):
-        fusion = AudioEnsembleFusion(seed=0)
+        fusion = AudioEnsembleFusion()
         with pytest.raises(InvalidInput):
             fusion.fuse(np.zeros(10), np.zeros(EMBED_DIM), np.zeros(EMBED_DIM))
 

@@ -129,6 +129,31 @@ class TestBasicContext:
         assert context.analyze(jobs[0]).fused is None
 
 
+class TestFixedEnsembleReduction:
+    """The ensemble's reduction is fixed, so it is no parameter and no tensor of a file."""
+
+    def test_one_train_step_reaches_every_parameter(self):
+        rng = np.random.default_rng(5)
+        model = AdvancedFusionModel(seed=0)
+        vis, aud = tokens(rng, model)
+        example = LabeledSequence(vis, aud, 1, fused=rng.normal(size=FUSED_DIM), event_label=2)
+        fusion.train_step(model, [example], 0.01)
+        assert [name for name, p in model.store.params.items() if p.grad is None] == []
+        assert len(model.parameters()) == 130
+
+    def test_advanced_file_holding_it_exits_2_naming_the_file(self, canonical_capture, tmp_path,
+                                                              capsys):
+        path = tmp_path / "fusion.bin"
+        save_model(path, AdvancedFusionModel(seed=0), TokenNormalizer.identity(4, 5))
+        state = tz.load_tensors(path)
+        state["ensemble.weight"] = fusion.AudioEnsembleFusion().weight
+        state["ensemble.bias"] = np.zeros((1, FUSED_DIM))
+        tz.save_tensors(path, state)
+        assert cli_main(["--out", str(tmp_path / "out"), "--deterministic", "run",
+                         str(canonical_capture), "--params", str(path)]) == 2
+        assert f"{path}: unexpected tensor ensemble.bias, ensemble.weight" in capsys.readouterr().err
+
+
 class TestModelFileFormat:
     @pytest.mark.parametrize("model_cls, arch", [
         (BasicFusionModel, [0, 128, 2, 4, 512, 3, 4, 2]),

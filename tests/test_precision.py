@@ -14,6 +14,7 @@ from avfuse.errors import InvalidInput
 from avfuse.fusion import (
     FUSED_DIM,
     AdvancedFusionModel,
+    AudioEnsembleFusion,
     BasicFusionModel,
     TokenNormalizer,
     load_model,
@@ -71,7 +72,9 @@ class TestFloat32Inference:
         model = float32_model(kind)
         assert {p.data.dtype for p in model.parameters()} == {np.dtype(np.float32)}
         if model.ensemble is not None:
-            assert model.ensemble.weight.data.dtype == np.float32
+            assert model.ensemble.weight.dtype == np.float32
+            np.testing.assert_array_equal(model.ensemble.weight,
+                                          AudioEnsembleFusion().weight.astype(np.float32))
 
     @pytest.mark.parametrize("kind", sorted(MODELS))
     def test_every_forward_operation_is_float32(self, kind, node_dtypes):

@@ -3,6 +3,7 @@ import pytest
 
 from avfuse.errors import InvalidInput
 from avfuse.vision_dsp import (
+    NLM_STRENGTH_MIN,
     DenseFlow,
     dwt2_energy,
     nlm_denoise,
@@ -102,6 +103,15 @@ class TestPreprocessFrame:
         nlm_denoise(np.zeros((7, 12), dtype=np.uint8), search=7)
         with pytest.raises(InvalidInput, match="search window 9 exceeds the smaller side of a 8x12"):
             nlm_denoise(np.zeros((8, 12), dtype=np.uint8), search=9)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("patch", [1, 3, 7])
+    def test_strength_floor_keeps_every_weight_finite(self, patch):
+        """At the floor only identical patches weigh, so a full-contrast frame comes back unchanged."""
+        frame = ((np.indices((16, 16)).sum(axis=0) % 2) * 255).astype(np.uint8)
+        frame[5, 9] = 17
+        out = nlm_denoise(frame, patch=patch, search=7, strength=NLM_STRENGTH_MIN)
+        np.testing.assert_array_equal(out, frame)
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("patch,search", [(1, 3), (3, 7), (5, 7)])
