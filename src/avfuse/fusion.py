@@ -298,18 +298,14 @@ class FusionModel:
 
         Inference then runs in float32 (see :mod:`tensor`). One tensor is
         cast at a time, so the float64 and float32 copies of the whole model
-        never coexist. A parameter too large for float32 raises
-        :class:`InvalidInput` naming its tensor.
+        never coexist, and a tensor that is float32 already, as after
+        ``load_model(path, np.float32)``, is left as it is. A parameter too
+        large for float32 raises :class:`InvalidInput` naming its tensor.
         """
         for name, tensor in self.store.params.items():
-            with np.errstate(over="ignore"):
-                data = tensor.data.astype(np.float32)
-            if not np.all(np.isfinite(data)):
-                peak = np.abs(tensor.data).max()
-                raise InvalidInput(f"{name}: value {peak:g} overflows float32")
-            tensor.data = data
+            tensor.data = tz.cast(name, tensor.data, np.float32)
         if self.ensemble is not None:
-            self.ensemble.weight = self.ensemble.weight.astype(np.float32)
+            self.ensemble.weight = self.ensemble.weight.astype(np.float32, copy=False)
 
 
 @dataclass(frozen=True)
@@ -470,6 +466,10 @@ def train_step(model, batch: list[LabeledSequence], learning_rate: float) -> flo
 MODEL_KINDS = ((BasicFusionModel, BasicFusionConfig), (AdvancedFusionModel, AdvancedFusionConfig))
 
 
+# The float64 records save_model writes after the parameters.
+RECORDS = ("norm.visual_mean", "norm.visual_std", "norm.audio_mean", "norm.audio_std", "meta.arch")
+
+
 def save_model(path: str | Path, model, normalizer: TokenNormalizer) -> None:
     """Persist model parameters, normalizer and architecture in one file."""
     kind = [cls for cls, _ in MODEL_KINDS].index(type(model))
@@ -477,10 +477,14 @@ def save_model(path: str | Path, model, normalizer: TokenNormalizer) -> None:
     tz.save(path, model.store.params, {**normalizer.state(), "meta.arch": arch})
 
 
-def load_model(path: str | Path):
+def load_model(path: str | Path, dtype=np.float64):
     """Rebuild (model, normalizer) from :func:`save_model` output.
 
-    A malformed file raises :class:`InvalidInput` naming ``path``.
+    Each parameter is read as ``dtype``: ``np.float32`` gives the model
+    :meth:`FusionModel.cast_to_float32` would, without a float64 copy of
+    it. The normalizer and ``meta.arch`` stay float64. A malformed file, or
+    a weight too large for ``dtype``, raises :class:`InvalidInput` naming
+    ``path``.
     """
     def build():
         arch = tz.read("meta.arch").reshape(-1)
@@ -498,4 +502,6 @@ def load_model(path: str | Path):
             tz.read("norm.visual_mean", visual), tz.read("norm.visual_std", visual),
             tz.read("norm.audio_mean", audio), tz.read("norm.audio_std", audio))
 
-    return tz.load(path, build)
+    if np.dtype(dtype) == np.float64:
+        return tz.load(path, build)
+    return tz.load(path, build, dtype=dtype, keep=RECORDS)

@@ -447,15 +447,14 @@ def run_pipeline(
     out_dir.mkdir(parents=True, exist_ok=True)
     scenario, clip, jobs = open_capture(capture_dir, config.vision)
 
-    model_bundle = load_model(model_path) if model_path else None
+    # Inference runs in float32 (see tensor): a model file is read as float32,
+    # and the cast then reaches the untrained model and the ensemble.
+    model_bundle = load_model(model_path, np.float32) if model_path else None
     autoencoder = anomaly_mod.load_autoencoder(autoencoder_path) if autoencoder_path else None
     context = PipelineContext(config, scenario, clip.sample_rate,
                               model_bundle=model_bundle, autoencoder=autoencoder,
                               export_dir=export_dir, seed=seed)
-    try:
-        context.model.cast_to_float32()  # inference runs in float32; see tensor
-    except InvalidInput as exc:
-        raise InvalidInput(f"{model_path}: {exc}") from exc
+    context.model.cast_to_float32()
     if export_dir is not None:
         export_audio_features(clip.samples, clip.sample_rate, Path(export_dir))
 

@@ -22,6 +22,12 @@ from .vision_dsp import check_dwt_sides
 
 INJECTION_KINDS = ("visual_burst", "audio_burst", "event_label")
 
+# Render bounds: generate holds every frame at once, and a 16-bit mono WAV
+# stores its sample rate and its data-chunk byte count in 32 bits.
+MAX_FRAME_PIXELS = 2**31
+MAX_SAMPLES = 2**31 - 1
+MAX_SAMPLE_RATE = 2**32 - 1
+
 
 @dataclass(frozen=True)
 class AudioSegment:
@@ -87,6 +93,22 @@ class Scenario:
             problems.append("sample_rate must be positive")
         if self.seed < 0:
             problems.append("seed must be non-negative")
+        if self.sample_rate > MAX_SAMPLE_RATE:
+            problems.append(f"sample_rate must be at most {MAX_SAMPLE_RATE}")
+        # In floats, before n_frames or n_samples rounds an infinite product.
+        frames, keys = ((self.duration_s * self.fps, "duration_s x fps") if self.frame_count is None
+                        else (self.frame_count, "frame_count"))
+        pixels = frames * self.width * self.height
+        samples = self.duration_s * self.sample_rate
+        too_large = []
+        if pixels > MAX_FRAME_PIXELS:
+            too_large.append(f"{keys} x width x height is {pixels:.4g} pixels, "
+                             f"more than the {MAX_FRAME_PIXELS} a render holds")
+        if samples > MAX_SAMPLES:
+            too_large.append(f"duration_s x sample_rate is {samples:.4g} samples, "
+                             f"more than the {MAX_SAMPLES} a 16-bit WAV holds")
+        if too_large:
+            raise InvalidConfig(problems + too_large)
         if self.n_frames < 1:
             problems.append("scenario must render at least one frame")
         try:

@@ -16,7 +16,10 @@ Models hold what the store's ``linear``, ``layer_norm`` and
 stores of one thread take every parameter from a file through :func:`read`
 instead of drawing it, so a loader builds its model once, from the file,
 and the file must hold nothing the loader does not read. :func:`save` is
-the one writer.
+the one writer. Files are streamed: :func:`load_tensors` reads each tensor
+into its own array once the file is known to hold the bytes its dims
+declare, and :func:`save_tensors` writes each to the open file, so neither
+holds a whole-file buffer.
 
 A batch of B equal-length sequences of n tokens is one tensor of B*n rows,
 sequence b in rows b*n to (b+1)*n: a row block. Row-wise operations
@@ -37,12 +40,15 @@ anything else float64, and every operation computes in the dtype of its
 inputs. Every scalar the kernel multiplies by is a Python float, which
 NEP 50 casts to the array's dtype, so a float32 forward stays float32; in
 float64 a Python float gives the same bits as a numpy one. Training,
-parameter files and the test oracles are float64. ``avfuse run`` casts
-its model to float32 once and does its inference arithmetic there.
+parameter files and the test oracles are float64. ``avfuse run`` reads its
+model's parameters as float32, each :func:`cast` as it is read, and does
+its inference arithmetic there.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 import threading
 from contextlib import contextmanager
@@ -567,47 +573,78 @@ def sgd_step(params, loss: Tensor, learning_rate: float) -> float:
 
 def save_tensors(path: str | Path, tensors: dict[str, np.ndarray | Tensor]) -> None:
     """Flat binary parameter file: magic, version, count, then per tensor
-    (name length, name, rank, dims, float64 little-endian values)."""
-    chunks = [PARAM_MAGIC, struct.pack("<II", PARAM_VERSION, len(tensors))]
+    (name length, name, rank, dims, float64 little-endian values).
+
+    Every header is packed before the file opens; the values then go to the
+    open file one tensor at a time, with no whole-file buffer.
+    """
+    blocks = []
     for name, value in tensors.items():
-        array = value.data if isinstance(value, Tensor) else np.asarray(value)
+        array = np.asarray(value.data if isinstance(value, Tensor) else value)
         encoded = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<I", array.ndim))
-        chunks.append(struct.pack(f"<{array.ndim}I", *array.shape))
-        chunks.append(array.astype("<f8").tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+        blocks.append((struct.pack(f"<I{len(encoded)}sI{array.ndim}I", len(encoded), encoded,
+                                   array.ndim, *array.shape), array))
+    with open(path, "wb") as file:
+        file.write(PARAM_MAGIC + struct.pack("<II", PARAM_VERSION, len(blocks)))
+        for header, array in blocks:
+            file.write(header)
+            file.write(np.ascontiguousarray(array, dtype="<f8"))
 
 
-def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
-    """Inverse of :func:`save_tensors`; a truncated or padded file is rejected."""
-    data = Path(path).read_bytes()
-    if len(data) < 12 or data[:4] != PARAM_MAGIC:
-        raise InvalidInput(f"{path}: not a parameter file (bad magic or short header)")
-    version, count = struct.unpack_from("<II", data, 4)
-    if version != PARAM_VERSION:
-        raise InvalidInput(f"{path}: unsupported parameter format version {version}")
-    offset = 12
-    out: dict[str, np.ndarray] = {}
-    try:
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<I", data, offset)
-            offset += 4
-            name = data[offset:offset + name_len].decode("utf-8")
-            offset += name_len
-            (rank,) = struct.unpack_from("<I", data, offset)
-            offset += 4
-            dims = struct.unpack_from(f"<{rank}I", data, offset)
-            offset += 4 * rank
-            size = int(np.prod(dims)) if rank else 1
-            values = np.frombuffer(data, dtype="<f8", count=size, offset=offset)
-            offset += 8 * size
-            out[name] = values.reshape(dims).copy()
-    except (struct.error, ValueError) as exc:  # ValueError covers UnicodeDecodeError
-        raise InvalidInput(f"{path}: truncated or corrupt parameter file ({exc})") from exc
-    if offset != len(data):
-        raise InvalidInput(f"{path}: {len(data) - offset} unexpected bytes after the last tensor")
+def cast(name: str, array: np.ndarray, dtype) -> np.ndarray:
+    """``array`` as ``dtype``, uncopied if it is already.
+
+    A finite value too large for ``dtype`` raises :class:`InvalidInput`
+    naming ``name``; a value that was not finite stays so, for :func:`read`
+    to reject.
+    """
+    with np.errstate(over="ignore"):
+        out = array.astype(dtype, copy=False)
+    if out is not array and not np.all(np.isfinite(out)) and np.all(np.isfinite(array)):
+        raise InvalidInput(f"{name}: value {np.abs(array).max():g} overflows {out.dtype}")
+    return out
+
+
+def load_tensors(path: str | Path, dtype=np.float64, keep=()) -> dict[str, np.ndarray]:
+    """Inverse of :func:`save_tensors`, read one tensor at a time into its own array.
+
+    Every tensor but those named in ``keep`` is :func:`cast` to ``dtype`` as
+    it is read. A truncated, padded or corrupt file raises
+    :class:`InvalidInput` naming ``path``, and a tensor whose dims need more
+    bytes than the file has left is rejected before anything is allocated.
+    """
+    with open(path, "rb") as file:
+        left = os.fstat(file.fileno()).st_size
+
+        def take(size: int, what: str, make=bytearray):
+            """The next ``size`` bytes in ``make(size)``, allocated only if the file holds them."""
+            nonlocal left
+            buffer = make(size) if size <= left else None
+            if buffer is None or file.readinto(buffer) != size:
+                raise InvalidInput(f"{path}: truncated or corrupt parameter file "
+                                   f"({what} needs {size} bytes, {left} left)")
+            left -= size
+            return buffer
+
+        header = take(12, "the header") if left >= 12 else b""
+        if header[:4] != PARAM_MAGIC:
+            raise InvalidInput(f"{path}: not a parameter file (bad magic or short header)")
+        version, count = struct.unpack_from("<II", header, 4)
+        if version != PARAM_VERSION:
+            raise InvalidInput(f"{path}: unsupported parameter format version {version}")
+        out: dict[str, np.ndarray] = {}
+        for index in range(count):
+            (name_len,) = struct.unpack("<I", take(4, f"tensor {index}"))
+            try:
+                name = take(name_len, f"tensor {index}'s name").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise InvalidInput(f"{path}: truncated or corrupt parameter file ({exc})") from exc
+            (rank,) = struct.unpack("<I", take(4, name))
+            dims = struct.unpack(f"<{rank}I", take(4 * rank, name))
+            values = take(8 * math.prod(dims), name, lambda _: np.empty(dims, "<f8"))
+            out[name] = values if name in keep else cast(f"{path}: {name}", values, dtype)
+    if left:
+        raise InvalidInput(f"{path}: {left} unexpected bytes after the last tensor")
     return out
 
 
@@ -620,13 +657,14 @@ def save(path: str | Path, params: dict[str, Tensor], records: dict[str, np.ndar
     save_tensors(path, state)
 
 
-def load(path: str | Path, build):
+def load(path: str | Path, build, **read_as):
     """``build()`` inside :func:`reading` of the file at ``path``.
 
-    The file must hold no tensor ``build`` did not read. A malformed file
-    raises :class:`InvalidInput` naming ``path``.
+    ``read_as`` (``dtype`` and ``keep``) goes to :func:`load_tensors`. The
+    file must hold no tensor ``build`` did not read. A malformed file raises
+    :class:`InvalidInput` naming ``path``.
     """
-    state = load_tensors(path)
+    state = load_tensors(path, **read_as)
     try:
         with reading(state) as unread:
             built = build()

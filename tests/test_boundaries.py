@@ -1,12 +1,17 @@
 """Malformed configs, captures and event logs exit cleanly, naming what is wrong."""
 
 import json
+import os
 import re
+import resource
 import shutil
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import avfuse
 from avfuse.cli import main as cli_main
 from avfuse.scenario import preset_scenario
 
@@ -294,3 +299,31 @@ def test_malformed_scenario_exits_1_naming_file_and_key(canonical_capture, tmp_p
     assert cli_main(["--out", str(tmp_path / "out"), *argv]) == 1
     err = capsys.readouterr().err
     assert f"config error: {scenario}: " in err and key in err
+
+
+def limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+
+
+@pytest.mark.parametrize("changes, problem", [
+    ({"width": 1000000, "height": 1000000},
+     "frame_count x width x height is 1e+13 pixels, more than the 2147483648 a render holds"),
+    ({"duration_s": 1e9, "frame_count": None},
+     "duration_s x sample_rate is 1.6e+13 samples, more than the 2147483647 a 16-bit WAV holds"),
+    ({"fps": 1e7, "frame_count": None},
+     "duration_s x fps x width x height is 8.192e+10 pixels, more than the 2147483648"),
+    ({"sample_rate": 10**12}, "sample_rate must be at most 4294967295"),
+], ids=["width and height 1000000", "duration 1e9", "fps 1e7", "sample rate 1e12"])
+def test_scenario_too_large_to_render_exits_1_before_allocating(tmp_path, changes, problem):
+    """Under a 3 GiB address-space limit, as a child process: a missing bound would end
+    in a memory error (or fill the frame list for minutes), not exit 1."""
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(scenario_with(**changes))
+    env = {**os.environ, "PYTHONPATH": str(Path(avfuse.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-m", "avfuse.cli", "--out", str(tmp_path / "out"), "generate",
+         "--scenario", str(scenario)],
+        capture_output=True, text=True, env=env, timeout=120, preexec_fn=limit_address_space)
+    assert result.returncode == 1, result.stderr
+    assert f"config error: {scenario}: {problem}" in result.stderr
+    assert "Traceback" not in result.stderr
