@@ -2,9 +2,10 @@
 
 Every method emits a score in [0, 1] so the weighted combination stays
 commensurable: z-scores are clamped at ``z / Z_CAP`` and reconstruction
-error at ``mse / (10 x final training MSE)``. Rolling baselines always
-append the newest observation, anomalous or not. The autoencoder's weights
-come from a :class:`tensor.ParamStore` and train through :func:`tensor.sgd_step`.
+error at ``mse / (10 x final training MSE)``. One :class:`RollingBaseline`
+per scalar (frame mean, audio energy, spectral centroid) always appends the
+newest observation, anomalous or not. The autoencoder's weights come from a
+:class:`tensor.ParamStore` and train through :func:`tensor.sgd_step`.
 """
 
 from __future__ import annotations
@@ -34,12 +35,6 @@ class RollingBaseline:
             raise InvalidInput(f"baseline capacity must be >= 2, got {capacity}")
         self.values: deque[float] = deque(maxlen=capacity)
 
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def push(self, value: float) -> None:
-        self.values.append(float(value))
-
     def score(self, value: float) -> float:
         """Clamped z-score of ``value`` against the history, then append it.
 
@@ -54,16 +49,9 @@ class RollingBaseline:
         return score
 
 
-class StatWindow(RollingBaseline):
-    """Rolling per-frame mean intensities for the visual z-score method."""
-
-    def push(self, frame: np.ndarray) -> None:
-        super().push(np.asarray(frame, dtype=np.float64).mean())
-
-
-def zscore_score(window: StatWindow, frame: np.ndarray) -> float:
+def zscore_score(baseline: RollingBaseline, frame: np.ndarray) -> float:
     """:meth:`RollingBaseline.score` of the frame's mean intensity."""
-    return window.score(float(np.asarray(frame, dtype=np.float64).mean()))
+    return baseline.score(float(np.asarray(frame, dtype=np.float64).mean()))
 
 
 def block_mean_downsample(pixels: np.ndarray, blocks: int = 8) -> np.ndarray:
@@ -163,20 +151,13 @@ def load_autoencoder(path) -> DenseAutoencoder:
         training_mse=float(tz.read("meta.training_mse", (1, 1))[0, 0])))
 
 
-class AudioBaseline:
-    """Rolling energy and spectral-centroid baselines for audio scoring."""
-
-    def __init__(self, capacity: int = 64):
-        self.energy = RollingBaseline(capacity)
-        self.centroid = RollingBaseline(capacity)
-
-
-def audio_anomaly_score(energy: float, centroid_hz: float, baseline: AudioBaseline) -> float:
+def audio_anomaly_score(energy: float, centroid_hz: float, energy_baseline: RollingBaseline,
+                        centroid_baseline: RollingBaseline) -> float:
     """Max of the energy and centroid :meth:`RollingBaseline.score` values.
 
     Absolute z-scores catch drops (sudden silence) as well as bursts.
     """
-    return max(baseline.energy.score(energy), baseline.centroid.score(centroid_hz))
+    return max(energy_baseline.score(energy), centroid_baseline.score(centroid_hz))
 
 
 @dataclass(frozen=True)
@@ -233,8 +214,8 @@ def combine_scores(
     unknown = set(scores) - set(METHODS)
     if unknown:
         raise InvalidConfig([f"unknown score methods: {sorted(unknown)}"])
-    weight_values = np.array([max(0.0, float(weights.get(m, 0.0))) for m in METHODS])
-    if any(float(weights.get(m, 0.0)) < 0.0 for m in METHODS):
+    weight_values = np.array([float(weights.get(m, 0.0)) for m in METHODS])
+    if np.any(weight_values < 0.0):
         raise InvalidConfig(["anomaly weights must be non-negative"])
     with np.errstate(over="ignore"):
         total = weight_values.sum()

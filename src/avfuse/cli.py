@@ -157,6 +157,9 @@ def main(argv=None) -> int:
     except AvFuseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except MemoryError as exc:
+        print(f"error: {args.command} ran out of memory: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

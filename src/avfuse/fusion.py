@@ -502,6 +502,4 @@ def load_model(path: str | Path, dtype=np.float64):
             tz.read("norm.visual_mean", visual), tz.read("norm.visual_std", visual),
             tz.read("norm.audio_mean", audio), tz.read("norm.audio_std", audio))
 
-    if np.dtype(dtype) == np.float64:
-        return tz.load(path, build)
     return tz.load(path, build, dtype=dtype, keep=RECORDS)

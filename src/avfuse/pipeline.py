@@ -7,7 +7,8 @@ drop-oldest queue, and each stage then runs over every window the queue
 released before the next stage starts. An overflowing queue sheds its
 oldest window; every drop is counted and ``ingested == processed +
 dropped`` holds exactly. The first stage that raises fails the run with an
-error naming the window and the stage.
+error naming the window and the stage. The sink writes the event log in the
+order it makes the records, which is window order.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ import numpy as np
 from . import anomaly as anomaly_mod
 from .anomaly import (
     AnomalyReport,
-    AudioBaseline,
     DenseAutoencoder,
-    StatWindow,
+    RollingBaseline,
     audio_anomaly_score,
     autoencoder_score,
     autoencoder_train,
@@ -60,8 +60,6 @@ from .vision_dsp import (
     preprocess_frame,
 )
 
-KIND_ORDER = {"detection": 0, "track": 1, "classification": 2, "anomaly": 3, "metric": 4}
-
 # A fusion loss above this multiple of the first step's has diverged, even while finite.
 # Healthy runs on the training preset peak near 2.6 times; diverging ones reach 1e9 and more.
 DIVERGED_LOSS_RATIO = 1000.0
@@ -87,14 +85,6 @@ class WindowJob:
     motion_logits: np.ndarray | None = None
     event_logits: np.ndarray | None = None
     report: AnomalyReport | None = None
-
-
-@dataclass(frozen=True)
-class EventRecord:
-    t: float
-    window: int
-    kind: str
-    payload: dict
 
 
 class StageQueue:
@@ -141,8 +131,9 @@ class PipelineContext:
         self._visual_rows: deque = deque(maxlen=config.fusion.burst_tokens)
         self._audio_rows: deque = deque(maxlen=config.fusion.burst_tokens)
 
-        self.stat_window = StatWindow(config.anomaly.history)
-        self.audio_baseline = AudioBaseline(config.anomaly.history)
+        self.mean_baseline, self.energy_baseline, self.centroid_baseline = (
+            RollingBaseline(config.anomaly.history) for _ in range(3))
+        self.anomaly_label_ids = config.anomaly_label_ids()
         self.export_dir = Path(export_dir) if export_dir else None
         # Horn-Schunck is most of analyze; skip it when nothing reads the flow.
         self._flow_read = (self.model.config.visual_features > FLOW_COLUMN
@@ -206,9 +197,9 @@ class PipelineContext:
         # weight ("nothing detected") rather than being renormalized away,
         # so one saturated method cannot trigger a run on its own.
         scores = {
-            "statistical": zscore_score(self.stat_window, job.preprocessed),
+            "statistical": zscore_score(self.mean_baseline, job.preprocessed),
             "audio": audio_anomaly_score(job.stats.energy, job.stats.centroid_hz,
-                                         self.audio_baseline),
+                                         self.energy_baseline, self.centroid_baseline),
             "reconstruction": 0.0,
             "event": 0.0,
         }
@@ -216,7 +207,7 @@ class PipelineContext:
             scores["reconstruction"] = autoencoder_score(self.autoencoder, job.preprocessed)
         contributing: tuple[str, ...] = ()
         if job.event_logits is not None:
-            event = event_anomaly_score(job.event_logits, self.config.anomaly_label_ids(),
+            event = event_anomaly_score(job.event_logits, self.anomaly_label_ids,
                                         cfg.event_probability_threshold)
             scores["event"] = event.score
             contributing = tuple(self.config.event_labels[i] for i in event.label_ids)
@@ -231,14 +222,17 @@ class Sink:
     def __init__(self, out_dir: Path, sample_rate: int):
         self.out_dir = out_dir
         self.sample_rate = sample_rate
-        self.records: list[EventRecord] = []
+        self.records: list[dict] = []
         self.windows_processed = 0
         self.anomalies_triggered = 0
         self.artifact_errors = 0
 
+    def log(self, t: float, window: int, kind: str, payload: dict) -> None:
+        self.records.append({"t": t, "window": window, "kind": kind, "payload": payload})
+
     def __call__(self, job: WindowJob) -> WindowJob:
         t, w = job.timestamp, job.index
-        self.records.append(EventRecord(t, w, "detection", {
+        self.log(t, w, "detection", {
             "count": len(job.detections),
             "boxes": [
                 {"x1": float(d.bbox.x1), "y1": float(d.bbox.y1),
@@ -247,24 +241,24 @@ class Sink:
                  "source": d.source}
                 for d in job.detections
             ],
-        }))
-        self.records.append(EventRecord(t, w, "track", {"tracks": list(job.tracks)}))
+        })
+        self.log(t, w, "track", {"tracks": list(job.tracks)})
         classification = {
             "motion_pred": int(np.argmax(job.motion_logits)),
             "motion_logits": [float(x) for x in job.motion_logits],
         }
         if job.event_logits is not None:
             classification["event_pred"] = int(np.argmax(job.event_logits))
-        self.records.append(EventRecord(t, w, "classification", classification))
+        self.log(t, w, "classification", classification)
 
         report = job.report
-        self.records.append(EventRecord(t, w, "anomaly", {
+        self.log(t, w, "anomaly", {
             "combined": report.combined,
             "triggered": report.triggered,
             "type": report.anomaly_type,
             "scores": report.method_scores,
             "events": list(report.contributing_events),
-        }))
+        })
         if report.triggered:
             self.anomalies_triggered += 1
             try:
@@ -302,19 +296,19 @@ def persist_anomaly_artifact(report, frame: np.ndarray, samples: np.ndarray,
     return [frame_path, wav_path, report_path]
 
 
-def emit_event_log(records: list[EventRecord], path: str | Path) -> Path:
-    """Line-delimited JSON ordered by timestamp (stable for equal stamps)."""
-    ordered = sorted(
-        enumerate(records),
-        key=lambda item: (item[1].t, item[1].window, KIND_ORDER.get(item[1].kind, 9), item[0]),
-    )
-    lines = [
-        json.dumps({"t": r.t, "window": r.window, "kind": r.kind, "payload": r.payload},
-                   sort_keys=True)
-        for _, r in ordered
-    ]
+def emit_event_log(records: list[dict], path: str | Path) -> Path:
+    """Line-delimited JSON, one record per line in the order given.
+
+    :func:`run_pipeline` makes its records already ordered by (t, window,
+    kind), so nothing is sorted: :func:`timebase.validate_burst` rejects
+    frame timestamps that do not strictly increase; the one queue releases
+    windows in ingest order, and the sink logs each window's detection,
+    track, classification and anomaly records in that order; the metric
+    records come last, stamped with the last window, which drop-oldest
+    never sheds.
+    """
     path = Path(path)
-    path.write_text("".join(line + "\n" for line in lines))
+    path.write_text("".join(json.dumps(record, sort_keys=True) + "\n" for record in records))
     return path
 
 
@@ -474,11 +468,11 @@ def run_pipeline(
     drops = dict.fromkeys(latencies, 0) | {"analyze": queue.dropped}
 
     for name, _ in stages:
-        sink.records.append(EventRecord(jobs[-1].timestamp, len(jobs) - 1, "metric", {
+        sink.log(jobs[-1].timestamp, len(jobs) - 1, "metric", {
             "stage": name,
             "processed": len(latencies[name]),
             "dropped": drops[name],
-        }))
+        })
 
     log_path = emit_event_log(sink.records, out_dir / "events.jsonl")
     summary = RunSummary(

@@ -125,15 +125,21 @@ def inference():
         _MODE.no_graph = previous
 
 
-def _node(data, parents, grad_fns) -> Tensor:
+def _leaf(data: np.ndarray, requires_grad: bool) -> Tensor:
+    """A tensor of ``data`` without the checks of ``Tensor()``: its maker has done them."""
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.requires_grad = False
+    out.requires_grad = requires_grad
+    out._parents = out._grad_fns = ()
     out._consumed = False
-    tracked = not _MODE.no_graph and any(p.requires_grad or p._parents for p in parents)
-    out._parents = tuple(parents) if tracked else ()
-    out._grad_fns = tuple(grad_fns) if tracked else ()
+    return out
+
+
+def _node(data, parents, grad_fns) -> Tensor:
+    out = _leaf(data, False)
+    if not _MODE.no_graph and any(p.requires_grad or p._parents for p in parents):
+        out._parents, out._grad_fns = tuple(parents), tuple(grad_fns)
     return out
 
 
@@ -496,7 +502,7 @@ class ParamStore:
         return self._add(name, shape, lambda: np.full(shape, fill))
 
     def _add(self, name: str, shape: tuple[int, int], draw) -> Tensor:
-        tensor = Tensor(draw() if _MODE.source is None else read(name, shape), requires_grad=True)
+        tensor = _leaf(draw() if _MODE.source is None else read(name, shape), True)
         self.params[name] = tensor
         return tensor
 

@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 from avfuse.anomaly import (
     METHODS,
-    AudioBaseline,
     DenseAutoencoder,
-    StatWindow,
+    RollingBaseline,
     audio_anomaly_score,
     autoencoder_score,
     autoencoder_train,
@@ -23,42 +22,42 @@ def constant_frames(value=120, n=40, shape=(32, 32)):
     return [np.full(shape, value, dtype=np.uint8) for _ in range(n)]
 
 
+def baseline_holding(values):
+    baseline = RollingBaseline()
+    baseline.values.extend(values)
+    return baseline
+
+
 class TestZscore:
     def test_frame_matching_history_mean_scores_zero(self):
-        window = StatWindow()
-        for _ in range(5):
-            window.push(np.full((4, 4), 50.0))
-        assert zscore_score(window, np.full((4, 4), 50.0)) == 0.0
+        baseline = baseline_holding([50.0] * 5)
+        assert zscore_score(baseline, np.full((4, 4), 50.0)) == 0.0
 
     def test_constant_history_with_large_jump_clamps_to_one(self):
-        window = StatWindow()
-        for _ in range(4):
-            window.push(np.full((4, 4), 10.0))
+        baseline = baseline_holding([10.0] * 4)
         # std floor is active; any visible jump saturates the clamp
-        assert zscore_score(window, np.full((4, 4), 11.0)) == 1.0
+        assert zscore_score(baseline, np.full((4, 4), 11.0)) == 1.0
 
     def test_matches_scalar_mean_std_oracle(self):
         history = [100.0, 102.0, 98.0, 101.0, 99.0]
-        window = StatWindow()
-        for m in history:
-            window.push(np.full((4, 4), m))
+        baseline = baseline_holding(history)
         sigma = float(np.std(history))
         expected = min(abs(130.0 - float(np.mean(history))) / (sigma * 6.0), 1.0)
-        assert zscore_score(window, np.full((4, 4), 130.0)) == pytest.approx(expected)
+        assert zscore_score(baseline, np.full((4, 4), 130.0)) == pytest.approx(expected)
 
     def test_warm_up_scores_zero_and_appends(self):
-        window = StatWindow()
-        assert zscore_score(window, np.full((4, 4), 10.0)) == 0.0
-        assert zscore_score(window, np.full((4, 4), 200.0)) == 0.0
-        assert len(window) == 2
+        baseline = RollingBaseline()
+        assert zscore_score(baseline, np.full((4, 4), 10.0)) == 0.0
+        assert zscore_score(baseline, np.full((4, 4), 200.0)) == 0.0
+        assert len(baseline.values) == 2
         # history is now populated; scoring resumes
-        assert zscore_score(window, np.full((4, 4), 200.0)) > 0.0
+        assert zscore_score(baseline, np.full((4, 4), 200.0)) > 0.0
 
     def test_capacity_bounds_history(self):
-        window = StatWindow(capacity=3)
+        baseline = RollingBaseline(capacity=3)
         for v in range(10):
-            window.push(np.full((2, 2), float(v)))
-        assert len(window) == 3
+            zscore_score(baseline, np.full((2, 2), float(v)))
+        assert list(baseline.values) == [7.0, 8.0, 9.0]
 
 
 class TestAutoencoder:
@@ -110,33 +109,28 @@ class TestAutoencoder:
 
 
 class TestAudioAnomaly:
-    def warmed_baseline(self, energies, centroids):
-        baseline = AudioBaseline()
-        for e, c in zip(energies, centroids):
-            baseline.energy.push(e)
-            baseline.centroid.push(c)
-        return baseline
+    def warmed_baselines(self, energies, centroids):
+        return baseline_holding(energies), baseline_holding(centroids)
 
     def test_stats_at_baseline_mean_score_zero(self):
-        baseline = self.warmed_baseline([0.5, 0.5, 0.5], [1000.0, 1000.0, 1000.0])
-        assert audio_anomaly_score(0.5, 1000.0, baseline) == 0.0
+        baselines = self.warmed_baselines([0.5, 0.5, 0.5], [1000.0, 1000.0, 1000.0])
+        assert audio_anomaly_score(0.5, 1000.0, *baselines) == 0.0
 
     def test_loud_burst_saturates(self):
-        baseline = self.warmed_baseline([0.1, 0.1, 0.1, 0.1], [800.0, 820.0, 790.0, 805.0])
-        assert audio_anomaly_score(50.0, 800.0, baseline) == 1.0
+        baselines = self.warmed_baselines([0.1, 0.1, 0.1, 0.1], [800.0, 820.0, 790.0, 805.0])
+        assert audio_anomaly_score(50.0, 800.0, *baselines) == 1.0
 
     def test_silence_after_steady_tone_scores_positive(self):
         energies = [0.4, 0.41, 0.39, 0.4]
         centroids = [1000.0, 1001.0, 999.0, 1000.0]
-        baseline = self.warmed_baseline(energies, centroids)
+        baselines = self.warmed_baselines(energies, centroids)
         expected_z = abs(0.0 - np.mean(energies)) / max(np.std(energies), 1e-6)
-        score = audio_anomaly_score(0.0, 1000.0, baseline)
+        score = audio_anomaly_score(0.0, 1000.0, *baselines)
         assert score > 0.0
         assert score == pytest.approx(min(expected_z / 6.0, 1.0))
 
     def test_warm_up_scores_zero(self):
-        baseline = AudioBaseline()
-        assert audio_anomaly_score(0.9, 2000.0, baseline) == 0.0
+        assert audio_anomaly_score(0.9, 2000.0, RollingBaseline(), RollingBaseline()) == 0.0
 
 
 class TestEventAnomaly:

@@ -305,6 +305,15 @@ def limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
 
 
+def generate_under_limit(tmp_path, scenario):
+    """``avfuse generate --scenario`` in a child process under a 3 GiB address-space limit."""
+    env = {**os.environ, "PYTHONPATH": str(Path(avfuse.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "avfuse.cli", "--out", str(tmp_path / "out"), "generate",
+         "--scenario", str(scenario)],
+        capture_output=True, text=True, env=env, timeout=120, preexec_fn=limit_address_space)
+
+
 @pytest.mark.parametrize("changes, problem", [
     ({"width": 1000000, "height": 1000000},
      "frame_count x width x height is 1e+13 pixels, more than the 2147483648 a render holds"),
@@ -319,11 +328,18 @@ def test_scenario_too_large_to_render_exits_1_before_allocating(tmp_path, change
     in a memory error (or fill the frame list for minutes), not exit 1."""
     scenario = tmp_path / "scenario.json"
     scenario.write_text(scenario_with(**changes))
-    env = {**os.environ, "PYTHONPATH": str(Path(avfuse.__file__).parents[1])}
-    result = subprocess.run(
-        [sys.executable, "-m", "avfuse.cli", "--out", str(tmp_path / "out"), "generate",
-         "--scenario", str(scenario)],
-        capture_output=True, text=True, env=env, timeout=120, preexec_fn=limit_address_space)
+    result = generate_under_limit(tmp_path, scenario)
     assert result.returncode == 1, result.stderr
     assert f"config error: {scenario}: {problem}" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_scenario_that_runs_out_of_memory_exits_2_naming_the_command(tmp_path):
+    """1.6e9 samples fit a 16-bit WAV but not the 3 GiB the child may map: the render's
+    memory error ends the command with exit 2 and one line, not a traceback."""
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(scenario_with(duration_s=100000, frame_count=1))
+    result = generate_under_limit(tmp_path, scenario)
+    assert result.returncode == 2, result.stderr
+    assert "error: generate ran out of memory" in result.stderr
     assert "Traceback" not in result.stderr

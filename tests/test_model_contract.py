@@ -367,8 +367,8 @@ class TestLoadPath:
     def test_loaders_read_every_parameter_and_draw_nothing(self, loadable, monkeypatch, name):
         returned = []
 
-        def recording(path, load=tz.load_tensors):
-            returned.append(load(path))
+        def recording(path, load=tz.load_tensors, **read_as):
+            returned.append(load(path, **read_as))
             return returned[-1]
 
         monkeypatch.setattr(np.random, "default_rng", lambda seed=None: RefusingGenerator())

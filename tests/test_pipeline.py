@@ -11,7 +11,6 @@ from avfuse.config import Config, load_config
 from avfuse.errors import InvalidConfig, InvalidInput
 from avfuse.io import read_wav
 from avfuse.pipeline import (
-    EventRecord,
     StageQueue,
     emit_event_log,
     persist_anomaly_artifact,
@@ -202,22 +201,27 @@ class TestEventLog:
         assert path.read_text() == ""
 
     def test_single_record_round_trips(self, tmp_path):
-        record = EventRecord(0.5, 3, "detection", {"count": 2})
+        record = {"t": 0.5, "window": 3, "kind": "detection", "payload": {"count": 2}}
         path = emit_event_log([record], tmp_path / "events.jsonl")
         lines = path.read_text().splitlines()
         assert len(lines) == 1
         parsed = json.loads(lines[0])
         assert parsed == {"t": 0.5, "window": 3, "kind": "detection", "payload": {"count": 2}}
 
-    def test_records_sorted_by_timestamp(self, tmp_path):
-        records = [
-            EventRecord(2.0, 2, "anomaly", {}),
-            EventRecord(0.5, 0, "detection", {}),
-            EventRecord(1.0, 1, "track", {}),
-        ]
-        path = emit_event_log(records, tmp_path / "events.jsonl")
-        stamps = [json.loads(line)["t"] for line in path.read_text().splitlines()]
-        assert stamps == [0.5, 1.0, 2.0]
+    @pytest.mark.parametrize("capacity", [None, 8], ids=["deterministic", "dropping"])
+    def test_run_writes_records_ordered_by_time_window_and_kind(self, injection_capture,
+                                                                tmp_path, capacity):
+        """The log is written unsorted, so the run must make its records in this order,
+        also when the queue sheds windows."""
+        summary = run_pipeline(injection_capture, Config(), tmp_path / "out",
+                               queue_capacity=capacity, deterministic=capacity is None)
+        assert (summary.drops["analyze"] > 0) == (capacity is not None)
+        rank = {"detection": 0, "track": 1, "classification": 2, "anomaly": 3, "metric": 4}
+        records = [json.loads(line) for line in Path(summary.log_path).read_text().splitlines()]
+        keys = [(r["t"], r["window"], rank[r["kind"]]) for r in records]
+        assert keys == sorted(keys)
+        assert {r["kind"] for r in records} == set(rank)
+        assert len(records) == 4 * summary.windows_processed + 6
 
 
 class TestTrainingIntegration:
