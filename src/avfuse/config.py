@@ -147,6 +147,7 @@ class Config:
               "anomaly.weights must sum to a finite number")
         check(0.0 <= an.threshold <= 1.0, "anomaly.threshold must be in [0, 1]")
         check(an.history >= 2, "anomaly.history must be >= 2")
+        check(an.autoencoder_steps >= 1, "anomaly.autoencoder_steps must be >= 1")
         check(an.autoencoder_learning_rate >= 0.0,
               "anomaly.autoencoder_learning_rate must be non-negative")
         check(0.0 <= an.event_probability_threshold <= 1.0,

@@ -1,16 +1,16 @@
 """Frame preprocessing, wavelet texture energy, and dense optical flow.
 
 Preprocessing is patch-based non-local means denoising on 8-bit grayscale.
-Its patch distances are box sums of squared pixel differences, taken by
-shifted adds into buffers reused across the search offsets; on 8-bit input
-every such sum is an exact integer in float64. Texture energy comes from a
-2-level Daubechies-2 decomposition with periodic extension, which makes
-subband energies sum exactly to the pixel energy. Dense motion is estimated
-with the Horn-Schunck variational scheme behind the ``DenseFlow`` interface
-so a different solver can be slotted in later. Its Jacobi sweeps update one
-edge-padded (u, v) buffer in place, in float32, for ``train`` and ``run``
-alike; against the float64 sweeps the field stays within 1e-5 of its
-largest magnitude.
+Its patch distances are box sums of squared pixel differences, each search
+offset and box-sum term one contiguous shift of the padded frame read as a
+flat run; on 8-bit input every such sum is an exact integer in float64.
+Texture energy comes from a 2-level Daubechies-2 decomposition with periodic
+extension, which makes subband energies sum exactly to the pixel energy.
+Dense motion is estimated with the Horn-Schunck variational scheme behind
+the ``DenseFlow`` interface so a different solver can be slotted in later.
+Its Jacobi sweeps update one edge-padded (u, v) buffer in place, in float32,
+for ``train`` and ``run`` alike; against the float64 sweeps the field stays
+within 1e-5 of its largest magnitude.
 """
 
 from __future__ import annotations
@@ -80,22 +80,6 @@ def to_grayscale(pixels: np.ndarray) -> np.ndarray:
     raise InvalidInput(f"expected (H, W) or (H, W, 3) pixel grid, got shape {pixels.shape}")
 
 
-def _box_sum(values: np.ndarray, patch: int, rows: np.ndarray, out: np.ndarray) -> None:
-    """Sliding ``patch`` x ``patch`` window sums of ``values`` into ``out``.
-
-    ``rows`` holds the vertical pass. Summed by shifted adds; on squared
-    differences of 8-bit pixels every partial sum is an integer below 2**53,
-    so the result is exact whatever the order of the additions.
-    """
-    n, m = rows.shape[0], out.shape[1]
-    np.copyto(rows, values[:n])
-    for k in range(1, patch):
-        rows += values[k:k + n]
-    np.copyto(out, rows[:, :m])
-    for k in range(1, patch):
-        out += rows[:, k:k + m]
-
-
 def nlm_denoise(
     pixels: np.ndarray, patch: int = 3, search: int = 7, strength: float = 10.0
 ) -> np.ndarray:
@@ -104,6 +88,14 @@ def nlm_denoise(
 
     Weight is ``exp(-mean((P_i - P_j)^2) / strength^2)``; the center pixel
     participates with weight 1, so constants are preserved exactly.
+
+    The reflect-padded frame is one flat run of ``wide``-value rows plus a zero
+    tail, so offset ``(dy, dx)`` is a shift by ``dy * wide + dx`` and the patch
+    sums add shifts by ``k * wide`` and ``k``. The last ``wide - w`` columns of
+    each row wrap into the next row (pixel or zero differences, within +-255)
+    and are dropped. Each kept pixel's distance is the exact integer sum of its
+    squared 8-bit differences, in any addition order, and the same ``exp`` and
+    ``(dy, dx)`` accumulation follow, so the bytes match a 2-D window sum.
     """
     img = pixels.astype(np.float64)
     if img.ndim != 2 or img.size == 0:
@@ -112,29 +104,37 @@ def nlm_denoise(
         raise InvalidInput(f"patch must be odd and positive, got {patch}")
     check_nlm_search(search, *img.shape)
     pr, sr = patch // 2, search // 2
-    padded = np.pad(img, sr + pr, mode="reflect")
+    pad = sr + pr
     h, w = img.shape
+    wide = w + 2 * pad
+    flat = np.concatenate([np.pad(img, pad, mode="reflect").ravel(), np.zeros(2 * pad)])
 
-    center_patch = padded[sr:sr + h + 2 * pr, sr:sr + w + 2 * pr]
-    diff = np.empty_like(center_patch)
-    rows = np.empty((h, w + 2 * pr))
-    weight = np.empty_like(img)
-    weighted = np.empty_like(img)
-    weight_sum = np.zeros_like(img)
-    value_sum = np.zeros_like(img)
+    n = h * wide  # one output run; its last wide - w columns are thrown away
+    origin = sr * wide + sr
+    center = flat[origin:origin + n + 2 * pr * (wide + 1)]
+    diff = np.empty_like(center)
+    rows = np.empty(n + 2 * pr)
+    weight, weighted, weight_sum, value_sum = np.zeros((4, n))
     neg_inv_h2 = -1.0 / (strength * strength * patch * patch)
     for dy in range(-sr, sr + 1):
         for dx in range(-sr, sr + 1):
-            shifted_patch = padded[sr + dy:sr + dy + h + 2 * pr, sr + dx:sr + dx + w + 2 * pr]
-            np.subtract(center_patch, shifted_patch, out=diff)
+            start = origin + dy * wide + dx
+            np.subtract(center, flat[start:start + center.size], out=diff)
             np.multiply(diff, diff, out=diff)
-            _box_sum(diff, patch, rows, weight)
+            np.copyto(rows, diff[:rows.size])
+            for k in range(1, patch):
+                rows += diff[k * wide:k * wide + rows.size]
+            np.copyto(weight, rows[:n])
+            for k in range(1, patch):
+                weight += rows[k:k + n]
             np.multiply(weight, neg_inv_h2, out=weight)
             np.exp(weight, out=weight)
-            np.multiply(weight, shifted_patch[pr:pr + h, pr:pr + w], out=weighted)
+            start += pr * (wide + 1)
+            np.multiply(weight, flat[start:start + n], out=weighted)
             value_sum += weighted
             weight_sum += weight
-    return np.clip(np.rint(value_sum / weight_sum), 0, 255).astype(np.uint8)
+    mean = (value_sum / weight_sum).reshape(h, wide)[:, :w]  # the center weight is 1
+    return np.clip(np.rint(mean), 0, 255).astype(np.uint8)
 
 
 def check_nlm_search(search: int, h: int, w: int) -> None:

@@ -232,6 +232,18 @@ def test_diverging_trainer_exits_2_and_writes_no_model(training_capture, tmp_pat
     assert not list(out.glob("*.bin"))
 
 
+@pytest.mark.parametrize("steps", [0, -3])
+def test_untrainable_autoencoder_steps_is_a_config_error_and_writes_no_model(
+        training_capture, tmp_path, capsys, steps):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"anomaly": {"autoencoder_steps": steps}}))
+    out = tmp_path / "models"
+    assert cli_main(["--config", str(config), "--out", str(out), "train",
+                     str(training_capture)]) == 1
+    assert f"config error: {config}: anomaly.autoencoder_steps " in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("flag", ["--config", "--scenario"])
 @pytest.mark.parametrize("make, problem", [
     (lambda path: None, "cannot read ([Errno 2] "),

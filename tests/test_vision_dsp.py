@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from avfuse.errors import InvalidInput
+from avfuse.io import load_capture
 from avfuse.vision_dsp import (
     NLM_STRENGTH_MIN,
     DenseFlow,
@@ -117,6 +118,19 @@ class TestPreprocessFrame:
     @pytest.mark.parametrize("patch,search", [(1, 3), (3, 7), (5, 7)])
     def test_bytes_equal_cumsum_reference(self, shape, patch, search):
         for frame in random_frames(shape):
+            np.testing.assert_array_equal(nlm_denoise(frame, patch, search),
+                                          reference_nlm(frame, patch, search))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_bytes_equal_reference_where_the_flat_rows_wrap(self, injection_capture):
+        """Tall frames, a search window as wide as the frame, patch equal to search and every
+        injection frame: the wrapped columns of the flat layout never reach a kept pixel."""
+        cases = [(frame, 3, 7) for frame in random_frames((20, 8))]
+        cases += [(frame, patch, 7) for patch in (1, 3, 5) for frame in random_frames((7, 12))]
+        cases += [(frame, 7, 7) for frame in random_frames((16, 16))]
+        burst, _ = load_capture(injection_capture)
+        cases += [(frame.pixels, 3, 7) for frame in burst.frames]
+        for frame, patch, search in cases:
             np.testing.assert_array_equal(nlm_denoise(frame, patch, search),
                                           reference_nlm(frame, patch, search))
 
