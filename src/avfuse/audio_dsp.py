@@ -25,25 +25,7 @@ CWT_SCALES, CWT_FMIN_HZ, CWT_FMAX_HZ = 32, 50.0, 8000.0
 class Spectrogram:
     magnitudes: np.ndarray  # (time_frames, freq_bins), non-negative
     window_size: int
-    hop_length: int
     sample_rate: int
-
-
-@dataclass(frozen=True)
-class MelSpectrogram:
-    bands: np.ndarray  # (time_frames, n_bands)
-    sample_rate: int
-
-
-@dataclass(frozen=True)
-class Scalogram:
-    coefficients: np.ndarray  # (n_scales, n_samples) magnitudes
-    scales: np.ndarray  # strictly increasing, in samples
-    sample_rate: int
-
-    @property
-    def pseudo_frequencies(self) -> np.ndarray:
-        return MORLET_OMEGA0 * self.sample_rate / (2.0 * np.pi * self.scales)
 
 
 @dataclass(frozen=True)
@@ -80,7 +62,7 @@ def stft(samples, window_size: int, hop_length: int, sample_rate: int) -> Spectr
     starts = np.arange(n_frames) * hop_length
     frames = samples[starts[:, None] + np.arange(window_size)] * window
     magnitudes = np.abs(np.fft.rfft(frames, axis=1))
-    return Spectrogram(magnitudes, window_size, hop_length, sample_rate)
+    return Spectrogram(magnitudes, window_size, sample_rate)
 
 
 def hz_to_mel(f):
@@ -113,11 +95,10 @@ def mel_filterbank(window_size: int, sample_rate: int, n_bands: int = 64) -> np.
     return filters
 
 
-def mel_spectrogram(spec: Spectrogram, n_bands: int = 64) -> MelSpectrogram:
-    """Pool squared STFT magnitudes through the mel filterbank."""
+def mel_spectrogram(spec: Spectrogram, n_bands: int = 64) -> np.ndarray:
+    """(time_frames, n_bands) squared STFT magnitudes pooled through the mel filterbank."""
     filters = mel_filterbank(spec.window_size, spec.sample_rate, n_bands)
-    bands = (spec.magnitudes ** 2) @ filters.T
-    return MelSpectrogram(bands, spec.sample_rate)
+    return (spec.magnitudes ** 2) @ filters.T
 
 
 def morlet_wavelet(scale: float, omega0: float = MORLET_OMEGA0) -> np.ndarray:
@@ -139,12 +120,13 @@ def default_cwt_scales(sample_rate: int) -> np.ndarray:
     return MORLET_OMEGA0 * sample_rate / (2.0 * np.pi * freqs)
 
 
-def cwt_scalogram(samples, scales, sample_rate: int) -> Scalogram:
+def cwt_scalogram(samples, scales) -> np.ndarray:
     """Morlet scalogram: per-scale cross-correlation of the signal with the
     sampled wavelet, computed by frequency-domain multiplication.
 
-    Output row ``i`` holds ``|sum_m x[b+m] conj(psi_scale[m])|`` for every
-    sample position ``b``; samples outside the signal are treated as zero.
+    Returns (n_scales, n_samples) magnitudes: row ``i`` holds
+    ``|sum_m x[b+m] conj(psi_scale[m])|`` for every sample position ``b``;
+    samples outside the signal are treated as zero.
     """
     samples = np.asarray(samples, dtype=np.float64)
     scales = np.asarray(scales, dtype=np.float64)
@@ -165,7 +147,7 @@ def cwt_scalogram(samples, scales, sample_rate: int) -> Scalogram:
         nfft = 1 << int(np.ceil(np.log2(n + len(kernel) - 1)))
         full = np.fft.ifft(np.fft.fft(samples, nfft) * np.fft.fft(kernel, nfft))
         coeffs[i] = np.abs(full[half:half + n])
-    return Scalogram(coeffs, scales, sample_rate)
+    return coeffs
 
 
 def spectral_stats(samples, sample_rate: int) -> SpectralStats:

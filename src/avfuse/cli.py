@@ -31,8 +31,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run seed (preset rendering, detector noise, autoencoder init); "
                              "fusion weights come from fusion.seed in the config")
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-    parser.add_argument("--queue-capacity", type=int,
-                        help="capacity of the bounded ingest queue (run only)")
     parser.add_argument("--deterministic", action="store_true",
                         help="size the ingest queue to hold every window so nothing drops (run only)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -76,7 +74,6 @@ def cmd_run(args, config) -> int:
         args.capture,
         config,
         args.out,
-        queue_capacity=args.queue_capacity,
         deterministic=args.deterministic,
         model_path=args.params,
         autoencoder_path=args.autoencoder,
@@ -142,10 +139,8 @@ COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        run_only = [flag for flag, given in (("--queue-capacity", args.queue_capacity is not None),
-                                             ("--deterministic", args.deterministic)) if given]
-        if args.command != "run" and run_only:
-            raise InvalidConfig([f"{flag} applies only to run" for flag in run_only])
+        if args.command != "run" and args.deterministic:
+            raise InvalidConfig(["--deterministic applies only to run"])
         if args.seed < 0:
             raise InvalidConfig([f"--seed must be non-negative, got {args.seed}"])
         config = load_config(args.config)

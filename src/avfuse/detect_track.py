@@ -223,10 +223,6 @@ class Tracker:
         self._tracks: list[Track] = []
         self._next_id = 1
 
-    @property
-    def tracks(self) -> list[Track]:
-        return list(self._tracks)
-
     def step(self, detections: list[Detection]) -> list[Track]:
         """Advance one frame; returns every track touched this step,
         including ones that just became lost."""

@@ -135,8 +135,7 @@ def stub_audio_embeddings(samples, sample_rate: int) -> tuple[np.ndarray, np.nda
     samples = np.asarray(samples, dtype=np.float64)
     window = 1 << int(np.log2(max(2, min(512, len(samples)))))
     spec = stft(samples, window, window // 2, sample_rate)
-    mel = mel_spectrogram(spec)
-    bands = np.log1p(mel.bands)
+    bands = np.log1p(mel_spectrogram(spec))
     stats = np.concatenate([bands.mean(axis=0), bands.std(axis=0)])  # 128 values
 
     return tuple(np.tanh(projection @ stats) for projection in _ensemble_projections(stats.size))

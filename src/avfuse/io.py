@@ -92,7 +92,7 @@ def write_manifest(
     audio_file: str,
 ) -> Path:
     manifest = {
-        "nominal_fps": nominal_fps,
+        "nominal_fps": nominal_fps,  # for readers only: load_capture paces by timestamps
         "audio": {"file": audio_file, "start_s": 0.0},
         "frames": [
             {"file": f, "timestamp_s": t} for f, t in zip(frame_files, timestamps)
@@ -113,7 +113,6 @@ def load_capture(directory: str | Path) -> tuple[FrameBurst, AudioClip]:
         manifest = json.loads(manifest_path.read_text())
         entries = [(directory / entry["file"], float(entry["timestamp_s"]))
                    for entry in manifest["frames"]]
-        nominal_fps = float(manifest.get("nominal_fps", 20.0))
         audio_path = directory / manifest["audio"]["file"]
         start_s = float(manifest["audio"].get("start_s", 0.0))
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
@@ -121,8 +120,8 @@ def load_capture(directory: str | Path) -> tuple[FrameBurst, AudioClip]:
                            f"({type(exc).__name__}: {exc})") from exc
 
     try:
-        frames = [Frame(read_pgm(path), t) for path, t in entries]
+        frames = tuple(Frame(read_pgm(path), t) for path, t in entries)
         samples, sample_rate = read_wav(audio_path)
     except OSError as exc:
         raise InvalidInput(f"{manifest_path}: cannot read a file it names ({exc})") from exc
-    return FrameBurst(frames, nominal_fps=nominal_fps), AudioClip(samples, sample_rate, start_s)
+    return FrameBurst(frames), AudioClip(samples, sample_rate, start_s)

@@ -352,10 +352,9 @@ def export_audio_features(samples: np.ndarray, sample_rate: int, export_dir: Pat
     if len(samples) >= EXPORT_WINDOW:
         spec = stft(samples, EXPORT_WINDOW, EXPORT_HOP, sample_rate)
         np.savetxt(export_dir / "spectrogram.csv", spec.magnitudes, delimiter=",")
-        scalogram = cwt_scalogram(samples, default_cwt_scales(sample_rate), sample_rate)
+        scalogram = cwt_scalogram(samples, default_cwt_scales(sample_rate))
         # Full time resolution would be enormous; sample at the STFT hop.
-        np.savetxt(export_dir / "scalogram.csv",
-                   scalogram.coefficients[:, ::EXPORT_HOP], delimiter=",")
+        np.savetxt(export_dir / "scalogram.csv", scalogram[:, ::EXPORT_HOP], delimiter=",")
 
 
 def open_capture(capture_dir: str | Path,
@@ -417,7 +416,6 @@ def run_pipeline(
     capture_dir: str | Path,
     config: Config,
     out_dir: str | Path,
-    queue_capacity: int | None = None,
     deterministic: bool = False,
     model_path: str | Path | None = None,
     autoencoder_path: str | Path | None = None,
@@ -426,16 +424,13 @@ def run_pipeline(
 ) -> RunSummary:
     """Run the staged pipeline over a capture directory.
 
-    ``queue_capacity`` overrides ``runtime.queue_capacity``, the capacity
-    of the one ingest queue, and is validated with the rest of the config
-    before any file loads. Only that queue can drop, so every other stage
-    reports 0 dropped. ``deterministic`` sizes it to hold every window so
-    nothing drops; with drops impossible the event log and artifacts are
-    byte-identical across runs. A stage that raises fails the run with an
+    ``runtime.queue_capacity`` is the capacity of the one ingest queue,
+    validated with the rest of the config before any file loads. Only that
+    queue can drop, so every other stage reports 0 dropped. ``deterministic``
+    sizes it to hold every window so nothing drops; with drops impossible
+    the event log and artifacts are byte-identical across runs. A stage that raises fails the run with an
     :class:`AvFuseError` naming the window and the stage (exit code 2).
     """
-    if queue_capacity is not None:
-        config = replace(config, runtime=replace(config.runtime, queue_capacity=queue_capacity))
     config.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -9,7 +9,7 @@ labels). The same seed always renders byte-identical PGM and WAV output.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +175,23 @@ class Scenario:
                    for inj in self.injections)
 
     def detection_script(self, detector_config) -> DetectionScript:
+        """The stub detectors' script; InvalidConfig if ``jitter_px`` can collapse a box.
+
+        A jittered corner stays within 10 x jitter_px of where it was, and an
+        object's farthest corner is at its first or last frame, since it moves
+        linearly. Its box keeps an area while its smaller side is above twice
+        the float spacing of that corner's magnitude plus 10 x jitter_px.
+        """
+        jitter = detector_config.jitter_px
+        for obj in self.objects:
+            last = min(self.n_frames if obj.last_frame is None else obj.last_frame, self.n_frames - 1)
+            boxes = [box for box in map(obj.bbox_at, (obj.first_frame, last)) if box]
+            reach = max((abs(c) for box in boxes for c in astuple(box)), default=0.0) + 10.0 * jitter
+            if jitter > 0.0 and boxes and min(obj.size) <= 2.0 * np.spacing(reach):
+                raise InvalidConfig([
+                    f"detector.jitter_px: {jitter:g} can collapse object {obj.object_id}: its "
+                    f"{min(obj.size):g} px side is not above twice the float spacing at "
+                    f"{reach:g} px, its farthest corner plus 10 x jitter_px"])
         return DetectionScript(
             objects=tuple(self.objects),
             n_frames=self.n_frames,

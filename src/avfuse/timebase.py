@@ -32,11 +32,6 @@ class FrameBurst:
     """
 
     frames: tuple[Frame, ...]
-    nominal_fps: float
-
-    def __init__(self, frames, nominal_fps: float):
-        object.__setattr__(self, "frames", tuple(frames))
-        object.__setattr__(self, "nominal_fps", float(nominal_fps))
 
     def __len__(self) -> int:
         return len(self.frames)

@@ -26,8 +26,6 @@ _SQRT3 = np.sqrt(3.0)
 DB2_LO = np.array([1.0 + _SQRT3, 3.0 + _SQRT3, 3.0 - _SQRT3, 1.0 - _SQRT3]) / (4.0 * np.sqrt(2.0))
 DB2_HI = np.array([DB2_LO[3], -DB2_LO[2], DB2_LO[1], -DB2_LO[0]])
 
-RGB_LUMA = np.array([0.299, 0.587, 0.114])  # ITU-R 601
-
 # DenseFlow squares alpha in float32. Above the root of float32's largest
 # value the square overflows. Below 1e-9 it no longer changes a denominator
 # where the gradient is non-zero (squared gradients are multiples of 1/16),
@@ -67,17 +65,6 @@ class WaveletEnergy:
     @property
     def total(self) -> float:
         return float(self.subband_energies.sum())
-
-
-def to_grayscale(pixels: np.ndarray) -> np.ndarray:
-    """Collapse an (H, W, 3) RGB frame to 8-bit grayscale; pass 2-D through."""
-    pixels = np.asarray(pixels)
-    if pixels.ndim == 2:
-        return pixels.astype(np.uint8)
-    if pixels.ndim == 3 and pixels.shape[2] == 3:
-        gray = pixels.astype(np.float64) @ RGB_LUMA
-        return np.clip(np.rint(gray), 0, 255).astype(np.uint8)
-    raise InvalidInput(f"expected (H, W) or (H, W, 3) pixel grid, got shape {pixels.shape}")
 
 
 def nlm_denoise(
@@ -148,9 +135,8 @@ def check_nlm_search(search: int, h: int, w: int) -> None:
 
 
 def preprocess_frame(pixels: np.ndarray, patch: int = 3, search: int = 7, strength: float = 10.0) -> np.ndarray:
-    """Grayscale conversion (if needed) followed by non-local means denoising."""
-    gray = to_grayscale(pixels)
-    return nlm_denoise(gray, patch=patch, search=search, strength=strength)
+    """Non-local means denoising of one 2-D 8-bit grayscale frame."""
+    return nlm_denoise(pixels, patch=patch, search=search, strength=strength)
 
 
 def _dwt_step(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,7 @@ import pytest
 
 from avfuse import tensor as tz
 from avfuse.audio_dsp import spectral_stats, stft
-from avfuse.config import Config
+from avfuse.config import Config, RuntimeConfig
 from avfuse.detect_track import (
     BBox,
     DetectionScript,
@@ -341,7 +341,8 @@ def test_criterion_9_end_to_end_determinism(canonical_capture, injection_flow, t
         assert summary.accounting_ok
         assert summary.windows_ingested == summary.windows_processed + sum(summary.drops.values())
 
-    stress = run_pipeline(canonical_capture, Config(), tmp_path / "stress", queue_capacity=1)
+    stress = run_pipeline(canonical_capture, Config(runtime=RuntimeConfig(queue_capacity=1)),
+                          tmp_path / "stress")
     assert sum(stress.drops.values()) > 0
     assert stress.accounting_ok
     passed(9, "determinism: byte-identical logs+artifacts, exact accounting, capacity-1 stress completes")

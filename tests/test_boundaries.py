@@ -13,6 +13,7 @@ import pytest
 
 import avfuse
 from avfuse.cli import main as cli_main
+from avfuse.config import DetectorConfig
 from avfuse.scenario import preset_scenario
 
 CANONICAL = preset_scenario("canonical", seed=0).to_dict()
@@ -126,22 +127,24 @@ def test_unreadable_wav_exits_2_naming_it(canonical_capture, tmp_path, capsys, k
     assert str(wav) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags, problem", [
-    (["--queue-capacity", "0"], "runtime.queue_capacity must be >= 1"),
-    (["--queue-capacity", "-3", "--deterministic"], "runtime.queue_capacity must be >= 1"),
-    (["--queue-capacity", str(10**30)], f"runtime.queue_capacity must be <= {sys.maxsize}"),
+@pytest.mark.parametrize("capacity, flags, problem", [
+    (0, [], "runtime.queue_capacity must be >= 1"),
+    (-3, ["--deterministic"], "runtime.queue_capacity must be >= 1"),
+    (10**30, [], f"runtime.queue_capacity must be an integer, got {10**30}"),
 ], ids=["zero", "negative deterministic", "huge"])
 def test_bad_queue_capacity_is_a_config_error_before_loading(canonical_capture, tmp_path, capsys,
-                                                            monkeypatch, flags, problem):
+                                                            monkeypatch, capacity, flags, problem):
     import avfuse.pipeline
 
     loaded = []
     for name in ("load_capture", "load_model"):
         monkeypatch.setattr(avfuse.pipeline, name, lambda path, name=name: loaded.append(name))
-    argv = ["--out", str(tmp_path / "out"), *flags,
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"runtime": {"queue_capacity": capacity}}))
+    argv = ["--config", str(config), "--out", str(tmp_path / "out"), *flags,
             "run", str(canonical_capture), "--params", str(tmp_path / "fusion.bin")]
     assert cli_main(argv) == 1
-    assert capsys.readouterr().err == f"config error: {problem}\n"
+    assert capsys.readouterr().err == f"config error: {config}: {problem}\n"
     assert loaded == []
 
 
@@ -182,9 +185,8 @@ def test_nlm_search_wider_than_the_frames_is_a_config_error_before_any_model(
     assert built == []
 
 
-@pytest.mark.parametrize("flags, flag", [(["--queue-capacity", "0"], "--queue-capacity"),
-                                         (["--deterministic"], "--deterministic")],
-                         ids=["queue capacity", "deterministic"])
+@pytest.mark.parametrize("flags, flag", [(["--deterministic"], "--deterministic")],
+                         ids=["deterministic"])
 @pytest.mark.parametrize("command", ["generate", "train"])
 def test_run_only_flag_on_another_command_is_a_config_error(canonical_capture, tmp_path, capsys,
                                                             monkeypatch, command, flags, flag):
@@ -196,6 +198,30 @@ def test_run_only_flag_on_another_command_is_a_config_error(canonical_capture, t
     assert cli_main(["--out", str(tmp_path / "out"), *flags, *argv]) == 1
     assert capsys.readouterr().err == f"config error: {flag} applies only to run\n"
     assert called == []
+
+
+@pytest.mark.parametrize("command", ["run", "train"])
+def test_jitter_that_can_collapse_an_object_is_a_config_error_before_any_stage(
+        canonical_capture, tmp_path, capsys, command):
+    capture = shutil.copytree(canonical_capture, tmp_path / "capture")
+    (capture / "scenario.json").write_text(
+        scenario_with(objects=[{**CANONICAL["objects"][0], "size": [1e-12, 1e-12]}]))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"detector": {"jitter_px": 1e6}}))
+    out = tmp_path / "out"
+    flags = ["--deterministic"] if command == "run" else []
+    assert cli_main(["--config", str(config), "--out", str(out), *flags,
+                     command, str(capture)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"config error: detector.jitter_px: 1e+06 can collapse object "
+        f"{CANONICAL['objects'][0]['object_id']}: its 1e-12 px side ")
+    assert not (out / "events.jsonl").exists() and not (out / "fusion.bin").exists()
+
+
+@pytest.mark.parametrize("jitter", [DetectorConfig().jitter_px, 1e6], ids=["default", "largest"])
+@pytest.mark.parametrize("preset", ["canonical", "training", "injection"])
+def test_presets_pass_the_jitter_check(preset, jitter):
+    preset_scenario(preset).detection_script(DetectorConfig(jitter_px=jitter))
 
 
 @pytest.mark.parametrize("command", ["generate", "run", "train"])

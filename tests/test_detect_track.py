@@ -173,7 +173,7 @@ class TestTracker:
             assert track.state is not TrackState.LOST
         (track,) = tracker.step([])
         assert track.state is TrackState.LOST
-        assert tracker.tracks == []
+        assert tracker.step([]) == []
 
     def test_confidence_dip_rescued_by_low_stage(self):
         tracker = Tracker(TrackerThresholds(low_confidence=0.1))

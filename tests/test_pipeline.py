@@ -7,7 +7,7 @@ import pytest
 
 from avfuse.anomaly import AnomalyReport
 from avfuse.cli import main as cli_main
-from avfuse.config import Config, load_config
+from avfuse.config import Config, RuntimeConfig, load_config
 from avfuse.errors import InvalidConfig, InvalidInput
 from avfuse.io import read_wav
 from avfuse.pipeline import (
@@ -130,7 +130,8 @@ class TestPipelineRun:
         assert logs[0] == logs[1]
 
     def test_capacity_one_with_slow_stage_drops_but_completes(self, canonical_capture, tmp_path):
-        summary = run_pipeline(canonical_capture, Config(), tmp_path / "out", queue_capacity=1)
+        summary = run_pipeline(canonical_capture, Config(runtime=RuntimeConfig(queue_capacity=1)),
+                               tmp_path / "out")
         assert sum(summary.drops.values()) > 0
         assert summary.accounting_ok
         assert summary.windows_processed + summary.drops["analyze"] >= 10
@@ -213,8 +214,9 @@ class TestEventLog:
                                                                 tmp_path, capacity):
         """The log is written unsorted, so the run must make its records in this order,
         also when the queue sheds windows."""
-        summary = run_pipeline(injection_capture, Config(), tmp_path / "out",
-                               queue_capacity=capacity, deterministic=capacity is None)
+        config = Config() if capacity is None else Config(runtime=RuntimeConfig(capacity))
+        summary = run_pipeline(injection_capture, config, tmp_path / "out",
+                               deterministic=capacity is None)
         assert (summary.drops["analyze"] > 0) == (capacity is not None)
         rank = {"detection": 0, "track": 1, "classification": 2, "anomaly": 3, "metric": 4}
         records = [json.loads(line) for line in Path(summary.log_path).read_text().splitlines()]

@@ -11,9 +11,8 @@ from avfuse.timebase import (
 )
 
 
-def make_burst(timestamps, fps=20.0, shape=(16, 16)):
-    frames = [Frame(np.zeros(shape, dtype=np.uint8), t) for t in timestamps]
-    return FrameBurst(frames, nominal_fps=fps)
+def make_burst(timestamps, shape=(16, 16)):
+    return FrameBurst(tuple(Frame(np.zeros(shape, dtype=np.uint8), t) for t in timestamps))
 
 
 def reference_window(samples, center, length):
@@ -118,15 +117,15 @@ class TestValidateBurst:
         assert "timestamp" in report.violations[0]
 
     def test_mixed_dimensions_flagged_per_offender(self):
-        frames = [
+        frames = (
             Frame(np.zeros((16, 16), dtype=np.uint8), 0.0),
             Frame(np.zeros((8, 16), dtype=np.uint8), 0.1),
             Frame(np.zeros((16, 8), dtype=np.uint8), 0.2),
-        ]
-        report = validate_burst(FrameBurst(frames, 20.0))
+        )
+        report = validate_burst(FrameBurst(frames))
         dim_violations = [v for v in report.violations if "dimensions" in v]
         assert len(dim_violations) == 2
 
     def test_empty_burst_reported_not_raised(self):
-        report = validate_burst(FrameBurst([], 20.0))
+        report = validate_burst(FrameBurst(()))
         assert not report.ok

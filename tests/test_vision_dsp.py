@@ -9,7 +9,6 @@ from avfuse.vision_dsp import (
     dwt2_energy,
     nlm_denoise,
     preprocess_frame,
-    to_grayscale,
 )
 from oracles import reference_dwt2_energies, reference_horn_schunck, reference_nlm
 
@@ -80,11 +79,9 @@ class TestPreprocessFrame:
         twice = preprocess_frame(once)
         assert np.abs(once.astype(int) - twice.astype(int)).max() <= 2
 
-    def test_rgb_converted_with_601_weights(self):
-        rgb = np.zeros((4, 4, 3), dtype=np.uint8)
-        rgb[..., 1] = 255  # pure green
-        gray = to_grayscale(rgb)
-        assert np.all(gray == round(0.587 * 255))
+    def test_rgb_frame_rejected_naming_the_shape(self):
+        with pytest.raises(InvalidInput, match=r"shape \(8, 8, 3\)"):
+            preprocess_frame(np.zeros((8, 8, 3), dtype=np.uint8))
 
     def test_zero_area_rejected(self):
         with pytest.raises(InvalidInput):
