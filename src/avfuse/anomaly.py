@@ -23,6 +23,7 @@ Z_CAP = 6.0
 STD_FLOOR = 1e-6
 MSE_CAP_FACTOR = 10.0
 MSE_CAP_FLOOR = 1e-6
+GRID = 8  # frames pool onto a GRID x GRID block-mean grid, the autoencoder's input
 
 METHODS = ("statistical", "reconstruction", "audio", "event")
 
@@ -54,14 +55,14 @@ def zscore_score(baseline: RollingBaseline, frame: np.ndarray) -> float:
     return baseline.score(float(np.asarray(frame, dtype=np.float64).mean()))
 
 
-def block_mean_downsample(pixels: np.ndarray, blocks: int = 8) -> np.ndarray:
-    """Average-pool a frame onto a blocks x blocks grid."""
+def block_mean_downsample(pixels: np.ndarray) -> np.ndarray:
+    """Average-pool a frame onto a GRID x GRID grid."""
     img = np.asarray(pixels, dtype=np.float64)
-    if img.ndim != 2 or img.shape[0] < blocks or img.shape[1] < blocks:
-        raise InvalidInput(f"frame must be at least {blocks}x{blocks}, got {img.shape}")
+    if img.ndim != 2 or img.shape[0] < GRID or img.shape[1] < GRID:
+        raise InvalidInput(f"frame must be at least {GRID}x{GRID}, got {img.shape}")
     h, w = img.shape
-    row_edges = (np.arange(blocks + 1) * h) // blocks
-    col_edges = (np.arange(blocks + 1) * w) // blocks
+    row_edges = (np.arange(GRID + 1) * h) // GRID
+    col_edges = (np.arange(GRID + 1) * w) // GRID
     rows = np.add.reduceat(img, row_edges[:-1], axis=0)
     cells = np.add.reduceat(rows, col_edges[:-1], axis=1)
     counts = np.outer(np.diff(row_edges), np.diff(col_edges))
@@ -81,8 +82,8 @@ class DenseAutoencoder:
 
     def __post_init__(self):
         store = tz.ParamStore(self.seed)
-        self.enc = store.linear("enc", 64, 16)
-        self.dec = store.linear("dec", 16, 64)
+        self.enc = store.linear("enc", GRID * GRID, 16)
+        self.dec = store.linear("dec", 16, GRID * GRID)
         self.params = store.params
 
     def _forward(self, x: Tensor) -> Tensor:

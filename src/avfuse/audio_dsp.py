@@ -1,7 +1,7 @@
 """Audio time-frequency representations and scalar spectral statistics.
 
 Three representations of a sample window: STFT magnitude spectrogram,
-64-band mel spectrogram (HTK mel scale, triangular filters with peak weight
+``MEL_BANDS``-band mel spectrogram (HTK mel scale, triangular filters with peak weight
 1), and a Morlet-wavelet scalogram. Scalar statistics (zero-crossing rate,
 spectral centroid, bandwidth, rolloff, mean-square energy) feed the audio
 tokens of the fusion models.
@@ -19,6 +19,7 @@ from .errors import InvalidInput
 MORLET_OMEGA0 = 6.0
 ROLLOFF_FRACTION = 0.85
 CWT_SCALES, CWT_FMIN_HZ, CWT_FMAX_HZ = 32, 50.0, 8000.0
+MEL_BANDS = 64
 
 
 @dataclass(frozen=True)
@@ -74,19 +75,19 @@ def mel_to_hz(m):
 
 
 @lru_cache(maxsize=None)
-def mel_filterbank(window_size: int, sample_rate: int, n_bands: int = 64) -> np.ndarray:
-    """Triangular filters equally spaced on the mel scale over [0, Nyquist].
+def mel_filterbank(window_size: int, sample_rate: int) -> np.ndarray:
+    """``MEL_BANDS`` triangular filters equally spaced on the mel scale over [0, Nyquist].
 
     Peak weight is 1, so overlapping ascending/descending flanks of adjacent
     filters sum to at most 1 per bin and total filtered energy never exceeds
-    input energy. Built once per argument tuple and read-only, because every
-    window and thread shares it.
+    input energy. Built once per window size and sample rate and read-only,
+    because every window and thread shares it.
     """
     n_bins = window_size // 2 + 1
     bin_hz = np.arange(n_bins) * sample_rate / window_size
-    edges_hz = mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate / 2.0), n_bands + 2))
-    filters = np.zeros((n_bands, n_bins))
-    for k in range(n_bands):
+    edges_hz = mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate / 2.0), MEL_BANDS + 2))
+    filters = np.zeros((MEL_BANDS, n_bins))
+    for k in range(MEL_BANDS):
         lo, mid, hi = edges_hz[k], edges_hz[k + 1], edges_hz[k + 2]
         rising = (bin_hz - lo) / (mid - lo)
         falling = (hi - bin_hz) / (hi - mid)
@@ -95,13 +96,13 @@ def mel_filterbank(window_size: int, sample_rate: int, n_bands: int = 64) -> np.
     return filters
 
 
-def mel_spectrogram(spec: Spectrogram, n_bands: int = 64) -> np.ndarray:
-    """(time_frames, n_bands) squared STFT magnitudes pooled through the mel filterbank."""
-    filters = mel_filterbank(spec.window_size, spec.sample_rate, n_bands)
+def mel_spectrogram(spec: Spectrogram) -> np.ndarray:
+    """(time_frames, MEL_BANDS) squared STFT magnitudes pooled through the mel filterbank."""
+    filters = mel_filterbank(spec.window_size, spec.sample_rate)
     return (spec.magnitudes ** 2) @ filters.T
 
 
-def morlet_wavelet(scale: float, omega0: float = MORLET_OMEGA0) -> np.ndarray:
+def morlet_wavelet(scale: float) -> np.ndarray:
     """Sampled Morlet wavelet at the given scale (in samples).
 
     Truncated at five scale widths, where the Gaussian envelope is below
@@ -111,7 +112,7 @@ def morlet_wavelet(scale: float, omega0: float = MORLET_OMEGA0) -> np.ndarray:
         raise InvalidInput(f"wavelet scale must be positive, got {scale}")
     half = int(np.ceil(5.0 * scale))
     t = np.arange(-half, half + 1) / scale
-    return np.pi ** -0.25 * np.exp(1j * omega0 * t) * np.exp(-0.5 * t * t) / np.sqrt(scale)
+    return np.pi ** -0.25 * np.exp(1j * MORLET_OMEGA0 * t) * np.exp(-0.5 * t * t) / np.sqrt(scale)
 
 
 def default_cwt_scales(sample_rate: int) -> np.ndarray:

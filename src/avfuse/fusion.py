@@ -25,8 +25,8 @@ callers never ask which one they hold:
   :class:`LabeledSequence` examples, one graph for all of them.
 
 Only :func:`build_model` and the save/load kind table name a model kind.
-The shapes above are each model's config defaults; a run builds exactly
-these, and only a saved model file records other shapes.
+Each kind has the one shape above, fixed in its config record: a model
+file records it and :func:`load_model` accepts no other.
 Every weight but the ensemble's fixed reduction lives in a
 :class:`tensor.ParamStore` and :func:`train_step` updates them through
 :func:`tensor.sgd_step`.
@@ -43,14 +43,14 @@ training and at inference alike; ``predict`` runs the forward inside
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as tz
-from .audio_dsp import SpectralStats, mel_spectrogram, stft
+from .audio_dsp import MEL_BANDS, SpectralStats, mel_spectrogram, stft
 from .config import MAX_TOKENS, FusionConfig
 from .detect_track import Detection
 from .errors import InvalidInput
@@ -136,18 +136,18 @@ def stub_audio_embeddings(samples, sample_rate: int) -> tuple[np.ndarray, np.nda
     window = 1 << int(np.log2(max(2, min(512, len(samples)))))
     spec = stft(samples, window, window // 2, sample_rate)
     bands = np.log1p(mel_spectrogram(spec))
-    stats = np.concatenate([bands.mean(axis=0), bands.std(axis=0)])  # 128 values
+    stats = np.concatenate([bands.mean(axis=0), bands.std(axis=0)])  # 2 * MEL_BANDS values
 
-    return tuple(np.tanh(projection @ stats) for projection in _ensemble_projections(stats.size))
+    return tuple(np.tanh(projection @ stats) for projection in _ensemble_projections())
 
 
 @lru_cache(maxsize=None)
-def _ensemble_projections(width: int) -> tuple[np.ndarray, ...]:
-    """The fixed (EMBED_DIM, width) projection of each ensemble model.
+def _ensemble_projections() -> tuple[np.ndarray, ...]:
+    """The fixed (EMBED_DIM, 2 * MEL_BANDS) projection of each ensemble model.
 
-    Drawn once per width (one in practice: twice the mel band count) and
-    read-only, because every window and thread shares them.
+    Drawn on first use and read-only, because every window and thread shares them.
     """
+    width = 2 * MEL_BANDS
     projections = []
     for index in range(len(ENSEMBLE_MODELS)):
         rng = np.random.default_rng(np.random.SeedSequence([0x5EED, index]))
@@ -242,11 +242,6 @@ def _encoder_layer(block, x: Tensor, context: Tensor, heads: int, blocks: int) -
     return tz.layer_norm(tz.add(x, tz.feed_forward(x, *ffn)), *ffn_norm)
 
 
-def _check_heads(config) -> None:
-    if config.heads < 1 or config.hidden % config.heads:
-        raise InvalidInput(f"{config.heads} heads do not split hidden dim {config.hidden}")
-
-
 def _cross_entropy(kind: str, logits: Tensor, labels: list) -> Tensor:
     """Mean cross-entropy of ``logits`` rows against labels, each checked against the width."""
     classes = logits.shape[1]
@@ -325,9 +320,10 @@ class BasicFusionModel(FusionModel):
     invariant to token order, which the tests rely on.
     """
 
-    def __init__(self, config: BasicFusionConfig | None = None, seed: int = 0):
-        self.config = c = config or BasicFusionConfig()
-        _check_heads(c)
+    config = BasicFusionConfig()
+
+    def __init__(self, seed: int = 0):
+        c = self.config
         self.store = store = tz.ParamStore(seed)
         self.proj_visual = store.linear("proj.visual", c.visual_features, c.hidden)
         self.proj_audio = store.linear("proj.audio", c.audio_features, c.hidden)
@@ -347,12 +343,12 @@ class BasicFusionModel(FusionModel):
         x = tz.add(tz.linear(visual, self.proj_visual), tz.linear(audio, self.proj_audio))
         for block in self.layers:
             x = _encoder_layer(block, x, x, self.config.heads, blocks)
-        return tz.linear(tz.mean(x, 0, blocks), self.head_motion), None
+        return tz.linear(tz.mean(x, blocks), self.head_motion), None
 
 
 @dataclass(frozen=True)
 class AdvancedFusionConfig:
-    hidden: int = 256
+    hidden: int = FUSED_DIM  # the fused embedding enters the audio stream at this width
     layers: int = 4
     heads: int = 8
     ffn_hidden: int = 1024
@@ -373,13 +369,10 @@ class AdvancedFusionModel(FusionModel):
     broadcast additive bias on the projected audio tokens before layer 1.
     """
 
-    def __init__(self, config: AdvancedFusionConfig | None = None, seed: int = 0):
-        self.config = c = config or AdvancedFusionConfig()
-        if c.hidden != FUSED_DIM:
-            raise InvalidInput(
-                f"hidden dim {c.hidden} must equal the fused embedding dim {FUSED_DIM}"
-            )
-        _check_heads(c)
+    config = AdvancedFusionConfig()
+
+    def __init__(self, seed: int = 0):
+        c = self.config
         self.store = store = tz.ParamStore(seed)
         self.proj_visual = store.linear("proj.visual", c.visual_features, c.hidden)
         self.proj_audio = store.linear("proj.audio", c.audio_features, c.hidden)
@@ -424,7 +417,7 @@ class AdvancedFusionModel(FusionModel):
             # Both attentions read the streams as they were before this layer.
             v, a = (_encoder_layer(visual_block, v, a, c.heads, blocks),
                     _encoder_layer(audio_block, a, v, c.heads, blocks))
-        pooled = tz.concat([tz.mean(v, 0, blocks), tz.mean(a, 0, blocks)])
+        pooled = tz.concat([tz.mean(v, blocks), tz.mean(a, blocks)])
         return tz.linear(pooled, self.head_motion), tz.linear(pooled, self.head_event)
 
 
@@ -443,7 +436,7 @@ class LabeledSequence:
 
 
 def build_model(f: FusionConfig) -> FusionModel:
-    """Fresh model of the kind ``f`` asks for, in its default shape, seeded by ``f.seed``."""
+    """Fresh model of the kind ``f`` asks for, seeded by ``f.seed``."""
     model_cls = AdvancedFusionModel if f.model == "advanced" else BasicFusionModel
     return model_cls(seed=f.seed)
 
@@ -460,9 +453,10 @@ def train_step(model, batch: list[LabeledSequence], learning_rate: float) -> flo
     return tz.sgd_step(model.parameters(), model.loss(*batch), learning_rate)
 
 
-# meta.arch[0] of a saved model indexes this table; the rest of the record
-# is the model's config fields in declaration order.
-MODEL_KINDS = ((BasicFusionModel, BasicFusionConfig), (AdvancedFusionModel, AdvancedFusionConfig))
+# meta.arch of a saved model is its index in this table, then its config's
+# fields in declaration order.
+MODEL_KINDS = (BasicFusionModel, AdvancedFusionModel)
+ARCH_RECORDS = tuple([kind, *astuple(cls.config)] for kind, cls in enumerate(MODEL_KINDS))
 
 
 # The float64 records save_model writes after the parameters.
@@ -471,8 +465,7 @@ RECORDS = ("norm.visual_mean", "norm.visual_std", "norm.audio_mean", "norm.audio
 
 def save_model(path: str | Path, model, normalizer: TokenNormalizer) -> None:
     """Persist model parameters, normalizer and architecture in one file."""
-    kind = [cls for cls, _ in MODEL_KINDS].index(type(model))
-    arch = np.array([[kind, *astuple(model.config)]], dtype=np.float64)
+    arch = np.array([ARCH_RECORDS[MODEL_KINDS.index(type(model))]], dtype=np.float64)
     tz.save(path, model.store.params, {**normalizer.state(), "meta.arch": arch})
 
 
@@ -481,21 +474,17 @@ def load_model(path: str | Path, dtype=np.float64):
 
     Each parameter is read as ``dtype``: ``np.float32`` gives the model
     :meth:`FusionModel.cast_to_float32` would, without a float64 copy of
-    it. The normalizer and ``meta.arch`` stay float64. A malformed file, or
-    a weight too large for ``dtype``, raises :class:`InvalidInput` naming
-    ``path``.
+    it. The normalizer and ``meta.arch`` stay float64. A ``meta.arch`` that
+    is not one of ``ARCH_RECORDS`` is rejected before any tensor is built.
+    A malformed file, or a weight too large for ``dtype``, raises
+    :class:`InvalidInput` naming ``path``.
     """
     def build():
-        arch = tz.read("meta.arch").reshape(-1)
-        if arch.size == 0 or arch[0] not in range(len(MODEL_KINDS)):
-            raise InvalidInput(f"unknown model kind in architecture record {arch.tolist()}")
-        model_cls, config_cls = MODEL_KINDS[int(arch[0])]
-        dims = arch[1:]
-        if dims.size != len(fields(config_cls)) or not np.all(
-                (dims >= 1) & (dims == np.round(dims))):
-            raise InvalidInput(f"architecture record {arch.tolist()} must hold "
-                               f"{len(fields(config_cls))} positive integers after kind {int(arch[0])}")
-        model = model_cls(config_cls(*(int(x) for x in dims)))
+        arch = tz.read("meta.arch").reshape(-1).tolist()
+        if arch not in ARCH_RECORDS:
+            raise InvalidInput(f"architecture record {arch} is neither the basic model's "
+                               f"{ARCH_RECORDS[0]} nor the advanced model's {ARCH_RECORDS[1]}")
+        model = MODEL_KINDS[ARCH_RECORDS.index(arch)]()
         visual, audio = (model.config.visual_features,), (model.config.audio_features,)
         return model, TokenNormalizer(
             tz.read("norm.visual_mean", visual), tz.read("norm.visual_std", visual),

@@ -125,9 +125,7 @@ class Scenario:
             if min(obj.size) <= 0:
                 problems.append(f"object {obj.object_id}: size must be positive")
             elif 0 <= obj.first_frame < self.n_frames:
-                # Positions move linearly: the coarsest float spacing is at the first or last frame.
-                last = min(self.n_frames if obj.last_frame is None else obj.last_frame, self.n_frames - 1)
-                for frame in (obj.first_frame, last):
+                for frame in self._end_frames(obj):
                     try:
                         obj.bbox_at(frame)
                     except InvalidInput as exc:
@@ -153,6 +151,12 @@ class Scenario:
                 problems.append(f"injection label_id {inj.label_id} outside [0, 32)")
         if problems:
             raise InvalidConfig(problems)
+
+    def _end_frames(self, obj: ScriptedObject) -> tuple[int, int]:
+        """The object's first and last frame in the scenario. It moves linearly, so
+        its farthest corner, with the coarsest float spacing, is at one of them."""
+        return obj.first_frame, min(self.n_frames if obj.last_frame is None else obj.last_frame,
+                                    self.n_frames - 1)
 
     # Ground truth queries used by training and evaluation.
 
@@ -184,8 +188,7 @@ class Scenario:
         """
         jitter = detector_config.jitter_px
         for obj in self.objects:
-            last = min(self.n_frames if obj.last_frame is None else obj.last_frame, self.n_frames - 1)
-            boxes = [box for box in map(obj.bbox_at, (obj.first_frame, last)) if box]
+            boxes = [box for box in map(obj.bbox_at, self._end_frames(obj)) if box]
             reach = max((abs(c) for box in boxes for c in astuple(box)), default=0.0) + 10.0 * jitter
             if jitter > 0.0 and boxes and min(obj.size) <= 2.0 * np.spacing(reach):
                 raise InvalidConfig([

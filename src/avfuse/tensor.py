@@ -26,7 +26,7 @@ sequence b in rows b*n to (b+1)*n: a row block. Row-wise operations
 (:func:`linear`, :func:`layer_norm`, :func:`gelu`, :func:`add`) need no
 batch axis, so one graph trains on the whole batch. Three operations read
 the blocks: :func:`attention` attends within each block only,
-``mean(x, 0, blocks)`` pools each block into one row, and :func:`add_bias`
+``mean(x, blocks)`` pools each block into one row, and :func:`add_bias`
 adds an (m, d) bias onto every block of m rows (m = 1 for an ordinary
 bias). A single sequence is one block.
 
@@ -275,20 +275,13 @@ def gelu(x: Tensor) -> Tensor:
     return _node(out, (x,), (grad,))
 
 
-def mean(x: Tensor, axis: int, blocks: int = 1) -> Tensor:
-    """Mean over one axis, keeping it as size 1.
-
-    Over axis 0 with ``blocks`` B, each of B equal row blocks pools into one
-    row: (B*n, d) becomes (B, d).
-    """
-    if axis not in (0, 1):
-        raise InvalidInput(f"mean: axis must be 0 or 1, got {axis}")
-    if blocks < 1 or x.shape[0] % blocks or (axis == 1 and blocks != 1):
-        raise InvalidInput(f"mean: {x.shape} does not split into {blocks} blocks over axis {axis}")
-    n = x.shape[axis] // blocks
-    data = (x.data.reshape(blocks, n, -1).mean(axis=1) if axis == 0
-            else x.data.mean(axis=1, keepdims=True))
-    return _node(data, (x,), (lambda g: np.repeat(g, n, axis=axis) / n,))
+def mean(x: Tensor, blocks: int) -> Tensor:
+    """Each of ``blocks`` B equal row blocks pooled into one row: (B*n, d) becomes (B, d)."""
+    if blocks < 1 or x.shape[0] % blocks:
+        raise InvalidInput(f"mean: {x.shape} does not split into {blocks} row blocks")
+    n = x.shape[0] // blocks
+    return _node(x.data.reshape(blocks, n, -1).mean(axis=1), (x,),
+                 (lambda g: np.repeat(g, n, axis=0) / n,))
 
 
 def concat(tensors: list[Tensor]) -> Tensor:

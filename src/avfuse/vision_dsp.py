@@ -34,7 +34,7 @@ DB2_HI = np.array([DB2_LO[3], -DB2_LO[2], DB2_LO[1], -DB2_LO[0]])
 FLOW_ALPHA_MIN = 1e-9
 FLOW_ALPHA_MAX = float(np.sqrt(np.float64(np.finfo(np.float32).max)))
 
-# nlm_denoise's weight exponents are at most 255^2 / strength^2; this keeps them finite.
+# preprocess_frame's weight exponents are at most 255^2 / strength^2; this keeps them finite.
 NLM_STRENGTH_MIN = 1e-150
 
 
@@ -67,11 +67,11 @@ class WaveletEnergy:
         return float(self.subband_energies.sum())
 
 
-def nlm_denoise(
-    pixels: np.ndarray, patch: int = 3, search: int = 7, strength: float = 10.0
-) -> np.ndarray:
-    """Non-local means: each pixel becomes the similarity-weighted average of
-    pixels in its search window, weighted by patch distance.
+def preprocess_frame(pixels: np.ndarray, patch: int = 3, search: int = 7,
+                     strength: float = 10.0) -> np.ndarray:
+    """Non-local means denoising of one 2-D 8-bit grayscale frame: each pixel
+    becomes the similarity-weighted average of pixels in its search window,
+    weighted by patch distance.
 
     Weight is ``exp(-mean((P_i - P_j)^2) / strength^2)``; the center pixel
     participates with weight 1, so constants are preserved exactly.
@@ -127,16 +127,11 @@ def nlm_denoise(
 def check_nlm_search(search: int, h: int, w: int) -> None:
     """Raise InvalidInput unless a ``search`` x ``search`` window fits an ``h`` x ``w`` frame.
 
-    The work and memory of :func:`nlm_denoise` grow with the square of the
+    The work and memory of :func:`preprocess_frame` grow with the square of the
     window, so a window wider than the frame only costs time.
     """
     if search > min(h, w):
         raise InvalidInput(f"search window {search} exceeds the smaller side of a {h}x{w} frame")
-
-
-def preprocess_frame(pixels: np.ndarray, patch: int = 3, search: int = 7, strength: float = 10.0) -> np.ndarray:
-    """Non-local means denoising of one 2-D 8-bit grayscale frame."""
-    return nlm_denoise(pixels, patch=patch, search=search, strength=strength)
 
 
 def _dwt_step(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:

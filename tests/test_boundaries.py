@@ -13,7 +13,9 @@ import pytest
 
 import avfuse
 from avfuse.cli import main as cli_main
-from avfuse.config import DetectorConfig
+from avfuse.config import Config, DetectorConfig, RuntimeConfig
+from avfuse.errors import InvalidConfig
+from avfuse.pipeline import run_pipeline
 from avfuse.scenario import preset_scenario
 
 CANONICAL = preset_scenario("canonical", seed=0).to_dict()
@@ -146,6 +148,16 @@ def test_bad_queue_capacity_is_a_config_error_before_loading(canonical_capture, 
     assert cli_main(argv) == 1
     assert capsys.readouterr().err == f"config error: {config}: {problem}\n"
     assert loaded == []
+
+
+def test_queue_capacity_above_maxsize_from_python_is_a_config_error(canonical_capture, tmp_path):
+    """A config file cannot hold such an integer; a Config built in Python can."""
+    out = tmp_path / "out"
+    config = Config(runtime=RuntimeConfig(queue_capacity=sys.maxsize + 1))
+    with pytest.raises(InvalidConfig, match=re.escape(
+            f"runtime.queue_capacity must be <= {sys.maxsize}")):
+        run_pipeline(canonical_capture, config, out)
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_audio_section_is_an_unknown_key_before_loading(canonical_capture, tmp_path, capsys,

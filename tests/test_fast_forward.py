@@ -13,9 +13,7 @@ from avfuse.errors import InvalidInput
 from avfuse import fusion
 from avfuse.fusion import (
     FUSED_DIM,
-    AdvancedFusionConfig,
     AdvancedFusionModel,
-    BasicFusionConfig,
     BasicFusionModel,
     build_model,
     stub_audio_embeddings,
@@ -104,17 +102,17 @@ class TestBatchedAttention:
             tz.attention(x, x, x, 0)
 
     def test_basic_trace_holds_layers_times_heads(self, attention_weights):
-        model = BasicFusionModel(BasicFusionConfig(layers=3, heads=2))
+        model = BasicFusionModel()
         rng = np.random.default_rng(31)
         model.forward(rng.normal(size=(5, 3)), rng.normal(size=(5, 4)))
-        assert len(attention_weights) == 3 * 2
+        assert len(attention_weights) == 2 * 4
         assert all(w.shape == (5, 5) for w in attention_weights)
 
     def test_advanced_trace_holds_layers_times_two_times_heads(self, attention_weights):
-        model = AdvancedFusionModel(AdvancedFusionConfig(layers=2, heads=4, ffn_hidden=64))
+        model = AdvancedFusionModel()
         rng = np.random.default_rng(32)
         model.forward(rng.normal(size=(6, 4)), rng.normal(size=(6, 5)), rng.normal(size=FUSED_DIM))
-        assert len(attention_weights) == 2 * 2 * 4
+        assert len(attention_weights) == 4 * 2 * 8
         assert all(w.shape == (6, 6) for w in attention_weights)
 
 
@@ -174,7 +172,7 @@ class TestInferenceMode:
                                    rtol=1e-12, atol=0)
 
     def test_advanced_predict_equals_forward_graph(self):
-        model = AdvancedFusionModel(AdvancedFusionConfig(layers=2, ffn_hidden=128), seed=4)
+        model = AdvancedFusionModel(seed=4)
         rng = np.random.default_rng(44)
         visual, audio = rng.normal(size=(6, 4)), rng.normal(size=(6, 5))
         fused = rng.normal(size=FUSED_DIM)
@@ -217,5 +215,5 @@ def test_ensemble_projections_are_drawn_once_and_shared_read_only():
     assert after.misses == before.misses and after.hits == before.hits + 1
     for a, b in zip(first, second):
         np.testing.assert_array_equal(a, b)
-    for projection in fusion._ensemble_projections(128):
+    for projection in fusion._ensemble_projections():
         assert not projection.flags.writeable

@@ -166,6 +166,30 @@ class TestModelFileFormat:
         save_model(path, model, TokenNormalizer.identity(c.visual_features, c.audio_features))
         assert tz.load_tensors(path)["meta.arch"].tolist() == [arch]
 
+    def test_run_with_another_shape_exits_2_naming_the_file_and_record(self, canonical_capture,
+                                                                      tmp_path, capsys):
+        """An advanced file of 1 layer, a 64-wide feed-forward and 8 positions, its tensors cut
+        from a default one so that each has the shape that record declares."""
+        arch = [1, 256, 1, 8, 64, 4, 5, 2, 32, 8]
+        path = tmp_path / "fusion.bin"
+        save_model(path, AdvancedFusionModel(seed=0), TokenNormalizer.identity(4, 5))
+        state = {}
+        for name, array in tz.load_tensors(path).items():
+            if name.split(".")[0][-1] in "123":  # layers 1 to 3
+                continue
+            if name.startswith("pos."):
+                array = array[:8]
+            state[name] = array[tuple(slice(64) if n == 1024 else slice(None)
+                                      for n in array.shape)]
+        state["meta.arch"] = np.array([arch], dtype=np.float64)
+        tz.save_tensors(path, state)
+        out = tmp_path / "out"
+        assert cli_main(["--out", str(out), "--deterministic", "run", str(canonical_capture),
+                         "--params", str(path)]) == 2
+        assert f"{path}: architecture record {[float(x) for x in arch]} is neither" in (
+            capsys.readouterr().err)
+        assert not (out / "events.jsonl").exists()
+
 
 class TestFusionConfig:
     @pytest.mark.parametrize("key, value", [
@@ -291,20 +315,24 @@ class TestFileBoundary:
             loader(bad)
         assert str(bad) in str(err.value)
 
-    def test_head_split_is_checked_when_loading(self, model_files, tmp_path):
+    @pytest.mark.parametrize("arch", [
+        [0, 128, 2, 3, 512, 3, 4, 2],
+        [0, 128, 3, 4, 512, 3, 4, 2],
+        [1, 256, 1, 8, 64, 4, 5, 2, 32, 8],
+    ], ids=["heads do not split hidden", "basic with 3 layers", "small advanced"])
+    def test_another_arch_record_is_rejected_before_building(self, model_files, tmp_path,
+                                                            monkeypatch, arch):
         bad = tmp_path / "fusion.bin"
-        rewrite(model_files / "fusion.bin", bad, FUSION_DEFECTS["heads do not split hidden"])
-        with pytest.raises(InvalidInput, match="3 heads do not split hidden dim 128") as err:
+        rewrite(model_files / "fusion.bin", bad, set_arch(arch))
+
+        def refuse(*args):
+            raise AssertionError("a model was built from another architecture record")
+
+        monkeypatch.setattr(tz.ParamStore, "_add", refuse)
+        with pytest.raises(InvalidInput, match=re.escape(
+                f"architecture record {[float(x) for x in arch]} is neither")) as err:
             fusion.load_model(bad)
         assert str(bad) in str(err.value)
-
-    @pytest.mark.parametrize("build", [
-        lambda: BasicFusionModel(fusion.BasicFusionConfig(hidden=128, heads=3)),
-        lambda: AdvancedFusionModel(fusion.AdvancedFusionConfig(heads=3)),
-    ], ids=["basic", "advanced"])
-    def test_constructors_reject_a_head_split(self, build):
-        with pytest.raises(InvalidInput, match="3 heads do not split"):
-            build()
 
 
 class TestWritersRefuseNonFinite:
@@ -331,14 +359,13 @@ class TestWritersRefuseNonFinite:
 
 @pytest.fixture(scope="module")
 def loadable(tmp_path_factory):
-    """A basic, a small advanced and an autoencoder file, each saved from a non-default seed."""
+    """A basic, an advanced and an autoencoder file, each saved from a non-default seed."""
     root = tmp_path_factory.mktemp("loadable")
     rng = np.random.default_rng(7)
     normalizer = TokenNormalizer(rng.normal(size=3), rng.uniform(1, 2, size=3),
                                  rng.normal(size=4), rng.uniform(1, 2, size=4))
     save_model(root / "basic.bin", BasicFusionModel(seed=5), normalizer)
-    advanced = AdvancedFusionModel(fusion.AdvancedFusionConfig(layers=1, ffn_hidden=64, max_tokens=8),
-                                   seed=6)
+    advanced = AdvancedFusionModel(seed=6)
     wide = TokenNormalizer(rng.normal(size=4), rng.uniform(1, 2, size=4),
                            rng.normal(size=5), rng.uniform(1, 2, size=5))
     save_model(root / "advanced.bin", advanced, wide)

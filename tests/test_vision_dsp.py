@@ -7,7 +7,6 @@ from avfuse.vision_dsp import (
     NLM_STRENGTH_MIN,
     DenseFlow,
     dwt2_energy,
-    nlm_denoise,
     preprocess_frame,
 )
 from oracles import reference_dwt2_energies, reference_horn_schunck, reference_nlm
@@ -63,7 +62,7 @@ class TestPreprocessFrame:
     def test_matches_scalar_weight_formula(self):
         rng = np.random.default_rng(13)
         frame = rng.integers(0, 256, size=(12, 14), dtype=np.uint8)
-        np.testing.assert_array_equal(nlm_denoise(frame), scalar_nlm(frame))
+        np.testing.assert_array_equal(preprocess_frame(frame), scalar_nlm(frame))
 
     def test_checkerboard_edges_preserved(self):
         cb = ((np.indices((32, 32)).sum(axis=0) % 2) * 255).astype(np.uint8)
@@ -90,17 +89,17 @@ class TestPreprocessFrame:
     @pytest.mark.parametrize("shape", [(0, 8), (8, 0), (0, 0)])
     def test_nlm_zero_area_names_the_shape(self, shape):
         with pytest.raises(InvalidInput, match=rf"shape \({shape[0]}, {shape[1]}\)"):
-            nlm_denoise(np.zeros(shape, dtype=np.uint8))
+            preprocess_frame(np.zeros(shape, dtype=np.uint8))
 
     @pytest.mark.parametrize("patch", [0, 2, 4])
     def test_even_patch_rejected(self, patch):
         with pytest.raises(InvalidInput, match="patch must be odd"):
-            nlm_denoise(np.zeros((8, 8), dtype=np.uint8), patch=patch)
+            preprocess_frame(np.zeros((8, 8), dtype=np.uint8), patch=patch)
 
     def test_search_window_wider_than_the_frame_rejected(self):
-        nlm_denoise(np.zeros((7, 12), dtype=np.uint8), search=7)
+        preprocess_frame(np.zeros((7, 12), dtype=np.uint8), search=7)
         with pytest.raises(InvalidInput, match="search window 9 exceeds the smaller side of a 8x12"):
-            nlm_denoise(np.zeros((8, 12), dtype=np.uint8), search=9)
+            preprocess_frame(np.zeros((8, 12), dtype=np.uint8), search=9)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("patch", [1, 3, 7])
@@ -108,14 +107,14 @@ class TestPreprocessFrame:
         """At the floor only identical patches weigh, so a full-contrast frame comes back unchanged."""
         frame = ((np.indices((16, 16)).sum(axis=0) % 2) * 255).astype(np.uint8)
         frame[5, 9] = 17
-        out = nlm_denoise(frame, patch=patch, search=7, strength=NLM_STRENGTH_MIN)
+        out = preprocess_frame(frame, patch=patch, search=7, strength=NLM_STRENGTH_MIN)
         np.testing.assert_array_equal(out, frame)
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("patch,search", [(1, 3), (3, 7), (5, 7)])
     def test_bytes_equal_cumsum_reference(self, shape, patch, search):
         for frame in random_frames(shape):
-            np.testing.assert_array_equal(nlm_denoise(frame, patch, search),
+            np.testing.assert_array_equal(preprocess_frame(frame, patch, search),
                                           reference_nlm(frame, patch, search))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -128,7 +127,7 @@ class TestPreprocessFrame:
         burst, _ = load_capture(injection_capture)
         cases += [(frame.pixels, 3, 7) for frame in burst.frames]
         for frame, patch, search in cases:
-            np.testing.assert_array_equal(nlm_denoise(frame, patch, search),
+            np.testing.assert_array_equal(preprocess_frame(frame, patch, search),
                                           reference_nlm(frame, patch, search))
 
 
