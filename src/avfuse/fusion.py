@@ -38,7 +38,11 @@ run one :func:`_encoder_layer`, the basic model within its stream, the
 advanced model across streams. Every attention block is a single
 :func:`tensor.attention` call over all its heads and row blocks, in
 training and at inference alike; ``predict`` runs the forward inside
-:func:`tensor.inference`, so it records no graph.
+:func:`tensor.inference`, so it records no graph. The pipeline's fuse stage
+predicts a run of equal-length windows as one batch. OpenBLAS may round a
+matrix product differently by its row count (a (1, k) head row takes
+another path than a (B, k) block), so a batched logit may move by about
+1e-6 of its row's largest magnitude (tested to 1e-5).
 """
 
 from __future__ import annotations

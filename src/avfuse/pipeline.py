@@ -6,8 +6,13 @@ training included, on the calling thread: ingest fills one bounded
 drop-oldest queue, and each stage then runs over every window the queue
 released before the next stage starts. An overflowing queue sheds its
 oldest window; every drop is counted and ``ingested == processed +
-dropped`` holds exactly. The first stage that raises fails the run with an
-error naming the window and the stage. The sink writes the event log in the
+dropped`` holds exactly. A stage takes a run of consecutive windows:
+analyze and fuse take up to ``RUN`` at once, so that non-local means,
+Horn-Schunck and the fusion forward each make one call per run, and the
+other stages take one. A window's stage latency is its share of its
+run's time. The first stage that raises fails the run with an error
+naming the stage and the window whose step failed, or the run's windows
+for a step over the whole run. The sink writes the event log in the
 order it makes the records, which is window order.
 """
 
@@ -16,7 +21,9 @@ from __future__ import annotations
 import json
 import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -53,16 +60,22 @@ from .scenario import Scenario
 from .timebase import AudioClip, align_audio_to_frames, validate_burst
 from .vision_dsp import (
     DenseFlow,
+    FlowField,
     WaveletEnergy,
     check_dwt_sides,
     check_nlm_search,
     dwt2_energy,
-    preprocess_frame,
+    preprocess_frame,  # noqa: F401  perfbench/tracing.py wraps it here by name
+    preprocess_frames,
 )
 
 # A fusion loss above this multiple of the first step's has diverged, even while finite.
 # Healthy runs on the training preset peak near 2.6 times; diverging ones reach 1e9 and more.
 DIVERGED_LOSS_RATIO = 1000.0
+
+# The most consecutive windows one analyze or fuse call takes. Larger stacks
+# fall out of cache and make each window slower.
+RUN = 4
 
 
 @dataclass(frozen=True)
@@ -142,22 +155,41 @@ class PipelineContext:
     # Stage functions, in pipeline order.
 
     def analyze(self, job: WindowJob) -> WindowJob:
+        return self.analyze_run([job])[0]
+
+    def analyze_run(self, jobs: list[WindowJob]) -> list[WindowJob]:
+        """Analyze consecutive windows: one NLM call on their frame stack and one
+        Horn-Schunck call on their (previous, next) pairs, the first pair
+        reaching back to the last frame of the run before; the DWT, spectral
+        statistics and ensemble embed run per window."""
         v = self.config.vision
-        frame = preprocess_frame(job.raw, patch=v.nlm_patch, search=v.nlm_search,
-                                 strength=v.nlm_strength)
-        wavelet = dwt2_energy(frame)
-        flow = 0.0
-        if self._prev_frame is not None and self._flow_read:
-            field_uv = self.flow_estimator(self._prev_frame, frame)
-            flow = float(field_uv.magnitude.mean())
-            if self.export_dir is not None:
-                export_flow_csv(self.export_dir / f"flow_{job.index:04d}.csv", field_uv)
-        self._prev_frame = frame
-        stats = spectral_stats(job.samples, self.sample_rate)
+        frames = preprocess_frames(np.stack([job.raw for job in jobs]), patch=v.nlm_patch,
+                                   search=v.nlm_search, strength=v.nlm_strength)
+        flows = [0.0] * len(jobs)
+        if self._flow_read:
+            # Each frame pairs with the one before it; the capture's first frame has none.
+            known = frames if self._prev_frame is None else np.concatenate(
+                [self._prev_frame[np.newaxis], frames])
+            first = len(jobs) + 1 - len(known)
+            if len(known) > 1:
+                stacked = self.flow_estimator(known[:-1], known[1:])
+                for i, (u, v) in enumerate(zip(stacked.u, stacked.v), start=first):
+                    field = FlowField(u, v)
+                    flows[i] = float(field.magnitude.mean())
+                    if self.export_dir is not None:
+                        export_flow_csv(self.export_dir / f"flow_{jobs[i].index:04d}.csv", field)
+        self._prev_frame = frames[-1]
         ensemble = self.model.ensemble
-        fused = ensemble.embed(job.samples, self.sample_rate) if ensemble is not None else None
-        return replace(job, preprocessed=frame, wavelet=wavelet, flow=flow,
-                       stats=stats, fused=fused)
+        out = []
+        for job, frame, flow in zip(jobs, frames, flows):
+            with _naming(job):
+                wavelet = dwt2_energy(frame)
+                stats = spectral_stats(job.samples, self.sample_rate)
+                fused = (ensemble.embed(job.samples, self.sample_rate)
+                         if ensemble is not None else None)
+            out.append(replace(job, preprocessed=frame, wavelet=wavelet, flow=flow,
+                               stats=stats, fused=fused))
+        return out
 
     def detect(self, job: WindowJob) -> WindowJob:
         d = self.config.detector
@@ -184,12 +216,30 @@ class PipelineContext:
                        audio_row=self.normalizer.normalize_audio(audio))
 
     def fuse(self, job: WindowJob) -> WindowJob:
-        self._visual_rows.append(job.visual_row)
-        self._audio_rows.append(job.audio_row)
-        visual = np.stack(self._visual_rows)
-        audio = np.stack(self._audio_rows)
-        motion, event = self.model.predict(visual, audio, job.fused)
-        return replace(job, motion_logits=motion, event_logits=event)
+        return self.fuse_run([job])[0]
+
+    def fuse_run(self, jobs: list[WindowJob]) -> list[WindowJob]:
+        """Fuse consecutive windows: each window's rows join the token deques
+        in turn, and windows whose sequences have equal length share one
+        ``predict``, the shorter warm-up sequences each alone."""
+        sequences = []
+        for job in jobs:
+            self._visual_rows.append(job.visual_row)
+            self._audio_rows.append(job.audio_row)
+            sequences.append((job, np.stack(self._visual_rows), np.stack(self._audio_rows)))
+        out = []
+        for _, group in groupby(sequences, key=lambda sequence: len(sequence[1])):
+            group_jobs, visual, audio = zip(*group)
+            fused = (None if self.model.ensemble is None
+                     else np.stack([job.fused for job in group_jobs]))
+            motion, event = self.model.predict(np.stack(visual), np.stack(audio), fused)
+            motion = motion.reshape(len(group_jobs), -1)
+            if event is not None:
+                event = event.reshape(len(group_jobs), -1)
+            out += [replace(job, motion_logits=motion[i],
+                            event_logits=None if event is None else event[i])
+                    for i, job in enumerate(group_jobs)]
+        return out
 
     def score(self, job: WindowJob) -> WindowJob:
         cfg = self.config.anomaly
@@ -385,30 +435,69 @@ def open_capture(capture_dir: str | Path,
     return scenario, clip, jobs
 
 
+class _WindowFailed(Exception):
+    """A one-window step inside a stage over a run raised; its cause is the step's error."""
+
+    def __init__(self, window: int):
+        super().__init__(window)
+        self.window = window
+
+
+@contextmanager
+def _naming(job: WindowJob):
+    """Name ``job``'s window in any failure of the block."""
+    try:
+        yield
+    except Exception as exc:
+        raise _WindowFailed(job.index) from exc
+
+
+def per_window(name: str, step) -> tuple:
+    """The stage ``name`` that applies the one-window ``step`` to runs of one window."""
+    return name, lambda jobs: [step(job) for job in jobs], 1
+
+
+def _windows(jobs: list) -> str:
+    if len(jobs) == 1:
+        return f"window {jobs[0].index}"
+    return f"windows {jobs[0].index}-{jobs[-1].index}"
+
+
 def run_stages(stages: list, jobs: list[WindowJob],
                capacity: int) -> tuple[list, StageQueue, dict[str, list[float]]]:
-    """Push ``jobs`` through ``(name, fn)`` stages behind one bounded queue.
+    """Push ``jobs`` through ``(name, fn, run)`` stages behind one bounded queue.
 
     Ingest puts every job into one drop-oldest queue of ``capacity``, which
     sheds what overflows; then each stage runs over every window the queue
     released, in order, before the next stage starts, all on the calling
-    thread. Returns the last stage's outputs, the queue and each stage's
-    latencies in ms. The first stage that raises is re-raised as an
-    :class:`AvFuseError` naming the window and the stage.
+    thread. A stage's ``fn`` takes a list of at most ``run`` consecutive
+    windows and returns their outputs; :func:`per_window` makes one from a
+    one-window step. Returns the last stage's outputs, the queue and each
+    stage's latency per window in ms: each window's share of its run's time.
+    The first stage that raises is re-raised as an :class:`AvFuseError`
+    naming the stage and the run's windows, or the one window whose step
+    failed.
     """
     queue = StageQueue(capacity)
     for job in jobs:
         queue.put(job)
     batch = list(iter(queue.get, None))
-    latencies: dict[str, list[float]] = {name: [] for name, _ in stages}
-    for name, fn in stages:
-        for i, job in enumerate(batch):
+    latencies: dict[str, list[float]] = {name: [] for name, _, _ in stages}
+    for name, fn, run in stages:
+        outputs = []
+        for first in range(0, len(batch), run):
+            jobs_run = batch[first:first + run]
             start = time.perf_counter()
             try:
-                batch[i] = fn(job)
+                outputs += fn(jobs_run)
+            except _WindowFailed as failed:
+                cause = failed.__cause__
+                raise AvFuseError(f"window {failed.window}: {name} stage failed: {cause}") from cause
             except Exception as exc:
-                raise AvFuseError(f"window {job.index}: {name} stage failed: {exc}") from exc
-            latencies[name].append((time.perf_counter() - start) * 1e3)
+                raise AvFuseError(f"{_windows(jobs_run)}: {name} stage failed: {exc}") from exc
+            share = (time.perf_counter() - start) * 1e3 / len(jobs_run)
+            latencies[name] += [share] * len(jobs_run)
+        batch = outputs
     return batch, queue, latencies
 
 
@@ -449,12 +538,12 @@ def run_pipeline(
 
     sink = Sink(out_dir, clip.sample_rate)
     stages = [
-        ("analyze", context.analyze),
-        ("detect", context.detect),
-        ("tokenize", context.tokenize),
-        ("fuse", context.fuse),
-        ("score", context.score),
-        ("sink", sink),
+        ("analyze", context.analyze_run, RUN),
+        per_window("detect", context.detect),
+        per_window("tokenize", context.tokenize),
+        ("fuse", context.fuse_run, RUN),
+        per_window("score", context.score),
+        per_window("sink", sink),
     ]
     capacity = config.runtime.queue_capacity
     if deterministic:
@@ -462,7 +551,7 @@ def run_pipeline(
     _, queue, latencies = run_stages(stages, jobs, capacity)
     drops = dict.fromkeys(latencies, 0) | {"analyze": queue.dropped}
 
-    for name, _ in stages:
+    for name in latencies:
         sink.log(jobs[-1].timestamp, len(jobs) - 1, "metric", {
             "stage": name,
             "processed": len(latencies[name]),
@@ -475,7 +564,7 @@ def run_pipeline(
         windows_processed=sink.windows_processed,
         anomalies_triggered=sink.anomalies_triggered,
         drops=drops,
-        stage_latency={name: percentiles(latencies[name]) for name, _ in stages},
+        stage_latency={name: percentiles(ms) for name, ms in latencies.items()},
         accounting_ok=queue.pushed == sink.windows_processed + queue.dropped,
         artifact_errors=sink.artifact_errors,
         log_path=str(log_path),
@@ -495,8 +584,10 @@ def build_training_sequences(capture_dir: str | Path, config: Config, seed: int 
     """
     scenario, clip, jobs = open_capture(capture_dir, config.vision)
     context = PipelineContext(config, scenario, clip.sample_rate, seed=seed)
-    tokens, _, _ = run_stages([("analyze", context.analyze), ("detect", context.detect),
-                               ("tokenize", context.tokenize)], jobs, capacity=len(jobs) + 1)
+    tokens, _, _ = run_stages([("analyze", context.analyze_run, RUN),
+                               per_window("detect", context.detect),
+                               per_window("tokenize", context.tokenize)],
+                              jobs, capacity=len(jobs) + 1)
 
     chunk = config.fusion.burst_tokens
     sequences = []
@@ -577,6 +668,11 @@ def train_on_scenario(capture_dir: str | Path, config: Config, out_dir: str | Pa
 
 
 def _motion_accuracy(model, batch) -> float:
-    correct = sum(int(np.argmax(model.predict(e.visual, e.audio, e.fused)[0])) == e.motion_label
-                  for e in batch)
+    """The share of equal-length ``batch`` sequences whose motion argmax is their label,
+    from one ``predict`` over all of them."""
+    fused = None if model.ensemble is None else np.stack([e.fused for e in batch])
+    motion, _ = model.predict(np.stack([e.visual for e in batch]),
+                              np.stack([e.audio for e in batch]), fused)
+    predictions = motion.reshape(len(batch), -1).argmax(axis=1)
+    correct = sum(int(p) == e.motion_label for p, e in zip(predictions, batch))
     return correct / len(batch)

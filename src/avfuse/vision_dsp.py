@@ -4,13 +4,17 @@ Preprocessing is patch-based non-local means denoising on 8-bit grayscale.
 Its patch distances are box sums of squared pixel differences, each search
 offset and box-sum term one contiguous shift of the padded frame read as a
 flat run; on 8-bit input every such sum is an exact integer in float64.
+A (B, h, w) stack of frames runs as B such runs at once, every op
+elementwise, so each frame keeps the bytes it has alone; one frame is the
+stack of one.
 Texture energy comes from a 2-level Daubechies-2 decomposition with periodic
 extension, which makes subband energies sum exactly to the pixel energy.
 Dense motion is estimated with the Horn-Schunck variational scheme behind
 the ``DenseFlow`` interface so a different solver can be slotted in later.
 Its Jacobi sweeps update one edge-padded (u, v) buffer in place, in float32,
 for ``train`` and ``run`` alike; against the float64 sweeps the field stays
-within 1e-5 of its largest magnitude.
+within 1e-5 of its largest magnitude. It takes one pair of frames or a
+stack of B pairs, each pair with the bytes it has alone.
 """
 
 from __future__ import annotations
@@ -69,58 +73,72 @@ class WaveletEnergy:
 
 def preprocess_frame(pixels: np.ndarray, patch: int = 3, search: int = 7,
                      strength: float = 10.0) -> np.ndarray:
-    """Non-local means denoising of one 2-D 8-bit grayscale frame: each pixel
-    becomes the similarity-weighted average of pixels in its search window,
-    weighted by patch distance.
+    """Non-local means denoising of one 2-D 8-bit grayscale frame: the run of
+    one of :func:`preprocess_frames`."""
+    frame = np.asarray(pixels)
+    if frame.ndim != 2 or frame.size == 0:
+        raise InvalidInput(f"expected a 2-D frame with non-zero area, got shape {frame.shape}")
+    return preprocess_frames(frame[np.newaxis], patch, search, strength)[0]
+
+
+def preprocess_frames(frames: np.ndarray, patch: int = 3, search: int = 7,
+                      strength: float = 10.0) -> np.ndarray:
+    """Non-local means denoising of a (B, h, w) stack of 8-bit grayscale frames:
+    each pixel becomes the similarity-weighted average of pixels in its search
+    window, weighted by patch distance.
 
     Weight is ``exp(-mean((P_i - P_j)^2) / strength^2)``; the center pixel
     participates with weight 1, so constants are preserved exactly.
 
-    The reflect-padded frame is one flat run of ``wide``-value rows plus a zero
-    tail, so offset ``(dy, dx)`` is a shift by ``dy * wide + dx`` and the patch
-    sums add shifts by ``k * wide`` and ``k``. The last ``wide - w`` columns of
-    each row wrap into the next row (pixel or zero differences, within +-255)
-    and are dropped. Each kept pixel's distance is the exact integer sum of its
-    squared 8-bit differences, in any addition order, and the same ``exp`` and
-    ``(dy, dx)`` accumulation follow, so the bytes match a 2-D window sum.
+    Each reflect-padded frame is one flat run of ``wide``-value rows plus a
+    zero tail, one row of a (B, L) array, so offset ``(dy, dx)`` is a shift by
+    ``dy * wide + dx`` and the patch sums add shifts by ``k * wide`` and
+    ``k``; every op runs over all B rows at once. The last ``wide - w``
+    columns of each frame row wrap into the next row (pixel or zero
+    differences, within +-255) and are dropped. Each kept pixel's distance is
+    the exact integer sum of its squared 8-bit differences, in any addition
+    order, and the same ``exp`` and ``(dy, dx)`` accumulation follow
+    elementwise, so the bytes match a 2-D window sum of each frame alone.
     """
-    img = pixels.astype(np.float64)
-    if img.ndim != 2 or img.size == 0:
-        raise InvalidInput(f"expected a 2-D frame with non-zero area, got shape {img.shape}")
+    img = np.asarray(frames, dtype=np.float64)
+    if img.ndim != 3 or img.size == 0:
+        raise InvalidInput(f"expected a (B, h, w) stack with non-zero area, got shape {img.shape}")
     if patch < 1 or patch % 2 == 0:
         raise InvalidInput(f"patch must be odd and positive, got {patch}")
-    check_nlm_search(search, *img.shape)
+    b, h, w = img.shape
+    check_nlm_search(search, h, w)
     pr, sr = patch // 2, search // 2
     pad = sr + pr
-    h, w = img.shape
     wide = w + 2 * pad
-    flat = np.concatenate([np.pad(img, pad, mode="reflect").ravel(), np.zeros(2 * pad)])
+    padded = np.pad(img, ((0, 0), (pad, pad), (pad, pad)), mode="reflect").reshape(b, -1)
+    flat = np.concatenate([padded, np.zeros((b, 2 * pad))], axis=1)
 
-    n = h * wide  # one output run; its last wide - w columns are thrown away
+    n = h * wide  # one output run per frame; its last wide - w columns are thrown away
     origin = sr * wide + sr
-    center = flat[origin:origin + n + 2 * pr * (wide + 1)]
-    diff = np.empty_like(center)
-    rows = np.empty(n + 2 * pr)
-    weight, weighted, weight_sum, value_sum = np.zeros((4, n))
+    span = n + 2 * pr * (wide + 1)
+    center = flat[:, origin:origin + span]
+    diff = np.empty((b, span))
+    rows = np.empty((b, n + 2 * pr))
+    weight, weighted, weight_sum, value_sum = np.zeros((4, b, n))
     neg_inv_h2 = -1.0 / (strength * strength * patch * patch)
     for dy in range(-sr, sr + 1):
         for dx in range(-sr, sr + 1):
             start = origin + dy * wide + dx
-            np.subtract(center, flat[start:start + center.size], out=diff)
+            np.subtract(center, flat[:, start:start + span], out=diff)
             np.multiply(diff, diff, out=diff)
-            np.copyto(rows, diff[:rows.size])
+            np.copyto(rows, diff[:, :rows.shape[1]])
             for k in range(1, patch):
-                rows += diff[k * wide:k * wide + rows.size]
-            np.copyto(weight, rows[:n])
+                rows += diff[:, k * wide:k * wide + rows.shape[1]]
+            np.copyto(weight, rows[:, :n])
             for k in range(1, patch):
-                weight += rows[k:k + n]
+                weight += rows[:, k:k + n]
             np.multiply(weight, neg_inv_h2, out=weight)
             np.exp(weight, out=weight)
             start += pr * (wide + 1)
-            np.multiply(weight, flat[start:start + n], out=weighted)
+            np.multiply(weight, flat[:, start:start + n], out=weighted)
             value_sum += weighted
             weight_sum += weight
-    mean = (value_sum / weight_sum).reshape(h, wide)[:, :w]  # the center weight is 1
+    mean = (value_sum / weight_sum).reshape(b, h, wide)[:, :, :w]  # the center weight is 1
     return np.clip(np.rint(mean), 0, 255).astype(np.uint8)
 
 
@@ -207,49 +225,62 @@ class DenseFlow:
         self.iterations = int(iterations)
 
     def __call__(self, frame_prev: np.ndarray, frame_next: np.ndarray) -> FlowField:
+        """The flow from ``frame_prev`` to ``frame_next``: two (h, w) frames, or two
+        (B, h, w) stacks of B pairs, whose fields come back stacked the same way.
+
+        Every op of a sweep runs over all B pairs at once and is elementwise,
+        so each pair's field has the bytes it has alone.
+        """
         prev = np.asarray(frame_prev, dtype=np.float32)
         nxt = np.asarray(frame_next, dtype=np.float32)
-        if prev.shape != nxt.shape or prev.ndim != 2:
+        if prev.shape != nxt.shape or prev.ndim not in (2, 3):
             raise InvalidInput(
-                f"frames must be 2-D and equal-sized, got {prev.shape} vs {nxt.shape}"
+                f"frames must be 2-D (or (B, h, w) stacks) and equal-sized, "
+                f"got {prev.shape} vs {nxt.shape}"
             )
-        if min(prev.shape) < 2:
+        if min(prev.shape[-2:]) < 2 or prev.size == 0:
             raise InvalidInput(f"frames must be at least 2x2 for a gradient, got {prev.shape}")
 
-        h, w = prev.shape
-        iy, ix = np.gradient(0.5 * (prev + nxt))
+        single = prev.ndim == 2
+        if single:
+            prev, nxt = prev[np.newaxis], nxt[np.newaxis]
+        b, h, w = prev.shape
+        iy, ix = np.gradient(0.5 * (prev + nxt), axis=(1, 2))
         denom = self.alpha ** 2 + ix ** 2 + iy ** 2
 
         # u and v, edge-padded by one pixel. Each sweep writes rows 1..h,
         # border columns included, so that every neighbour sum is a shift of
-        # one contiguous run per plane; those columns get a gradient of 0 and
-        # throwaway values, and the border is refreshed before each sweep.
+        # one contiguous run per plane and pair; those columns get a gradient
+        # of 0 and throwaway values, and the border is refreshed before each sweep.
         def rows(values, fill: float) -> np.ndarray:
-            out = np.full((h, w + 2), fill, dtype=np.float32)
-            out[:, 1:-1] = values
-            return out.reshape(-1)
+            out = np.full((b, h, w + 2), fill, dtype=np.float32)
+            out[:, :, 1:-1] = values
+            return out.reshape(b, -1)
 
         grad = np.stack([rows(ix, 0.0), rows(iy, 0.0)])
         it, denom = rows(nxt - prev, 0.0), rows(denom, 1.0)
-        padded = np.zeros((2, h + 2, w + 2), dtype=np.float32)
-        runs = padded.reshape(2, -1)
+        padded = np.zeros((2, b, h + 2, w + 2), dtype=np.float32)
+        runs = padded.reshape(2, b, -1)
         width, lo, hi = w + 2, w + 2, (w + 2) * (h + 1)
         bar = np.empty_like(grad)
         step = np.empty_like(grad)
         residual = np.empty_like(it)
         for _ in range(self.iterations):
-            padded[:, 0] = padded[:, 1]
-            padded[:, -1] = padded[:, -2]
             padded[:, :, 0] = padded[:, :, 1]
             padded[:, :, -1] = padded[:, :, -2]
-            np.add(runs[:, lo - width:hi - width], runs[:, lo + width:hi + width], out=bar)
-            bar += runs[:, lo - 1:hi - 1]
-            bar += runs[:, lo + 1:hi + 1]
+            padded[..., 0] = padded[..., 1]
+            padded[..., -1] = padded[..., -2]
+            np.add(runs[..., lo - width:hi - width], runs[..., lo + width:hi + width], out=bar)
+            bar += runs[..., lo - 1:hi - 1]
+            bar += runs[..., lo + 1:hi + 1]
             bar *= 0.25
             np.multiply(grad, bar, out=step)
             np.add(step[0], step[1], out=residual)
             residual += it
             residual /= denom
             np.multiply(grad, residual, out=step)
-            np.subtract(bar, step, out=runs[:, lo:hi])
-        return FlowField(u=padded[0, 1:-1, 1:-1].copy(), v=padded[1, 1:-1, 1:-1].copy())
+            np.subtract(bar, step, out=runs[..., lo:hi])
+        u, v = padded[:, :, 1:-1, 1:-1]
+        if single:
+            u, v = u[0], v[0]
+        return FlowField(u=u.copy(), v=v.copy())

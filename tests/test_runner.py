@@ -14,7 +14,8 @@ from avfuse.config import Config
 from avfuse.errors import AvFuseError, InvalidInput
 from avfuse.fusion import FLOW_COLUMN, build_model
 from avfuse.io import read_pgm, write_pgm
-from avfuse.pipeline import PipelineContext, open_capture, run_pipeline, run_stages, train_on_scenario
+from avfuse.pipeline import (PipelineContext, open_capture, per_window, run_pipeline, run_stages,
+                             train_on_scenario)
 from avfuse.vision_dsp import DenseFlow
 
 TIMEOUT_S = 60.0
@@ -88,7 +89,7 @@ class TestStageFailure:
                     raise ValueError("boom")
                 seen[name].append(job.index)
                 return job
-            return name, fn
+            return per_window(name, fn)
 
         jobs = [SimpleNamespace(index=i) for i in range(20)]
 
@@ -129,7 +130,7 @@ class TestOneIngestQueue:
             def fn(job):
                 calls.append((name, job.index))
                 return SimpleNamespace(index=job.index, by=name)
-            return name, fn
+            return per_window(name, fn)
 
         jobs = [SimpleNamespace(index=i) for i in range(5)]
         outputs, queue, latencies = run_stages([stage("a"), stage("b"), stage("c")], jobs,
@@ -233,7 +234,7 @@ class TestFlowOnlyWhenRead:
         original = DenseFlow.__call__
 
         def counting(self, frame_prev, frame_next):
-            calls.append(1)
+            calls.extend([1] * (len(frame_prev) if np.ndim(frame_prev) == 3 else 1))  # one per pair
             return original(self, frame_prev, frame_next)
 
         monkeypatch.setattr(DenseFlow, "__call__", counting)
