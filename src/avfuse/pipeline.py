@@ -155,6 +155,7 @@ class PipelineContext:
     # Stage functions, in pipeline order.
 
     def analyze(self, job: WindowJob) -> WindowJob:
+        """One window: the run of one of :meth:`analyze_run`."""
         return self.analyze_run([job])[0]
 
     def analyze_run(self, jobs: list[WindowJob]) -> list[WindowJob]:
@@ -173,8 +174,7 @@ class PipelineContext:
             first = len(jobs) + 1 - len(known)
             if len(known) > 1:
                 stacked = self.flow_estimator(known[:-1], known[1:])
-                for i, (u, v) in enumerate(zip(stacked.u, stacked.v), start=first):
-                    field = FlowField(u, v)
+                for i, field in enumerate(map(FlowField, stacked.u, stacked.v), start=first):
                     flows[i] = float(field.magnitude.mean())
                     if self.export_dir is not None:
                         export_flow_csv(self.export_dir / f"flow_{jobs[i].index:04d}.csv", field)
@@ -216,6 +216,7 @@ class PipelineContext:
                        audio_row=self.normalizer.normalize_audio(audio))
 
     def fuse(self, job: WindowJob) -> WindowJob:
+        """One window: the run of one of :meth:`fuse_run`."""
         return self.fuse_run([job])[0]
 
     def fuse_run(self, jobs: list[WindowJob]) -> list[WindowJob]:

@@ -241,9 +241,8 @@ class DenseFlow:
         if min(prev.shape[-2:]) < 2 or prev.size == 0:
             raise InvalidInput(f"frames must be at least 2x2 for a gradient, got {prev.shape}")
 
-        single = prev.ndim == 2
-        if single:
-            prev, nxt = prev[np.newaxis], nxt[np.newaxis]
+        shape = prev.shape
+        prev, nxt = (frames.reshape(-1, *shape[-2:]) for frames in (prev, nxt))
         b, h, w = prev.shape
         iy, ix = np.gradient(0.5 * (prev + nxt), axis=(1, 2))
         denom = self.alpha ** 2 + ix ** 2 + iy ** 2
@@ -280,7 +279,5 @@ class DenseFlow:
             residual /= denom
             np.multiply(grad, residual, out=step)
             np.subtract(bar, step, out=runs[..., lo:hi])
-        u, v = padded[:, :, 1:-1, 1:-1]
-        if single:
-            u, v = u[0], v[0]
-        return FlowField(u=u.copy(), v=v.copy())
+        u, v = (plane.reshape(shape).copy() for plane in padded[:, :, 1:-1, 1:-1])
+        return FlowField(u=u, v=v)
