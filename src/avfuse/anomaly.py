@@ -104,12 +104,8 @@ def frame_to_vector(frame: np.ndarray) -> np.ndarray:
     return block_mean_downsample(frame).reshape(-1) / 255.0
 
 
-def autoencoder_train(
-    frames: list[np.ndarray],
-    steps: int = 2000,
-    learning_rate: float = 0.1,
-    seed: int = 0,
-) -> DenseAutoencoder:
+def autoencoder_train(frames: list[np.ndarray], steps: int, learning_rate: float,
+                      seed: int = 0) -> DenseAutoencoder:
     """Fit the reconstruction model on normal frames by full-batch descent.
 
     Raises :class:`AvFuseError` at the first step whose loss is not finite.

@@ -21,8 +21,8 @@ callers never ask which one they hold:
   event head; the only method a model writes itself;
 - ``predict(visual, audio, fused=None)``: those logits flat, recording no
   graph;
-- ``loss(*examples)``: the mean training loss of equal-length
-  :class:`LabeledSequence` examples, one graph for all of them.
+- ``loss(batch)``: the mean training loss of a :class:`TrainingBatch`,
+  one graph for all its sequences.
 
 Only :func:`build_model` and the save/load kind table name a model kind.
 Each kind has the one shape above, fixed in its config record: a model
@@ -103,9 +103,10 @@ class TokenNormalizer:
                 raise InvalidInput(f"{name}: normalizer std must be positive")
 
     @classmethod
-    def fit(cls, visual_matrices: list[np.ndarray], audio_matrices: list[np.ndarray]) -> "TokenNormalizer":
-        visual = np.concatenate(visual_matrices, axis=0)
-        audio = np.concatenate(audio_matrices, axis=0)
+    def fit(cls, visual: np.ndarray, audio: np.ndarray) -> "TokenNormalizer":
+        """Fitted on every token row of (B, n, f) or (n, f) visual and audio arrays."""
+        visual = visual.reshape(-1, visual.shape[-1])
+        audio = audio.reshape(-1, audio.shape[-1])
         return cls(
             visual.mean(axis=0), np.maximum(visual.std(axis=0), 1e-8),
             audio.mean(axis=0), np.maximum(audio.std(axis=0), 1e-8),
@@ -214,15 +215,6 @@ def _token_arrays(model, visual, audio) -> tuple[Tensor, Tensor, int]:
             Tensor(audio.reshape(-1, audio.shape[-1])), blocks)
 
 
-def _stack(field: str, arrays) -> np.ndarray:
-    """The equal-shape ``field`` arrays of a batch's sequences as one (B, n, f) array."""
-    arrays = [np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in arrays]
-    shapes = sorted({a.shape for a in arrays})
-    if len(shapes) != 1:
-        raise InvalidInput(f"batch sequences differ in shape or are none: {field} {shapes}")
-    return np.stack(arrays)
-
-
 def _attention_block(store, prefix: str, dim: int) -> tuple:
     """The (q, k, v, out) projections of one attention block, created q, v, out, k.
 
@@ -246,11 +238,13 @@ def _encoder_layer(block, x: Tensor, context: Tensor, heads: int, blocks: int) -
     return tz.layer_norm(tz.add(x, tz.feed_forward(x, *ffn)), *ffn_norm)
 
 
-def _cross_entropy(kind: str, logits: Tensor, labels: list) -> Tensor:
+def _cross_entropy(kind: str, logits: Tensor, labels) -> Tensor:
     """Mean cross-entropy of ``logits`` rows against labels, each checked against the width."""
+    if labels is None:
+        raise InvalidInput(f"no {kind} labels for the model's {kind} head")
     classes = logits.shape[1]
     for label in labels:
-        if label is None or not 0 <= label < classes:
+        if not 0 <= label < classes:
             raise InvalidInput(f"{kind} label {label} outside [0, {classes})")
     return tz.cross_entropy(logits, labels)
 
@@ -267,21 +261,13 @@ class FusionModel:
             motion, event = self.forward(visual, audio, fused)
         return motion.data.reshape(-1), None if event is None else event.data.reshape(-1)
 
-    def loss(self, *examples: "LabeledSequence") -> Tensor:
-        """Mean motion (plus mean event) cross-entropy of equal-length labeled sequences.
-
-        ``fused`` is read only by a model with an ensemble; a missing one reads as zeros.
-        """
-        fused = None
-        if self.ensemble is not None:
-            fused = _stack("fused", [np.zeros(FUSED_DIM) if e.fused is None else e.fused
-                                     for e in examples])
-        motion, event = self.forward(_stack("visual", [e.visual for e in examples]),
-                                     _stack("audio", [e.audio for e in examples]), fused)
-        loss = _cross_entropy("motion", motion, [e.motion_label for e in examples])
+    def loss(self, batch: TrainingBatch) -> Tensor:
+        """Mean motion (plus mean event) cross-entropy of ``batch``'s sequences."""
+        motion, event = self.forward(batch.visual, batch.audio, batch.fused)
+        loss = _cross_entropy("motion", motion, batch.motion)
         if event is None:
             return loss
-        return tz.add(loss, _cross_entropy("event", event, [e.event_label for e in examples]))
+        return tz.add(loss, _cross_entropy("event", event, batch.event))
 
     def parameters(self) -> list[Tensor]:
         return list(self.store.params.values())
@@ -426,17 +412,18 @@ class AdvancedFusionModel(FusionModel):
 
 
 @dataclass(frozen=True)
-class LabeledSequence:
-    """One training example: token matrices plus labels.
+class TrainingBatch:
+    """B labeled sequences of n tokens, stacked: (B, n, f) token arrays, (B,) labels.
 
-    ``fused`` and ``event_label`` are only read by the advanced model.
+    ``fused`` (B, FUSED_DIM) and ``event`` are only read by the advanced
+    model; its ``forward`` reads a missing ``fused`` as zeros.
     """
 
     visual: np.ndarray
     audio: np.ndarray
-    motion_label: int
+    motion: np.ndarray
     fused: np.ndarray | None = None
-    event_label: int | None = None
+    event: np.ndarray | None = None
 
 
 def build_model(f: FusionConfig) -> FusionModel:
@@ -445,16 +432,12 @@ def build_model(f: FusionConfig) -> FusionModel:
     return model_cls(seed=f.seed)
 
 
-def train_step(model, batch: list[LabeledSequence], learning_rate: float) -> float:
-    """One full-batch gradient step on ``model.loss`` of the whole batch; returns that loss.
+def train_step(model, batch: TrainingBatch, learning_rate: float) -> float:
+    """One full-batch gradient step on ``model.loss(batch)``; returns that loss.
 
-    The batch is one graph, its sequences stacked as row blocks, so they
-    must have equal length. ``learning_rate`` 0 reports the loss without
-    updating.
+    ``learning_rate`` 0 reports the loss without updating.
     """
-    if not batch:
-        raise InvalidInput("empty training batch")
-    return tz.sgd_step(model.parameters(), model.loss(*batch), learning_rate)
+    return tz.sgd_step(model.parameters(), model.loss(batch), learning_rate)
 
 
 # meta.arch of a saved model is its index in this table, then its config's

@@ -46,8 +46,8 @@ from .detect_track import Tracker, cross_detector_merge, nms, scripted_detector
 from .errors import AvFuseError, InvalidConfig, InvalidInput
 from .fusion import (
     FLOW_COLUMN,
-    LabeledSequence,
     TokenNormalizer,
+    TrainingBatch,
     audio_row,
     build_model,
     load_model,
@@ -579,9 +579,11 @@ def build_training_sequences(capture_dir: str | Path, config: Config, seed: int 
     """Labeled burst-sized token sequences from a generated scenario.
 
     Runs the analyze, detect and tokenize stages inline over every window
-    with a freshly built model, then chunks tokens into bursts; each burst
-    inherits the scenario's motion and event ground truth. Returns the
-    sequences, the preprocessed normal frames and the model, untrained.
+    with a freshly built model, then chunks tokens into consecutive bursts,
+    dropping a partial last one; each burst inherits the scenario's motion
+    and event ground truth and its last window's fused embedding. Returns
+    the :class:`TrainingBatch` of every burst, the preprocessed normal
+    frames and the model, untrained.
     """
     scenario, clip, jobs = open_capture(capture_dir, config.vision)
     context = PipelineContext(config, scenario, clip.sample_rate, seed=seed)
@@ -591,20 +593,20 @@ def build_training_sequences(capture_dir: str | Path, config: Config, seed: int 
                               jobs, capacity=len(jobs) + 1)
 
     chunk = config.fusion.burst_tokens
-    sequences = []
-    for start in range(0, len(tokens) - chunk + 1, chunk):
-        span = range(start, start + chunk)
-        motion = int(any(scenario.motion_label(w) for w in span))
-        event = next((scenario.event_label(w) for w in span if scenario.event_label(w)), 0)
-        sequences.append(LabeledSequence(
-            visual=np.stack([tokens[w].visual_row for w in span]),
-            audio=np.stack([tokens[w].audio_row for w in span]),
-            motion_label=motion,
-            fused=tokens[start + chunk - 1].fused,
-            event_label=event,
-        ))
+    spans = [range(start, start + chunk) for start in range(0, len(tokens) - chunk + 1, chunk)]
+    if not spans:
+        raise InvalidConfig(["scenario too short to build any training sequence"])
+    batch = TrainingBatch(
+        visual=np.array([[tokens[w].visual_row for w in span] for span in spans]),
+        audio=np.array([[tokens[w].audio_row for w in span] for span in spans]),
+        motion=np.array([int(any(scenario.motion_label(w) for w in span)) for span in spans]),
+        fused=(None if context.model.ensemble is None
+               else np.array([tokens[span[-1]].fused for span in spans])),
+        event=np.array([next((scenario.event_label(w) for w in span if scenario.event_label(w)), 0)
+                        for span in spans]),
+    )
     normal_frames = [job.preprocessed for job in tokens if not scenario.is_injected(job.index)]
-    return sequences, normal_frames, context.model
+    return batch, normal_frames, context.model
 
 
 def train_on_scenario(capture_dir: str | Path, config: Config, out_dir: str | Path,
@@ -621,12 +623,10 @@ def train_on_scenario(capture_dir: str | Path, config: Config, out_dir: str | Pa
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    sequences, normal_frames, model = build_training_sequences(capture_dir, config, seed=seed)
-    if not sequences:
-        raise InvalidConfig(["scenario too short to build any training sequence"])
-    normalizer = TokenNormalizer.fit([s.visual for s in sequences], [s.audio for s in sequences])
-    batch = [replace(s, visual=normalizer.normalize_visual(s.visual),
-                     audio=normalizer.normalize_audio(s.audio)) for s in sequences]
+    batch, normal_frames, model = build_training_sequences(capture_dir, config, seed=seed)
+    normalizer = TokenNormalizer.fit(batch.visual, batch.audio)
+    batch = replace(batch, visual=normalizer.normalize_visual(batch.visual),
+                    audio=normalizer.normalize_audio(batch.audio))
 
     loss = float("nan")
     accuracy = 0.0
@@ -664,16 +664,12 @@ def train_on_scenario(capture_dir: str | Path, config: Config, out_dir: str | Pa
         "autoencoder_path": str(ae_path) if ae_path else None,
         "final_loss": loss,
         "training_accuracy": accuracy,
-        "sequences": len(batch),
+        "sequences": len(batch.motion),
     }
 
 
-def _motion_accuracy(model, batch) -> float:
-    """The share of equal-length ``batch`` sequences whose motion argmax is their label,
-    from one ``predict`` over all of them."""
-    fused = None if model.ensemble is None else np.stack([e.fused for e in batch])
-    motion, _ = model.predict(np.stack([e.visual for e in batch]),
-                              np.stack([e.audio for e in batch]), fused)
-    predictions = motion.reshape(len(batch), -1).argmax(axis=1)
-    correct = sum(int(p) == e.motion_label for p, e in zip(predictions, batch))
-    return correct / len(batch)
+def _motion_accuracy(model, batch: TrainingBatch) -> float:
+    """The share of ``batch``'s sequences whose motion argmax is their label, from one
+    ``predict`` over all of them."""
+    motion, _ = model.predict(batch.visual, batch.audio, batch.fused)
+    return float(np.mean(motion.reshape(len(batch.motion), -1).argmax(axis=1) == batch.motion))

@@ -4,6 +4,8 @@ Everything here is deliberately naive (loops, O(n^2) scans) and written
 against the contracts, not against the package internals it checks.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from avfuse.errors import InvalidInput
@@ -248,6 +250,13 @@ def reference_horn_schunck(frame_prev, frame_next, alpha=10.0, iterations=100):
         u = u_bar - ix * residual
         v = v_bar - iy * residual
     return u, v
+
+
+def sequence(batch, i):
+    """Sequence ``i`` of a :class:`fusion.TrainingBatch` as a batch of one: the per-example
+    reference a batched loss is checked against."""
+    return replace(batch, **{name: value[i:i + 1] for name, value in vars(batch).items()
+                             if value is not None})
 
 
 def ranking_auc(scores, labels):

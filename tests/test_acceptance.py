@@ -34,9 +34,9 @@ from avfuse.vision_dsp import dwt2_energy
 from avfuse.anomaly import METHODS, combine_scores
 from avfuse.pipeline import train_on_scenario
 
-from oracles import brute_force_nms, finite_diff_check, ranking_auc, scalar_attention
+from oracles import brute_force_nms, finite_diff_check, ranking_auc, scalar_attention, sequence
 from test_detect_track import random_detections
-from test_fusion import make_separable_set
+from test_fusion import make_separable_set, sequence_accuracy
 from test_tensor import primitive_cases
 from test_timebase import make_burst
 
@@ -242,17 +242,15 @@ def test_criterion_6_fusion_training():
     for step in range(1, 501):
         train_step(model, batch, 0.1)
         if step % 10 == 0:
-            accuracy = np.mean(
-                [np.argmax(model.predict(e.visual, e.audio)[0]) == e.motion_label for e in batch]
-            )
+            accuracy = sequence_accuracy(model, batch)
             if accuracy >= 0.95:
                 steps_used = step
                 break
     assert accuracy >= 0.95
 
     single = BasicFusionModel(seed=5)
-    example = make_separable_set(2)[0]
-    losses = [train_step(single, [example], 0.05) for _ in range(200)]
+    example = sequence(make_separable_set(2), 0)
+    losses = [train_step(single, example, 0.05) for _ in range(200)]
     assert losses[-1] < 0.1
     for i in range(len(losses) - 50):
         assert losses[i + 50] < losses[i]

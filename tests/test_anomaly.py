@@ -95,7 +95,7 @@ class TestAutoencoder:
 
     def test_too_few_frames_rejected(self):
         with pytest.raises(InvalidInput):
-            autoencoder_train(constant_frames(n=10))
+            autoencoder_train(constant_frames(n=10), steps=1500, learning_rate=0.1)
 
     def test_untrained_model_cannot_score(self):
         with pytest.raises(NotTrained):

@@ -1,23 +1,28 @@
 """One graph per training step: a batch of equal-length sequences stacked as row blocks.
 
-The per-example loss, summed and scaled the way training used to build it,
-is the reference. The batched loss and its gradients sum the same terms in
+The loss of each sequence as a batch of one, summed and scaled the way
+training used to build it, is the reference. The batched loss and its gradients sum the same terms in
 another order, so they agree to 1e-12 relative, not bit for bit.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from avfuse import tensor as tz
+from avfuse.config import Config
 from avfuse.errors import InvalidInput
 from avfuse.fusion import (
     FUSED_DIM,
     AdvancedFusionModel,
     BasicFusionModel,
-    LabeledSequence,
+    TrainingBatch,
     train_step,
 )
-from oracles import finite_diff_check
+from avfuse.pipeline import PipelineContext, build_training_sequences, open_capture
+from avfuse.scenario import generate_scenario, preset_scenario
+from oracles import finite_diff_check, sequence
 
 GRAD_TOL = 1e-4
 BATCH_RTOL = 1e-12
@@ -35,12 +40,11 @@ def make_batch(model, count, tokens=10, seed=0):
     rng = np.random.default_rng(seed)
     c = model.config
     advanced = isinstance(model, AdvancedFusionModel)
-    return [LabeledSequence(rng.normal(size=(tokens, c.visual_features)),
-                            rng.normal(size=(tokens, c.audio_features)),
-                            motion_label=i % c.motion_classes,
-                            fused=rng.normal(size=FUSED_DIM) if advanced else None,
-                            event_label=(5 * i) % c.event_classes if advanced else None)
-            for i in range(count)]
+    return TrainingBatch(rng.normal(size=(count, tokens, c.visual_features)),
+                         rng.normal(size=(count, tokens, c.audio_features)),
+                         motion=np.arange(count) % c.motion_classes,
+                         fused=rng.normal(size=(count, FUSED_DIM)) if advanced else None,
+                         event=(5 * np.arange(count)) % c.event_classes if advanced else None)
 
 
 class TestRowBlockOps:
@@ -102,10 +106,10 @@ class TestBatchedLoss:
         params = model.parameters()
         summed = [np.zeros_like(p.data) for p in params]
         losses = []
-        for example in batch:
+        for i in range(len(batch.motion)):
             for p in params:
                 p.grad = None
-            loss = model.loss(example)
+            loss = model.loss(sequence(batch, i))
             tz.backward(loss)
             losses.append(loss.item())
             for total, p in zip(summed, params):
@@ -114,36 +118,36 @@ class TestBatchedLoss:
 
         for p in params:
             p.grad = None
-        loss = model.loss(*batch)
+        loss = model.loss(batch)
         tz.backward(loss)
         assert loss.item() == pytest.approx(np.mean(losses), rel=BATCH_RTOL)
         for (name, p), total in zip(model.store.params.items(), summed):
             got = np.zeros_like(p.data) if p.grad is None else p.grad
-            expected = total / len(batch)
+            expected = total / len(batch.motion)
             gap = np.max(np.abs(got - expected), initial=0.0)
             assert gap <= BATCH_RTOL * np.max(np.abs(expected), initial=0.0), name
 
     def test_batched_forward_gives_each_sequence_its_own_row(self, kind):
         model = MODELS[kind]()
         batch = make_batch(model, 3, seed=1)
-        visual = np.stack([e.visual for e in batch])
-        audio = np.stack([e.audio for e in batch])
         if kind == "basic":
-            rows = model.forward(visual, audio)[0].data
-            alone = [model.forward(e.visual, e.audio)[0].data[0] for e in batch]
+            rows = model.forward(batch.visual, batch.audio)[0].data
+            alone = [model.forward(v, a)[0].data[0] for v, a in zip(batch.visual, batch.audio)]
         else:
-            rows = model.forward(visual, audio, np.stack([e.fused for e in batch]))[1].data
-            alone = [model.forward(e.visual, e.audio, e.fused)[1].data[0] for e in batch]
+            rows = model.forward(batch.visual, batch.audio, batch.fused)[1].data
+            alone = [model.forward(v, a, f)[1].data[0]
+                     for v, a, f in zip(batch.visual, batch.audio, batch.fused)]
         np.testing.assert_allclose(rows, np.stack(alone), rtol=BATCH_RTOL, atol=1e-14)
 
-    def test_sequences_of_different_length_are_rejected(self, kind):
+    def test_visual_and_audio_of_different_length_are_rejected(self, kind):
         model = MODELS[kind]()
-        long, short = make_batch(model, 1, tokens=10)[0], make_batch(model, 1, tokens=8)[0]
+        batch = make_batch(model, 2, tokens=10)
+        mixed = replace(batch, audio=make_batch(model, 2, tokens=8).audio)
         with pytest.raises(InvalidInput) as err:
-            model.loss(long, short)
-        assert "(10, " in str(err.value) and "(8, " in str(err.value)
+            model.loss(mixed)
+        assert "(2, 10, " in str(err.value) and "(2, 8, " in str(err.value)
         with pytest.raises(InvalidInput):
-            train_step(model, [long, short], 0.1)
+            train_step(model, mixed, 0.1)
 
 
 def test_advanced_train_step_over_12_examples_is_one_small_graph(monkeypatch):
@@ -171,3 +175,52 @@ def test_sgd_step_updates_in_place_with_the_old_bits():
     tz.sgd_step([p], loss, 0.37)
     assert p.data is data
     np.testing.assert_array_equal(p.data, before - 0.37 * p.grad)
+
+
+def test_an_advanced_batch_without_event_labels_is_rejected():
+    model = AdvancedFusionModel(seed=0)
+    before = [p.data.copy() for p in model.parameters()]
+    with pytest.raises(InvalidInput, match="no event labels"):
+        train_step(model, replace(make_batch(model, 2), event=None), 0.1)
+    for b, p in zip(before, model.parameters()):
+        np.testing.assert_array_equal(b, p.data)
+
+
+@pytest.fixture(scope="module")
+def seed1_training(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("training-seed1")
+    generate_scenario(preset_scenario("training", seed=1), directory)
+    return directory
+
+
+@pytest.mark.parametrize("kind, widths", [("basic", (3, 4)), ("advanced", (4, 5))])
+def test_training_batch_stacks_each_span_of_window_token_rows(seed1_training, kind, widths):
+    config = Config()
+    config.fusion.model = kind
+    batch, _, _ = build_training_sequences(seed1_training, config)
+    assert batch.visual.shape == (12, 10, widths[0])
+    assert batch.audio.shape == (12, 10, widths[1])
+    assert batch.motion.tolist() == [1, 0] * 6
+    assert batch.event.tolist() == [{3: 4, 9: 3}.get(span, 0) for span in range(12)]
+
+    scenario, clip, jobs = open_capture(seed1_training, config.vision)
+    context = PipelineContext(config, scenario, clip.sample_rate)
+    windows = [context.tokenize(context.detect(context.analyze(job))) for job in jobs]
+    assert len(windows) == 120
+    for name in ("visual_row", "audio_row"):
+        rows = np.array([getattr(window, name) for window in windows]).reshape(12, 10, -1)
+        assert getattr(batch, name.removesuffix("_row")).tobytes() == rows.tobytes()
+    if kind == "basic":
+        assert batch.fused is None
+    else:
+        assert batch.fused.shape == (12, FUSED_DIM)
+        last = np.array([windows[10 * span + 9].fused for span in range(12)])
+        assert batch.fused.tobytes() == last.tobytes()
+
+
+def test_a_partial_last_span_is_dropped(seed1_training):
+    config = Config()
+    config.fusion.burst_tokens = 11
+    batch, _, _ = build_training_sequences(seed1_training, config)
+    assert batch.visual.shape == (10, 11, 3) and batch.audio.shape == (10, 11, 4)
+    assert len(batch.motion) == len(batch.event) == 10

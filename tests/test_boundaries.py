@@ -270,6 +270,18 @@ def test_diverging_trainer_exits_2_and_writes_no_model(training_capture, tmp_pat
     assert not list(out.glob("*.bin"))
 
 
+def test_capture_shorter_than_one_burst_is_a_config_error_and_writes_no_model(
+        canonical_capture, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"fusion": {"burst_tokens": 11}}))
+    out = tmp_path / "models"
+    assert cli_main(["--config", str(config), "--out", str(out), "train",
+                     str(canonical_capture)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: scenario too short to build any training sequence\n")
+    assert not (out / "fusion.bin").exists()
+
+
 @pytest.mark.parametrize("steps", [0, -3])
 def test_untrainable_autoencoder_steps_is_a_config_error_and_writes_no_model(
         training_capture, tmp_path, capsys, steps):

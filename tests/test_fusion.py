@@ -10,8 +10,8 @@ from avfuse.fusion import (
     AdvancedFusionModel,
     AudioEnsembleFusion,
     BasicFusionModel,
-    LabeledSequence,
     TokenNormalizer,
+    TrainingBatch,
     audio_row,
     load_model,
     save_model,
@@ -21,7 +21,7 @@ from avfuse.fusion import (
 )
 from avfuse.audio_dsp import spectral_stats
 from avfuse.vision_dsp import dwt2_energy
-from oracles import finite_diff_check, ref_advanced_forward, ref_basic_forward
+from oracles import finite_diff_check, ref_advanced_forward, ref_basic_forward, sequence
 
 SR = 16000
 
@@ -58,13 +58,17 @@ def make_separable_set(n_per_class=8, t=6, advanced=False, seed=42):
                 aud = np.abs(rng.normal(0, 0.01, size=(t, 5 if advanced else 4)))
             examples.append((vis, aud, label))
     rng.shuffle(examples)
-    norm = TokenNormalizer.fit([e[0] for e in examples], [e[1] for e in examples])
-    return [
-        LabeledSequence(norm.normalize_visual(v), norm.normalize_audio(a), l,
-                        fused=np.zeros(FUSED_DIM) if advanced else None,
-                        event_label=0 if advanced else None)
-        for v, a, l in examples
-    ]
+    visual, audio, labels = (np.array(column) for column in zip(*examples))
+    norm = TokenNormalizer.fit(visual, audio)
+    return TrainingBatch(norm.normalize_visual(visual), norm.normalize_audio(audio), labels,
+                         fused=np.zeros((len(labels), FUSED_DIM)) if advanced else None,
+                         event=np.zeros(len(labels), dtype=int) if advanced else None)
+
+
+def sequence_accuracy(model, batch):
+    """The share of ``batch``'s sequences whose motion argmax, predicted alone, is their label."""
+    return np.mean([np.argmax(model.predict(v, a)[0]) == label
+                    for v, a, label in zip(batch.visual, batch.audio, batch.motion)])
 
 
 class TestTokens:
@@ -240,8 +244,8 @@ class TestTraining:
 
     def test_single_example_loss_strictly_decreases(self):
         model = BasicFusionModel(seed=5)
-        example = make_separable_set(2)[0]
-        losses = [train_step(model, [example], 0.05) for _ in range(200)]
+        example = sequence(make_separable_set(2), 0)
+        losses = [train_step(model, example, 0.05) for _ in range(200)]
         assert losses[-1] < 0.1
         for i in range(len(losses) - 50):
             assert losses[i + 50] < losses[i]
@@ -253,23 +257,21 @@ class TestTraining:
         for step in range(1, 501):
             train_step(model, batch, 0.1)
             if step % 10 == 0:
-                accuracy = np.mean(
-                    [np.argmax(model.predict(e.visual, e.audio)[0]) == e.motion_label for e in batch]
-                )
+                accuracy = sequence_accuracy(model, batch)
                 if accuracy >= 0.95:
                     break
         assert accuracy >= 0.95
 
     def test_invalid_labels_rejected(self):
         model = BasicFusionModel(seed=0)
-        bad = LabeledSequence(np.zeros((2, 3)), np.zeros((2, 4)), motion_label=7)
+        bad = TrainingBatch(np.zeros((1, 2, 3)), np.zeros((1, 2, 4)), motion=np.array([7]))
         with pytest.raises(InvalidInput):
-            train_step(model, [bad], 0.1)
+            train_step(model, bad, 0.1)
         advanced = AdvancedFusionModel(seed=0)
-        bad_event = LabeledSequence(np.zeros((2, 4)), np.zeros((2, 5)), 0,
-                                    fused=np.zeros(FUSED_DIM), event_label=32)
+        bad_event = TrainingBatch(np.zeros((1, 2, 4)), np.zeros((1, 2, 5)), np.array([0]),
+                                  fused=np.zeros((1, FUSED_DIM)), event=np.array([32]))
         with pytest.raises(InvalidInput):
-            train_step(advanced, [bad_event], 0.1)
+            train_step(advanced, bad_event, 0.1)
 
     def test_basic_model_gradients_match_finite_differences(self):
         rng = np.random.default_rng(12)
@@ -288,7 +290,7 @@ class TestTraining:
         model = BasicFusionModel(seed=8)
         batch = make_separable_set(2)
         train_step(model, batch, 0.1)
-        norm = TokenNormalizer.fit([rng.normal(size=(4, 3))], [rng.normal(size=(4, 4))])
+        norm = TokenNormalizer.fit(rng.normal(size=(4, 3)), rng.normal(size=(4, 4)))
         path = tmp_path / "model.bin"
         save_model(path, model, norm)
         loaded, loaded_norm = load_model(path)

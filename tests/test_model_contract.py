@@ -18,8 +18,8 @@ from avfuse.fusion import (
     FUSED_DIM,
     AdvancedFusionModel,
     BasicFusionModel,
-    LabeledSequence,
     TokenNormalizer,
+    TrainingBatch,
     save_model,
 )
 from avfuse.pipeline import PipelineContext, open_capture
@@ -30,6 +30,13 @@ from test_param_layout import PINNED, layout_digests
 def tokens(rng, model, n=3):
     c = model.config
     return rng.normal(size=(n, c.visual_features)), rng.normal(size=(n, c.audio_features))
+
+
+def one(vis, aud, motion, fused=None, event=None):
+    """One (n, f) sequence and its labels as a batch of one."""
+    return TrainingBatch(vis[None], aud[None], np.array([motion]),
+                         None if fused is None else fused[None],
+                         None if event is None else np.array([event]))
 
 
 MODELS = {
@@ -71,7 +78,7 @@ class TestPredictAndLoss:
         else:
             np.testing.assert_array_equal(got_event, event.data.reshape(-1))
             expected += tz.cross_entropy(event, [5]).item()
-        loss = model.loss(LabeledSequence(vis, aud, 1, fused=fused, event_label=5)).item()
+        loss = model.loss(one(vis, aud, 1, fused=fused, event=5)).item()
         assert loss == expected
 
     @pytest.mark.parametrize("kind", sorted(MODELS))
@@ -80,13 +87,13 @@ class TestPredictAndLoss:
         model = MODELS[kind]()
         vis, aud = tokens(rng, model)
         with pytest.raises(InvalidInput, match="motion label 7 outside"):
-            model.loss(LabeledSequence(vis, aud, 7, event_label=0))
-        for label in (32, None):
-            bad_event = LabeledSequence(vis, aud, 0, event_label=label)
+            model.loss(one(vis, aud, 7, event=0))
+        for label, message in ((32, "event label 32 outside"), (None, "no event labels")):
+            bad_event = one(vis, aud, 0, event=label)
             if kind == "basic":
                 assert np.isfinite(model.loss(bad_event).item())  # no event head reads it
             else:
-                with pytest.raises(InvalidInput, match=f"event label {label} outside"):
+                with pytest.raises(InvalidInput, match=message):
                     model.loss(bad_event)
 
     @pytest.mark.parametrize("kind", sorted(MODELS))
@@ -94,14 +101,13 @@ class TestPredictAndLoss:
         rng = np.random.default_rng(4)
         model = MODELS[kind]()
         vis, aud = tokens(rng, model)
-        examples = [LabeledSequence(vis, aud, 1, fused=fused, event_label=2)
-                    for fused in (np.zeros(7), np.ones((2, 3)), None)]
-        if kind == "basic":
-            loss = model.loss(*examples).item()
-            assert loss == model.loss(*(replace(e, fused=None) for e in examples)).item()
-        else:
-            with pytest.raises(InvalidInput, match="fused"):
-                model.loss(*examples)
+        for fused in (np.zeros((1, 7)), np.ones((2, 3))):
+            batch = replace(one(vis, aud, 1, event=2), fused=fused)
+            if kind == "basic":
+                assert model.loss(batch).item() == model.loss(replace(batch, fused=None)).item()
+            else:
+                with pytest.raises(InvalidInput, match="fused"):
+                    model.loss(batch)
 
     def test_advanced_missing_fused_reads_as_zeros(self):
         rng = np.random.default_rng(2)
@@ -111,9 +117,8 @@ class TestPredictAndLoss:
         missing = model.predict(vis, aud)
         for got, expected in zip(missing, zeros):
             np.testing.assert_array_equal(got, expected)
-        example = LabeledSequence(vis, aud, 0, event_label=3)
-        assert model.loss(example).item() == model.loss(
-            LabeledSequence(vis, aud, 0, fused=np.zeros(FUSED_DIM), event_label=3)).item()
+        assert model.loss(one(vis, aud, 0, event=3)).item() == model.loss(
+            one(vis, aud, 0, fused=np.zeros(FUSED_DIM), event=3)).item()
 
 
 class TestBasicContext:
@@ -136,8 +141,7 @@ class TestFixedEnsembleReduction:
         rng = np.random.default_rng(5)
         model = AdvancedFusionModel(seed=0)
         vis, aud = tokens(rng, model)
-        example = LabeledSequence(vis, aud, 1, fused=rng.normal(size=FUSED_DIM), event_label=2)
-        fusion.train_step(model, [example], 0.01)
+        fusion.train_step(model, one(vis, aud, 1, fused=rng.normal(size=FUSED_DIM), event=2), 0.01)
         assert [name for name, p in model.store.params.items() if p.grad is None] == []
         assert len(model.parameters()) == 130
 

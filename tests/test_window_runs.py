@@ -10,7 +10,7 @@ import pytest
 import avfuse.pipeline
 from avfuse.config import Config
 from avfuse.errors import AvFuseError, InvalidInput
-from avfuse.fusion import FUSED_DIM, LabeledSequence, build_model
+from avfuse.fusion import FUSED_DIM, TrainingBatch, build_model
 from avfuse.io import load_capture
 from avfuse.pipeline import (
     RUN,
@@ -174,13 +174,13 @@ class TestBatchedForward:
         model = build_model(config.fusion)
         c = model.config
         rng = np.random.default_rng(7)
-        batch = [LabeledSequence(visual=rng.normal(size=(10, c.visual_features)),
-                                 audio=rng.normal(size=(10, c.audio_features)),
-                                 motion_label=int(label), fused=rng.normal(size=FUSED_DIM))
-                 for label in rng.integers(0, 2, size=12)]
-        correct = sum(int(np.argmax(model.predict(e.visual, e.audio, e.fused)[0])) == e.motion_label
-                      for e in batch)
-        assert _motion_accuracy(model, batch) == correct / len(batch)
+        batch = TrainingBatch(visual=rng.normal(size=(12, 10, c.visual_features)),
+                              audio=rng.normal(size=(12, 10, c.audio_features)),
+                              motion=rng.integers(0, 2, size=12),
+                              fused=rng.normal(size=(12, FUSED_DIM)))
+        correct = sum(int(np.argmax(model.predict(v, a, f)[0])) == label
+                      for v, a, f, label in zip(batch.visual, batch.audio, batch.fused, batch.motion))
+        assert _motion_accuracy(model, batch) == correct / 12
 
 
 class TestRunFailuresAndLatency:
