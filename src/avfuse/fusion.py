@@ -239,13 +239,15 @@ def _encoder_layer(block, x: Tensor, context: Tensor, heads: int, blocks: int) -
 
 
 def _cross_entropy(kind: str, logits: Tensor, labels) -> Tensor:
-    """Mean cross-entropy of ``logits`` rows against labels, each checked against the width."""
+    """Mean cross-entropy of ``logits`` rows against labels, each checked to be a class index."""
     if labels is None:
         raise InvalidInput(f"no {kind} labels for the model's {kind} head")
     classes = logits.shape[1]
     for label in labels:
         if not 0 <= label < classes:
             raise InvalidInput(f"{kind} label {label} outside [0, {classes})")
+        if label != int(label):
+            raise InvalidInput(f"{kind} label {label} is not an integer")
     return tz.cross_entropy(logits, labels)
 
 

@@ -97,6 +97,22 @@ class TestPredictAndLoss:
                     model.loss(bad_event)
 
     @pytest.mark.parametrize("kind", sorted(MODELS))
+    def test_a_fractional_label_is_named(self, kind):
+        rng = np.random.default_rng(3)
+        model = MODELS[kind]()
+        vis, aud = tokens(rng, model)
+        for label in (0.5, 1.9):
+            with pytest.raises(InvalidInput, match=f"motion label {label} is not an integer"):
+                model.loss(one(vis, aud, label, event=0))
+            bad_event = one(vis, aud, 0, event=label)
+            if kind == "basic":
+                assert np.isfinite(model.loss(bad_event).item())  # no event head reads it
+            else:
+                with pytest.raises(InvalidInput, match=f"event label {label} is not an integer"):
+                    model.loss(bad_event)
+        assert np.isfinite(model.loss(one(vis, aud, 1.0, event=2.0)).item())
+
+    @pytest.mark.parametrize("kind", sorted(MODELS))
     def test_fused_is_read_only_with_an_ensemble(self, kind):
         rng = np.random.default_rng(4)
         model = MODELS[kind]()

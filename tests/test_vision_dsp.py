@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from avfuse.vision_dsp import (
     DenseFlow,
     dwt2_energy,
     preprocess_frame,
+    preprocess_frames,
 )
 from oracles import reference_dwt2_energies, reference_horn_schunck, reference_nlm
 
@@ -40,6 +43,17 @@ def scalar_nlm(pixels, patch=3, search=7, strength=10.0):
                     den += weight
             out[y, x] = num / den
     return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+
+
+def two_valued_frames(size=16):
+    """Frames of two values a and a + d as steps, stripes, checkerboards, 2x2 checkerboards,
+    diagonals and discs: equal-weight neighbours that put a mean on an exact .5 are likeliest here."""
+    y, x = np.indices((size, size))
+    masks = [x >= size // 2, y >= size // 3, x % 2 == 0, y % 3 == 0, (x + y) % 2 == 0,
+             (x // 2 + y // 2) % 2 == 0, x >= y, x + y < size,
+             (y - size / 2 + 0.5) ** 2 + (x - size / 2 + 0.5) ** 2 <= (size / 4) ** 2]
+    return np.stack([np.where(mask, a + d, a).astype(np.uint8) for mask in masks
+                     for d in (1, 2, 3, 5) for a in (0, 100, 250)])
 
 
 def gaussian_blob(h, w, cy, cx, sigma=6.0, amp=200.0):
@@ -116,6 +130,33 @@ class TestPreprocessFrame:
         for frame in random_frames(shape):
             np.testing.assert_array_equal(preprocess_frame(frame, patch, search),
                                           reference_nlm(frame, patch, search))
+
+    @pytest.mark.parametrize("patch,search,strength", [(3, 7, 10), (3, 5, 1), (1, 3, 0.5),
+                                                        (5, 9, 2), (3, 7, 100), (1, 5, 1e3),
+                                                        (1, 3, 1 / np.sqrt(np.log(2)))])
+    def test_bytes_equal_reference_on_rounding_tie_probes(self, patch, search, strength):
+        """Each +-offset pair is added after the center, not in raster order; only a mean within
+        rounding of a .5 tie could tell the orders apart, and two-valued frames are where ties
+        sit. At the last strength a neighbour one level apart weighs exactly 1/2, so a stripe
+        pixel with three equal and six differing neighbours averages to an exact .5."""
+        frames = two_valued_frames()
+        denoised = preprocess_frames(frames, patch, search, strength)
+        for frame, out in zip(frames, denoised):
+            np.testing.assert_array_equal(out, reference_nlm(frame, patch, search, strength))
+
+    def test_memory_does_not_grow_with_the_search_window(self):
+        """One weight plane at a time: at search 15 the peak stays under twice that at search 3,
+        where a plane kept per offset pair would take about 30 times as much."""
+        frames = random_frames((64, 64), count=4)
+        peaks = []
+        for search in (3, 15):
+            tracemalloc.start()
+            try:
+                preprocess_frames(np.stack(frames), 3, search)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0], peaks
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bytes_equal_reference_where_the_flat_rows_wrap(self, injection_capture):
