@@ -146,7 +146,7 @@ class TestPreprocessFrame:
 
     def test_memory_does_not_grow_with_the_search_window(self):
         """One weight plane at a time: at search 15 the peak stays under twice that at search 3,
-        where a plane kept per offset pair would take about 30 times as much."""
+        where keeping one plane per offset pair would take about ten times as much."""
         frames = random_frames((64, 64), count=4)
         peaks = []
         for search in (3, 15):
