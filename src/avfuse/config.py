@@ -34,6 +34,10 @@ DEFAULT_ANOMALY_LABELS = ("smoke", "fire", "leak", "structural_damage", "explosi
 
 MAX_TOKENS = 64  # positions in the advanced fusion model's table
 
+# Horn-Schunck runs every iteration over every frame pair: 100 times the default
+# is about 0.2 s per 64x64 pair, a slow run rather than one that never ends.
+FLOW_ITERATIONS_MAX = 10_000
+
 
 @dataclass
 class DetectorConfig:
@@ -128,6 +132,8 @@ class Config:
               f"vision.flow_alpha must be between {FLOW_ALPHA_MIN:g} and {FLOW_ALPHA_MAX}, "
               "because Horn-Schunck squares it in float32")
         check(v.flow_iterations >= 1, "vision.flow_iterations must be >= 1")
+        check(v.flow_iterations <= FLOW_ITERATIONS_MAX,
+              f"vision.flow_iterations must be <= {FLOW_ITERATIONS_MAX}")
 
         f = self.fusion
         check(f.model in ("basic", "advanced"), "fusion.model must be 'basic' or 'advanced'")

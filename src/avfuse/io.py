@@ -7,7 +7,9 @@ a ``manifest.json`` listing ``{"file", "timestamp_s"}`` per frame.
 from __future__ import annotations
 
 import json
+import os
 import wave
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -67,21 +69,55 @@ def write_wav(path: str | Path, samples: np.ndarray, sample_rate: int) -> None:
         wav.writeframes(quantized.astype("<i2").tobytes())
 
 
-def read_wav(path: str | Path) -> tuple[np.ndarray, int]:
-    """Read a 16-bit PCM mono WAV into float64 samples in [-1, 1]."""
+@dataclass(frozen=True)
+class WavLayout:
+    """Where a 16-bit PCM mono WAV keeps its samples, found without reading them."""
+
+    path: Path
+    sample_rate: int
+    n_samples: int
+    offset: int  # byte offset of the first sample
+
+
+def open_wav(path: str | Path) -> WavLayout:
+    """Check a 16-bit PCM mono WAV's header and that the file holds every sample it declares."""
+    path = Path(path)
     try:
-        with wave.open(str(path), "rb") as wav:
+        with open(path, "rb") as file, wave.open(file, "rb") as wav:
             if wav.getnchannels() != 1 or wav.getsampwidth() != 2:
                 raise InvalidInput(f"{path}: expected 16-bit mono PCM")
             sample_rate = wav.getframerate()
-            expected = 2 * wav.getnframes()
-            raw = wav.readframes(wav.getnframes())
+            n_samples = wav.getnframes()
+            offset = file.tell()  # wave.open stops at the data chunk's first sample
+            size = os.fstat(file.fileno()).st_size
     except (wave.Error, EOFError, RuntimeError) as exc:  # RuntimeError: a bad chunk size
         raise InvalidInput(f"{path}: not a readable WAV file ({exc!r})") from exc
-    if len(raw) != expected:
-        raise InvalidInput(f"{path}: truncated WAV, {len(raw)} of {expected} sample bytes")
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / INT16_MAX
-    return samples, sample_rate
+    expected = 2 * n_samples
+    if size - offset < expected:
+        raise InvalidInput(f"{path}: truncated WAV, {max(size - offset, 0)} of {expected} "
+                           "sample bytes")
+    return WavLayout(path, sample_rate, n_samples, offset)
+
+
+def read_samples(wav: WavLayout, spans: list[tuple[int, int]]) -> list[np.ndarray]:
+    """Samples ``lo`` to ``hi`` of each ``(lo, hi)`` span as float64 in [-1, 1], each read
+    by its position in the file. The int16 to float conversion is elementwise, so a span
+    holds the bits the whole clip read at once would."""
+    out = []
+    with open(wav.path, "rb") as file:
+        for lo, hi in spans:
+            file.seek(wav.offset + 2 * lo)
+            raw = file.read(2 * (hi - lo))
+            if len(raw) != 2 * (hi - lo):
+                raise InvalidInput(f"{wav.path}: truncated WAV, shorter than sample {hi}")
+            out.append(np.frombuffer(raw, dtype="<i2").astype(np.float64) / INT16_MAX)
+    return out
+
+
+def read_wav(path: str | Path) -> tuple[np.ndarray, int]:
+    """Read a 16-bit PCM mono WAV into float64 samples in [-1, 1]."""
+    wav = open_wav(path)
+    return read_samples(wav, [(0, wav.n_samples)])[0], wav.sample_rate
 
 
 def write_manifest(
@@ -103,25 +139,55 @@ def write_manifest(
     return path
 
 
-def load_capture(directory: str | Path) -> tuple[FrameBurst, AudioClip]:
-    """Load a burst and its clip from a manifest directory."""
-    directory = Path(directory)
-    manifest_path = directory / "manifest.json"
-    if not manifest_path.exists():
-        raise InvalidInput(f"missing manifest: {manifest_path}")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-        entries = [(directory / entry["file"], float(entry["timestamp_s"]))
-                   for entry in manifest["frames"]]
-        audio_path = directory / manifest["audio"]["file"]
-        start_s = float(manifest["audio"].get("start_s", 0.0))
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise InvalidInput(f"{manifest_path}: malformed manifest "
-                           f"({type(exc).__name__}: {exc})") from exc
+class Capture:
+    """A capture directory opened for reading by position.
 
-    try:
-        frames = tuple(Frame(read_pgm(path), t) for path, t in entries)
-        samples, sample_rate = read_wav(audio_path)
-    except OSError as exc:
-        raise InvalidInput(f"{manifest_path}: cannot read a file it names ({exc})") from exc
-    return FrameBurst(frames), AudioClip(samples, sample_rate, start_s)
+    Opening parses the manifest and checks the WAV's header; no frame and
+    no sample is read until asked for, so a reader holds one window at a
+    time however long the capture is. A file the manifest names that cannot
+    be opened is an :class:`InvalidInput` naming the manifest.
+    """
+
+    def __init__(self, directory: str | Path):
+        directory = Path(directory)
+        self.manifest = directory / "manifest.json"
+        if not self.manifest.exists():
+            raise InvalidInput(f"missing manifest: {self.manifest}")
+        try:
+            manifest = json.loads(self.manifest.read_text())
+            # Paths are kept as strings, which take under half of a Path's memory.
+            entries = [(str(directory / entry["file"]), float(entry["timestamp_s"]))
+                       for entry in manifest["frames"]]
+            audio_path = directory / manifest["audio"]["file"]
+            self.start_s = float(manifest["audio"].get("start_s", 0.0))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise InvalidInput(f"{self.manifest}: malformed manifest "
+                               f"({type(exc).__name__}: {exc})") from exc
+        self.frame_paths = [path for path, _ in entries]
+        self.timestamps = [t for _, t in entries]
+        self.wav = self._reading(open_wav, audio_path)
+
+    @property
+    def sample_rate(self) -> int:
+        return self.wav.sample_rate
+
+    def read_frame(self, index: int) -> np.ndarray:
+        return self._reading(read_pgm, self.frame_paths[index])
+
+    def read_samples(self, spans: list[tuple[int, int]]) -> list[np.ndarray]:
+        """See :func:`read_samples`."""
+        return self._reading(read_samples, self.wav, spans)
+
+    def _reading(self, read, *args):
+        try:
+            return read(*args)
+        except OSError as exc:
+            raise InvalidInput(f"{self.manifest}: cannot read a file it names ({exc})") from exc
+
+
+def load_capture(directory: str | Path) -> tuple[FrameBurst, AudioClip]:
+    """Load a burst and its whole clip from a manifest directory."""
+    capture = Capture(directory)
+    frames = tuple(Frame(capture.read_frame(i), t) for i, t in enumerate(capture.timestamps))
+    samples = capture.read_samples([(0, capture.wav.n_samples)])[0]
+    return FrameBurst(frames), AudioClip(samples, capture.sample_rate, capture.start_s)

@@ -1,19 +1,22 @@
-"""Staged runtime: a bounded ingest queue, event log, artifacts, training.
+"""Staged runtime: chunked ingest, event log, artifacts, training.
 
 Windows flow through ingest -> analyze -> detect -> tokenize -> fuse ->
 score -> sink. One runner, :func:`run_stages`, drives every stage chain,
-training included, on the calling thread: ingest fills one bounded
-drop-oldest queue, and each stage then runs over every window the queue
-released before the next stage starts. An overflowing queue sheds its
-oldest window; every drop is counted and ``ingested == processed +
-dropped`` holds exactly. A stage takes a run of consecutive windows:
-analyze and fuse take up to ``RUN`` at once, so that non-local means,
-Horn-Schunck and the fusion forward each make one call per run, and the
-other stages take one. A window's stage latency is its share of its
-run's time. The first stage that raises fails the run with an error
-naming the stage and the window whose step failed, or the run's windows
-for a step over the whole run. The sink writes the event log in the
-order it makes the records, which is window order.
+training included, on the calling thread, one chunk of ``CHUNK``
+consecutive windows at a time: ingest reads a chunk's frames and audio
+samples when the chunk starts, each stage runs over the chunk in window
+order, and the sink appends the chunk's records to the event log before
+the next chunk is read. So memory stays flat in the capture's length.
+Ingest keeps the last ``capacity`` windows and sheds the rest unread;
+every drop is counted and ``ingested == processed + dropped`` holds
+exactly. A stage takes a run of consecutive windows: analyze and fuse
+take up to ``RUN`` at once, so that non-local means, Horn-Schunck and the
+fusion forward each make one call per run, the sink takes the whole
+chunk and the other stages take one. A window's stage latency is its
+share of its run's time. The first stage that raises fails the run with
+an error naming the stage and the window whose step failed, or the run's
+windows for a step over the whole run. The sink writes the event log in
+the order it makes the records, which is window order.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import json
 import time
 from collections import deque
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from itertools import groupby
@@ -55,9 +59,11 @@ from .fusion import (
     train_step,
     visual_row,
 )
-from .io import load_capture, write_pgm, write_wav
+from .io import Capture, write_pgm, write_wav
+from .io import load_capture  # noqa: F401  perfbench/tracing.py wraps it here by name
 from .scenario import Scenario
-from .timebase import AudioClip, align_audio_to_frames, validate_burst
+from .timebase import align_audio_to_frames  # noqa: F401  perfbench/tracing.py wraps it here by name
+from .timebase import padded_window, validate_timestamps, window_span, window_starts
 from .vision_dsp import (
     DenseFlow,
     FlowField,
@@ -77,6 +83,17 @@ DIVERGED_LOSS_RATIO = 1000.0
 # fall out of cache and make each window slower.
 RUN = 4
 
+# The windows the runner reads and takes through every stage at once. A multiple
+# of RUN, so that runs, and fuse's groups of equal-length sequences, stay as they
+# would be over the whole capture. Each chunk frees what its stages held, and
+# glibc returns the top of the heap, so the next chunk pays about 1000 page
+# faults (2-3 ms) to grow it again: 64 makes that 2% of a basic window, 16 made
+# it 10% (BENCH_31.json measures 4, 8, 16 and 64).
+CHUNK = 64
+
+# The event log's name until the run ends; a run that fails leaves no event log.
+PARTIAL_LOG = "events.jsonl.partial"
+
 
 @dataclass(frozen=True)
 class WindowJob:
@@ -90,7 +107,6 @@ class WindowJob:
     wavelet: WaveletEnergy | None = None
     flow: float = 0.0  # mean flow magnitude; 0.0 where no flow runs
     stats: SpectralStats | None = None
-    fused: np.ndarray | None = None
     detections: tuple = ()
     tracks: tuple = ()  # one event-log dict per live track
     visual_row: np.ndarray | None = None
@@ -101,7 +117,10 @@ class WindowJob:
 
 
 class StageQueue:
-    """Bounded FIFO with drop-oldest overflow, so a put never fails."""
+    """Bounded FIFO with drop-oldest overflow, so a put never fails.
+
+    The runner sheds by position instead (:func:`run_stages`); perfbench's
+    tracer still wraps ``put`` by name."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
@@ -161,8 +180,8 @@ class PipelineContext:
     def analyze_run(self, jobs: list[WindowJob]) -> list[WindowJob]:
         """Analyze consecutive windows: one NLM call on their frame stack and one
         Horn-Schunck call on their (previous, next) pairs, the first pair
-        reaching back to the last frame of the run before; the DWT, spectral
-        statistics and ensemble embed run per window."""
+        reaching back to the last frame of the run before; the DWT and the
+        spectral statistics run per window."""
         v = self.config.vision
         frames = preprocess_frames(np.stack([job.raw for job in jobs]), patch=v.nlm_patch,
                                    search=v.nlm_search, strength=v.nlm_strength)
@@ -179,16 +198,12 @@ class PipelineContext:
                     if self.export_dir is not None:
                         export_flow_csv(self.export_dir / f"flow_{jobs[i].index:04d}.csv", field)
         self._prev_frame = frames[-1]
-        ensemble = self.model.ensemble
         out = []
         for job, frame, flow in zip(jobs, frames, flows):
             with _naming(job):
                 wavelet = dwt2_energy(frame)
                 stats = spectral_stats(job.samples, self.sample_rate)
-                fused = (ensemble.embed(job.samples, self.sample_rate)
-                         if ensemble is not None else None)
-            out.append(replace(job, preprocessed=frame, wavelet=wavelet, flow=flow,
-                               stats=stats, fused=fused))
+            out.append(replace(job, preprocessed=frame, wavelet=wavelet, flow=flow, stats=stats))
         return out
 
     def detect(self, job: WindowJob) -> WindowJob:
@@ -222,17 +237,23 @@ class PipelineContext:
     def fuse_run(self, jobs: list[WindowJob]) -> list[WindowJob]:
         """Fuse consecutive windows: each window's rows join the token deques
         in turn, and windows whose sequences have equal length share one
-        ``predict``, the shorter warm-up sequences each alone."""
+        ``predict``, the shorter warm-up sequences each alone. The advanced
+        model's audio ensemble embeds each window's samples here, the one
+        stage that reads the embed."""
+        ensemble = self.model.ensemble
         sequences = []
         for job in jobs:
             self._visual_rows.append(job.visual_row)
             self._audio_rows.append(job.audio_row)
-            sequences.append((job, np.stack(self._visual_rows), np.stack(self._audio_rows)))
+            fused = None
+            if ensemble is not None:
+                with _naming(job):
+                    fused = ensemble.embed(job.samples, self.sample_rate)
+            sequences.append((job, np.stack(self._visual_rows), np.stack(self._audio_rows), fused))
         out = []
         for _, group in groupby(sequences, key=lambda sequence: len(sequence[1])):
-            group_jobs, visual, audio = zip(*group)
-            fused = (None if self.model.ensemble is None
-                     else np.stack([job.fused for job in group_jobs]))
+            group_jobs, visual, audio, fused = zip(*group)
+            fused = None if ensemble is None else np.stack(fused)
             motion, event = self.model.predict(np.stack(visual), np.stack(audio), fused)
             motion = motion.reshape(len(group_jobs), -1)
             if event is not None:
@@ -268,11 +289,19 @@ class PipelineContext:
 
 
 class Sink:
-    """Terminal stage: event records, artifact persistence, counters."""
+    """Terminal stage: event records, artifact persistence, counters.
+
+    It takes a whole chunk (:meth:`write_chunk`) and appends the chunk's
+    records to ``PARTIAL_LOG`` in ``out_dir``, so ``records`` holds one
+    chunk's at most; :meth:`close` appends the rest and renames the log to
+    ``events.jsonl``.
+    """
 
     def __init__(self, out_dir: Path, sample_rate: int):
         self.out_dir = out_dir
         self.sample_rate = sample_rate
+        self.partial_log = out_dir / PARTIAL_LOG
+        self.partial_log.write_text("")
         self.records: list[dict] = []
         self.windows_processed = 0
         self.anomalies_triggered = 0
@@ -320,6 +349,20 @@ class Sink:
         self.windows_processed += 1
         return job
 
+    def write_chunk(self, jobs: list[WindowJob]) -> list[WindowJob]:
+        """Log each window of a chunk, then append the chunk's records to the log."""
+        for job in jobs:
+            with _naming(job):
+                self(job)
+        emit_event_log(self.records, self.partial_log)
+        self.records.clear()
+        return jobs
+
+    def close(self) -> Path:
+        """Append what is left, then give the log its final name."""
+        emit_event_log(self.records, self.partial_log)
+        return self.partial_log.replace(self.out_dir / "events.jsonl")
+
 
 def persist_anomaly_artifact(report, frame: np.ndarray, samples: np.ndarray,
                              sample_rate: int, root: str | Path) -> list[Path]:
@@ -348,18 +391,21 @@ def persist_anomaly_artifact(report, frame: np.ndarray, samples: np.ndarray,
 
 
 def emit_event_log(records: list[dict], path: str | Path) -> Path:
-    """Line-delimited JSON, one record per line in the order given.
+    """Append ``records`` to ``path`` as line-delimited JSON, one record per
+    line in the order given.
 
     :func:`run_pipeline` makes its records already ordered by (t, window,
-    kind), so nothing is sorted: :func:`timebase.validate_burst` rejects
-    frame timestamps that do not strictly increase; the one queue releases
-    windows in ingest order, and the sink logs each window's detection,
-    track, classification and anomaly records in that order; the metric
-    records come last, stamped with the last window, which drop-oldest
-    never sheds.
+    kind), so nothing is sorted and each chunk's records can be appended as
+    soon as the sink has them: :func:`timebase.validate_timestamps` rejects
+    frame timestamps that do not strictly increase; the runner takes the
+    windows in ingest order, chunk after chunk, and the sink logs each
+    window's detection, track, classification and anomaly records in that
+    order; the metric records come last, stamped with the last window,
+    which ingest never sheds.
     """
     path = Path(path)
-    path.write_text("".join(json.dumps(record, sort_keys=True) + "\n" for record in records))
+    with path.open("a") as log:
+        log.writelines(json.dumps(record, sort_keys=True) + "\n" for record in records)
     return path
 
 
@@ -408,32 +454,69 @@ def export_audio_features(samples: np.ndarray, sample_rate: int, export_dir: Pat
         np.savetxt(export_dir / "scalogram.csv", scalogram[:, ::EXPORT_HOP], delimiter=",")
 
 
-def open_capture(capture_dir: str | Path,
-                 vision: VisionConfig) -> tuple[Scenario, AudioClip, list[WindowJob]]:
-    """Scenario, audio clip and one fresh job per aligned window of a capture.
+class CaptureWindows(Sequence):
+    """One :class:`WindowJob` per aligned window of an opened capture.
 
-    A ``vision.nlm_search`` wider than the frames is a config error.
+    Indexing reads the windows' frames and audio samples then, a slice's
+    samples through one open file; nothing is kept between reads. Every
+    frame must have frame 0's size, checked as it is read.
+    """
+
+    def __init__(self, capture: Capture, shape: tuple[int, ...]):
+        self.capture = capture
+        self.shape = shape
+        self.window_len, self.starts = window_starts(capture.timestamps, capture.wav.n_samples,
+                                                     capture.sample_rate, capture.start_s)
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return self._read(range(*key.indices(len(self))))
+        return self._read([range(len(self))[key]])[0]
+
+    def _read(self, indices) -> list[WindowJob]:
+        n_samples = self.capture.wav.n_samples
+        bodies = self.capture.read_samples([window_span(self.starts[i], self.window_len, n_samples)
+                                            for i in indices])
+        return [WindowJob(index=i, timestamp=self.capture.timestamps[i], raw=self._frame(i),
+                          samples=padded_window(i, body, self.starts[i], self.window_len).samples)
+                for i, body in zip(indices, bodies)]
+
+    def _frame(self, index: int) -> np.ndarray:
+        pixels = self.capture.read_frame(index)
+        if pixels.shape != self.shape:
+            raise InvalidInput(f"invalid burst: frame {index}: dimensions {pixels.shape} "
+                               f"differ from frame 0 {self.shape}")
+        return pixels
+
+
+def open_capture(capture_dir: str | Path,
+                 vision: VisionConfig) -> tuple[Scenario, Capture, CaptureWindows]:
+    """Scenario, opened capture and its windows, each read when indexed.
+
+    The manifest, the WAV header, the timestamps, frame 0 and every
+    window's place in the clip are checked here, before any stage runs;
+    frame 0 gives the size the DWT and NLM checks take and every frame must
+    have. A ``vision.nlm_search`` wider than the frames is a config error.
     """
     capture_dir = Path(capture_dir)
     scenario_path = capture_dir / "scenario.json"
     if not scenario_path.exists():
         raise InvalidInput(f"missing scenario definition: {scenario_path}")
     scenario = Scenario.from_json(scenario_path)
-    burst, clip = load_capture(capture_dir)
-    validation = validate_burst(burst)
+    capture = Capture(capture_dir)
+    validation = validate_timestamps(capture.timestamps)
     if not validation.ok:
         raise InvalidInput("invalid burst: " + "; ".join(validation.violations))
-    check_dwt_sides(*burst.frames[0].pixels.shape)
+    shape = capture.read_frame(0).shape
+    check_dwt_sides(*shape)
     try:
-        check_nlm_search(vision.nlm_search, *burst.frames[0].pixels.shape)
+        check_nlm_search(vision.nlm_search, *shape)
     except InvalidInput as exc:
         raise InvalidConfig([f"vision.nlm_search: {exc} in {capture_dir}"]) from exc
-    jobs = [
-        WindowJob(index=w.frame_index, timestamp=burst.frames[w.frame_index].timestamp,
-                  raw=burst.frames[w.frame_index].pixels, samples=w.samples)
-        for w in align_audio_to_frames(burst, clip)
-    ]
-    return scenario, clip, jobs
+    return scenario, capture, CaptureWindows(capture, shape)
 
 
 class _WindowFailed(Exception):
@@ -464,42 +547,51 @@ def _windows(jobs: list) -> str:
     return f"windows {jobs[0].index}-{jobs[-1].index}"
 
 
-def run_stages(stages: list, jobs: list[WindowJob],
-               capacity: int) -> tuple[list, StageQueue, dict[str, list[float]]]:
-    """Push ``jobs`` through ``(name, fn, run)`` stages behind one bounded queue.
+def run_stages(stages: list, windows: Sequence,
+               capacity: int) -> tuple[int, dict[str, list[float]]]:
+    """Take the last ``capacity`` of ``windows`` through ``(name, fn, run)`` stages,
+    chunk by chunk.
 
-    Ingest puts every job into one drop-oldest queue of ``capacity``, which
-    sheds what overflows; then each stage runs over every window the queue
-    released, in order, before the next stage starts, all on the calling
-    thread. A stage's ``fn`` takes a list of at most ``run`` consecutive
-    windows and returns their outputs; :func:`per_window` makes one from a
-    one-window step. Returns the last stage's outputs, the queue and each
-    stage's latency per window in ms: each window's share of its run's time.
-    The first stage that raises is re-raised as an :class:`AvFuseError`
-    naming the stage and the run's windows, or the one window whose step
-    failed.
+    The first ``len(windows) - capacity`` windows are shed unread. The rest
+    go in chunks of ``CHUNK``: slicing ``windows`` reads a chunk's windows
+    when it starts, every stage runs over it in window order, and it is
+    released after the last stage, all on the calling thread. A stage's
+    ``fn`` takes a list of at most ``run`` consecutive windows and returns
+    their outputs; :func:`per_window` makes one from a one-window step.
+
+    The bytes do not depend on the chunk size: state crosses windows only
+    through the stages' own state (the previous frame, the baselines, the
+    token deques, the tracker), and each stage still sees every window in
+    order. ``CHUNK`` is a multiple of ``RUN`` and chunks start at the
+    first kept window, so each run, and each of fuse's groups of
+    equal-length sequences, holds the windows it would over the whole
+    capture at once.
+
+    Returns the number of windows shed and each stage's latency per window
+    in ms: each window's share of its run's time. The first stage that
+    raises is re-raised as an :class:`AvFuseError` naming the stage and the
+    run's windows, or the one window whose step failed.
     """
-    queue = StageQueue(capacity)
-    for job in jobs:
-        queue.put(job)
-    batch = list(iter(queue.get, None))
+    shed = max(0, len(windows) - capacity)
     latencies: dict[str, list[float]] = {name: [] for name, _, _ in stages}
-    for name, fn, run in stages:
-        outputs = []
-        for first in range(0, len(batch), run):
-            jobs_run = batch[first:first + run]
-            start = time.perf_counter()
-            try:
-                outputs += fn(jobs_run)
-            except _WindowFailed as failed:
-                cause = failed.__cause__
-                raise AvFuseError(f"window {failed.window}: {name} stage failed: {cause}") from cause
-            except Exception as exc:
-                raise AvFuseError(f"{_windows(jobs_run)}: {name} stage failed: {exc}") from exc
-            share = (time.perf_counter() - start) * 1e3 / len(jobs_run)
-            latencies[name] += [share] * len(jobs_run)
-        batch = outputs
-    return batch, queue, latencies
+    for chunk_start in range(shed, len(windows), CHUNK):
+        batch = windows[chunk_start:chunk_start + CHUNK]
+        for name, fn, run in stages:
+            outputs = []
+            for first in range(0, len(batch), run):
+                jobs_run = batch[first:first + run]
+                start = time.perf_counter()
+                try:
+                    outputs += fn(jobs_run)
+                except _WindowFailed as failed:
+                    cause = failed.__cause__
+                    raise AvFuseError(f"window {failed.window}: {name} stage failed: {cause}") from cause
+                except Exception as exc:
+                    raise AvFuseError(f"{_windows(jobs_run)}: {name} stage failed: {exc}") from exc
+                share = (time.perf_counter() - start) * 1e3 / len(jobs_run)
+                latencies[name] += [share] * len(jobs_run)
+            batch = outputs
+    return shed, latencies
 
 
 def run_pipeline(
@@ -514,59 +606,67 @@ def run_pipeline(
 ) -> RunSummary:
     """Run the staged pipeline over a capture directory.
 
-    ``runtime.queue_capacity`` is the capacity of the one ingest queue,
-    validated with the rest of the config before any file loads. Only that
-    queue can drop, so every other stage reports 0 dropped. ``deterministic``
-    sizes it to hold every window so nothing drops; with drops impossible
-    the event log and artifacts are byte-identical across runs. A stage that raises fails the run with an
-    :class:`AvFuseError` naming the window and the stage (exit code 2).
+    ``runtime.queue_capacity`` is how many windows ingest keeps, the last
+    ones, validated with the rest of the config before any file loads. Only
+    ingest can drop, so every other stage reports 0 dropped. ``deterministic``
+    keeps every window so nothing drops; with drops impossible the event log
+    and artifacts are byte-identical across runs. A stage that raises fails
+    the run with an :class:`AvFuseError` naming the window and the stage
+    (exit code 2), and a frame that cannot be read fails it with an
+    :class:`InvalidInput` naming the file; either way the run leaves no
+    ``events.jsonl``, though the artifacts of chunks the sink finished stay.
     """
     config.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    scenario, clip, jobs = open_capture(capture_dir, config.vision)
+    scenario, capture, windows = open_capture(capture_dir, config.vision)
 
     # Inference runs in float32 (see tensor): a model file is read as float32,
     # and the cast then reaches the untrained model and the ensemble.
     model_bundle = load_model(model_path, np.float32) if model_path else None
     autoencoder = anomaly_mod.load_autoencoder(autoencoder_path) if autoencoder_path else None
-    context = PipelineContext(config, scenario, clip.sample_rate,
+    context = PipelineContext(config, scenario, capture.sample_rate,
                               model_bundle=model_bundle, autoencoder=autoencoder,
                               export_dir=export_dir, seed=seed)
     context.model.cast_to_float32()
     if export_dir is not None:
-        export_audio_features(clip.samples, clip.sample_rate, Path(export_dir))
+        export_audio_features(capture.read_samples([(0, capture.wav.n_samples)])[0],
+                              capture.sample_rate, Path(export_dir))
 
-    sink = Sink(out_dir, clip.sample_rate)
+    sink = Sink(out_dir, capture.sample_rate)
     stages = [
         ("analyze", context.analyze_run, RUN),
         per_window("detect", context.detect),
         per_window("tokenize", context.tokenize),
         ("fuse", context.fuse_run, RUN),
         per_window("score", context.score),
-        per_window("sink", sink),
+        ("sink", sink.write_chunk, CHUNK),
     ]
     capacity = config.runtime.queue_capacity
     if deterministic:
-        capacity = max(capacity, len(jobs) + 1)
-    _, queue, latencies = run_stages(stages, jobs, capacity)
-    drops = dict.fromkeys(latencies, 0) | {"analyze": queue.dropped}
+        capacity = max(capacity, len(windows) + 1)
+    try:
+        dropped, latencies = run_stages(stages, windows, capacity)
+    except BaseException:
+        sink.partial_log.unlink(missing_ok=True)
+        raise
+    drops = dict.fromkeys(latencies, 0) | {"analyze": dropped}
 
     for name in latencies:
-        sink.log(jobs[-1].timestamp, len(jobs) - 1, "metric", {
+        sink.log(capture.timestamps[-1], len(windows) - 1, "metric", {
             "stage": name,
             "processed": len(latencies[name]),
             "dropped": drops[name],
         })
 
-    log_path = emit_event_log(sink.records, out_dir / "events.jsonl")
+    log_path = sink.close()
     summary = RunSummary(
-        windows_ingested=queue.pushed,
+        windows_ingested=len(windows),
         windows_processed=sink.windows_processed,
         anomalies_triggered=sink.anomalies_triggered,
         drops=drops,
         stage_latency={name: percentiles(ms) for name, ms in latencies.items()},
-        accounting_ok=queue.pushed == sink.windows_processed + queue.dropped,
+        accounting_ok=len(windows) == sink.windows_processed + dropped,
         artifact_errors=sink.artifact_errors,
         log_path=str(log_path),
         deterministic=deterministic,
@@ -578,34 +678,47 @@ def run_pipeline(
 def build_training_sequences(capture_dir: str | Path, config: Config, seed: int = 0):
     """Labeled burst-sized token sequences from a generated scenario.
 
-    Runs the analyze, detect and tokenize stages inline over every window
-    with a freshly built model, then chunks tokens into consecutive bursts,
-    dropping a partial last one; each burst inherits the scenario's motion
-    and event ground truth and its last window's fused embedding. Returns
-    the :class:`TrainingBatch` of every burst, the preprocessed normal
-    frames and the model, untrained.
+    Runs the analyze, detect and tokenize stages over every window with a
+    freshly built model, then a collecting step keeps each window's token
+    rows, the normal windows' preprocessed frames and, for the advanced
+    model, the ensemble embed of each burst's last window, the only one a
+    burst reads. Tokens chunk into consecutive bursts, dropping a partial
+    last one; each burst inherits the scenario's motion and event ground
+    truth. Returns the :class:`TrainingBatch` of every burst, the
+    preprocessed normal frames and the model, untrained.
     """
-    scenario, clip, jobs = open_capture(capture_dir, config.vision)
-    context = PipelineContext(config, scenario, clip.sample_rate, seed=seed)
-    tokens, _, _ = run_stages([("analyze", context.analyze_run, RUN),
-                               per_window("detect", context.detect),
-                               per_window("tokenize", context.tokenize)],
-                              jobs, capacity=len(jobs) + 1)
-
+    scenario, capture, windows = open_capture(capture_dir, config.vision)
+    context = PipelineContext(config, scenario, capture.sample_rate, seed=seed)
     chunk = config.fusion.burst_tokens
-    spans = [range(start, start + chunk) for start in range(0, len(tokens) - chunk + 1, chunk)]
+    ensemble = context.model.ensemble
+    visual, audio, fused, normal_frames = [], [], [], []
+
+    def collect(job: WindowJob) -> WindowJob:
+        visual.append(job.visual_row)
+        audio.append(job.audio_row)
+        if ensemble is not None and (job.index + 1) % chunk == 0:
+            fused.append(ensemble.embed(job.samples, capture.sample_rate))
+        if not scenario.is_injected(job.index):
+            normal_frames.append(job.preprocessed)
+        return job
+
+    run_stages([("analyze", context.analyze_run, RUN),
+                per_window("detect", context.detect),
+                per_window("tokenize", context.tokenize),
+                per_window("collect", collect)],
+               windows, capacity=len(windows) + 1)
+
+    spans = [range(start, start + chunk) for start in range(0, len(windows) - chunk + 1, chunk)]
     if not spans:
         raise InvalidConfig(["scenario too short to build any training sequence"])
     batch = TrainingBatch(
-        visual=np.array([[tokens[w].visual_row for w in span] for span in spans]),
-        audio=np.array([[tokens[w].audio_row for w in span] for span in spans]),
+        visual=np.array([[visual[w] for w in span] for span in spans]),
+        audio=np.array([[audio[w] for w in span] for span in spans]),
         motion=np.array([int(any(scenario.motion_label(w) for w in span)) for span in spans]),
-        fused=(None if context.model.ensemble is None
-               else np.array([tokens[span[-1]].fused for span in spans])),
+        fused=None if ensemble is None else np.array(fused),
         event=np.array([next((scenario.event_label(w) for w in span if scenario.event_label(w)), 0)
                         for span in spans]),
     )
-    normal_frames = [job.preprocessed for job in tokens if not scenario.is_injected(job.index)]
     return batch, normal_frames, context.model
 
 

@@ -36,10 +36,6 @@ class FrameBurst:
     def __len__(self) -> int:
         return len(self.frames)
 
-    @property
-    def timestamps(self) -> np.ndarray:
-        return np.array([f.timestamp for f in self.frames], dtype=np.float64)
-
 
 @dataclass(frozen=True)
 class AudioClip:
@@ -84,22 +80,29 @@ def validate_burst(burst: FrameBurst) -> BurstValidation:
     Checks: non-empty, all frames share dimensions, timestamps strictly
     increasing, timestamps finite and non-negative. Never raises.
     """
-    violations: list[str] = []
-    if len(burst) == 0:
+    def pixel_violations(i: int) -> list[str]:
+        pixels, ref_shape = burst.frames[i].pixels, burst.frames[0].pixels.shape
+        if pixels.ndim != 2:
+            return [f"frame {i}: pixel grid is not 2-D"]
+        if pixels.shape != ref_shape:
+            return [f"frame {i}: dimensions {pixels.shape} differ from frame 0 {ref_shape}"]
+        return []
+
+    return validate_timestamps([f.timestamp for f in burst.frames], pixel_violations)
+
+
+def validate_timestamps(timestamps: list, pixel_violations=lambda i: []) -> BurstValidation:
+    """The checks of :func:`validate_burst` on frames known by their timestamps,
+    with ``pixel_violations(i)`` for what frame ``i``'s pixels break."""
+    if len(timestamps) == 0:
         return BurstValidation(("burst is empty",))
+    violations: list[str] = []
+    for i, t in enumerate(timestamps):
+        violations += pixel_violations(i)
+        if not np.isfinite(t) or t < 0:
+            violations.append(f"frame {i}: timestamp {t} not a non-negative finite value")
 
-    ref_shape = burst.frames[0].pixels.shape
-    for i, frame in enumerate(burst.frames):
-        if frame.pixels.ndim != 2:
-            violations.append(f"frame {i}: pixel grid is not 2-D")
-        elif frame.pixels.shape != ref_shape:
-            violations.append(
-                f"frame {i}: dimensions {frame.pixels.shape} differ from frame 0 {ref_shape}"
-            )
-        if not np.isfinite(frame.timestamp) or frame.timestamp < 0:
-            violations.append(f"frame {i}: timestamp {frame.timestamp} not a non-negative finite value")
-
-    ts = burst.timestamps
+    ts = np.array(timestamps, dtype=np.float64)
     for i in range(1, len(ts)):
         if not ts[i] > ts[i - 1]:
             violations.append(
@@ -108,45 +111,60 @@ def validate_burst(burst: FrameBurst) -> BurstValidation:
     return BurstValidation(tuple(violations))
 
 
-def align_audio_to_frames(burst: FrameBurst, clip: AudioClip) -> list[AlignedWindow]:
-    """Slice ``clip`` into one equal-length window per frame of ``burst``.
+def window_starts(timestamps: list[float], n_samples: int, sample_rate: int,
+                  start_time: float = 0.0) -> tuple[int, list[int]]:
+    """Window length and the first sample of each frame's window.
 
-    Window length is ``len(clip) // len(burst)`` samples. Each window is
-    centered at sample index ``round((t_frame - t_clip_start) * sample_rate)``
-    and zero-padded where it overhangs the clip. A frame whose center lies
-    more than one window length outside the clip span is an alignment
-    failure.
+    Window length is ``n_samples // len(timestamps)`` samples. Each window
+    is centered at sample index ``round((t_frame - start_time) * sample_rate)``.
+    A frame whose center lies more than one window length outside the clip
+    span is an alignment failure.
     """
-    if len(burst) == 0:
+    if len(timestamps) == 0:
         raise InvalidInput("cannot align: burst has no frames")
-    if len(clip) == 0:
+    if n_samples == 0:
         raise InvalidInput("cannot align: clip has no samples")
-
-    n_samples = len(clip.samples)
-    window_len = n_samples // len(burst)
+    window_len = n_samples // len(timestamps)
     if window_len == 0:
         raise InvalidInput(
-            f"clip of {n_samples} samples too short for {len(burst)} windows"
+            f"clip of {n_samples} samples too short for {len(timestamps)} windows"
         )
     half = window_len // 2
 
-    windows: list[AlignedWindow] = []
-    for i, frame in enumerate(burst.frames):
-        center = int(round((frame.timestamp - clip.start_time) * clip.sample_rate))
+    starts = []
+    for i, t in enumerate(timestamps):
+        center = int(round((t - start_time) * sample_rate))
         if center < -window_len or center > n_samples + window_len:
             raise AlignmentFailure(
                 i,
-                f"frame {i} at t={frame.timestamp:g}s maps to sample {center}, "
+                f"frame {i} at t={t:g}s maps to sample {center}, "
                 f"more than one window length outside clip span [0, {n_samples})",
             )
-        start = center - half
-        stop = start + window_len
-        lo = min(max(0, start), n_samples)
-        hi = min(max(0, stop), n_samples)
-        body = clip.samples[lo:hi]
-        pad_left = min(max(0, -start), window_len)
-        pad_right = window_len - pad_left - len(body)
-        samples = np.zeros(window_len, dtype=np.float64)
-        samples[pad_left:pad_left + len(body)] = body
-        windows.append(AlignedWindow(i, samples, pad_left, pad_right))
-    return windows
+        starts.append(center - half)
+    return window_len, starts
+
+
+def window_span(start: int, window_len: int, n_samples: int) -> tuple[int, int]:
+    """The clip samples ``[lo, hi)`` that a window starting at ``start`` covers."""
+    return min(max(0, start), n_samples), min(max(0, start + window_len), n_samples)
+
+
+def padded_window(index: int, body: np.ndarray, start: int, window_len: int) -> AlignedWindow:
+    """Frame ``index``'s window: ``body``, its :func:`window_span` of the clip,
+    zero-padded where the window overhangs the clip."""
+    pad_left = min(max(0, -start), window_len)
+    samples = np.zeros(window_len, dtype=np.float64)
+    samples[pad_left:pad_left + len(body)] = body
+    return AlignedWindow(index, samples, pad_left, window_len - pad_left - len(body))
+
+
+def align_audio_to_frames(burst: FrameBurst, clip: AudioClip) -> list[AlignedWindow]:
+    """Slice ``clip`` into one equal-length window per frame of ``burst``,
+    as :func:`window_starts` places them, zero-padded where a window
+    overhangs the clip."""
+    n_samples = len(clip.samples)
+    window_len, starts = window_starts([f.timestamp for f in burst.frames], n_samples,
+                                       clip.sample_rate, clip.start_time)
+    return [padded_window(i, clip.samples[slice(*window_span(start, window_len, n_samples))],
+                          start, window_len)
+            for i, start in enumerate(starts)]

@@ -214,7 +214,8 @@ def test_training_batch_stacks_each_span_of_window_token_rows(seed1_training, ki
         assert batch.fused is None
     else:
         assert batch.fused.shape == (12, FUSED_DIM)
-        last = np.array([windows[10 * span + 9].fused for span in range(12)])
+        last = np.array([context.model.ensemble.embed(jobs[10 * span + 9].samples, clip.sample_rate)
+                         for span in range(12)])
         assert batch.fused.tobytes() == last.tobytes()
 
 

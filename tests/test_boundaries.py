@@ -13,7 +13,7 @@ import pytest
 
 import avfuse
 from avfuse.cli import main as cli_main
-from avfuse.config import Config, DetectorConfig, RuntimeConfig
+from avfuse.config import FLOW_ITERATIONS_MAX, Config, DetectorConfig, RuntimeConfig
 from avfuse.errors import InvalidConfig
 from avfuse.pipeline import run_pipeline
 from avfuse.scenario import preset_scenario
@@ -43,17 +43,28 @@ CANONICAL = preset_scenario("canonical", seed=0).to_dict()
     ({"detector": {"false_positive_rate": 1e300}}, "detector.false_positive_rate"),
     ({"detector": {"false_positive_rate": 101}}, "detector.false_positive_rate"),
     ({"detector": {"jitter_px": 1e300}}, "detector.jitter_px"),
+    ({"vision": {"flow_iterations": 10**9}}, "vision.flow_iterations"),
 ], ids=["string steps", "list weights", "string weight", "number section", "integer flag",
         "infinite weight", "infinite learning rate", "infinite flow alpha",
         "negative autoencoder learning rate", "negative fusion seed", "400-digit flow alpha",
         "huge history", "huge weight", "huge queue capacity", "unknown method weight",
         "overflowing weight sum", "nlm strength 1e-300", "nlm strength 1e-160",
-        "false positive rate 1e300", "false positive rate 101", "jitter 1e300"])
+        "false positive rate 1e300", "false positive rate 101", "jitter 1e300",
+        "flow iterations 1e9"])
 def test_wrong_json_type_is_a_config_error(tmp_path, capsys, override, key):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(override))
     assert cli_main(["--config", str(config), "--out", str(tmp_path / "out"), "generate"]) == 1
     assert f"config error: {config}: {key} " in capsys.readouterr().err
+
+
+def test_flow_iterations_up_to_the_bound_are_accepted():
+    config = Config()
+    config.vision.flow_iterations = FLOW_ITERATIONS_MAX
+    config.validate()
+    config.vision.flow_iterations += 1
+    with pytest.raises(InvalidConfig, match=f"vision.flow_iterations must be <= {FLOW_ITERATIONS_MAX}"):
+        config.validate()
 
 
 def test_config_that_is_not_an_object_is_a_config_error(tmp_path, capsys):

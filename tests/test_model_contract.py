@@ -147,7 +147,8 @@ class TestBasicContext:
         scenario, clip, jobs = open_capture(tmp_path, Config().vision)
         context = PipelineContext(Config(), scenario, clip.sample_rate)
         assert context.model.ensemble is None
-        assert context.analyze(jobs[0]).fused is None
+        token = context.tokenize(context.detect(context.analyze(jobs[0])))
+        assert context.fuse(token).event_logits is None
 
 
 class TestFixedEnsembleReduction:

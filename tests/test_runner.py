@@ -3,19 +3,22 @@
 import json
 import shutil
 import threading
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import avfuse.pipeline
 from avfuse.cli import main as cli_main
-from avfuse.config import Config
+from avfuse.config import Config, RuntimeConfig
 from avfuse.errors import AvFuseError, InvalidInput
 from avfuse.fusion import FLOW_COLUMN, build_model
-from avfuse.io import read_pgm, write_pgm
-from avfuse.pipeline import (PipelineContext, open_capture, per_window, run_pipeline, run_stages,
-                             train_on_scenario)
+from avfuse.io import Capture, read_pgm, write_pgm
+from avfuse.pipeline import (CHUNK, PARTIAL_LOG, RUN, PipelineContext, open_capture, per_window,
+                             run_pipeline, run_stages, train_on_scenario)
+from avfuse.scenario import AudioSegment, Scenario, ScriptedObject, generate_scenario
 from avfuse.vision_dsp import DenseFlow
 
 TIMEOUT_S = 60.0
@@ -122,8 +125,20 @@ class TestStageFailure:
         assert train_on_scenario(canonical_capture, config, tmp_path / "models")["sequences"] == 1
 
 
-class TestOneIngestQueue:
-    def test_stages_run_in_order_over_what_the_ingest_queue_released(self):
+class ReadLog(list):
+    """Windows ``0..n-1`` as a sequence that records which slices the runner reads."""
+
+    def __init__(self, n: int):
+        super().__init__(SimpleNamespace(index=i) for i in range(n))
+        self.reads = []
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return super().__getitem__(key)
+
+
+class TestChunkedIngest:
+    def test_stages_run_chunk_by_chunk_over_the_windows_ingest_keeps(self):
         calls = []
 
         def stage(name):
@@ -132,13 +147,93 @@ class TestOneIngestQueue:
                 return SimpleNamespace(index=job.index, by=name)
             return per_window(name, fn)
 
-        jobs = [SimpleNamespace(index=i) for i in range(5)]
-        outputs, queue, latencies = run_stages([stage("a"), stage("b"), stage("c")], jobs,
-                                               capacity=3)
-        assert calls == [(name, i) for name in "abc" for i in (2, 3, 4)]
-        assert [(job.index, job.by) for job in outputs] == [(2, "c"), (3, "c"), (4, "c")]
-        assert queue.dropped == 2
-        assert {name: len(ms) for name, ms in latencies.items()} == {"a": 3, "b": 3, "c": 3}
+        n, shed = 2 * CHUNK + 5, 3
+        windows = ReadLog(n)
+        dropped, latencies = run_stages([stage("a"), stage("b"), stage("c")], windows,
+                                        capacity=n - shed)
+        chunks = [range(start, min(start + CHUNK, n)) for start in range(shed, n, CHUNK)]
+        assert windows.reads == [slice(c.start, c.start + CHUNK) for c in chunks]
+        assert calls == [(name, i) for chunk in chunks for name in "abc" for i in chunk]
+        assert dropped == shed
+        assert {name: len(ms) for name, ms in latencies.items()} == dict.fromkeys("abc", n - shed)
+
+    def test_chunk_is_a_multiple_of_the_run(self):
+        assert CHUNK % RUN == 0
+
+    def test_a_dropping_run_reads_no_frame_or_sample_of_a_shed_window(self, injection_capture,
+                                                                       tmp_path, monkeypatch):
+        """Only frame 0, for the size every frame must have, is read ahead of its window."""
+        frames, spans = [], []
+        read_frame, read_samples = Capture.read_frame, Capture.read_samples
+        monkeypatch.setattr(Capture, "read_frame",
+                            lambda self, i: frames.append(i) or read_frame(self, i))
+        monkeypatch.setattr(Capture, "read_samples",
+                            lambda self, s: spans.extend(s) or read_samples(self, s))
+        summary = run_pipeline(injection_capture, Config(runtime=RuntimeConfig(8)), tmp_path / "out")
+        assert summary.drops["analyze"] == 112 and summary.windows_processed == 8
+        assert frames == [0, *range(112, 120)]
+        first_kept = open_capture(injection_capture, Config().vision)[2].starts[112]
+        assert len(spans) == 8 and min(lo for lo, _ in spans) == first_kept
+
+
+class TestStreamedRun:
+    def test_a_truncated_last_frame_exits_2_naming_it_and_leaves_no_event_log(
+            self, injection_capture, tmp_path, capsys):
+        capture = shutil.copytree(injection_capture, tmp_path / "capture")
+        last = capture / "frame_0119.pgm"
+        last.write_bytes(last.read_bytes()[:-10])
+        out = tmp_path / "out"
+        assert cli_main(["--out", str(out), "--deterministic", "run", str(capture)]) == 2
+        assert f"{last}: truncated PGM" in capsys.readouterr().err
+        assert not (out / "events.jsonl").exists() and not (out / PARTIAL_LOG).exists()
+
+    def test_a_failing_stage_leaves_no_event_log(self, injection_capture, tmp_path, monkeypatch):
+        original, calls = avfuse.pipeline.dwt2_energy, []
+
+        def fails_late(frame):
+            calls.append(1)
+            if len(calls) == 100:
+                raise ValueError("broken DWT")
+            return original(frame)
+
+        monkeypatch.setattr(avfuse.pipeline, "dwt2_energy", fails_late)
+        with pytest.raises(AvFuseError, match="window 99: analyze stage failed"):
+            run_pipeline(injection_capture, Config(), tmp_path / "out", deterministic=True)
+        assert not (tmp_path / "out" / "events.jsonl").exists()
+        assert not (tmp_path / "out" / PARTIAL_LOG).exists()
+
+    def test_a_frame_of_another_size_fails_when_read_naming_frame_0(self, injection_capture,
+                                                                    tmp_path):
+        capture = shutil.copytree(injection_capture, tmp_path / "capture")
+        frame = capture / "frame_0100.pgm"
+        write_pgm(frame, read_pgm(frame)[:32, :32])
+        with pytest.raises(InvalidInput) as raised:
+            run_pipeline(capture, Config(), tmp_path / "out", deterministic=True)
+        assert str(raised.value) == ("invalid burst: frame 100: dimensions (32, 32) "
+                                     "differ from frame 0 (64, 64)")
+
+    def test_4x_capture_peaks_within_a_tenth_of_the_1x_peak(self, tmp_path):
+        """Peak traced memory of a deterministic run does not grow with the capture,
+        once the capture fills a chunk."""
+        peaks = {}
+        for scale in (1, 1, 4):  # the first run warms caches and lazy imports
+            capture = tmp_path / f"x{scale}"
+            if not capture.exists():
+                generate_scenario(steady_scenario(CHUNK / 10 * scale), capture)
+            tracemalloc.start()
+            try:
+                run_pipeline(capture, Config(), tmp_path / f"out{scale}", deterministic=True)
+                peaks[scale] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4] <= 1.1 * peaks[1], peaks
+
+
+def steady_scenario(duration_s: float) -> Scenario:
+    """A 10 fps capture with one moving object and a tone throughout."""
+    return Scenario(name="steady", duration_s=duration_s, fps=10.0, seed=1,
+                    objects=[ScriptedObject(1, 0, (4.0, 10.0), (14.0, 14.0), (0.4, 0.1))],
+                    audio_segments=[AudioSegment(0.0, duration_s, "tone", 800.0, 0.2)])
 
 
 class TestDropAccounting:
