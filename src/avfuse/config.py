@@ -37,6 +37,9 @@ MAX_TOKENS = 64  # positions in the advanced fusion model's table
 # Horn-Schunck runs every iteration over every frame pair: 100 times the default
 # is about 0.2 s per 64x64 pair, a slow run rather than one that never ends.
 FLOW_ITERATIONS_MAX = 10_000
+# Training steps at 100 times their defaults: a slow train, not one that never ends.
+FUSION_STEPS_MAX = 30_000
+AUTOENCODER_STEPS_MAX = 150_000
 
 
 @dataclass
@@ -139,6 +142,7 @@ class Config:
         check(f.model in ("basic", "advanced"), "fusion.model must be 'basic' or 'advanced'")
         check(f.learning_rate >= 0.0, "fusion.learning_rate must be non-negative")
         check(f.steps >= 1, "fusion.steps must be >= 1")
+        check(f.steps <= FUSION_STEPS_MAX, f"fusion.steps must be <= {FUSION_STEPS_MAX}")
         check(f.burst_tokens >= 1, "fusion.burst_tokens must be >= 1")
         check(f.seed >= 0, "fusion.seed must be non-negative")
         check(f.burst_tokens <= MAX_TOKENS,
@@ -154,6 +158,8 @@ class Config:
         check(0.0 <= an.threshold <= 1.0, "anomaly.threshold must be in [0, 1]")
         check(an.history >= 2, "anomaly.history must be >= 2")
         check(an.autoencoder_steps >= 1, "anomaly.autoencoder_steps must be >= 1")
+        check(an.autoencoder_steps <= AUTOENCODER_STEPS_MAX,
+              f"anomaly.autoencoder_steps must be <= {AUTOENCODER_STEPS_MAX}")
         check(an.autoencoder_learning_rate >= 0.0,
               "anomaly.autoencoder_learning_rate must be non-negative")
         check(0.0 <= an.event_probability_threshold <= 1.0,

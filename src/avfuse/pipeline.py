@@ -4,19 +4,19 @@ Windows flow through ingest -> analyze -> detect -> tokenize -> fuse ->
 score -> sink. One runner, :func:`run_stages`, drives every stage chain,
 training included, on the calling thread, one chunk of ``CHUNK``
 consecutive windows at a time: ingest reads a chunk's frames and audio
-samples when the chunk starts, each stage runs over the chunk in window
-order, and the sink appends the chunk's records to the event log before
-the next chunk is read. So memory stays flat in the capture's length.
-Ingest keeps the last ``capacity`` windows and sheds the rest unread;
-every drop is counted and ``ingested == processed + dropped`` holds
-exactly. A stage takes a run of consecutive windows: analyze and fuse
-take up to ``RUN`` at once, so that non-local means, Horn-Schunck and the
-fusion forward each make one call per run, the sink takes the whole
-chunk and the other stages take one. A window's stage latency is its
-share of its run's time. The first stage that raises fails the run with
-an error naming the stage and the window whose step failed, or the run's
-windows for a step over the whole run. The sink writes the event log in
-the order it makes the records, which is window order.
+samples when the chunk starts and cuts the chunk into :class:`Run` records
+of up to ``RUN`` consecutive windows, each stage takes the chunk's runs in
+window order and fills its own columns of each in place, and the sink
+appends each run's records to the event log. So memory stays flat in the
+capture's length. Ingest keeps the last ``capacity`` windows and sheds the
+rest unread; every drop is counted and ``ingested == processed + dropped``
+holds exactly. Every stage takes a whole run, so that non-local means,
+Horn-Schunck and the fusion forward each make one call per run, and a
+window's stage latency is its share of its run's time. The first stage
+that raises fails the run with an error naming the stage and the window
+whose step failed, or the run's windows for a step over the whole run. The
+sink writes the event log in the order it makes the records, which is
+window order.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ from .vision_dsp import (
 # Healthy runs on the training preset peak near 2.6 times; diverging ones reach 1e9 and more.
 DIVERGED_LOSS_RATIO = 1000.0
 
-# The most consecutive windows one analyze or fuse call takes. Larger stacks
-# fall out of cache and make each window slower.
+# The most consecutive windows one stage call takes. Larger stacks fall out of
+# cache and make each window slower.
 RUN = 4
 
 # The windows the runner reads and takes through every stage at once. A multiple
@@ -95,25 +95,34 @@ CHUNK = 64
 PARTIAL_LOG = "events.jsonl.partial"
 
 
-@dataclass(frozen=True)
-class WindowJob:
-    """Everything known about one window; stages fill in their outputs."""
+@dataclass
+class Run:
+    """Up to ``RUN`` consecutive windows from window ``index`` on: their
+    timestamps, (B, h, w) raw frames and (B, n) audio samples. Each stage
+    fills its own columns, one entry or row per window, in place."""
 
     index: int
-    timestamp: float
+    timestamps: list[float]
     raw: np.ndarray
     samples: np.ndarray
     preprocessed: np.ndarray | None = None
-    wavelet: WaveletEnergy | None = None
-    flow: float = 0.0  # mean flow magnitude; 0.0 where no flow runs
-    stats: SpectralStats | None = None
-    detections: tuple = ()
-    tracks: tuple = ()  # one event-log dict per live track
-    visual_row: np.ndarray | None = None
-    audio_row: np.ndarray | None = None
+    flows: list[float] | None = None  # mean flow magnitudes; 0.0 where no flow runs
+    wavelets: list[WaveletEnergy] | None = None
+    stats: list[SpectralStats] | None = None
+    detections: list[tuple] | None = None
+    tracks: list[tuple] | None = None  # one event-log dict per live track
+    visual_rows: np.ndarray | None = None
+    audio_rows: np.ndarray | None = None
     motion_logits: np.ndarray | None = None
     event_logits: np.ndarray | None = None
-    report: AnomalyReport | None = None
+    reports: list[AnomalyReport] | None = None
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    @property
+    def windows(self) -> range:
+        return range(self.index, self.index + len(self))
 
 
 class StageQueue:
@@ -171,130 +180,123 @@ class PipelineContext:
         self._flow_read = (self.model.config.visual_features > FLOW_COLUMN
                            or self.export_dir is not None)
 
-    # Stage functions, in pipeline order.
+    # Stage functions, in pipeline order; each fills its columns of a run.
 
-    def analyze(self, job: WindowJob) -> WindowJob:
-        """One window: the run of one of :meth:`analyze_run`."""
-        return self.analyze_run([job])[0]
-
-    def analyze_run(self, jobs: list[WindowJob]) -> list[WindowJob]:
-        """Analyze consecutive windows: one NLM call on their frame stack and one
-        Horn-Schunck call on their (previous, next) pairs, the first pair
-        reaching back to the last frame of the run before; the DWT and the
-        spectral statistics run per window."""
+    def analyze(self, run: Run) -> None:
+        """One NLM call on the run's frame stack and one Horn-Schunck call on
+        its (previous, next) pairs, the first pair reaching back to the last
+        frame of the run before; the DWT and the spectral statistics run per
+        window."""
         v = self.config.vision
-        frames = preprocess_frames(np.stack([job.raw for job in jobs]), patch=v.nlm_patch,
-                                   search=v.nlm_search, strength=v.nlm_strength)
-        flows = [0.0] * len(jobs)
+        frames = preprocess_frames(run.raw, patch=v.nlm_patch, search=v.nlm_search,
+                                   strength=v.nlm_strength)
+        run.flows = [0.0] * len(run)
         if self._flow_read:
             # Each frame pairs with the one before it; the capture's first frame has none.
             known = frames if self._prev_frame is None else np.concatenate(
                 [self._prev_frame[np.newaxis], frames])
-            first = len(jobs) + 1 - len(known)
+            first = len(run) + 1 - len(known)
             if len(known) > 1:
                 stacked = self.flow_estimator(known[:-1], known[1:])
                 for i, field in enumerate(map(FlowField, stacked.u, stacked.v), start=first):
-                    flows[i] = float(field.magnitude.mean())
+                    run.flows[i] = float(field.magnitude.mean())
                     if self.export_dir is not None:
-                        export_flow_csv(self.export_dir / f"flow_{jobs[i].index:04d}.csv", field)
+                        export_flow_csv(self.export_dir / f"flow_{run.index + i:04d}.csv", field)
         self._prev_frame = frames[-1]
-        out = []
-        for job, frame, flow in zip(jobs, frames, flows):
-            with _naming(job):
-                wavelet = dwt2_energy(frame)
-                stats = spectral_stats(job.samples, self.sample_rate)
-            out.append(replace(job, preprocessed=frame, wavelet=wavelet, flow=flow, stats=stats))
-        return out
+        run.preprocessed, run.wavelets, run.stats = frames, [], []
+        for window, frame, samples in zip(run.windows, frames, run.samples):
+            with _naming(window):
+                run.wavelets.append(dwt2_energy(frame))
+                run.stats.append(spectral_stats(samples, self.sample_rate))
 
-    def detect(self, job: WindowJob) -> WindowJob:
+    def detect(self, run: Run) -> None:
         d = self.config.detector
-        fast = nms(scripted_detector(job.index, self.script, "fast", self.seed,
-                                     d.confidence_floor), d.nms_iou_threshold)
-        if d.dual:
-            accurate = nms(scripted_detector(job.index, self.script, "accurate", self.seed,
-                                             d.confidence_floor), d.nms_iou_threshold)
-            merged = cross_detector_merge(fast, accurate, d.cross_merge_iou)
-        else:
-            merged = fast
-        tracks = tuple(
-            {"id": t.track_id, "state": t.state.value, "x1": float(t.bbox.x1),
-             "y1": float(t.bbox.y1), "x2": float(t.bbox.x2), "y2": float(t.bbox.y2)}
-            for t in self.tracker.step(merged)
-        )
-        return replace(job, detections=tuple(merged), tracks=tracks)
+        run.detections, run.tracks = [], []
+        for window in run.windows:
+            with _naming(window):
+                merged = nms(scripted_detector(window, self.script, "fast", self.seed,
+                                               d.confidence_floor), d.nms_iou_threshold)
+                if d.dual:
+                    accurate = nms(scripted_detector(window, self.script, "accurate", self.seed,
+                                                     d.confidence_floor), d.nms_iou_threshold)
+                    merged = cross_detector_merge(merged, accurate, d.cross_merge_iou)
+                run.detections.append(tuple(merged))
+                run.tracks.append(tuple(
+                    {"id": t.track_id, "state": t.state.value, "x1": float(t.bbox.x1),
+                     "y1": float(t.bbox.y1), "x2": float(t.bbox.x2), "y2": float(t.bbox.y2)}
+                    for t in self.tracker.step(merged)))
 
-    def tokenize(self, job: WindowJob) -> WindowJob:
+    def tokenize(self, run: Run) -> None:
+        """Each window's token rows, normalized as one (B, f) stack per modality."""
         c = self.model.config
-        visual = visual_row(job.detections, job.wavelet, job.flow)[:c.visual_features]
-        audio = audio_row(job.stats)[:c.audio_features]
-        return replace(job, visual_row=self.normalizer.normalize_visual(visual),
-                       audio_row=self.normalizer.normalize_audio(audio))
+        visual, audio = [], []
+        for window, detections, wavelet, flow, stats in zip(
+                run.windows, run.detections, run.wavelets, run.flows, run.stats):
+            with _naming(window):
+                visual.append(visual_row(detections, wavelet, flow)[:c.visual_features])
+                audio.append(audio_row(stats)[:c.audio_features])
+        run.visual_rows = self.normalizer.normalize_visual(np.array(visual))
+        run.audio_rows = self.normalizer.normalize_audio(np.array(audio))
 
-    def fuse(self, job: WindowJob) -> WindowJob:
-        """One window: the run of one of :meth:`fuse_run`."""
-        return self.fuse_run([job])[0]
-
-    def fuse_run(self, jobs: list[WindowJob]) -> list[WindowJob]:
-        """Fuse consecutive windows: each window's rows join the token deques
-        in turn, and windows whose sequences have equal length share one
-        ``predict``, the shorter warm-up sequences each alone. The advanced
-        model's audio ensemble embeds each window's samples here, the one
-        stage that reads the embed."""
+    def fuse(self, run: Run) -> None:
+        """Each window's rows join the token deques in turn, and windows whose
+        sequences have equal length share one ``predict``, the shorter warm-up
+        sequences each alone. The advanced model's audio ensemble embeds each
+        window's samples here, the one stage that reads the embed."""
         ensemble = self.model.ensemble
         sequences = []
-        for job in jobs:
-            self._visual_rows.append(job.visual_row)
-            self._audio_rows.append(job.audio_row)
-            fused = None
-            if ensemble is not None:
-                with _naming(job):
-                    fused = ensemble.embed(job.samples, self.sample_rate)
-            sequences.append((job, np.stack(self._visual_rows), np.stack(self._audio_rows), fused))
-        out = []
-        for _, group in groupby(sequences, key=lambda sequence: len(sequence[1])):
-            group_jobs, visual, audio, fused = zip(*group)
+        for window, visual, audio, samples in zip(run.windows, run.visual_rows, run.audio_rows,
+                                                  run.samples):
+            self._visual_rows.append(visual)
+            self._audio_rows.append(audio)
+            with _naming(window):
+                fused = None if ensemble is None else ensemble.embed(samples, self.sample_rate)
+            sequences.append((np.stack(self._visual_rows), np.stack(self._audio_rows), fused))
+        motions, events = [], []
+        for _, group in groupby(sequences, key=lambda sequence: len(sequence[0])):
+            visual, audio, fused = zip(*group)
             fused = None if ensemble is None else np.stack(fused)
             motion, event = self.model.predict(np.stack(visual), np.stack(audio), fused)
-            motion = motion.reshape(len(group_jobs), -1)
-            if event is not None:
-                event = event.reshape(len(group_jobs), -1)
-            out += [replace(job, motion_logits=motion[i],
-                            event_logits=None if event is None else event[i])
-                    for i, job in enumerate(group_jobs)]
-        return out
+            motions.append(motion.reshape(len(visual), -1))
+            events.append(None if event is None else event.reshape(len(visual), -1))
+        run.motion_logits = np.concatenate(motions)
+        run.event_logits = None if events[0] is None else np.concatenate(events)
 
-    def score(self, job: WindowJob) -> WindowJob:
+    def score(self, run: Run) -> None:
         cfg = self.config.anomaly
-        # Methods without a backing model report 0 at their configured
-        # weight ("nothing detected") rather than being renormalized away,
-        # so one saturated method cannot trigger a run on its own.
-        scores = {
-            "statistical": zscore_score(self.mean_baseline, job.preprocessed),
-            "audio": audio_anomaly_score(job.stats.energy, job.stats.centroid_hz,
-                                         self.energy_baseline, self.centroid_baseline),
-            "reconstruction": 0.0,
-            "event": 0.0,
-        }
-        if self.autoencoder is not None:
-            scores["reconstruction"] = autoencoder_score(self.autoencoder, job.preprocessed)
-        contributing: tuple[str, ...] = ()
-        if job.event_logits is not None:
-            event = event_anomaly_score(job.event_logits, self.anomaly_label_ids,
-                                        cfg.event_probability_threshold)
-            scores["event"] = event.score
-            contributing = tuple(self.config.event_labels[i] for i in event.label_ids)
-        report = combine_scores(scores, cfg.weights, cfg.threshold,
-                                contributing_events=contributing, timestamp=job.timestamp)
-        return replace(job, report=report)
+        run.reports = []
+        for i, window in enumerate(run.windows):
+            with _naming(window):
+                frame, stats = run.preprocessed[i], run.stats[i]
+                # Methods without a backing model report 0 at their configured
+                # weight ("nothing detected") rather than being renormalized away,
+                # so one saturated method cannot trigger a run on its own.
+                scores = {
+                    "statistical": zscore_score(self.mean_baseline, frame),
+                    "audio": audio_anomaly_score(stats.energy, stats.centroid_hz,
+                                                 self.energy_baseline, self.centroid_baseline),
+                    "reconstruction": 0.0 if self.autoencoder is None else autoencoder_score(
+                        self.autoencoder, frame),
+                    "event": 0.0,
+                }
+                contributing: tuple[str, ...] = ()
+                if run.event_logits is not None:
+                    event = event_anomaly_score(run.event_logits[i], self.anomaly_label_ids,
+                                                cfg.event_probability_threshold)
+                    scores["event"] = event.score
+                    contributing = tuple(self.config.event_labels[label]
+                                        for label in event.label_ids)
+                run.reports.append(combine_scores(scores, cfg.weights, cfg.threshold,
+                                                  contributing_events=contributing,
+                                                  timestamp=run.timestamps[i]))
 
 
 class Sink:
     """Terminal stage: event records, artifact persistence, counters.
 
-    It takes a whole chunk (:meth:`write_chunk`) and appends the chunk's
-    records to ``PARTIAL_LOG`` in ``out_dir``, so ``records`` holds one
-    chunk's at most; :meth:`close` appends the rest and renames the log to
-    ``events.jsonl``.
+    Each run's records are appended to ``PARTIAL_LOG`` in ``out_dir``, so
+    ``records`` holds one run's at most; :meth:`close` appends the rest and
+    renames the log to ``events.jsonl``.
     """
 
     def __init__(self, out_dir: Path, sample_rate: int):
@@ -310,28 +312,38 @@ class Sink:
     def log(self, t: float, window: int, kind: str, payload: dict) -> None:
         self.records.append({"t": t, "window": window, "kind": kind, "payload": payload})
 
-    def __call__(self, job: WindowJob) -> WindowJob:
-        t, w = job.timestamp, job.index
+    def __call__(self, run: Run) -> None:
+        """Log each window of ``run``, then append the run's records to the log."""
+        for i, window in enumerate(run.windows):
+            with _naming(window):
+                self._log_window(run, i)
+        self.windows_processed += len(run)
+        emit_event_log(self.records, self.partial_log)
+        self.records.clear()
+
+    def _log_window(self, run: Run, i: int) -> None:
+        t, w, detections = run.timestamps[i], run.index + i, run.detections[i]
         self.log(t, w, "detection", {
-            "count": len(job.detections),
+            "count": len(detections),
             "boxes": [
                 {"x1": float(d.bbox.x1), "y1": float(d.bbox.y1),
                  "x2": float(d.bbox.x2), "y2": float(d.bbox.y2),
                  "confidence": float(d.confidence), "class_id": int(d.class_id),
                  "source": d.source}
-                for d in job.detections
+                for d in detections
             ],
         })
-        self.log(t, w, "track", {"tracks": list(job.tracks)})
+        self.log(t, w, "track", {"tracks": list(run.tracks[i])})
+        motion = run.motion_logits[i]
         classification = {
-            "motion_pred": int(np.argmax(job.motion_logits)),
-            "motion_logits": [float(x) for x in job.motion_logits],
+            "motion_pred": int(np.argmax(motion)),
+            "motion_logits": [float(x) for x in motion],
         }
-        if job.event_logits is not None:
-            classification["event_pred"] = int(np.argmax(job.event_logits))
+        if run.event_logits is not None:
+            classification["event_pred"] = int(np.argmax(run.event_logits[i]))
         self.log(t, w, "classification", classification)
 
-        report = job.report
+        report = run.reports[i]
         self.log(t, w, "anomaly", {
             "combined": report.combined,
             "triggered": report.triggered,
@@ -342,21 +354,10 @@ class Sink:
         if report.triggered:
             self.anomalies_triggered += 1
             try:
-                persist_anomaly_artifact(report, job.preprocessed, job.samples, self.sample_rate,
-                                         self.out_dir / "anomalies")
+                persist_anomaly_artifact(report, run.preprocessed[i], run.samples[i],
+                                         self.sample_rate, self.out_dir / "anomalies")
             except OSError:
                 self.artifact_errors += 1  # artifact loss is logged, never fatal
-        self.windows_processed += 1
-        return job
-
-    def write_chunk(self, jobs: list[WindowJob]) -> list[WindowJob]:
-        """Log each window of a chunk, then append the chunk's records to the log."""
-        for job in jobs:
-            with _naming(job):
-                self(job)
-        emit_event_log(self.records, self.partial_log)
-        self.records.clear()
-        return jobs
 
     def close(self) -> Path:
         """Append what is left, then give the log its final name."""
@@ -395,10 +396,10 @@ def emit_event_log(records: list[dict], path: str | Path) -> Path:
     line in the order given.
 
     :func:`run_pipeline` makes its records already ordered by (t, window,
-    kind), so nothing is sorted and each chunk's records can be appended as
+    kind), so nothing is sorted and each run's records can be appended as
     soon as the sink has them: :func:`timebase.validate_timestamps` rejects
     frame timestamps that do not strictly increase; the runner takes the
-    windows in ingest order, chunk after chunk, and the sink logs each
+    windows in ingest order, run after run, and the sink logs each
     window's detection, track, classification and anomaly records in that
     order; the metric records come last, stamped with the last window,
     which ingest never sheds.
@@ -455,11 +456,13 @@ def export_audio_features(samples: np.ndarray, sample_rate: int, export_dir: Pat
 
 
 class CaptureWindows(Sequence):
-    """One :class:`WindowJob` per aligned window of an opened capture.
+    """The aligned windows of an opened capture, read as :class:`Run` records.
 
-    Indexing reads the windows' frames and audio samples then, a slice's
-    samples through one open file; nothing is kept between reads. Every
-    frame must have frame 0's size, checked as it is read.
+    A slice reads its windows' frames and audio samples then, the samples
+    through one open file, and cuts them into runs of up to ``RUN`` windows
+    from the slice's start; an index reads its window as a run of one.
+    Nothing is kept between reads. Every frame must have frame 0's size,
+    checked as it is read.
     """
 
     def __init__(self, capture: Capture, shape: tuple[int, ...]):
@@ -474,15 +477,21 @@ class CaptureWindows(Sequence):
     def __getitem__(self, key):
         if isinstance(key, slice):
             return self._read(range(*key.indices(len(self))))
-        return self._read([range(len(self))[key]])[0]
+        index = range(len(self))[key]
+        return self._read(range(index, index + 1))[0]
 
-    def _read(self, indices) -> list[WindowJob]:
+    def _read(self, indices: range) -> list[Run]:
         n_samples = self.capture.wav.n_samples
         bodies = self.capture.read_samples([window_span(self.starts[i], self.window_len, n_samples)
                                             for i in indices])
-        return [WindowJob(index=i, timestamp=self.capture.timestamps[i], raw=self._frame(i),
-                          samples=padded_window(i, body, self.starts[i], self.window_len).samples)
-                for i, body in zip(indices, bodies)]
+        runs = []
+        for first in range(0, len(indices), RUN):
+            part = indices[first:first + RUN]
+            samples = [padded_window(i, body, self.starts[i], self.window_len).samples
+                       for i, body in zip(part, bodies[first:first + RUN])]
+            runs.append(Run(index=part[0], timestamps=[self.capture.timestamps[i] for i in part],
+                            raw=np.stack([self._frame(i) for i in part]), samples=np.stack(samples)))
+        return runs
 
     def _frame(self, index: int) -> np.ndarray:
         pixels = self.capture.read_frame(index)
@@ -490,7 +499,6 @@ class CaptureWindows(Sequence):
             raise InvalidInput(f"invalid burst: frame {index}: dimensions {pixels.shape} "
                                f"differ from frame 0 {self.shape}")
         return pixels
-
 
 def open_capture(capture_dir: str | Path,
                  vision: VisionConfig) -> tuple[Scenario, Capture, CaptureWindows]:
@@ -528,36 +536,31 @@ class _WindowFailed(Exception):
 
 
 @contextmanager
-def _naming(job: WindowJob):
-    """Name ``job``'s window in any failure of the block."""
+def _naming(window: int):
+    """Name ``window`` in any failure of the block."""
     try:
         yield
     except Exception as exc:
-        raise _WindowFailed(job.index) from exc
+        raise _WindowFailed(window) from exc
 
 
-def per_window(name: str, step) -> tuple:
-    """The stage ``name`` that applies the one-window ``step`` to runs of one window."""
-    return name, lambda jobs: [step(job) for job in jobs], 1
-
-
-def _windows(jobs: list) -> str:
-    if len(jobs) == 1:
-        return f"window {jobs[0].index}"
-    return f"windows {jobs[0].index}-{jobs[-1].index}"
+def _windows(run: Run) -> str:
+    if len(run) == 1:
+        return f"window {run.index}"
+    return f"windows {run.index}-{run.index + len(run) - 1}"
 
 
 def run_stages(stages: list, windows: Sequence,
                capacity: int) -> tuple[int, dict[str, list[float]]]:
-    """Take the last ``capacity`` of ``windows`` through ``(name, fn, run)`` stages,
+    """Take the last ``capacity`` of ``windows`` through ``(name, fn)`` stages,
     chunk by chunk.
 
     The first ``len(windows) - capacity`` windows are shed unread. The rest
     go in chunks of ``CHUNK``: slicing ``windows`` reads a chunk's windows
-    when it starts, every stage runs over it in window order, and it is
-    released after the last stage, all on the calling thread. A stage's
-    ``fn`` takes a list of at most ``run`` consecutive windows and returns
-    their outputs; :func:`per_window` makes one from a one-window step.
+    when it starts and returns them as consecutive :class:`Run` records,
+    each stage's ``fn`` takes every run of the chunk in window order and
+    fills its columns in place, and the chunk is released after the last
+    stage, all on the calling thread.
 
     The bytes do not depend on the chunk size: state crosses windows only
     through the stages' own state (the previous frame, the baselines, the
@@ -573,24 +576,20 @@ def run_stages(stages: list, windows: Sequence,
     run's windows, or the one window whose step failed.
     """
     shed = max(0, len(windows) - capacity)
-    latencies: dict[str, list[float]] = {name: [] for name, _, _ in stages}
+    latencies: dict[str, list[float]] = {name: [] for name, _ in stages}
     for chunk_start in range(shed, len(windows), CHUNK):
-        batch = windows[chunk_start:chunk_start + CHUNK]
-        for name, fn, run in stages:
-            outputs = []
-            for first in range(0, len(batch), run):
-                jobs_run = batch[first:first + run]
+        runs = windows[chunk_start:chunk_start + CHUNK]
+        for name, fn in stages:
+            for run in runs:
                 start = time.perf_counter()
                 try:
-                    outputs += fn(jobs_run)
+                    fn(run)
                 except _WindowFailed as failed:
                     cause = failed.__cause__
                     raise AvFuseError(f"window {failed.window}: {name} stage failed: {cause}") from cause
                 except Exception as exc:
-                    raise AvFuseError(f"{_windows(jobs_run)}: {name} stage failed: {exc}") from exc
-                share = (time.perf_counter() - start) * 1e3 / len(jobs_run)
-                latencies[name] += [share] * len(jobs_run)
-            batch = outputs
+                    raise AvFuseError(f"{_windows(run)}: {name} stage failed: {exc}") from exc
+                latencies[name] += [(time.perf_counter() - start) * 1e3 / len(run)] * len(run)
     return shed, latencies
 
 
@@ -614,7 +613,7 @@ def run_pipeline(
     the run with an :class:`AvFuseError` naming the window and the stage
     (exit code 2), and a frame that cannot be read fails it with an
     :class:`InvalidInput` naming the file; either way the run leaves no
-    ``events.jsonl``, though the artifacts of chunks the sink finished stay.
+    ``events.jsonl``, though the artifacts of runs the sink finished stay.
     """
     config.validate()
     out_dir = Path(out_dir)
@@ -634,14 +633,9 @@ def run_pipeline(
                               capture.sample_rate, Path(export_dir))
 
     sink = Sink(out_dir, capture.sample_rate)
-    stages = [
-        ("analyze", context.analyze_run, RUN),
-        per_window("detect", context.detect),
-        per_window("tokenize", context.tokenize),
-        ("fuse", context.fuse_run, RUN),
-        per_window("score", context.score),
-        ("sink", sink.write_chunk, CHUNK),
-    ]
+    stages = [("analyze", context.analyze), ("detect", context.detect),
+              ("tokenize", context.tokenize), ("fuse", context.fuse), ("score", context.score),
+              ("sink", sink)]
     capacity = config.runtime.queue_capacity
     if deterministic:
         capacity = max(capacity, len(windows) + 1)
@@ -693,19 +687,18 @@ def build_training_sequences(capture_dir: str | Path, config: Config, seed: int 
     ensemble = context.model.ensemble
     visual, audio, fused, normal_frames = [], [], [], []
 
-    def collect(job: WindowJob) -> WindowJob:
-        visual.append(job.visual_row)
-        audio.append(job.audio_row)
-        if ensemble is not None and (job.index + 1) % chunk == 0:
-            fused.append(ensemble.embed(job.samples, capture.sample_rate))
-        if not scenario.is_injected(job.index):
-            normal_frames.append(job.preprocessed)
-        return job
+    def collect(run: Run) -> None:
+        visual.extend(run.visual_rows)
+        audio.extend(run.audio_rows)
+        for window, samples, frame in zip(run.windows, run.samples, run.preprocessed):
+            with _naming(window):
+                if ensemble is not None and (window + 1) % chunk == 0:
+                    fused.append(ensemble.embed(samples, capture.sample_rate))
+                if not scenario.is_injected(window):
+                    normal_frames.append(frame)
 
-    run_stages([("analyze", context.analyze_run, RUN),
-                per_window("detect", context.detect),
-                per_window("tokenize", context.tokenize),
-                per_window("collect", collect)],
+    run_stages([("analyze", context.analyze), ("detect", context.detect),
+                ("tokenize", context.tokenize), ("collect", collect)],
                windows, capacity=len(windows) + 1)
 
     spans = [range(start, start + chunk) for start in range(0, len(windows) - chunk + 1, chunk)]

@@ -1,14 +1,16 @@
-"""Independent reference implementations shared by the test suite.
+"""Independent reference implementations and test doubles shared by the test suite.
 
 Everything here is deliberately naive (loops, O(n^2) scans) and written
 against the contracts, not against the package internals it checks.
 """
 
+from collections.abc import Sequence
 from dataclasses import replace
 
 import numpy as np
 
 from avfuse.errors import InvalidInput
+from avfuse.pipeline import RUN, Run
 from avfuse.tensor import Tensor, backward
 
 
@@ -317,3 +319,27 @@ def finite_diff_check(
             denom = max(abs(numeric), abs(reference), 1e-8)
             worst = max(worst, abs(numeric - reference) / denom)
     return worst
+
+
+class HandWindows(Sequence):
+    """Windows ``0..n-1`` as ingest serves them: a slice is cut into
+    :class:`Run` records of up to ``RUN`` one-pixel windows from its start.
+    ``reads`` lists the slices taken and ``served`` the runs each returned."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.reads, self.served = [], []
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, key: slice) -> list[Run]:
+        indices = range(*key.indices(self.n))
+        runs = []
+        for offset in range(0, len(indices), RUN):
+            part = indices[offset:offset + RUN]
+            runs.append(Run(index=part[0], timestamps=[w / 10 for w in part],
+                            raw=np.zeros((len(part), 1, 1)), samples=np.zeros((len(part), 1))))
+        self.reads.append(key)
+        self.served.append(runs)
+        return runs

@@ -203,18 +203,22 @@ def test_training_batch_stacks_each_span_of_window_token_rows(seed1_training, ki
     assert batch.motion.tolist() == [1, 0] * 6
     assert batch.event.tolist() == [{3: 4, 9: 3}.get(span, 0) for span in range(12)]
 
-    scenario, clip, jobs = open_capture(seed1_training, config.vision)
+    scenario, clip, windows = open_capture(seed1_training, config.vision)
     context = PipelineContext(config, scenario, clip.sample_rate)
-    windows = [context.tokenize(context.detect(context.analyze(job))) for job in jobs]
-    assert len(windows) == 120
-    for name in ("visual_row", "audio_row"):
-        rows = np.array([getattr(window, name) for window in windows]).reshape(12, 10, -1)
-        assert getattr(batch, name.removesuffix("_row")).tobytes() == rows.tobytes()
+    runs = [windows[w] for w in range(len(windows))]
+    for run in runs:
+        for stage in (context.analyze, context.detect, context.tokenize):
+            stage(run)
+    assert len(runs) == 120
+    for name in ("visual_rows", "audio_rows"):
+        rows = np.concatenate([getattr(run, name) for run in runs]).reshape(12, 10, -1)
+        assert getattr(batch, name.removesuffix("_rows")).tobytes() == rows.tobytes()
     if kind == "basic":
         assert batch.fused is None
     else:
         assert batch.fused.shape == (12, FUSED_DIM)
-        last = np.array([context.model.ensemble.embed(jobs[10 * span + 9].samples, clip.sample_rate)
+        last = np.array([context.model.ensemble.embed(runs[10 * span + 9].samples[0],
+                                                      clip.sample_rate)
                          for span in range(12)])
         assert batch.fused.tobytes() == last.tobytes()
 

@@ -44,13 +44,15 @@ CANONICAL = preset_scenario("canonical", seed=0).to_dict()
     ({"detector": {"false_positive_rate": 101}}, "detector.false_positive_rate"),
     ({"detector": {"jitter_px": 1e300}}, "detector.jitter_px"),
     ({"vision": {"flow_iterations": 10**9}}, "vision.flow_iterations"),
+    ({"fusion": {"steps": 30_001}}, "fusion.steps"),
+    ({"anomaly": {"autoencoder_steps": 150_001}}, "anomaly.autoencoder_steps"),
 ], ids=["string steps", "list weights", "string weight", "number section", "integer flag",
         "infinite weight", "infinite learning rate", "infinite flow alpha",
         "negative autoencoder learning rate", "negative fusion seed", "400-digit flow alpha",
         "huge history", "huge weight", "huge queue capacity", "unknown method weight",
         "overflowing weight sum", "nlm strength 1e-300", "nlm strength 1e-160",
         "false positive rate 1e300", "false positive rate 101", "jitter 1e300",
-        "flow iterations 1e9"])
+        "flow iterations 1e9", "fusion steps 30001", "autoencoder steps 150001"])
 def test_wrong_json_type_is_a_config_error(tmp_path, capsys, override, key):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(override))
@@ -293,7 +295,7 @@ def test_capture_shorter_than_one_burst_is_a_config_error_and_writes_no_model(
     assert not (out / "fusion.bin").exists()
 
 
-@pytest.mark.parametrize("steps", [0, -3])
+@pytest.mark.parametrize("steps", [0, -3, 150_001])
 def test_untrainable_autoencoder_steps_is_a_config_error_and_writes_no_model(
         training_capture, tmp_path, capsys, steps):
     config = tmp_path / "config.json"

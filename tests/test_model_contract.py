@@ -144,11 +144,13 @@ class TestBasicContext:
 
         monkeypatch.setattr(fusion.AudioEnsembleFusion, "__init__", refuse)
         generate_scenario(preset_scenario("canonical", seed=0), tmp_path)
-        scenario, clip, jobs = open_capture(tmp_path, Config().vision)
+        scenario, clip, windows = open_capture(tmp_path, Config().vision)
         context = PipelineContext(Config(), scenario, clip.sample_rate)
         assert context.model.ensemble is None
-        token = context.tokenize(context.detect(context.analyze(jobs[0])))
-        assert context.fuse(token).event_logits is None
+        run = windows[0]
+        for stage in (context.analyze, context.detect, context.tokenize, context.fuse):
+            stage(run)
+        assert run.motion_logits is not None and run.event_logits is None
 
 
 class TestFixedEnsembleReduction:

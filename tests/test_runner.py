@@ -5,8 +5,6 @@ import shutil
 import threading
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -16,10 +14,11 @@ from avfuse.config import Config, RuntimeConfig
 from avfuse.errors import AvFuseError, InvalidInput
 from avfuse.fusion import FLOW_COLUMN, build_model
 from avfuse.io import Capture, read_pgm, write_pgm
-from avfuse.pipeline import (CHUNK, PARTIAL_LOG, RUN, PipelineContext, open_capture, per_window,
+from avfuse.pipeline import (CHUNK, PARTIAL_LOG, RUN, PipelineContext, _naming, open_capture,
                              run_pipeline, run_stages, train_on_scenario)
 from avfuse.scenario import AudioSegment, Scenario, ScriptedObject, generate_scenario
 from avfuse.vision_dsp import DenseFlow
+from oracles import HandWindows
 
 TIMEOUT_S = 60.0
 
@@ -87,17 +86,17 @@ class TestStageFailure:
         seen = {"a": [], "b": [], "c": []}
 
         def stage(name, fail_at=None):
-            def fn(job):
-                if job.index == fail_at:
-                    raise ValueError("boom")
-                seen[name].append(job.index)
-                return job
-            return per_window(name, fn)
-
-        jobs = [SimpleNamespace(index=i) for i in range(20)]
+            def fn(run):
+                for window in run.windows:
+                    with _naming(window):
+                        if window == fail_at:
+                            raise ValueError("boom")
+                        seen[name].append(window)
+            return name, fn
 
         def run():
-            return run_stages([stage("a"), stage("b", fail_at=3), stage("c")], jobs, capacity=32)
+            return run_stages([stage("a"), stage("b", fail_at=3), stage("c")], HandWindows(20),
+                              capacity=32)
 
         if on_helper_thread:
             kind, error = finishes(run)
@@ -125,35 +124,28 @@ class TestStageFailure:
         assert train_on_scenario(canonical_capture, config, tmp_path / "models")["sequences"] == 1
 
 
-class ReadLog(list):
-    """Windows ``0..n-1`` as a sequence that records which slices the runner reads."""
-
-    def __init__(self, n: int):
-        super().__init__(SimpleNamespace(index=i) for i in range(n))
-        self.reads = []
-
-    def __getitem__(self, key):
-        self.reads.append(key)
-        return super().__getitem__(key)
-
-
 class TestChunkedIngest:
     def test_stages_run_chunk_by_chunk_over_the_windows_ingest_keeps(self):
-        calls = []
+        calls, received = [], {name: [] for name in "abc"}
 
         def stage(name):
-            def fn(job):
-                calls.append((name, job.index))
-                return SimpleNamespace(index=job.index, by=name)
-            return per_window(name, fn)
+            def fn(run):
+                received[name].append(run)
+                calls.extend((name, window) for window in run.windows)
+            return name, fn
 
         n, shed = 2 * CHUNK + 5, 3
-        windows = ReadLog(n)
+        windows = HandWindows(n)
         dropped, latencies = run_stages([stage("a"), stage("b"), stage("c")], windows,
                                         capacity=n - shed)
         chunks = [range(start, min(start + CHUNK, n)) for start in range(shed, n, CHUNK)]
         assert windows.reads == [slice(c.start, c.start + CHUNK) for c in chunks]
         assert calls == [(name, i) for chunk in chunks for name in "abc" for i in chunk]
+        served = [run for runs in windows.served for run in runs]
+        assert [window for run in served for window in run.windows] == list(range(shed, n))
+        for name in "abc":  # the runs ingest made, in window order: nothing is copied
+            assert len(received[name]) == len(served)
+            assert all(got is run for got, run in zip(received[name], served))
         assert dropped == shed
         assert {name: len(ms) for name, ms in latencies.items()} == dict.fromkeys("abc", n - shed)
 
@@ -355,14 +347,16 @@ class TestFlowOnlyWhenRead:
     def test_advanced_flow_column_is_the_mean_flow_magnitude(self, injection_capture):
         config = Config()
         config.fusion.model = "advanced"
-        scenario, clip, jobs = open_capture(injection_capture, config.vision)
+        scenario, clip, windows = open_capture(injection_capture, config.vision)
         context = PipelineContext(config, scenario, clip.sample_rate)
-        first, second = ([context.tokenize(context.detect(context.analyze(job)))
-                          for job in jobs[:2]])
+        first, second = windows[0], windows[1]
+        for run in (first, second):
+            for stage in (context.analyze, context.detect, context.tokenize):
+                stage(run)
         field = DenseFlow(config.vision.flow_alpha, config.vision.flow_iterations)(
-            first.preprocessed, second.preprocessed)
-        assert first.visual_row[FLOW_COLUMN] == 0.0
-        assert second.visual_row[FLOW_COLUMN] == np.hypot(field.u, field.v).mean() > 0.0
+            first.preprocessed[0], second.preprocessed[0])
+        assert first.visual_rows[0, FLOW_COLUMN] == 0.0
+        assert second.visual_rows[0, FLOW_COLUMN] == np.hypot(field.u, field.v).mean() > 0.0
 
     def test_basic_train_skips_flow(self, injection_capture, tmp_path, flow_calls):
         config = Config()

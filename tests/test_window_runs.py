@@ -2,8 +2,6 @@
 one fusion forward per run of equal-length sequences, and how a run reports
 failures and latencies."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -17,12 +15,12 @@ from avfuse.pipeline import (
     PipelineContext,
     _motion_accuracy,
     open_capture,
-    per_window,
     run_pipeline,
     run_stages,
 )
 from avfuse.scenario import generate_scenario, preset_scenario
 from avfuse.vision_dsp import DenseFlow, preprocess_frame, preprocess_frames
+from oracles import HandWindows
 
 
 @pytest.fixture(scope="module")
@@ -95,18 +93,22 @@ class TestStackedHornSchunck:
 class TestRunLevelAnalyze:
     def test_equals_one_window_analyze_for_every_seed1_injection_window(self, seed1_injection):
         config = advanced_config()  # the advanced model reads the flow
-        scenario, clip, jobs = open_capture(seed1_injection, config.vision)
+        scenario, clip, windows = open_capture(seed1_injection, config.vision)
         alone = PipelineContext(config, scenario, clip.sample_rate)
         batched = PipelineContext(config, scenario, clip.sample_rate)
-        expected = [alone.analyze(job) for job in jobs]
-        got = [out for run in runs(jobs, RUN) for out in batched.analyze_run(run)]
-        assert len(got) == len(expected) == 120
-        assert expected[0].flow == 0.0 and all(job.flow > 0.0 for job in expected[1:])
-        for a, b in zip(expected, got):
-            assert a.index == b.index
-            assert a.preprocessed.tobytes() == b.preprocessed.tobytes()
-            assert a.wavelet == b.wavelet
-            assert a.flow == b.flow
+        expected = [windows[w] for w in range(len(windows))]
+        got = windows[:]
+        for context, each in ((alone, expected), (batched, got)):
+            for run in each:
+                context.analyze(run)
+        assert len(expected) == 120 and [len(run) for run in got] == [RUN] * (120 // RUN)
+        assert expected[0].flows == [0.0] and all(run.flows[0] > 0.0 for run in expected[1:])
+        for window, a in enumerate(expected):
+            b, i = got[window // RUN], window % RUN
+            assert a.index == b.index + i == window
+            assert a.preprocessed[0].tobytes() == b.preprocessed[i].tobytes()
+            assert a.wavelets[0] == b.wavelets[i]
+            assert a.flows[0] == b.flows[i]
 
     def test_flow_csvs_of_every_window_after_the_first(self, canonical_capture, tmp_path):
         export = tmp_path / "features"
@@ -148,19 +150,22 @@ class TestBatchedForward:
     def test_run_level_fuse_matches_one_window_fuse(self, seed1_injection):
         """Warm-up windows run alone and keep their bytes; the rest stay within 1e-5."""
         config = advanced_config()
-        scenario, clip, jobs = open_capture(seed1_injection, config.vision)
+        scenario, clip, windows = open_capture(seed1_injection, config.vision)
         context = PipelineContext(config, scenario, clip.sample_rate)
         context.model.cast_to_float32()
-        tokens = [context.tokenize(context.detect(job))
-                  for job in context.analyze_run(jobs[:3 * RUN])]
         alone = PipelineContext(config, scenario, clip.sample_rate,
                                 model_bundle=(context.model, context.normalizer))
-        expected = [alone.fuse(job) for job in tokens]
-        got = [out for run in runs(tokens, RUN) for out in context.fuse_run(run)]
+        expected = [windows[w] for w in range(3 * RUN)]
+        got = windows[:3 * RUN]
+        for each, ctx in ((expected, alone), (got, context)):
+            for run in each:
+                for stage in (ctx.analyze, ctx.detect, ctx.tokenize, ctx.fuse):
+                    stage(run)
         warm_up = config.fusion.burst_tokens - 1
-        for window, (a, b) in enumerate(zip(expected, got)):
-            for one, batched in ((a.motion_logits, b.motion_logits),
-                                 (a.event_logits, b.event_logits)):
+        for window, a in enumerate(expected):
+            b, i = got[window // RUN], window % RUN
+            for one, batched in ((a.motion_logits[0], b.motion_logits[i]),
+                                 (a.event_logits[0], b.event_logits[i])):
                 if window < warm_up:
                     assert one.tobytes() == batched.tobytes()
                 assert row_gap(batched, one) <= 1e-5
@@ -210,15 +215,10 @@ class TestRunFailuresAndLatency:
         assert str(raised.value) == f"windows 0-{RUN - 1}: analyze stage failed: broken NLM"
 
     def test_each_window_of_a_run_gets_its_share_of_the_run_time(self):
-        def batched(jobs):
-            return list(jobs)
-
-        jobs = [SimpleNamespace(index=i) for i in range(7)]
         outputs = []
-        _, latencies = run_stages(
-            [("a", batched, 3), per_window("b", lambda job: outputs.append(job) or job)], jobs,
-            capacity=8)
-        assert [job.index for job in outputs] == list(range(7))
+        _, latencies = run_stages([("a", lambda run: None), ("b", outputs.append)],
+                                  HandWindows(7), capacity=8)
+        assert [window for run in outputs for window in run.windows] == list(range(7))
         a = latencies["a"]
         assert len(a) == len(latencies["b"]) == 7
-        assert a[0] == a[1] == a[2] and a[3] == a[4] == a[5]
+        assert a[0] == a[1] == a[2] == a[3] and a[4] == a[5] == a[6]
