@@ -4,8 +4,11 @@ Every method emits a score in [0, 1] so the weighted combination stays
 commensurable: z-scores are clamped at ``z / Z_CAP`` and reconstruction
 error at ``mse / (10 x final training MSE)``. One :class:`RollingBaseline`
 per scalar (frame mean, audio energy, spectral centroid) always appends the
-newest observation, anomalous or not. The autoencoder's weights come from a
-:class:`tensor.ParamStore` and train through :func:`tensor.sgd_step`.
+newest observation, anomalous or not. The frame-mean and reconstruction
+scores take one frame or a (B, h, w) stack, whose means and block means are
+each one frame's own reduction, so each frame scores the bytes it has alone.
+The autoencoder's weights come from a :class:`tensor.ParamStore` and train
+through :func:`tensor.sgd_step`.
 """
 
 from __future__ import annotations
@@ -50,21 +53,25 @@ class RollingBaseline:
         return score
 
 
-def zscore_score(baseline: RollingBaseline, frame: np.ndarray) -> float:
-    """:meth:`RollingBaseline.score` of the frame's mean intensity."""
-    return baseline.score(float(np.asarray(frame, dtype=np.float64).mean()))
+def zscore_score(baseline: RollingBaseline, frames: np.ndarray) -> float | list[float]:
+    """:meth:`RollingBaseline.score` of one (h, w) frame's mean intensity, or
+    the list of each frame's of a (B, h, w) stack, scored in order."""
+    stack = np.asarray(frames, dtype=np.float64)
+    means = stack.reshape(-1, stack.shape[-2] * stack.shape[-1]).mean(axis=1)
+    scores = [baseline.score(float(mean)) for mean in means]
+    return scores[0] if stack.ndim == 2 else scores
 
 
 def block_mean_downsample(pixels: np.ndarray) -> np.ndarray:
-    """Average-pool a frame onto a GRID x GRID grid."""
+    """Average-pool one frame, or each frame of a (B, h, w) stack, onto a GRID x GRID grid."""
     img = np.asarray(pixels, dtype=np.float64)
-    if img.ndim != 2 or img.shape[0] < GRID or img.shape[1] < GRID:
+    if img.ndim not in (2, 3) or img.shape[-2] < GRID or img.shape[-1] < GRID:
         raise InvalidInput(f"frame must be at least {GRID}x{GRID}, got {img.shape}")
-    h, w = img.shape
+    h, w = img.shape[-2:]
     row_edges = (np.arange(GRID + 1) * h) // GRID
     col_edges = (np.arange(GRID + 1) * w) // GRID
-    rows = np.add.reduceat(img, row_edges[:-1], axis=0)
-    cells = np.add.reduceat(rows, col_edges[:-1], axis=1)
+    rows = np.add.reduceat(img, row_edges[:-1], axis=-2)
+    cells = np.add.reduceat(rows, col_edges[:-1], axis=-1)
     counts = np.outer(np.diff(row_edges), np.diff(col_edges))
     return cells / counts
 
@@ -100,8 +107,10 @@ class DenseAutoencoder:
         return max(MSE_CAP_FACTOR * self.training_mse, MSE_CAP_FLOOR)
 
 
-def frame_to_vector(frame: np.ndarray) -> np.ndarray:
-    return block_mean_downsample(frame).reshape(-1) / 255.0
+def frame_to_vector(frames: np.ndarray) -> np.ndarray:
+    """A frame's block means scaled to [0, 1], flat; a (B, h, w) stack gives (B, GRID^2)."""
+    cells = block_mean_downsample(frames)
+    return cells.reshape(*cells.shape[:-2], -1) / 255.0
 
 
 def autoencoder_train(frames: list[np.ndarray], steps: int, learning_rate: float,
@@ -128,12 +137,20 @@ def autoencoder_train(frames: list[np.ndarray], steps: int, learning_rate: float
     return model
 
 
-def autoencoder_score(model: DenseAutoencoder, frame: np.ndarray) -> float:
-    """Reconstruction error scaled by the frozen training cap, clamped to 1."""
-    vector = frame_to_vector(frame)
-    recon = model.reconstruct(vector)
-    mse = float(np.mean((recon - vector) ** 2))
-    return min(mse / model.mse_cap, 1.0)
+def autoencoder_score(model: DenseAutoencoder, frames: np.ndarray) -> float | list[float]:
+    """Reconstruction error scaled by the frozen training cap, clamped to 1: of one
+    (h, w) frame, or the list of each frame's of a (B, h, w) stack.
+
+    The block means are taken over the stack at once, but each frame is
+    reconstructed alone: a stacked product can round differently.
+    """
+    vectors = frame_to_vector(frames)
+    scores = []
+    for vector in vectors.reshape(-1, GRID * GRID):
+        recon = model.reconstruct(vector)
+        mse = float(np.mean((recon - vector) ** 2))
+        scores.append(min(mse / model.mse_cap, 1.0))
+    return scores[0] if vectors.ndim == 1 else scores
 
 
 def save_autoencoder(path, model: DenseAutoencoder) -> None:

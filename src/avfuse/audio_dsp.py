@@ -4,7 +4,8 @@ Three representations of a sample window: STFT magnitude spectrogram,
 ``MEL_BANDS``-band mel spectrogram (HTK mel scale, triangular filters with peak weight
 1), and a Morlet-wavelet scalogram. Scalar statistics (zero-crossing rate,
 spectral centroid, bandwidth, rolloff, mean-square energy) feed the audio
-tokens of the fusion models.
+tokens of the fusion models; they take one window or a (B, n) stack of
+windows, each with the bytes it has alone.
 """
 
 from __future__ import annotations
@@ -151,32 +152,37 @@ def cwt_scalogram(samples, scales) -> np.ndarray:
     return coeffs
 
 
-def spectral_stats(samples, sample_rate: int) -> SpectralStats:
-    """Scalar statistics of a sample window.
+def spectral_stats(samples, sample_rate: int) -> SpectralStats | list[SpectralStats]:
+    """Scalar statistics of one sample window, or the list of each window's of
+    a (B, n) stack.
 
-    zcr counts sign changes over ``len - 1`` adjacent pairs. Centroid and
+    zcr counts sign changes over ``n - 1`` adjacent pairs. Centroid and
     bandwidth are the magnitude-weighted mean and standard deviation of the
     one-sided spectrum; rolloff is the lowest frequency below which 85% of
     spectral energy lies. A silent window yields all zeros rather than NaN.
+    Every step is elementwise over the stack or reduces one window's row, so
+    each window gets the bytes it has alone.
     """
     samples = np.asarray(samples, dtype=np.float64)
-    if len(samples) < 2:
-        raise InvalidInput(f"need at least 2 samples, got {len(samples)}")
+    if samples.ndim not in (1, 2):
+        raise InvalidInput(f"expected a sample window or a (B, n) stack, got shape {samples.shape}")
+    n = samples.shape[-1]
+    if n < 2:
+        raise InvalidInput(f"need at least 2 samples, got {n}")
+    windows = samples.reshape(-1, n)
 
-    sign_changes = int(np.count_nonzero(samples[:-1] * samples[1:] < 0))
-    zcr = sign_changes / (len(samples) - 1)
-    energy = float(np.mean(samples ** 2))
-
-    magnitudes = np.abs(np.fft.rfft(samples))
-    freqs = np.fft.rfftfreq(len(samples), d=1.0 / sample_rate)
-    total_mag = magnitudes.sum()
-    if total_mag == 0.0:
-        return SpectralStats(zcr=zcr, centroid_hz=0.0, bandwidth_hz=0.0, rolloff_hz=0.0, energy=energy)
-
-    centroid = float((freqs * magnitudes).sum() / total_mag)
-    bandwidth = float(np.sqrt(((freqs - centroid) ** 2 * magnitudes).sum() / total_mag))
-    power = magnitudes ** 2
-    cumulative = np.cumsum(power)
-    rolloff_idx = int(np.searchsorted(cumulative, ROLLOFF_FRACTION * cumulative[-1]))
-    rolloff = float(freqs[min(rolloff_idx, len(freqs) - 1)])
-    return SpectralStats(zcr=zcr, centroid_hz=centroid, bandwidth_hz=bandwidth, rolloff_hz=rolloff, energy=energy)
+    zcr = np.count_nonzero(windows[:, :-1] * windows[:, 1:] < 0, axis=1) / (n - 1)
+    energy = np.mean(windows ** 2, axis=1)
+    magnitudes = np.abs(np.fft.rfft(windows, axis=1))
+    freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
+    total_mag = magnitudes.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # silent windows, zeroed below
+        centroid = (freqs * magnitudes).sum(axis=1) / total_mag
+        bandwidth = np.sqrt(((freqs - centroid[:, None]) ** 2 * magnitudes).sum(axis=1) / total_mag)
+    cumulative = np.cumsum(magnitudes ** 2, axis=1)
+    # The first bin whose cumulative power reaches the fraction; the sums never decrease.
+    rolloff_idx = np.count_nonzero(cumulative < ROLLOFF_FRACTION * cumulative[:, -1:], axis=1)
+    rolloff = freqs[np.minimum(rolloff_idx, len(freqs) - 1)]
+    spectral = np.where(total_mag[:, None] == 0.0, 0.0, np.stack([centroid, bandwidth, rolloff], 1))
+    stats = [SpectralStats(*map(float, (z, *row, e))) for z, row, e in zip(zcr, spectral, energy)]
+    return stats[0] if samples.ndim == 1 else stats

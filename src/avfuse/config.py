@@ -20,7 +20,7 @@ from typing import get_args, get_origin, get_type_hints
 from .anomaly import METHODS
 from .detect_track import TrackerThresholds
 from .errors import InvalidConfig
-from .vision_dsp import FLOW_ALPHA_MAX, FLOW_ALPHA_MIN, NLM_STRENGTH_MIN
+from .vision_dsp import FLOW_ALPHA_MAX, FLOW_ALPHA_MIN, NLM_PATCH_MAX, NLM_STRENGTH_MIN
 
 DEFAULT_EVENT_LABELS = (
     "normal", "machine_operation", "tool_usage", "smoke", "fire", "leak",
@@ -127,6 +127,8 @@ class Config:
 
         v = self.vision
         check(v.nlm_patch % 2 == 1 and v.nlm_patch >= 1, "vision.nlm_patch must be odd and positive")
+        check(v.nlm_patch <= NLM_PATCH_MAX,
+              f"vision.nlm_patch must be <= {NLM_PATCH_MAX}, so float32 holds NLM's distances exactly")
         check(v.nlm_search % 2 == 1 and v.nlm_search >= v.nlm_patch,
               "vision.nlm_search must be odd and >= patch")
         check(v.nlm_strength >= NLM_STRENGTH_MIN,

@@ -185,8 +185,8 @@ class PipelineContext:
     def analyze(self, run: Run) -> None:
         """One NLM call on the run's frame stack and one Horn-Schunck call on
         its (previous, next) pairs, the first pair reaching back to the last
-        frame of the run before; the DWT and the spectral statistics run per
-        window."""
+        frame of the run before; then one DWT call on the denoised stack and
+        one spectral statistics call on the run's samples."""
         v = self.config.vision
         frames = preprocess_frames(run.raw, patch=v.nlm_patch, search=v.nlm_search,
                                    strength=v.nlm_strength)
@@ -203,11 +203,8 @@ class PipelineContext:
                     if self.export_dir is not None:
                         export_flow_csv(self.export_dir / f"flow_{run.index + i:04d}.csv", field)
         self._prev_frame = frames[-1]
-        run.preprocessed, run.wavelets, run.stats = frames, [], []
-        for window, frame, samples in zip(run.windows, frames, run.samples):
-            with _naming(window):
-                run.wavelets.append(dwt2_energy(frame))
-                run.stats.append(spectral_stats(samples, self.sample_rate))
+        run.preprocessed, run.wavelets = frames, dwt2_energy(frames)
+        run.stats = spectral_stats(run.samples, self.sample_rate)
 
     def detect(self, run: Run) -> None:
         d = self.config.detector
@@ -263,20 +260,24 @@ class PipelineContext:
         run.event_logits = None if events[0] is None else np.concatenate(events)
 
     def score(self, run: Run) -> None:
+        """The frame-mean and reconstruction scores of the run's stack at once,
+        then each window's audio and event scores and report."""
         cfg = self.config.anomaly
+        statistical = zscore_score(self.mean_baseline, run.preprocessed)
+        reconstruction = [0.0] * len(run) if self.autoencoder is None else autoencoder_score(
+            self.autoencoder, run.preprocessed)
         run.reports = []
         for i, window in enumerate(run.windows):
             with _naming(window):
-                frame, stats = run.preprocessed[i], run.stats[i]
+                stats = run.stats[i]
                 # Methods without a backing model report 0 at their configured
                 # weight ("nothing detected") rather than being renormalized away,
                 # so one saturated method cannot trigger a run on its own.
                 scores = {
-                    "statistical": zscore_score(self.mean_baseline, frame),
+                    "statistical": statistical[i],
                     "audio": audio_anomaly_score(stats.energy, stats.centroid_hz,
                                                  self.energy_baseline, self.centroid_baseline),
-                    "reconstruction": 0.0 if self.autoencoder is None else autoencoder_score(
-                        self.autoencoder, frame),
+                    "reconstruction": reconstruction[i],
                     "event": 0.0,
                 }
                 contributing: tuple[str, ...] = ()
@@ -458,9 +459,10 @@ def export_audio_features(samples: np.ndarray, sample_rate: int, export_dir: Pat
 class CaptureWindows(Sequence):
     """The aligned windows of an opened capture, read as :class:`Run` records.
 
-    A slice reads its windows' frames and audio samples then, the samples
-    through one open file, and cuts them into runs of up to ``RUN`` windows
-    from the slice's start; an index reads its window as a run of one.
+    A slice, whose step must be 1, reads its windows' frames and audio
+    samples then, the samples through one open file, and cuts them into runs
+    of up to ``RUN`` windows from the slice's start; an index reads its
+    window as a run of one.
     Nothing is kept between reads. Every frame must have frame 0's size,
     checked as it is read.
     """
@@ -476,7 +478,10 @@ class CaptureWindows(Sequence):
 
     def __getitem__(self, key):
         if isinstance(key, slice):
-            return self._read(range(*key.indices(len(self))))
+            indices = range(*key.indices(len(self)))
+            if indices.step != 1:  # runs hold consecutive windows
+                raise InvalidInput(f"capture windows slice with step 1 only, got step {key.step}")
+            return self._read(indices)
         index = range(len(self))[key]
         return self._read(range(index, index + 1))[0]
 
@@ -590,6 +595,7 @@ def run_stages(stages: list, windows: Sequence,
                 except Exception as exc:
                     raise AvFuseError(f"{_windows(run)}: {name} stage failed: {exc}") from exc
                 latencies[name] += [(time.perf_counter() - start) * 1e3 / len(run)] * len(run)
+        runs = run = None  # so the next chunk is read after this one is freed
     return shed, latencies
 
 

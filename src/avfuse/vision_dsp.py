@@ -3,7 +3,10 @@
 Preprocessing is patch-based non-local means denoising on 8-bit grayscale.
 Its patch distances are box sums of squared pixel differences, each search
 offset and box-sum term one contiguous shift of the padded frame read as a
-flat run; on 8-bit input every such sum is an exact integer in float64.
+flat run; on 8-bit input every such sum is an integer of at most
+patch^2 * 255^2, which float32 holds exactly up to ``NLM_PATCH_MAX`` = 15
+(14,630,625 < 2^24), so the distances run in float32 and meet the float64
+weights as the very integers float64 would hold.
 The distance of ``p`` to ``p + s`` is the distance of ``p + s`` to ``p``, and
 being exact it is the same float, so the mirrored weight is bit-identical:
 each pair of offsets ``-s`` and ``+s`` costs one distance plane and one
@@ -12,7 +15,10 @@ A (B, h, w) stack of frames runs as B such runs at once, every op
 elementwise, so each frame keeps the bytes it has alone; one frame is the
 stack of one.
 Texture energy comes from a 2-level Daubechies-2 decomposition with periodic
-extension, which makes subband energies sum exactly to the pixel energy.
+extension, which makes subband energies sum exactly to the pixel energy. It
+too takes one frame or a (B, h, w) stack, every step elementwise over the
+stack and each energy one sum over a contiguous band of one frame, so each
+frame gets the bytes it has alone.
 Dense motion is estimated with the Horn-Schunck variational scheme behind
 the ``DenseFlow`` interface so a different solver can be slotted in later.
 Its Jacobi sweeps update one edge-padded (u, v) buffer in place, in float32,
@@ -44,6 +50,9 @@ FLOW_ALPHA_MAX = float(np.sqrt(np.float64(np.finfo(np.float32).max)))
 
 # preprocess_frame's weight exponents are at most 255^2 / strength^2; this keeps them finite.
 NLM_STRENGTH_MIN = 1e-150
+# The largest patch whose 8-bit distances, at most patch^2 * 255^2, float32 holds exactly
+# (below 2^24); at 17 they would pass it.
+NLM_PATCH_MAX = 15
 
 
 @dataclass(frozen=True)
@@ -100,8 +109,12 @@ def preprocess_frames(frames: np.ndarray, patch: int = 3, search: int = 7,
     ``k``; every op runs over all B rows at once. The last ``wide - w``
     columns of each frame row wrap into the next row (pixel or zero
     differences, within +-255) and are dropped. Each kept pixel's distance is
-    the exact integer sum of its squared 8-bit differences, in any addition
-    order, so it is the same float as a 2-D window sum of each frame alone.
+    the integer sum of its squared 8-bit differences, at most
+    ``patch^2 * 255^2``, below 2^24 for ``patch <= NLM_PATCH_MAX``, so
+    float32 holds it and every partial sum exactly, in any addition order:
+    it is the same integer as a 2-D window sum of each frame alone, and is
+    scaled into the float64 weight plane as the float64 sums would hold it.
+    Frames that are not uint8 and a larger patch raise :class:`InvalidInput`.
 
     The sums start from the center pixel and weight 1. Each offset before
     the center in raster order, a shift by ``-s``, then gets one weight plane
@@ -115,26 +128,30 @@ def preprocess_frames(frames: np.ndarray, patch: int = 3, search: int = 7,
     checkerboards, some on exact ties), all checked against the raster-order
     reference in the tests.
     """
-    img = np.asarray(frames, dtype=np.float64)
+    img = np.asarray(frames)
     if img.ndim != 3 or img.size == 0:
         raise InvalidInput(f"expected a (B, h, w) stack with non-zero area, got shape {img.shape}")
-    if patch < 1 or patch % 2 == 0:
-        raise InvalidInput(f"patch must be odd and positive, got {patch}")
+    if img.dtype != np.uint8:
+        raise InvalidInput(f"expected 8-bit frames, got dtype {img.dtype}")
+    if not 1 <= patch <= NLM_PATCH_MAX or patch % 2 == 0:
+        raise InvalidInput(f"patch must be odd and in [1, {NLM_PATCH_MAX}], got {patch}")
     b, h, w = img.shape
     check_nlm_search(search, h, w)
     pr, sr = patch // 2, search // 2
     pad = sr + pr
     wide = w + 2 * pad
     padded = np.pad(img, ((0, 0), (pad, pad), (pad, pad)), mode="reflect").reshape(b, -1)
-    flat = np.concatenate([padded, np.zeros((b, 2 * pad))], axis=1)
+    flat = np.concatenate([padded, np.zeros((b, 2 * pad), np.uint8)], axis=1).astype(np.float64)
+    flat32 = flat.astype(np.float32)  # the distances' copy
 
     n = h * wide  # one output run per frame; its last wide - w columns are thrown away
     reach = sr * wide + sr  # the largest shift of a search offset
     span = n + reach + 2 * pr * (wide + 1)
-    center = flat[:, reach:reach + span]
+    center = flat32[:, reach:reach + span]
     pixels = flat[:, pad * (wide + 1):pad * (wide + 1) + n + reach]
-    diff = np.empty((b, span))
-    rows = np.empty((b, n + reach + 2 * pr))
+    diff = np.empty((b, span), np.float32)
+    rows = np.empty((b, n + reach + 2 * pr), np.float32)
+    dist = np.empty((b, n + reach), np.float32)
     weight = np.empty((b, n + reach))
     weighted = np.empty((b, n))
     value_sum, weight_sum = pixels[:, :n].copy(), np.ones((b, n))  # the center weight is 1
@@ -143,15 +160,15 @@ def preprocess_frames(frames: np.ndarray, patch: int = 3, search: int = 7,
         for dx in range(-sr, sr + 1 if dy else 0):
             s = -(dy * wide + dx)  # this offset shifts by -s, its mirror by +s
             start = reach - s
-            np.subtract(center, flat[:, start:start + span], out=diff)
+            np.subtract(center, flat32[:, start:start + span], out=diff)
             np.multiply(diff, diff, out=diff)
             np.copyto(rows, diff[:, :rows.shape[1]])
             for k in range(1, patch):
                 rows += diff[:, k * wide:k * wide + rows.shape[1]]
-            np.copyto(weight, rows[:, :n + reach])
+            np.copyto(dist, rows[:, :n + reach])
             for k in range(1, patch):
-                weight += rows[:, k:k + n + reach]
-            np.multiply(weight, neg_inv_h2, out=weight)
+                dist += rows[:, k:k + n + reach]
+            np.multiply(dist, neg_inv_h2, out=weight, dtype=np.float64)
             np.exp(weight, out=weight)
             start += pr * (wide + 1)
             for plane, near in ((weight[:, :n], flat[:, start:start + n]),
@@ -189,9 +206,10 @@ def _dwt_step(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _dwt2_level(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    lo_r, hi_r = _dwt_step(values, axis=0)
-    ll, lh = _dwt_step(lo_r, axis=1)
-    hl, hh = _dwt_step(hi_r, axis=1)
+    """One 2-D level of each frame of a (B, h, w) stack: rows, then columns."""
+    lo_r, hi_r = _dwt_step(values, axis=1)
+    ll, lh = _dwt_step(lo_r, axis=2)
+    hl, hh = _dwt_step(hi_r, axis=2)
     return ll, lh, hl, hh
 
 
@@ -207,27 +225,27 @@ def check_dwt_sides(h: int, w: int) -> None:
         raise InvalidInput(f"frame dimensions must be divisible by 4, got {h}x{w}")
 
 
-def dwt2_energy(pixels: np.ndarray) -> WaveletEnergy:
-    """Subband energies of a 2-level periodic db2 decomposition.
+def dwt2_energy(pixels: np.ndarray) -> WaveletEnergy | list[WaveletEnergy]:
+    """Subband energies of a 2-level periodic db2 decomposition of one (h, w)
+    frame, or the list of each frame's of a (B, h, w) stack.
 
-    The frame's sides must pass :func:`check_dwt_sides`. Orthonormality plus
-    periodic extension makes the total equal the pixel sum of squares.
+    The frames' sides must pass :func:`check_dwt_sides`. Orthonormality plus
+    periodic extension makes each total equal its frame's pixel sum of
+    squares. Every step is elementwise over the stack and each energy sums
+    one frame's contiguous band, so each frame gets the bytes it has alone.
     """
     img = np.asarray(pixels, dtype=np.float64)
-    if img.ndim != 2:
-        raise InvalidInput(f"expected a 2-D frame, got shape {img.shape}")
-    check_dwt_sides(*img.shape)
+    if img.ndim not in (2, 3):
+        raise InvalidInput(f"expected a 2-D frame or a (B, h, w) stack, got shape {img.shape}")
+    check_dwt_sides(*img.shape[-2:])
+    stack = img.reshape(-1, *img.shape[-2:])
 
-    ll1, lh1, hl1, hh1 = _dwt2_level(img)
+    ll1, lh1, hl1, hh1 = _dwt2_level(stack)
     ll2, lh2, hl2, hh2 = _dwt2_level(ll1)
-
-    def energy(band: np.ndarray) -> float:
-        return float(np.sum(band * band))
-
-    return WaveletEnergy(
-        ll2=energy(ll2), lh2=energy(lh2), hl2=energy(hl2), hh2=energy(hh2),
-        lh1=energy(lh1), hl1=energy(hl1), hh1=energy(hh1),
-    )
+    energies = [np.sum((band * band).reshape(len(stack), -1), axis=1)
+                for band in (ll2, lh2, hl2, hh2, lh1, hl1, hh1)]
+    frames = [WaveletEnergy(*map(float, row)) for row in zip(*energies)]
+    return frames[0] if img.ndim == 2 else frames
 
 
 class DenseFlow:

@@ -254,6 +254,24 @@ def reference_horn_schunck(frame_prev, frame_next, alpha=10.0, iterations=100):
     return u, v
 
 
+def reference_spectral_stats(samples, sample_rate):
+    """(zcr, centroid, bandwidth, rolloff, energy) of one window as computed before the
+    statistics took a stack: the per-window reference the stacked ones must equal."""
+    samples = np.asarray(samples, dtype=np.float64)
+    zcr = int(np.count_nonzero(samples[:-1] * samples[1:] < 0)) / (len(samples) - 1)
+    energy = float(np.mean(samples ** 2))
+    magnitudes = np.abs(np.fft.rfft(samples))
+    freqs = np.fft.rfftfreq(len(samples), d=1.0 / sample_rate)
+    total_mag = magnitudes.sum()
+    if total_mag == 0.0:
+        return zcr, 0.0, 0.0, 0.0, energy
+    centroid = float((freqs * magnitudes).sum() / total_mag)
+    bandwidth = float(np.sqrt(((freqs - centroid) ** 2 * magnitudes).sum() / total_mag))
+    cumulative = np.cumsum(magnitudes ** 2)
+    rolloff_idx = int(np.searchsorted(cumulative, 0.85 * cumulative[-1]))
+    return zcr, centroid, bandwidth, float(freqs[min(rolloff_idx, len(freqs) - 1)]), energy
+
+
 def sequence(batch, i):
     """Sequence ``i`` of a :class:`fusion.TrainingBatch` as a batch of one: the per-example
     reference a batched loss is checked against."""

@@ -17,6 +17,7 @@ from avfuse.config import FLOW_ITERATIONS_MAX, Config, DetectorConfig, RuntimeCo
 from avfuse.errors import InvalidConfig
 from avfuse.pipeline import run_pipeline
 from avfuse.scenario import preset_scenario
+from avfuse.vision_dsp import NLM_PATCH_MAX
 
 CANONICAL = preset_scenario("canonical", seed=0).to_dict()
 
@@ -46,13 +47,15 @@ CANONICAL = preset_scenario("canonical", seed=0).to_dict()
     ({"vision": {"flow_iterations": 10**9}}, "vision.flow_iterations"),
     ({"fusion": {"steps": 30_001}}, "fusion.steps"),
     ({"anomaly": {"autoencoder_steps": 150_001}}, "anomaly.autoencoder_steps"),
+    ({"vision": {"nlm_patch": 17, "nlm_search": 17}}, "vision.nlm_patch"),
 ], ids=["string steps", "list weights", "string weight", "number section", "integer flag",
         "infinite weight", "infinite learning rate", "infinite flow alpha",
         "negative autoencoder learning rate", "negative fusion seed", "400-digit flow alpha",
         "huge history", "huge weight", "huge queue capacity", "unknown method weight",
         "overflowing weight sum", "nlm strength 1e-300", "nlm strength 1e-160",
         "false positive rate 1e300", "false positive rate 101", "jitter 1e300",
-        "flow iterations 1e9", "fusion steps 30001", "autoencoder steps 150001"])
+        "flow iterations 1e9", "fusion steps 30001", "autoencoder steps 150001",
+        "nlm patch 17"])
 def test_wrong_json_type_is_a_config_error(tmp_path, capsys, override, key):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(override))
@@ -66,6 +69,16 @@ def test_flow_iterations_up_to_the_bound_are_accepted():
     config.validate()
     config.vision.flow_iterations += 1
     with pytest.raises(InvalidConfig, match=f"vision.flow_iterations must be <= {FLOW_ITERATIONS_MAX}"):
+        config.validate()
+
+
+def test_nlm_patch_up_to_the_bound_is_accepted():
+    """Above 15, float32 no longer holds NLM's 8-bit patch distances exactly."""
+    config = Config()
+    config.vision.nlm_patch = config.vision.nlm_search = NLM_PATCH_MAX
+    config.validate()
+    config.vision.nlm_patch = config.vision.nlm_search = NLM_PATCH_MAX + 2
+    with pytest.raises(InvalidConfig, match=f"vision.nlm_patch must be <= {NLM_PATCH_MAX}"):
         config.validate()
 
 

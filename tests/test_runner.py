@@ -54,10 +54,10 @@ def cropped_capture(canonical_capture, tmp_path_factory):
 
 @pytest.fixture
 def failing_analyze(monkeypatch):
-    """Make the DWT inside analyze raise on every frame."""
+    """Make the DWT inside analyze raise on every run."""
     import avfuse.pipeline
 
-    def broken(frame):
+    def broken(frames):
         raise ValueError("broken DWT")
 
     monkeypatch.setattr(avfuse.pipeline, "dwt2_energy", broken)
@@ -69,7 +69,7 @@ class TestStageFailure:
         kind, error = finishes(lambda: run_pipeline(canonical_capture, Config(), tmp_path / "t"))
         assert kind == "error"
         assert isinstance(error, AvFuseError)
-        assert str(error) == "window 0: analyze stage failed: broken DWT"
+        assert str(error) == f"windows 0-{RUN - 1}: analyze stage failed: broken DWT"
         assert isinstance(error.__cause__, ValueError)
 
     @pytest.mark.parametrize("mode", [[], ["--single-thread"]], ids=["threaded", "inline"])
@@ -78,7 +78,7 @@ class TestStageFailure:
         argv = ["--out", str(tmp_path / "out"), "run", str(canonical_capture), *mode]
         assert finishes(lambda: cli_main(argv)) == ("value", 2)
         err = capsys.readouterr().err
-        assert "window 0: analyze stage failed" in err
+        assert f"windows 0-{RUN - 1}: analyze stage failed" in err
 
     @pytest.mark.parametrize("on_helper_thread", [True, False], ids=["threaded", "inline"])
     def test_first_failure_stops_every_worker(self, on_helper_thread):
@@ -182,14 +182,14 @@ class TestStreamedRun:
     def test_a_failing_stage_leaves_no_event_log(self, injection_capture, tmp_path, monkeypatch):
         original, calls = avfuse.pipeline.dwt2_energy, []
 
-        def fails_late(frame):
+        def fails_late(frames):
             calls.append(1)
-            if len(calls) == 100:
+            if len(calls) == 25:  # windows 96-99, once the sink has logged the first chunk
                 raise ValueError("broken DWT")
-            return original(frame)
+            return original(frames)
 
         monkeypatch.setattr(avfuse.pipeline, "dwt2_energy", fails_late)
-        with pytest.raises(AvFuseError, match="window 99: analyze stage failed"):
+        with pytest.raises(AvFuseError, match="windows 96-99: analyze stage failed"):
             run_pipeline(injection_capture, Config(), tmp_path / "out", deterministic=True)
         assert not (tmp_path / "out" / "events.jsonl").exists()
         assert not (tmp_path / "out" / PARTIAL_LOG).exists()

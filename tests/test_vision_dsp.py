@@ -6,6 +6,7 @@ import pytest
 from avfuse.errors import InvalidInput
 from avfuse.io import load_capture
 from avfuse.vision_dsp import (
+    NLM_PATCH_MAX,
     NLM_STRENGTH_MIN,
     DenseFlow,
     dwt2_energy,
@@ -109,6 +110,37 @@ class TestPreprocessFrame:
     def test_even_patch_rejected(self, patch):
         with pytest.raises(InvalidInput, match="patch must be odd"):
             preprocess_frame(np.zeros((8, 8), dtype=np.uint8), patch=patch)
+
+    def test_the_largest_patch_keeps_every_distance_below_2_to_the_24(self):
+        """float32 holds every integer up to 2^24, so it holds each 8-bit distance exactly
+        up to patch 15; at 17 the largest would not fit."""
+        assert NLM_PATCH_MAX == 15
+        assert NLM_PATCH_MAX ** 2 * 255 ** 2 < 2 ** 24 < (NLM_PATCH_MAX + 2) ** 2 * 255 ** 2
+
+    def test_patch_above_the_largest_rejected(self):
+        preprocess_frame(np.zeros((16, 16), dtype=np.uint8), patch=NLM_PATCH_MAX, search=15)
+        with pytest.raises(InvalidInput, match=r"patch must be odd and in \[1, 15\], got 17"):
+            preprocess_frame(np.zeros((20, 20), dtype=np.uint8), patch=17, search=17)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.uint16, np.int8, bool])
+    def test_frames_that_are_not_8_bit_rejected_naming_the_dtype(self, dtype):
+        """The distances are exact only for 8-bit input."""
+        with pytest.raises(InvalidInput, match=f"expected 8-bit frames, got dtype {np.dtype(dtype)}$"):
+            preprocess_frames(np.zeros((2, 8, 8), dtype=dtype))
+
+    @pytest.mark.parametrize("strength", [10.0, 300.0, 3e4])
+    def test_bytes_equal_reference_where_distances_are_largest(self, strength):
+        """Full-contrast 0/255 checkerboards at patch 15: every odd offset puts each pixel
+        255 away from its partner, a distance of 15^2 * 255^2 = 14,630,625, the largest an
+        8-bit frame can reach; float32 holds it and each partial sum exactly."""
+        y, x = np.indices((24, 24))
+        boards = [(x + y) % 2, (x // 2 + y // 2) % 2, (x + y + 1) % 2, (x // 3 + y) % 2]
+        frames = np.stack([board * 255 for board in boards]).astype(np.uint8)
+        frames[3, 11, 7] = 128
+        denoised = preprocess_frames(frames, NLM_PATCH_MAX, NLM_PATCH_MAX, strength)
+        for frame, out in zip(frames, denoised):
+            np.testing.assert_array_equal(
+                out, reference_nlm(frame, NLM_PATCH_MAX, NLM_PATCH_MAX, strength))
 
     def test_search_window_wider_than_the_frame_rejected(self):
         preprocess_frame(np.zeros((7, 12), dtype=np.uint8), search=7)

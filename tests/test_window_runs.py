@@ -1,11 +1,16 @@
-"""Analyze and fuse over runs of consecutive windows: stacked NLM and Horn-Schunck,
-one fusion forward per run of equal-length sequences, and how a run reports
-failures and latencies."""
+"""Analyze, fuse and score over runs of consecutive windows: stacked NLM, Horn-Schunck,
+DWT, spectral statistics, frame means and block means, one fusion forward per run of
+equal-length sequences, and how a run reports failures and latencies."""
+
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 import avfuse.pipeline
+from avfuse.anomaly import (RollingBaseline, autoencoder_score, autoencoder_train,
+                            frame_to_vector, zscore_score)
+from avfuse.audio_dsp import spectral_stats
 from avfuse.config import Config
 from avfuse.errors import AvFuseError, InvalidInput
 from avfuse.fusion import FUSED_DIM, TrainingBatch, build_model
@@ -19,8 +24,8 @@ from avfuse.pipeline import (
     run_stages,
 )
 from avfuse.scenario import generate_scenario, preset_scenario
-from avfuse.vision_dsp import DenseFlow, preprocess_frame, preprocess_frames
-from oracles import HandWindows
+from avfuse.vision_dsp import DenseFlow, dwt2_energy, preprocess_frame, preprocess_frames
+from oracles import HandWindows, reference_dwt2_energies, reference_spectral_stats
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +113,7 @@ class TestRunLevelAnalyze:
             assert a.index == b.index + i == window
             assert a.preprocessed[0].tobytes() == b.preprocessed[i].tobytes()
             assert a.wavelets[0] == b.wavelets[i]
+            assert a.stats[0] == b.stats[i]
             assert a.flows[0] == b.flows[i]
 
     def test_flow_csvs_of_every_window_after_the_first(self, canonical_capture, tmp_path):
@@ -116,6 +122,85 @@ class TestRunLevelAnalyze:
                      export_dir=export)
         assert sorted(p.name for p in export.glob("flow_*.csv")) == [
             f"flow_{w:04d}.csv" for w in range(1, 10)]
+
+
+def seed1_frames(capture) -> np.ndarray:
+    burst, _ = load_capture(capture)
+    return np.stack([frame.pixels for frame in burst.frames])
+
+
+def assert_dwt_per_frame(frames):
+    stacked = dwt2_energy(frames)
+    assert len(stacked) == len(frames)
+    for frame, energy in zip(frames, stacked):
+        assert energy.subband_energies.tobytes() == dwt2_energy(frame).subband_energies.tobytes()
+        assert tuple(energy.subband_energies) == reference_dwt2_energies(frame)
+
+
+def assert_stats_per_window(windows, sample_rate):
+    stacked = spectral_stats(windows, sample_rate)
+    assert len(stacked) == len(windows)
+    for samples, stats in zip(windows, stacked):
+        assert np.array(astuple(stats)).tobytes() == np.array(
+            astuple(spectral_stats(samples, sample_rate))).tobytes()
+        assert astuple(stats) == reference_spectral_stats(samples, sample_rate)
+
+
+class TestStackedKernels:
+    """The DWT, spectral statistics, frame means and block means of a stack give each frame
+    or window the bytes of its own call and of the one-window reference."""
+
+    @pytest.mark.parametrize("shape", [(8, 8), (12, 20), (36, 52), (64, 64), (96, 128)])
+    def test_dwt_of_random_constant_and_zero_frames(self, shape):
+        rng = np.random.default_rng(shape[1])
+        frames = np.concatenate([random_frames(shape, 3, seed=shape[0]).astype(np.float64),
+                                 rng.normal(0.0, 100.0, size=(2, *shape)),
+                                 np.full((1, *shape), 9.0), np.zeros((1, *shape))])
+        assert_dwt_per_frame(frames)
+
+    def test_dwt_of_every_seed1_injection_frame(self, seed1_injection):
+        frames = seed1_frames(seed1_injection)
+        assert len(frames) == 120
+        for run in runs(frames, RUN):
+            assert_dwt_per_frame(run)
+        assert_dwt_per_frame(frames)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 16, 1601])
+    def test_spectral_stats_of_random_tone_constant_and_silent_windows(self, n):
+        rng = np.random.default_rng(n)
+        tone = 0.3 * np.sin(2.0 * np.pi * 440.0 * np.arange(n) / 16000)
+        windows = np.stack([rng.uniform(-1.0, 1.0, n), np.zeros(n), tone, np.full(n, 0.25),
+                            rng.integers(-32768, 32768, n) / 32768.0])
+        assert_stats_per_window(windows, 16000)
+
+    def test_spectral_stats_of_every_seed1_injection_window(self, seed1_injection):
+        _, capture, windows = open_capture(seed1_injection, Config().vision)
+        samples = np.concatenate([run.samples for run in windows[:]])
+        assert len(samples) == 120
+        for run in runs(samples, RUN):
+            assert_stats_per_window(run, capture.sample_rate)
+
+    def test_frame_means_and_block_means_of_every_seed1_injection_frame(self, seed1_injection):
+        frames = seed1_frames(seed1_injection)
+        stacked, alone = RollingBaseline(256), RollingBaseline(256)
+        assert zscore_score(stacked, frames) == [zscore_score(alone, frame) for frame in frames]
+        assert list(stacked.values) == list(alone.values) == [
+            float(frame.astype(np.float64).mean()) for frame in frames]
+        vectors = frame_to_vector(frames)
+        assert vectors.shape == (120, 64)
+        for frame, vector in zip(frames, vectors):
+            assert vector.tobytes() == frame_to_vector(frame).tobytes()
+
+    @pytest.mark.parametrize("shape", [(8, 8), (36, 52), (63, 70)])
+    def test_block_means_of_uneven_blocks(self, shape):
+        frames = random_frames(shape, 5, seed=shape[1])
+        for frame, vector in zip(frames, frame_to_vector(frames)):
+            assert vector.tobytes() == frame_to_vector(frame).tobytes()
+
+    def test_reconstruction_scores_of_every_seed1_injection_frame(self, seed1_injection):
+        frames = seed1_frames(seed1_injection)
+        model = autoencoder_train(list(frames[:32]), steps=20, learning_rate=0.1)
+        assert autoencoder_score(model, frames) == [autoencoder_score(model, f) for f in frames]
 
 
 def row_gap(batched: np.ndarray, alone: np.ndarray) -> float:
@@ -187,21 +272,37 @@ class TestBatchedForward:
         assert _motion_accuracy(model, batch) == correct / 12
 
 
+class TestCaptureWindowSlices:
+    @pytest.mark.parametrize("key, step", [(slice(0, 8, 2), 2), (slice(None, None, -1), -1)])
+    def test_a_step_other_than_1_is_rejected_naming_it(self, seed1_injection, key, step):
+        """Runs hold consecutive windows, so a strided slice would label its frames wrongly."""
+        _, _, windows = open_capture(seed1_injection, Config().vision)
+        with pytest.raises(InvalidInput, match=f"got step {step}$"):
+            windows[key]
+
+    def test_a_slice_is_cut_into_runs_of_the_windows_it_names(self, seed1_injection):
+        _, _, windows = open_capture(seed1_injection, Config().vision)
+        got = windows[5:14:1]
+        assert [list(run.windows) for run in got] == [[5, 6, 7, 8], [9, 10, 11, 12], [13]]
+        for run in got:
+            for window, frame in zip(run.windows, run.raw):
+                assert frame.tobytes() == windows[window].raw[0].tobytes()
+
+
 class TestRunFailuresAndLatency:
-    def test_a_dwt_failing_only_at_window_5_names_window_5(self, canonical_capture, tmp_path,
-                                                           monkeypatch):
-        original, calls = avfuse.pipeline.dwt2_energy, []
+    def test_a_detector_failing_only_at_window_5_names_window_5(self, canonical_capture,
+                                                                tmp_path, monkeypatch):
+        original = avfuse.pipeline.scripted_detector
 
-        def fails_at_window_5(frame):
-            calls.append(1)
-            if len(calls) == 6:
-                raise ValueError("broken DWT")
-            return original(frame)
+        def fails_at_window_5(window, *args):
+            if window == 5:
+                raise ValueError("broken detector")
+            return original(window, *args)
 
-        monkeypatch.setattr(avfuse.pipeline, "dwt2_energy", fails_at_window_5)
+        monkeypatch.setattr(avfuse.pipeline, "scripted_detector", fails_at_window_5)
         with pytest.raises(AvFuseError) as raised:
             run_pipeline(canonical_capture, Config(), tmp_path / "out", deterministic=True)
-        assert str(raised.value) == "window 5: analyze stage failed: broken DWT"
+        assert str(raised.value) == "window 5: detect stage failed: broken detector"
         assert isinstance(raised.value.__cause__, ValueError)
 
     def test_a_failure_over_a_run_names_the_run_s_windows(self, canonical_capture, tmp_path,
