@@ -12,7 +12,10 @@ by :func:`sgd_step`.
 
 Models hold what the store's ``linear``, ``layer_norm`` and
 ``feed_forward`` builders return and run it through :func:`linear`,
-:func:`layer_norm` and :func:`feed_forward`. Inside :func:`load` the
+:func:`layer_norm` and :func:`feed_forward`. :func:`linear` is one
+operation that adds its bias in place into the product, so a training step
+holds the parameters, their gradients and one activation per layer output.
+Inside :func:`load` the
 stores of one thread take every parameter from a file through :func:`read`
 instead of drawing it, so a loader builds its model once, from the file,
 and the file must hold nothing the loader does not read. :func:`save` is
@@ -185,8 +188,8 @@ def add_bias(x: Tensor, bias: Tensor) -> Tensor:
     if m < 1 or d != x.shape[1] or x.shape[0] % m:
         raise InvalidInput(f"add_bias: bias shape {bias.shape} does not broadcast onto {x.shape}")
     blocks = x.shape[0] // m
-    # One bias row or one block broadcasts as it is. The (B, m, d) view costs
-    # a few microseconds more per call, and one forward calls this 13 to 47 times.
+    # One bias row or one block broadcasts as it is; the (B, m, d) view costs
+    # a few microseconds more per call.
     data = (x.data + bias.data if m == 1 or blocks == 1
             else (x.data.reshape(blocks, m, d) + bias.data).reshape(x.shape))
     return _node(data, (x, bias), (lambda g: g, lambda g: g.reshape(blocks, m, d).sum(axis=0)))
@@ -544,9 +547,23 @@ def read(name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
 
 
 def linear(x: Tensor, layer: tuple[Tensor, Tensor]) -> Tensor:
-    """``x @ weight + bias`` of a :meth:`ParamStore.linear` pair."""
+    """``x @ weight + bias`` of a :meth:`ParamStore.linear` pair, as one operation.
+
+    The bias is added in place into the product, the same IEEE add as
+    ``add_bias(matmul(x, weight), bias)``, so only the result is kept and the
+    three gradients are that pair's expressions.
+    """
     weight, bias = layer
-    return add_bias(matmul(x, weight), bias)
+    if x.shape[1] != weight.shape[0]:
+        raise InvalidInput(f"matmul: inner dims disagree, {x.shape} @ {weight.shape}")
+    out = x.data @ weight.data
+    rows, d = out.shape
+    if bias.shape != (1, d):
+        raise InvalidInput(f"add_bias: bias shape {bias.shape} does not broadcast onto {out.shape}")
+    out += bias.data
+    return _node(out, (x, weight, bias),
+                 (lambda g: g @ weight.data.T, lambda g: x.data.T @ g,
+                  lambda g: g.reshape(rows, 1, d).sum(axis=0)))
 
 
 def feed_forward(x: Tensor, first: tuple[Tensor, Tensor], second: tuple[Tensor, Tensor]) -> Tensor:

@@ -82,6 +82,63 @@ class TestBackwardBytes:
             assert a.tobytes() == b.tobytes()
 
 
+class TestLinear:
+    """``linear`` is one operation with the bits of ``add_bias(matmul(x, w), b)``."""
+
+    @staticmethod
+    def layer(rng, rows, dtype):
+        return (T.Tensor(rng.normal(size=(rows, 6)).astype(dtype), requires_grad=True),
+                T.Tensor(rng.normal(size=(6, 5)).astype(dtype), requires_grad=True),
+                T.Tensor(rng.normal(size=(1, 5)).astype(dtype), requires_grad=True))
+
+    @pytest.mark.parametrize("rows", [1, 37])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_output_and_gradients_equal_the_pair(self, rows, dtype):
+        results = []
+        for fused in (True, False):
+            rng = np.random.default_rng(rows)
+            x, w, b = self.layer(rng, rows, dtype)
+            upstream = T.Tensor(rng.normal(size=(rows, 5)).astype(dtype))
+            out = T.linear(x, (w, b)) if fused else T.add_bias(T.matmul(x, w), b)
+            T.backward(T.sum_all(T.mul(out, upstream)))
+            results.append([t.tobytes() for t in (out.data, x.grad, w.grad, b.grad)])
+            assert {out.data.dtype, x.grad.dtype, w.grad.dtype, b.grad.dtype} == {np.dtype(dtype)}
+        assert results[0] == results[1]
+
+    def test_writes_into_none_of_its_inputs(self):
+        x, w, b = self.layer(np.random.default_rng(3), 4, np.float64)
+        before = [t.data.copy() for t in (x, w, b)]
+        out = T.linear(x, (w, b))
+        T.backward(T.sum_all(out))
+        for t, data in zip((x, w, b), before):
+            assert t.data.tobytes() == data.tobytes()
+            assert not np.shares_memory(t.data, out.data)
+
+    def test_records_one_node_and_none_under_inference(self, monkeypatch):
+        x, w, b = self.layer(np.random.default_rng(4), 4, np.float64)
+        nodes = []
+        node = T._node
+
+        def counting(*args):
+            nodes.append(args)
+            return node(*args)
+
+        monkeypatch.setattr(T, "_node", counting)
+        out = T.linear(x, (w, b))
+        assert len(nodes) == 1 and out._parents == (x, w, b)
+        with T.inference():
+            out = T.linear(x, (w, b))
+        assert len(nodes) == 2 and out._parents == () and out._grad_fns == ()
+
+    def test_shape_errors_keep_the_pair_messages(self):
+        x, w, b = self.layer(np.random.default_rng(5), 4, np.float64)
+        with pytest.raises(InvalidInput, match=r"matmul: inner dims disagree, \(4, 6\) @ \(5, 5\)"):
+            T.linear(x, (T.Tensor(np.ones((5, 5))), b))
+        with pytest.raises(InvalidInput,
+                           match=r"add_bias: bias shape \(1, 4\) does not broadcast onto \(4, 5\)"):
+            T.linear(x, (w, T.Tensor(np.ones((1, 4)))))
+
+
 class TestSoftmax:
     @settings(max_examples=60, deadline=None)
     @given(arrays(np.float64, (4, 6), elements=st.floats(-200, 200)))
@@ -164,6 +221,7 @@ def primitive_cases(rng):
     yield "mul", (lambda: T.sum_all(T.mul(a, b))), [a, b]
     yield "scale", (lambda: T.sum_all(T.scale(a, 0.7))), [a]
     yield "add_bias", (lambda: T.sum_all(T.gelu(T.add_bias(a, bias)))), [a, bias]
+    yield "linear", (lambda: T.sum_all(T.gelu(T.linear(a, (head, bias))))), [a, head, bias]
     yield "transpose", (lambda: T.sum_all(T.mul(T.transpose(a), T.transpose(b)))), [a, b]
     yield "softmax", (lambda: T.sum_all(T.mul(T.softmax(a), b))), [a, b]
     yield "layer_norm", (lambda: T.sum_all(T.mul(T.layer_norm(a, gain, bias), b))), [a, gain, bias, b]

@@ -1,4 +1,4 @@
-"""Peak memory of ``avfuse run --deterministic`` as the capture grows.
+"""Peak memory of ``avfuse train``, and of ``avfuse run --deterministic`` as the capture grows.
 
 Usage::
 
@@ -6,11 +6,12 @@ Usage::
 
 The script renders the seed-1 ``injection`` preset at k times its
 ``duration_s`` for each scale k, and trains a basic and an advanced model
-(``fusion.steps`` 10) on the seed-1 ``training`` preset. For each model and
-scale it starts a fresh interpreter that runs ``avfuse --deterministic run``
-on the capture twice: once untraced, reading ``ru_maxrss`` after it, and
-once under ``tracemalloc``, reading its traced peak. It prints one line per
-model and scale, and with ``--json`` writes the same records to PATH.
+(``fusion.steps`` 10) on the seed-1 ``training`` preset. For each model it
+starts a fresh interpreter that runs that ``avfuse train`` twice, and for
+each model and scale one that runs ``avfuse --deterministic run`` on the
+capture twice: once untraced, reading ``ru_maxrss`` after it, and once
+under ``tracemalloc``, reading its traced peak. It prints one line per
+measured command, and with ``--json`` writes the same records to PATH.
 
 Rendering and training run in a child interpreter too. Linux carries a
 process's peak RSS across ``fork`` and ``exec``, so this process stays
@@ -84,8 +85,20 @@ def measure(out: str, argv: list[str]) -> dict:
     return {"ru_maxrss_mib": rss_mib, "tracemalloc_peak_mib": peak / 2**20, "wall_s": wall_s}
 
 
+def report(record: dict, label: str) -> dict:
+    print(f"{label}  ru_maxrss {record['ru_maxrss_mib']:7.1f} MiB"
+          f"  tracemalloc peak {record['tracemalloc_peak_mib']:6.2f} MiB"
+          f"  wall {record['wall_s']:.2f} s", flush=True)
+    return record
+
+
 def run_all(work: Path, scales: list[int]) -> list[dict]:
     records = []
+    for kind in MODELS:
+        argv = ["--config", work / "configs" / f"{kind}.json", "--seed", SEED,
+                "train", work / "captures" / "training"]
+        records.append(report({"command": "train", "model": kind, **json.loads(
+            child("--measure", work / "trains" / kind, *argv))}, f"{kind:8s} train"))
     for kind in MODELS:
         models = work / "models" / kind
         for k in scales:
@@ -94,12 +107,9 @@ def run_all(work: Path, scales: list[int]) -> list[dict]:
             argv = ["--config", work / "configs" / f"{kind}.json", "--seed", SEED,
                     "--deterministic", "run", capture, "--params", models / "fusion.bin",
                     "--autoencoder", models / "autoencoder.bin"]
-            record = {"model": kind, "scale": k, "frames": n_frames,
+            record = {"command": "run", "model": kind, "scale": k, "frames": n_frames,
                       **json.loads(child("--measure", work / "runs" / f"{kind}-x{k}", *argv))}
-            print(f"{kind:8s} x{k:<3d} {n_frames:5d} frames  ru_maxrss {record['ru_maxrss_mib']:7.1f} MiB"
-                  f"  tracemalloc peak {record['tracemalloc_peak_mib']:6.2f} MiB"
-                  f"  wall {record['wall_s']:.2f} s", flush=True)
-            records.append(record)
+            records.append(report(record, f"{kind:8s} x{k:<3d} {n_frames:5d} frames"))
     return records
 
 
