@@ -1,25 +1,24 @@
-"""Four anomaly scorers and their weighted combination.
+"""Four anomaly scorers and their weighted combination, a run of windows at a time.
 
 Every method emits a score in [0, 1] so the weighted combination stays
 commensurable: z-scores are clamped at ``z / Z_CAP`` and reconstruction
 error at ``mse / (10 x final training MSE)``. One :class:`RollingBaseline`
-per scalar (frame mean, audio energy, spectral centroid) always appends the
-newest observation, anomalous or not. The frame-mean and reconstruction
-scores take one frame or a (B, h, w) stack, whose means and block means are
-each one frame's own reduction, so each frame scores the bytes it has alone.
+per scalar (frame mean, audio energy, spectral centroid) scores a run's
+values against slices of one buffer and keeps each, anomalous or not. Each
+frame of a (B, h, w) stack gets the frame-mean and reconstruction scores it
+has alone, and :func:`combine_scores` weighs a (B, 4) block of method scores.
 The autoencoder's weights come from a :class:`tensor.ParamStore` and train
 through :func:`tensor.sgd_step`.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as tz
-from .errors import AvFuseError, InvalidConfig, InvalidInput, NotTrained
+from .errors import AvFuseError, InvalidInput, NotTrained
 from .tensor import Tensor
 
 Z_CAP = 6.0
@@ -32,34 +31,36 @@ METHODS = ("statistical", "reconstruction", "audio", "event")
 
 
 class RollingBaseline:
-    """Bounded history of scalar observations with mean/std queries."""
+    """The last ``capacity`` scalar observations, as one float64 array."""
 
     def __init__(self, capacity: int = 64):
         if capacity < 2:
             raise InvalidInput(f"baseline capacity must be >= 2, got {capacity}")
-        self.values: deque[float] = deque(maxlen=capacity)
+        self.capacity = capacity
+        self.values = np.empty(0)
 
-    def score(self, value: float) -> float:
-        """Clamped z-score of ``value`` against the history, then append it.
+    def score(self, values) -> np.ndarray:
+        """Clamped z-scores of ``values`` in order, each against the history before it,
+        a slice of one buffer: the kept values, then ``values``. Fewer than two held
+        values is warm-up: score 0."""
+        kept = len(self.values)
+        buffer = np.concatenate([self.values, np.asarray(values, dtype=np.float64).reshape(-1)])
+        scores = np.zeros(len(buffer) - kept)
+        for i, end in enumerate(range(kept, len(buffer))):
+            history = buffer[max(0, end - self.capacity):end]
+            if len(history) >= 2:
+                z = abs(buffer[end] - history.mean()) / max(float(history.std()), STD_FLOOR)
+                scores[i] = min(z / Z_CAP, 1.0)
+        self.values = buffer[-self.capacity:]
+        return scores
 
-        Fewer than two held values is warm-up: score 0, still appended.
-        """
-        score = 0.0
-        if len(self.values) >= 2:
-            history = np.array(self.values)
-            z = abs(value - history.mean()) / max(float(history.std()), STD_FLOOR)
-            score = min(z / Z_CAP, 1.0)
-        self.values.append(float(value))
-        return score
 
-
-def zscore_score(baseline: RollingBaseline, frames: np.ndarray) -> float | list[float]:
+def zscore_score(baseline: RollingBaseline, frames: np.ndarray) -> float | np.ndarray:
     """:meth:`RollingBaseline.score` of one (h, w) frame's mean intensity, or
-    the list of each frame's of a (B, h, w) stack, scored in order."""
+    the (B,) scores of each frame's of a (B, h, w) stack, scored in order."""
     stack = np.asarray(frames, dtype=np.float64)
-    means = stack.reshape(-1, stack.shape[-2] * stack.shape[-1]).mean(axis=1)
-    scores = [baseline.score(float(mean)) for mean in means]
-    return scores[0] if stack.ndim == 2 else scores
+    scores = baseline.score(stack.reshape(-1, stack.shape[-2] * stack.shape[-1]).mean(axis=1))
+    return float(scores[0]) if stack.ndim == 2 else scores
 
 
 def block_mean_downsample(pixels: np.ndarray) -> np.ndarray:
@@ -165,42 +166,28 @@ def load_autoencoder(path) -> DenseAutoencoder:
         training_mse=float(tz.read("meta.training_mse", (1, 1))[0, 0])))
 
 
-def audio_anomaly_score(energy: float, centroid_hz: float, energy_baseline: RollingBaseline,
-                        centroid_baseline: RollingBaseline) -> float:
-    """Max of the energy and centroid :meth:`RollingBaseline.score` values.
-
-    Absolute z-scores catch drops (sudden silence) as well as bursts.
-    """
-    return max(energy_baseline.score(energy), centroid_baseline.score(centroid_hz))
+def audio_anomaly_score(energies, centroids_hz, energy_baseline: RollingBaseline,
+                        centroid_baseline: RollingBaseline) -> np.ndarray:
+    """The larger of each window's energy and centroid scores; absolute z-scores catch
+    drops (sudden silence) as well as bursts."""
+    return np.maximum(energy_baseline.score(energies), centroid_baseline.score(centroids_hz))
 
 
-@dataclass(frozen=True)
-class EventScore:
-    score: float
-    label_ids: tuple[int, ...]
-
-
-def event_anomaly_score(
-    event_logits: np.ndarray,
-    anomaly_label_ids,
-    probability_threshold: float = 0.5,
-) -> EventScore:
-    """Softmax probability mass on known-anomalous event classes.
-
-    Score is the single highest anomaly-class probability; ``label_ids``
-    lists every anomaly class above the probability threshold.
-    """
-    logits = np.asarray(event_logits, dtype=np.float64).reshape(-1)
+def event_anomaly_score(event_logits: np.ndarray, anomaly_label_ids,
+                        probability_threshold: float = 0.5
+                        ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """Each (B, n) logit row's highest softmax probability on a known-anomalous event
+    class, and the anomaly classes above ``probability_threshold``."""
+    logits = np.asarray(event_logits, dtype=np.float64)
     ids = sorted(set(int(i) for i in anomaly_label_ids))
-    if any(i < 0 or i >= len(logits) for i in ids):
-        raise InvalidInput(f"anomaly label ids {ids} outside [0, {len(logits)})")
-    if not ids:
-        return EventScore(0.0, ())
-    shifted = logits - logits.max()
-    probs = np.exp(shifted)
-    probs /= probs.sum()
-    flagged = tuple(i for i in ids if probs[i] > probability_threshold)
-    return EventScore(float(max(probs[i] for i in ids)), flagged)
+    if any(i < 0 or i >= logits.shape[1] for i in ids):
+        raise InvalidInput(f"anomaly label ids {ids} outside [0, {logits.shape[1]})")
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    anomalous = probs[:, ids]
+    flagged = [tuple(i for i, above in zip(ids, row) if above)
+               for row in anomalous > probability_threshold]
+    return anomalous.max(axis=1, initial=0.0), flagged  # no anomaly class scores 0
 
 
 @dataclass(frozen=True)
@@ -213,40 +200,26 @@ class AnomalyReport:
     timestamp: float
 
 
-def combine_scores(
-    scores: dict[str, float],
-    weights: dict[str, float],
-    threshold: float = 0.5,
-    contributing_events: tuple[str, ...] = (),
-    timestamp: float = 0.0,
-) -> AnomalyReport:
-    """Weighted combination with weights normalized to sum 1.
+def normalized_weights(weights: dict[str, float]) -> np.ndarray:
+    """The (4,) weights in ``METHODS`` order over their sum; a missing method weighs 0.
+    ``Config.validate`` has rejected every map this cannot divide."""
+    values = np.array([float(weights.get(m, 0.0)) for m in METHODS])
+    return values / values.sum()
 
-    The report's ``anomaly_type`` names the method with the largest
-    weighted contribution (first of ``METHODS`` on ties).
-    """
-    unknown = set(scores) - set(METHODS)
-    if unknown:
-        raise InvalidConfig([f"unknown score methods: {sorted(unknown)}"])
-    weight_values = np.array([float(weights.get(m, 0.0)) for m in METHODS])
-    if np.any(weight_values < 0.0):
-        raise InvalidConfig(["anomaly weights must be non-negative"])
-    with np.errstate(over="ignore"):
-        total = weight_values.sum()
-    if not np.isfinite(total):
-        raise InvalidConfig(["anomaly weights must sum to a finite number"])
-    if total <= 0.0:
-        raise InvalidConfig(["all anomaly weights are zero"])
-    weight_values /= total
-    score_values = np.array([float(np.clip(scores.get(m, 0.0), 0.0, 1.0)) for m in METHODS])
-    contributions = weight_values * score_values
-    combined = float(contributions.sum())
-    dominant = METHODS[int(np.argmax(contributions))]
-    return AnomalyReport(
-        method_scores={m: float(s) for m, s in zip(METHODS, score_values)},
-        combined=combined,
-        triggered=combined >= threshold,
-        anomaly_type=dominant,
-        contributing_events=tuple(contributing_events),
-        timestamp=timestamp,
-    )
+
+def combine_scores(scores: np.ndarray, weights: np.ndarray, threshold: float,
+                   contributing_events: list[tuple[str, ...]],
+                   timestamps: list[float]) -> list[AnomalyReport]:
+    """One report per row of a (B, 4) block of method scores, clamped to [0, 1] and weighed
+    by ``weights`` from :func:`normalized_weights`. A report's type names the method with the
+    largest weighted contribution (first of ``METHODS`` on ties)."""
+    clipped = np.clip(scores, 0.0, 1.0)
+    contributions = weights * clipped
+    return [
+        AnomalyReport(method_scores=dict(zip(METHODS, row)), combined=combined,
+                      triggered=combined >= threshold, anomaly_type=METHODS[dominant],
+                      contributing_events=tuple(events), timestamp=timestamp)
+        for row, combined, dominant, events, timestamp in zip(
+            clipped.tolist(), contributions.sum(axis=1).tolist(),
+            contributions.argmax(axis=1).tolist(), contributing_events, timestamps)
+    ]

@@ -34,6 +34,7 @@ import numpy as np
 
 from . import anomaly as anomaly_mod
 from .anomaly import (
+    METHODS,
     AnomalyReport,
     DenseAutoencoder,
     RollingBaseline,
@@ -175,6 +176,7 @@ class PipelineContext:
         self.mean_baseline, self.energy_baseline, self.centroid_baseline = (
             RollingBaseline(config.anomaly.history) for _ in range(3))
         self.anomaly_label_ids = config.anomaly_label_ids()
+        self.weights = anomaly_mod.normalized_weights(config.anomaly.weights)
         self.export_dir = Path(export_dir) if export_dir else None
         # Horn-Schunck is most of analyze; skip it when nothing reads the flow.
         self._flow_read = (self.model.config.visual_features > FLOW_COLUMN
@@ -260,36 +262,26 @@ class PipelineContext:
         run.event_logits = None if events[0] is None else np.concatenate(events)
 
     def score(self, run: Run) -> None:
-        """The frame-mean and reconstruction scores of the run's stack at once,
-        then each window's audio and event scores and report."""
+        """One (B, 4) block of the run's method scores, a column per method in
+        ``METHODS`` order, and one ``combine_scores`` call over it."""
         cfg = self.config.anomaly
-        statistical = zscore_score(self.mean_baseline, run.preprocessed)
-        reconstruction = [0.0] * len(run) if self.autoencoder is None else autoencoder_score(
-            self.autoencoder, run.preprocessed)
-        run.reports = []
-        for i, window in enumerate(run.windows):
-            with _naming(window):
-                stats = run.stats[i]
-                # Methods without a backing model report 0 at their configured
-                # weight ("nothing detected") rather than being renormalized away,
-                # so one saturated method cannot trigger a run on its own.
-                scores = {
-                    "statistical": statistical[i],
-                    "audio": audio_anomaly_score(stats.energy, stats.centroid_hz,
-                                                 self.energy_baseline, self.centroid_baseline),
-                    "reconstruction": reconstruction[i],
-                    "event": 0.0,
-                }
-                contributing: tuple[str, ...] = ()
-                if run.event_logits is not None:
-                    event = event_anomaly_score(run.event_logits[i], self.anomaly_label_ids,
-                                                cfg.event_probability_threshold)
-                    scores["event"] = event.score
-                    contributing = tuple(self.config.event_labels[label]
-                                        for label in event.label_ids)
-                run.reports.append(combine_scores(scores, cfg.weights, cfg.threshold,
-                                                  contributing_events=contributing,
-                                                  timestamp=run.timestamps[i]))
+        block = np.zeros((len(run), len(METHODS)))
+        block[:, 0] = zscore_score(self.mean_baseline, run.preprocessed)
+        # Methods without a backing model score 0 at their configured weight
+        # ("nothing detected") rather than being renormalized away, so one
+        # saturated method cannot trigger a run on its own.
+        if self.autoencoder is not None:
+            block[:, 1] = autoencoder_score(self.autoencoder, run.preprocessed)
+        block[:, 2] = audio_anomaly_score([s.energy for s in run.stats],
+                                          [s.centroid_hz for s in run.stats],
+                                          self.energy_baseline, self.centroid_baseline)
+        contributing = [()] * len(run)
+        if run.event_logits is not None:
+            block[:, 3], flagged = event_anomaly_score(run.event_logits, self.anomaly_label_ids,
+                                                       cfg.event_probability_threshold)
+            contributing = [tuple(self.config.event_labels[i] for i in ids) for ids in flagged]
+        run.reports = combine_scores(block, self.weights, cfg.threshold, contributing,
+                                     run.timestamps)
 
 
 class Sink:

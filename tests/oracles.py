@@ -4,11 +4,13 @@ Everything here is deliberately naive (loops, O(n^2) scans) and written
 against the contracts, not against the package internals it checks.
 """
 
+from collections import deque
 from collections.abc import Sequence
 from dataclasses import replace
 
 import numpy as np
 
+from avfuse.anomaly import METHODS, STD_FLOOR, Z_CAP, AnomalyReport
 from avfuse.errors import InvalidInput
 from avfuse.pipeline import RUN, Run
 from avfuse.tensor import Tensor, backward
@@ -293,6 +295,55 @@ def ranking_auc(scores, labels):
             elif p == n:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+class DequeBaseline:
+    """The per-value rolling baseline: a deque of the last ``capacity`` values,
+    copied into a new array for each value's mean and std."""
+
+    def __init__(self, capacity):
+        self.values = deque(maxlen=capacity)
+
+    def score(self, value):
+        score = 0.0
+        if len(self.values) >= 2:
+            history = np.array(self.values)
+            z = abs(value - history.mean()) / max(float(history.std()), STD_FLOOR)
+            score = min(z / Z_CAP, 1.0)
+        self.values.append(float(value))
+        return score
+
+
+def event_score_row(event_logits, anomaly_label_ids, probability_threshold=0.5):
+    """(score, flagged ids) of one logit row: its softmax's highest anomaly-class
+    probability and every anomaly class above the threshold."""
+    logits = np.asarray(event_logits, dtype=np.float64).reshape(-1)
+    ids = sorted(set(int(i) for i in anomaly_label_ids))
+    if not ids:
+        return 0.0, ()
+    shifted = logits - logits.max()
+    probs = np.exp(shifted)
+    probs /= probs.sum()
+    flagged = tuple(i for i in ids if probs[i] > probability_threshold)
+    return float(max(probs[i] for i in ids)), flagged
+
+
+def combine_row(scores, weights, threshold=0.5, contributing_events=(), timestamp=0.0):
+    """One window's report from a method -> score map and a method -> weight map,
+    the weights normalized to sum 1 for this window."""
+    weight_values = np.array([float(weights.get(m, 0.0)) for m in METHODS])
+    weight_values /= weight_values.sum()
+    score_values = np.array([float(np.clip(scores.get(m, 0.0), 0.0, 1.0)) for m in METHODS])
+    contributions = weight_values * score_values
+    combined = float(contributions.sum())
+    return AnomalyReport(
+        method_scores={m: float(s) for m, s in zip(METHODS, score_values)},
+        combined=combined,
+        triggered=combined >= threshold,
+        anomaly_type=METHODS[int(np.argmax(contributions))],
+        contributing_events=tuple(contributing_events),
+        timestamp=timestamp,
+    )
 
 
 def finite_diff_check(

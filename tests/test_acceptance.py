@@ -31,7 +31,7 @@ from avfuse.pipeline import run_pipeline
 from avfuse.scenario import Scenario, generate_scenario, preset_scenario
 from avfuse.timebase import AudioClip, align_audio_to_frames
 from avfuse.vision_dsp import dwt2_energy
-from avfuse.anomaly import METHODS, combine_scores
+from avfuse.anomaly import METHODS, combine_scores, normalized_weights
 from avfuse.pipeline import train_on_scenario
 
 from oracles import brute_force_nms, finite_diff_check, ranking_auc, scalar_attention, sequence
@@ -282,8 +282,8 @@ def test_criterion_7_anomaly_auc(injection_flow):
         index = int(rng.integers(0, 4))
         bumped = base.copy()
         bumped[index] = min(1.0, bumped[index] + rng.uniform(0, 1))
-        low = combine_scores(dict(zip(METHODS, base)), weights, 0.5)
-        high = combine_scores(dict(zip(METHODS, bumped)), weights, 0.5)
+        low, high = combine_scores(np.stack([base, bumped]), normalized_weights(weights), 0.5,
+                                   [(), ()], [0.0, 0.0])
         assert high.combined >= low.combined - 1e-12
     passed(7, f"anomaly: injection AUC {auc:.3f} >= 0.9, scores in [0,1], combiner monotone")
 

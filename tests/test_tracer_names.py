@@ -38,8 +38,9 @@ def test_traced_run_logs_the_same_bytes_with_one_analyze_and_fuse_span_per_run(
 
 
 def test_the_stacked_kernels_make_one_span_per_run(canonical_capture, tmp_path, monkeypatch):
-    """The DWT, the spectral statistics and the frame-mean and reconstruction scores each
-    take a run's stack in one call, under the name the tracer wraps."""
+    """The DWT, the spectral statistics, the frame-mean, reconstruction and audio scores
+    and their combination each take a run's stack in one call, under the name the tracer
+    wraps."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     from tracing import Tracer
 
@@ -53,5 +54,6 @@ def test_the_stacked_kernels_make_one_span_per_run(canonical_capture, tmp_path, 
     runs = list(range(0, summary.windows_processed, RUN))
     assert len(runs) == 3
     for name in ("vision_dsp.dwt2_energy", "audio_dsp.spectral_stats", "anomaly.zscore_score",
-                 "anomaly.autoencoder_score"):
+                 "anomaly.autoencoder_score", "anomaly.audio_anomaly_score",
+                 "anomaly.combine_scores"):
         assert [span["window"] for span in tracer.spans if span["name"] == name] == runs, name

@@ -2,15 +2,18 @@
 DWT, spectral statistics, frame means and block means, one fusion forward per run of
 equal-length sequences, and how a run reports failures and latencies."""
 
+import json
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import avfuse.pipeline
 from avfuse.anomaly import (RollingBaseline, autoencoder_score, autoencoder_train,
-                            frame_to_vector, zscore_score)
+                            frame_to_vector, save_autoencoder, zscore_score)
 from avfuse.audio_dsp import spectral_stats
+from avfuse.cli import main as cli_main
 from avfuse.config import Config
 from avfuse.errors import AvFuseError, InvalidInput
 from avfuse.fusion import FUSED_DIM, TrainingBatch, build_model
@@ -183,7 +186,8 @@ class TestStackedKernels:
     def test_frame_means_and_block_means_of_every_seed1_injection_frame(self, seed1_injection):
         frames = seed1_frames(seed1_injection)
         stacked, alone = RollingBaseline(256), RollingBaseline(256)
-        assert zscore_score(stacked, frames) == [zscore_score(alone, frame) for frame in frames]
+        assert zscore_score(stacked, frames).tolist() == [zscore_score(alone, frame)
+                                                          for frame in frames]
         assert list(stacked.values) == list(alone.values) == [
             float(frame.astype(np.float64).mean()) for frame in frames]
         vectors = frame_to_vector(frames)
@@ -315,6 +319,24 @@ class TestRunFailuresAndLatency:
             run_pipeline(canonical_capture, Config(), tmp_path / "out", deterministic=True)
         assert str(raised.value) == f"windows 0-{RUN - 1}: analyze stage failed: broken NLM"
 
+    def test_a_score_failure_names_the_run_s_windows_and_exits_2(self, canonical_capture,
+                                                                tmp_path, monkeypatch, capsys):
+        calls = []
+        original = avfuse.pipeline.event_anomaly_score
+
+        def fails_on_the_second_run(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise ValueError("broken event score")
+            return original(*args)
+
+        monkeypatch.setattr(avfuse.pipeline, "event_anomaly_score", fails_on_the_second_run)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"fusion": {"model": "advanced"}}))
+        assert cli_main(["--config", str(config), "--out", str(tmp_path / "out"),
+                         "--deterministic", "run", str(canonical_capture)]) == 2
+        assert "windows 4-7: score stage failed: broken event score" in capsys.readouterr().err
+
     def test_each_window_of_a_run_gets_its_share_of_the_run_time(self):
         outputs = []
         _, latencies = run_stages([("a", lambda run: None), ("b", outputs.append)],
@@ -323,3 +345,44 @@ class TestRunFailuresAndLatency:
         a = latencies["a"]
         assert len(a) == len(latencies["b"]) == 7
         assert a[0] == a[1] == a[2] == a[3] and a[4] == a[5] == a[6]
+
+
+def output_tree(out_dir: Path) -> dict[str, bytes]:
+    """Every file a run wrote but its timing summary, by relative path."""
+    return {str(path.relative_to(out_dir)): path.read_bytes()
+            for path in sorted(out_dir.rglob("*"))
+            if path.is_file() and path.name != "summary.json"}
+
+
+class TestScoreAcrossRunsAndChunks:
+    """The baselines carry one buffer across runs and chunks, so the bytes do not depend on
+    where the chunks fall or on how much history a baseline may keep."""
+
+    def test_the_outputs_do_not_depend_on_the_chunk_size(self, canonical_capture, tmp_path,
+                                                         monkeypatch):
+        frames = random_frames((64, 64), 32)
+        autoencoder = tmp_path / "autoencoder.bin"
+        save_autoencoder(autoencoder, autoencoder_train(list(frames), steps=2, learning_rate=0.1))
+        config = Config()
+        config.anomaly.threshold = 0.1  # so that some windows trigger and write artifacts
+        trees = {}
+        for chunk in (4, 8, 16, 64):
+            monkeypatch.setattr(avfuse.pipeline, "CHUNK", chunk)
+            out = tmp_path / f"chunk{chunk}"
+            run_pipeline(canonical_capture, config, out, deterministic=True,
+                         autoencoder_path=autoencoder)
+            trees[chunk] = output_tree(out)
+        assert any(name.startswith("anomalies") for name in trees[64])
+        assert trees[4] == trees[8] == trees[16] == trees[64]
+
+    def test_an_unbounded_history_logs_what_the_window_count_does(self, canonical_capture,
+                                                                 tmp_path):
+        logs = []
+        for history in (10**12, 10):  # the canonical capture has 10 windows
+            config = tmp_path / f"history{history}.json"
+            config.write_text(json.dumps({"anomaly": {"history": history}}))
+            out = tmp_path / f"out{history}"
+            assert cli_main(["--config", str(config), "--out", str(out), "--deterministic",
+                             "run", str(canonical_capture)]) == 0
+            logs.append((out / "events.jsonl").read_bytes())
+        assert logs[0] == logs[1]
