@@ -3,9 +3,9 @@
 Three representations of a sample window: STFT magnitude spectrogram,
 ``MEL_BANDS``-band mel spectrogram (HTK mel scale, triangular filters with peak weight
 1), and a Morlet-wavelet scalogram. Scalar statistics (zero-crossing rate,
-spectral centroid, bandwidth, rolloff, mean-square energy) feed the audio
-tokens of the fusion models; they take one window or a (B, n) stack of
-windows, each with the bytes it has alone.
+spectral centroid, bandwidth, rolloff, mean-square energy), one row per
+window in that order, are the fusion models' audio tokens; they take one
+window or a (B, n) stack of windows, each row with the bytes it has alone.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ MORLET_OMEGA0 = 6.0
 ROLLOFF_FRACTION = 0.85
 CWT_SCALES, CWT_FMIN_HZ, CWT_FMAX_HZ = 32, 50.0, 8000.0
 MEL_BANDS = 64
+CENTROID_COLUMN, ENERGY_COLUMN = 1, 4  # in a spectral_stats row
 
 
 @dataclass(frozen=True)
@@ -28,15 +29,6 @@ class Spectrogram:
     magnitudes: np.ndarray  # (time_frames, freq_bins), non-negative
     window_size: int
     sample_rate: int
-
-
-@dataclass(frozen=True)
-class SpectralStats:
-    zcr: float
-    centroid_hz: float
-    bandwidth_hz: float
-    rolloff_hz: float
-    energy: float
 
 
 def hann_window(n: int) -> np.ndarray:
@@ -152,9 +144,9 @@ def cwt_scalogram(samples, scales) -> np.ndarray:
     return coeffs
 
 
-def spectral_stats(samples, sample_rate: int) -> SpectralStats | list[SpectralStats]:
-    """Scalar statistics of one sample window, or the list of each window's of
-    a (B, n) stack.
+def spectral_stats(samples, sample_rate: int) -> np.ndarray:
+    """The (5,) row ``(zcr, centroid, bandwidth, rolloff, energy)`` of one sample
+    window, or the (B, 5) rows of a (B, n) stack.
 
     zcr counts sign changes over ``n - 1`` adjacent pairs. Centroid and
     bandwidth are the magnitude-weighted mean and standard deviation of the
@@ -184,5 +176,5 @@ def spectral_stats(samples, sample_rate: int) -> SpectralStats | list[SpectralSt
     rolloff_idx = np.count_nonzero(cumulative < ROLLOFF_FRACTION * cumulative[:, -1:], axis=1)
     rolloff = freqs[np.minimum(rolloff_idx, len(freqs) - 1)]
     spectral = np.where(total_mag[:, None] == 0.0, 0.0, np.stack([centroid, bandwidth, rolloff], 1))
-    stats = [SpectralStats(*map(float, (z, *row, e))) for z, row, e in zip(zcr, spectral, energy)]
+    stats = np.column_stack([zcr, spectral, energy])
     return stats[0] if samples.ndim == 1 else stats

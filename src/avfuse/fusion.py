@@ -1,5 +1,7 @@
 """Token construction, audio-ensemble fusion, and the two cross-modal models.
 
+A run's visual tokens are the (B, 4) rows of :func:`visual_rows`; its audio
+tokens are the (B, 5) rows of :func:`audio_dsp.spectral_stats`.
 The basic model projects visual and audio tokens to a shared 128-dim space,
 combines them by residual addition and runs a 2-layer self-attention encoder
 (4 heads) into a binary motion head. The advanced model keeps the streams
@@ -13,7 +15,7 @@ Both models keep one contract, written once in :class:`FusionModel`, so
 callers never ask which one they hold:
 
 - ``config.visual_features`` / ``config.audio_features``: how many leading
-  values of :func:`visual_row` / :func:`audio_row` the model reads;
+  columns of the visual / audio token rows the model reads;
 - ``ensemble``: the :class:`AudioEnsembleFusion` whose ``embed`` gives the
   per-window fused audio vector, or ``None`` when the model reads none;
 - ``forward(visual, audio, fused=None)``: the ``(motion, event)`` logit
@@ -54,36 +56,35 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as tz
-from .audio_dsp import MEL_BANDS, SpectralStats, mel_spectrogram, stft
+from .audio_dsp import MEL_BANDS, mel_spectrogram, stft
 from .config import MAX_TOKENS, FusionConfig
 from .detect_track import Detection
 from .errors import InvalidInput
 from .tensor import Tensor
-from .vision_dsp import WaveletEnergy
 
 EMBED_DIM = 768
 FUSED_DIM = 256
 ENSEMBLE_MODELS = ("general", "speech", "scene")
 
 
-FLOW_COLUMN = 3  # the flow magnitude's index in a visual_row
+FLOW_COLUMN = 3  # the flow magnitude's column in visual_rows
 
 
-def visual_row(detections: tuple[Detection, ...], wavelet: WaveletEnergy,
-               flow: float) -> np.ndarray:
-    """One window's (bbox count, mean confidence, wavelet energy, flow magnitude).
+def visual_rows(detections: list[tuple[Detection, ...]], wavelets: np.ndarray,
+                flows: np.ndarray) -> np.ndarray:
+    """Each window's (bbox count, mean confidence, wavelet energy, flow magnitude)
+    as one (B, 4) array, from its detections, its (7,) ``dwt2_energy`` row and
+    its mean flow magnitude.
 
-    The wavelet feature is the sum of all seven subband energies; ``flow``
-    is the mean magnitude of the window's flow field.
+    The wavelet feature is the sum of the window's ``dwt2_energy`` row.
     """
-    confidence = float(np.mean([d.confidence for d in detections])) if detections else 0.0
-    return np.array([len(detections), confidence, wavelet.total, flow], dtype=np.float64)
-
-
-def audio_row(stats: SpectralStats) -> np.ndarray:
-    """One window's (zcr, centroid, bandwidth, rolloff, energy)."""
-    return np.array([stats.zcr, stats.centroid_hz, stats.bandwidth_hz, stats.rolloff_hz,
-                     stats.energy], dtype=np.float64)
+    rows = np.empty((len(detections), 4))
+    rows[:, 0] = [len(window) for window in detections]
+    rows[:, 1] = [np.mean([d.confidence for d in window]) if window else 0.0
+                  for window in detections]
+    rows[:, 2] = wavelets.sum(axis=1)
+    rows[:, FLOW_COLUMN] = flows
+    return rows
 
 
 class TokenNormalizer:

@@ -87,6 +87,8 @@ def open_wav(path: str | Path) -> WavLayout:
             if wav.getnchannels() != 1 or wav.getsampwidth() != 2:
                 raise InvalidInput(f"{path}: expected 16-bit mono PCM")
             sample_rate = wav.getframerate()
+            if sample_rate < 1:
+                raise InvalidInput(f"{path}: sample rate {sample_rate} Hz, expected at least 1")
             n_samples = wav.getnframes()
             offset = file.tell()  # wave.open stops at the data chunk's first sample
             size = os.fstat(file.fileno()).st_size
@@ -163,6 +165,8 @@ class Capture:
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise InvalidInput(f"{self.manifest}: malformed manifest "
                                f"({type(exc).__name__}: {exc})") from exc
+        if not np.isfinite(self.start_s):
+            raise InvalidInput(f"{self.manifest}: audio.start_s {self.start_s} is not finite")
         self.frame_paths = [path for path, _ in entries]
         self.timestamps = [t for _, t in entries]
         self.wav = self._reading(open_wav, audio_path)

@@ -45,7 +45,8 @@ from .anomaly import (
     event_anomaly_score,
     zscore_score,
 )
-from .audio_dsp import SpectralStats, cwt_scalogram, default_cwt_scales, spectral_stats, stft
+from .audio_dsp import (CENTROID_COLUMN, ENERGY_COLUMN, cwt_scalogram, default_cwt_scales,
+                        spectral_stats, stft)
 from .config import Config, VisionConfig
 from .detect_track import Tracker, cross_detector_merge, nms, scripted_detector
 from .errors import AvFuseError, InvalidConfig, InvalidInput
@@ -53,12 +54,11 @@ from .fusion import (
     FLOW_COLUMN,
     TokenNormalizer,
     TrainingBatch,
-    audio_row,
     build_model,
     load_model,
     save_model,
     train_step,
-    visual_row,
+    visual_rows,
 )
 from .io import Capture, write_pgm, write_wav
 from .io import load_capture  # noqa: F401  perfbench/tracing.py wraps it here by name
@@ -67,8 +67,6 @@ from .timebase import align_audio_to_frames  # noqa: F401  perfbench/tracing.py 
 from .timebase import padded_window, validate_timestamps, window_span, window_starts
 from .vision_dsp import (
     DenseFlow,
-    FlowField,
-    WaveletEnergy,
     check_dwt_sides,
     check_nlm_search,
     dwt2_energy,
@@ -86,10 +84,11 @@ RUN = 4
 
 # The windows the runner reads and takes through every stage at once. A multiple
 # of RUN, so that runs, and fuse's groups of equal-length sequences, stay as they
-# would be over the whole capture. Each chunk frees what its stages held, and
-# glibc returns the top of the heap, so the next chunk pays about 1000 page
-# faults (2-3 ms) to grow it again: 64 makes that 2% of a basic window, 16 made
-# it 10% (BENCH_31.json measures 4, 8, 16 and 64).
+# would be over the whole capture. Each chunk frees what its stages held. A basic
+# `run --deterministic` at 4, 8, 16 and 64 peaked within 1.4 MiB of each other,
+# its wall time within run-to-run noise (ROADMAP Baseline), so no size here buys
+# memory or time. 64 stays: it is the size every benchmark has measured, and the
+# bytes do not depend on it.
 CHUNK = 64
 
 # The event log's name until the run ends; a run that fails leaves no event log.
@@ -107,9 +106,9 @@ class Run:
     raw: np.ndarray
     samples: np.ndarray
     preprocessed: np.ndarray | None = None
-    flows: list[float] | None = None  # mean flow magnitudes; 0.0 where no flow runs
-    wavelets: list[WaveletEnergy] | None = None
-    stats: list[SpectralStats] | None = None
+    flows: np.ndarray | None = None  # (B,) mean flow magnitudes; 0.0 where no flow runs
+    wavelets: np.ndarray | None = None  # (B, 7) dwt2_energy rows
+    stats: np.ndarray | None = None  # (B, 5) spectral_stats rows
     detections: list[tuple] | None = None
     tracks: list[tuple] | None = None  # one event-log dict per live track
     visual_rows: np.ndarray | None = None
@@ -192,18 +191,18 @@ class PipelineContext:
         v = self.config.vision
         frames = preprocess_frames(run.raw, patch=v.nlm_patch, search=v.nlm_search,
                                    strength=v.nlm_strength)
-        run.flows = [0.0] * len(run)
+        run.flows = np.zeros(len(run))
         if self._flow_read:
             # Each frame pairs with the one before it; the capture's first frame has none.
             known = frames if self._prev_frame is None else np.concatenate(
                 [self._prev_frame[np.newaxis], frames])
             first = len(run) + 1 - len(known)
             if len(known) > 1:
-                stacked = self.flow_estimator(known[:-1], known[1:])
-                for i, field in enumerate(map(FlowField, stacked.u, stacked.v), start=first):
-                    run.flows[i] = float(field.magnitude.mean())
-                    if self.export_dir is not None:
-                        export_flow_csv(self.export_dir / f"flow_{run.index + i:04d}.csv", field)
+                field = self.flow_estimator(known[:-1], known[1:])
+                run.flows[first:] = field.magnitude.mean(axis=(1, 2))
+                if self.export_dir is not None:
+                    for window, *planes in zip(run.windows[first:], field.u, field.v):
+                        export_flow_csv(self.export_dir / f"flow_{window:04d}.csv", *planes)
         self._prev_frame = frames[-1]
         run.preprocessed, run.wavelets = frames, dwt2_energy(frames)
         run.stats = spectral_stats(run.samples, self.sample_rate)
@@ -226,16 +225,12 @@ class PipelineContext:
                     for t in self.tracker.step(merged)))
 
     def tokenize(self, run: Run) -> None:
-        """Each window's token rows, normalized as one (B, f) stack per modality."""
+        """The run's (B, f) token rows, cut to the model's widths and normalized:
+        :func:`visual_rows` and the spectral statistics."""
         c = self.model.config
-        visual, audio = [], []
-        for window, detections, wavelet, flow, stats in zip(
-                run.windows, run.detections, run.wavelets, run.flows, run.stats):
-            with _naming(window):
-                visual.append(visual_row(detections, wavelet, flow)[:c.visual_features])
-                audio.append(audio_row(stats)[:c.audio_features])
-        run.visual_rows = self.normalizer.normalize_visual(np.array(visual))
-        run.audio_rows = self.normalizer.normalize_audio(np.array(audio))
+        visual = visual_rows(run.detections, run.wavelets, run.flows)
+        run.visual_rows = self.normalizer.normalize_visual(visual[:, :c.visual_features])
+        run.audio_rows = self.normalizer.normalize_audio(run.stats[:, :c.audio_features])
 
     def fuse(self, run: Run) -> None:
         """Each window's rows join the token deques in turn, and windows whose
@@ -272,8 +267,8 @@ class PipelineContext:
         # saturated method cannot trigger a run on its own.
         if self.autoencoder is not None:
             block[:, 1] = autoencoder_score(self.autoencoder, run.preprocessed)
-        block[:, 2] = audio_anomaly_score([s.energy for s in run.stats],
-                                          [s.centroid_hz for s in run.stats],
+        block[:, 2] = audio_anomaly_score(run.stats[:, ENERGY_COLUMN],
+                                          run.stats[:, CENTROID_COLUMN],
                                           self.energy_baseline, self.centroid_baseline)
         contributing = [()] * len(run)
         if run.event_logits is not None:
@@ -427,11 +422,10 @@ class RunSummary:
     deterministic: bool
 
 
-def export_flow_csv(path: Path, flow_field) -> None:
+def export_flow_csv(path: Path, u: np.ndarray, v: np.ndarray) -> None:
     """Two-plane CSV: the u rows stacked above the v rows."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    stacked = np.vstack([flow_field.u, flow_field.v])
-    np.savetxt(path, stacked, delimiter=",")
+    np.savetxt(path, np.vstack([u, v]), delimiter=",")
 
 
 EXPORT_WINDOW, EXPORT_HOP = 1024, 512  # samples, for the --export-features STFT
@@ -462,8 +456,11 @@ class CaptureWindows(Sequence):
     def __init__(self, capture: Capture, shape: tuple[int, ...]):
         self.capture = capture
         self.shape = shape
-        self.window_len, self.starts = window_starts(capture.timestamps, capture.wav.n_samples,
-                                                     capture.sample_rate, capture.start_s)
+        try:
+            self.window_len, self.starts = window_starts(capture.timestamps, capture.wav.n_samples,
+                                                         capture.sample_rate, capture.start_s)
+        except InvalidInput as exc:
+            raise InvalidInput(f"{capture.manifest}: {exc}") from exc
 
     def __len__(self) -> int:
         return len(self.starts)

@@ -118,7 +118,8 @@ def window_starts(timestamps: list[float], n_samples: int, sample_rate: int,
     Window length is ``n_samples // len(timestamps)`` samples. Each window
     is centered at sample index ``round((t_frame - start_time) * sample_rate)``.
     A frame whose center lies more than one window length outside the clip
-    span is an alignment failure.
+    span, or whose offset is not a finite number of samples, is an alignment
+    failure.
     """
     if len(timestamps) == 0:
         raise InvalidInput("cannot align: burst has no frames")
@@ -133,7 +134,11 @@ def window_starts(timestamps: list[float], n_samples: int, sample_rate: int,
 
     starts = []
     for i, t in enumerate(timestamps):
-        center = int(round((t - start_time) * sample_rate))
+        offset = (t - start_time) * sample_rate
+        if not np.isfinite(offset):
+            raise AlignmentFailure(i, f"frame {i} at t={t:g}s is {offset} samples from the "
+                                      f"clip start at {start_time:g}s")
+        center = int(round(offset))
         if center < -window_len or center > n_samples + window_len:
             raise AlignmentFailure(
                 i,

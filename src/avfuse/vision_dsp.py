@@ -16,9 +16,9 @@ elementwise, so each frame keeps the bytes it has alone; one frame is the
 stack of one.
 Texture energy comes from a 2-level Daubechies-2 decomposition with periodic
 extension, which makes subband energies sum exactly to the pixel energy. It
-too takes one frame or a (B, h, w) stack, every step elementwise over the
-stack and each energy one sum over a contiguous band of one frame, so each
-frame gets the bytes it has alone.
+too takes one frame or a (B, h, w) stack, one row of seven energies per frame,
+every step elementwise over the stack and each energy one sum over a
+contiguous band of one frame, so each frame gets the bytes it has alone.
 Dense motion is estimated with the Horn-Schunck variational scheme behind
 the ``DenseFlow`` interface so a different solver can be slotted in later.
 Its Jacobi sweeps update one edge-padded (u, v) buffer in place, in float32,
@@ -63,25 +63,6 @@ class FlowField:
     @property
     def magnitude(self) -> np.ndarray:
         return np.hypot(self.u, self.v)
-
-
-@dataclass(frozen=True)
-class WaveletEnergy:
-    ll2: float
-    lh2: float
-    hl2: float
-    hh2: float
-    lh1: float
-    hl1: float
-    hh1: float
-
-    @property
-    def subband_energies(self) -> np.ndarray:
-        return np.array([self.ll2, self.lh2, self.hl2, self.hh2, self.lh1, self.hl1, self.hh1])
-
-    @property
-    def total(self) -> float:
-        return float(self.subband_energies.sum())
 
 
 def preprocess_frame(pixels: np.ndarray, patch: int = 3, search: int = 7,
@@ -225,12 +206,13 @@ def check_dwt_sides(h: int, w: int) -> None:
         raise InvalidInput(f"frame dimensions must be divisible by 4, got {h}x{w}")
 
 
-def dwt2_energy(pixels: np.ndarray) -> WaveletEnergy | list[WaveletEnergy]:
-    """Subband energies of a 2-level periodic db2 decomposition of one (h, w)
-    frame, or the list of each frame's of a (B, h, w) stack.
+def dwt2_energy(pixels: np.ndarray) -> np.ndarray:
+    """Subband energies of a 2-level periodic db2 decomposition: a (7,) row
+    ``(ll2, lh2, hl2, hh2, lh1, hl1, hh1)`` for one (h, w) frame, or a (B, 7)
+    array of each frame's row for a (B, h, w) stack.
 
     The frames' sides must pass :func:`check_dwt_sides`. Orthonormality plus
-    periodic extension makes each total equal its frame's pixel sum of
+    periodic extension makes each row's sum equal its frame's pixel sum of
     squares. Every step is elementwise over the stack and each energy sums
     one frame's contiguous band, so each frame gets the bytes it has alone.
     """
@@ -242,10 +224,9 @@ def dwt2_energy(pixels: np.ndarray) -> WaveletEnergy | list[WaveletEnergy]:
 
     ll1, lh1, hl1, hh1 = _dwt2_level(stack)
     ll2, lh2, hl2, hh2 = _dwt2_level(ll1)
-    energies = [np.sum((band * band).reshape(len(stack), -1), axis=1)
-                for band in (ll2, lh2, hl2, hh2, lh1, hl1, hh1)]
-    frames = [WaveletEnergy(*map(float, row)) for row in zip(*energies)]
-    return frames[0] if img.ndim == 2 else frames
+    energies = np.stack([np.sum((band * band).reshape(len(stack), -1), axis=1)
+                         for band in (ll2, lh2, hl2, hh2, lh1, hl1, hh1)], axis=1)
+    return energies[0] if img.ndim == 2 else energies
 
 
 class DenseFlow:

@@ -274,6 +274,23 @@ def reference_spectral_stats(samples, sample_rate):
     return zcr, centroid, bandwidth, float(freqs[min(rolloff_idx, len(freqs) - 1)]), energy
 
 
+def visual_row(detections, energies, flow):
+    """One window's (bbox count, mean confidence, wavelet energy, flow magnitude) as
+    computed before tokens took a run: the wavelet energy is the sum of the window's
+    seven subband ``energies``, ``flow`` its mean flow magnitude. The per-window
+    reference :func:`fusion.visual_rows` must equal."""
+    confidence = float(np.mean([d.confidence for d in detections])) if detections else 0.0
+    return np.array([len(detections), confidence, float(np.array(energies).sum()), flow],
+                    dtype=np.float64)
+
+
+def audio_row(stats):
+    """One window's audio token from its (zcr, centroid, bandwidth, rolloff, energy)
+    statistics, one float each."""
+    zcr, centroid, bandwidth, rolloff, energy = map(float, stats)
+    return np.array([zcr, centroid, bandwidth, rolloff, energy], dtype=np.float64)
+
+
 def sequence(batch, i):
     """Sequence ``i`` of a :class:`fusion.TrainingBatch` as a batch of one: the per-example
     reference a batched loss is checked against."""

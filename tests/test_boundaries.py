@@ -155,6 +155,52 @@ def test_unreadable_wav_exits_2_naming_it(canonical_capture, tmp_path, capsys, k
     assert str(wav) in capsys.readouterr().err
 
 
+def test_wav_with_sample_rate_0_exits_2_naming_it(canonical_capture, tmp_path, capsys):
+    capture = shutil.copytree(canonical_capture, tmp_path / "capture")
+    wav = capture / "audio.wav"
+    header = bytearray(wav.read_bytes())
+    assert header[12:16] == b"fmt "  # the rate is the fmt chunk's bytes 12-15
+    header[24:28] = bytes(4)
+    wav.write_bytes(bytes(header))
+    assert run_capture(capture, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert f"{wav}: sample rate 0 Hz" in err and "Traceback" not in err
+
+
+def with_manifest(capture, tmp_path, change):
+    """A copy of ``capture`` whose manifest ``change`` has edited, and the manifest's path."""
+    copy = shutil.copytree(capture, tmp_path / "capture")
+    manifest = copy / "manifest.json"
+    document = json.loads(manifest.read_text())
+    change(document)
+    manifest.write_text(json.dumps(document))
+    return copy, manifest
+
+
+@pytest.mark.parametrize("command", ["run", "train"])
+def test_frame_timestamp_1e308_exits_2_naming_the_manifest(canonical_capture, tmp_path, capsys,
+                                                          command):
+    """The timestamp is finite and increasing, but its sample offset is not."""
+    capture, manifest = with_manifest(
+        canonical_capture, tmp_path, lambda document: document["frames"][-1].update(timestamp_s=1e308))
+    assert cli_main(["--out", str(tmp_path / "out"), command, str(capture)]) == 2
+    err = capsys.readouterr().err
+    assert f"{manifest}: frame 9 at t=1e+308s is inf samples" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("start_s, problem", [
+    (float("nan"), "audio.start_s nan is not finite"),
+    (-1e308, "frame 0 at t=0s is inf samples from the clip start at -1e+308s"),
+], ids=["nan", "-1e308"])
+def test_audio_start_that_gives_no_finite_offset_exits_2_naming_the_manifest(
+        canonical_capture, tmp_path, capsys, start_s, problem):
+    capture, manifest = with_manifest(
+        canonical_capture, tmp_path, lambda document: document["audio"].update(start_s=start_s))
+    assert run_capture(capture, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert f"{manifest}: {problem}" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("capacity, flags, problem", [
     (0, [], "runtime.queue_capacity must be >= 1"),
     (-3, ["--deterministic"], "runtime.queue_capacity must be >= 1"),

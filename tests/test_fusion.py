@@ -12,14 +12,13 @@ from avfuse.fusion import (
     BasicFusionModel,
     TokenNormalizer,
     TrainingBatch,
-    audio_row,
     load_model,
     save_model,
     stub_audio_embeddings,
     train_step,
-    visual_row,
+    visual_rows,
 )
-from avfuse.audio_dsp import spectral_stats
+from avfuse.audio_dsp import CENTROID_COLUMN, ENERGY_COLUMN, spectral_stats
 from avfuse.vision_dsp import dwt2_energy
 from oracles import finite_diff_check, ref_advanced_forward, ref_basic_forward, sequence
 
@@ -72,39 +71,42 @@ def sequence_accuracy(model, batch):
 
 
 class TestTokens:
+    """Visual tokens are :func:`visual_rows`, audio tokens the spectral statistics rows."""
+
     def test_frame_without_detections(self):
-        row = visual_row([], dwt2_energy(np.zeros((8, 8))), 0.0)
-        bbox_count, mean_confidence, wavelet_energy, _ = row
+        rows = visual_rows([()], dwt2_energy(np.zeros((1, 8, 8))), np.zeros(1))
+        assert rows.shape == (1, 4)
+        bbox_count, mean_confidence, wavelet_energy, _ = rows[0]
         assert bbox_count == 0
         assert mean_confidence == 0.0
         assert wavelet_energy == 0.0
 
     def test_mean_confidence_of_two_detections(self):
-        dets = [
+        dets = (
             Detection(BBox(0, 0, 5, 5), 0.4, 0),
             Detection(BBox(10, 10, 15, 15), 0.6, 0),
-        ]
-        row = visual_row(dets, dwt2_energy(np.ones((8, 8))), 0.0)
-        bbox_count, mean_confidence, _, _ = row
-        assert mean_confidence == pytest.approx(0.5)
-        assert bbox_count == 2
+        )
+        rows = visual_rows([dets, ()], dwt2_energy(np.ones((2, 8, 8))), np.array([0.0, 2.5]))
+        assert rows[:, 0].tolist() == [2, 0]
+        assert rows[0, 1] == pytest.approx(0.5) and rows[1, 1] == 0.0
+        assert rows[:, 2] == pytest.approx([64.0, 64.0])
+        assert rows[:, 3].tolist() == [0.0, 2.5]
 
     def test_zero_window_token_is_zeros(self):
-        token = audio_row(spectral_stats(np.zeros(1600), SR))
-        assert tuple(token) == (0.0, 0.0, 0.0, 0.0, 0.0)
+        token = spectral_stats(np.zeros((1, 1600)), SR)
+        assert token.tolist() == [[0.0, 0.0, 0.0, 0.0, 0.0]]
 
     def test_sine_window_centroid(self):
         samples = np.sin(2 * np.pi * 1000 * np.arange(3200) / SR)
-        _, centroid_hz, _, _, _ = audio_row(spectral_stats(samples, SR))
-        assert abs(centroid_hz - 1000.0) <= 10.0
+        assert abs(spectral_stats(samples, SR)[CENTROID_COLUMN] - 1000.0) <= 10.0
 
     def test_audio_tokens_invariant_under_positive_rescaling(self):
         rng = np.random.default_rng(6)
         samples = rng.uniform(-1, 1, size=1600)
-        base = audio_row(spectral_stats(samples, SR))
-        scaled = audio_row(spectral_stats(samples * 4.2, SR))
+        base = spectral_stats(samples, SR)
+        scaled = spectral_stats(samples * 4.2, SR)
         assert tuple(scaled[:4]) == pytest.approx(tuple(base[:4]))
-        assert scaled[4] == pytest.approx(base[4] * 4.2 ** 2)
+        assert scaled[ENERGY_COLUMN] == pytest.approx(base[ENERGY_COLUMN] * 4.2 ** 2)
 
 
 class TestAudioEnsemble:

@@ -3,11 +3,12 @@ DWT, spectral statistics, frame means and block means, one fusion forward per ru
 equal-length sequences, and how a run reports failures and latencies."""
 
 import json
-from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import avfuse.pipeline
 from avfuse.anomaly import (RollingBaseline, autoencoder_score, autoencoder_train,
@@ -15,12 +16,14 @@ from avfuse.anomaly import (RollingBaseline, autoencoder_score, autoencoder_trai
 from avfuse.audio_dsp import spectral_stats
 from avfuse.cli import main as cli_main
 from avfuse.config import Config
+from avfuse.detect_track import BBox, Detection
 from avfuse.errors import AvFuseError, InvalidInput
-from avfuse.fusion import FUSED_DIM, TrainingBatch, build_model
+from avfuse.fusion import FUSED_DIM, TokenNormalizer, TrainingBatch, build_model, visual_rows
 from avfuse.io import load_capture
 from avfuse.pipeline import (
     RUN,
     PipelineContext,
+    Run,
     _motion_accuracy,
     open_capture,
     run_pipeline,
@@ -28,7 +31,8 @@ from avfuse.pipeline import (
 )
 from avfuse.scenario import generate_scenario, preset_scenario
 from avfuse.vision_dsp import DenseFlow, dwt2_energy, preprocess_frame, preprocess_frames
-from oracles import HandWindows, reference_dwt2_energies, reference_spectral_stats
+from oracles import (HandWindows, audio_row, reference_dwt2_energies, reference_spectral_stats,
+                     visual_row)
 
 
 @pytest.fixture(scope="module")
@@ -110,14 +114,13 @@ class TestRunLevelAnalyze:
             for run in each:
                 context.analyze(run)
         assert len(expected) == 120 and [len(run) for run in got] == [RUN] * (120 // RUN)
-        assert expected[0].flows == [0.0] and all(run.flows[0] > 0.0 for run in expected[1:])
+        assert expected[0].flows.tolist() == [0.0]
+        assert all(run.flows[0] > 0.0 for run in expected[1:])
         for window, a in enumerate(expected):
             b, i = got[window // RUN], window % RUN
             assert a.index == b.index + i == window
-            assert a.preprocessed[0].tobytes() == b.preprocessed[i].tobytes()
-            assert a.wavelets[0] == b.wavelets[i]
-            assert a.stats[0] == b.stats[i]
-            assert a.flows[0] == b.flows[i]
+            for column in ("preprocessed", "wavelets", "stats", "flows"):
+                assert getattr(a, column)[0].tobytes() == getattr(b, column)[i].tobytes()
 
     def test_flow_csvs_of_every_window_after_the_first(self, canonical_capture, tmp_path):
         export = tmp_path / "features"
@@ -134,19 +137,18 @@ def seed1_frames(capture) -> np.ndarray:
 
 def assert_dwt_per_frame(frames):
     stacked = dwt2_energy(frames)
-    assert len(stacked) == len(frames)
-    for frame, energy in zip(frames, stacked):
-        assert energy.subband_energies.tobytes() == dwt2_energy(frame).subband_energies.tobytes()
-        assert tuple(energy.subband_energies) == reference_dwt2_energies(frame)
+    assert stacked.shape == (len(frames), 7)
+    for frame, energies in zip(frames, stacked):
+        assert energies.tobytes() == dwt2_energy(frame).tobytes()
+        assert energies.tobytes() == np.array(reference_dwt2_energies(frame)).tobytes()
 
 
 def assert_stats_per_window(windows, sample_rate):
     stacked = spectral_stats(windows, sample_rate)
-    assert len(stacked) == len(windows)
+    assert stacked.shape == (len(windows), 5)
     for samples, stats in zip(windows, stacked):
-        assert np.array(astuple(stats)).tobytes() == np.array(
-            astuple(spectral_stats(samples, sample_rate))).tobytes()
-        assert astuple(stats) == reference_spectral_stats(samples, sample_rate)
+        assert stats.tobytes() == spectral_stats(samples, sample_rate).tobytes()
+        assert stats.tobytes() == np.array(reference_spectral_stats(samples, sample_rate)).tobytes()
 
 
 class TestStackedKernels:
@@ -205,6 +207,122 @@ class TestStackedKernels:
         frames = seed1_frames(seed1_injection)
         model = autoencoder_train(list(frames[:32]), steps=20, learning_rate=0.1)
         assert autoencoder_score(model, frames) == [autoencoder_score(model, f) for f in frames]
+
+
+BOUNDED = settings(max_examples=40, derandomize=True, database=None, deadline=None)
+SIDES = st.sampled_from([8, 12, 16])
+CUTS = st.lists(st.integers(1, 8), max_size=8)  # the sizes of a stack's leading parts
+
+
+def split(items, sizes):
+    """``items`` cut into consecutive parts of ``sizes``, whatever is left in a last part."""
+    parts, start = [], 0
+    for size in sizes + [len(items)]:
+        if start < len(items):
+            parts.append(items[start:start + size])
+            start += size
+    return parts
+
+
+@st.composite
+def frame_stacks(draw):
+    """1 to 8 frames of one drawn size, each 8-bit pixels, wide normal values, a constant
+    or zeros."""
+    count, h, w = draw(st.integers(1, 8)), draw(SIDES), draw(SIDES)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    makers = {"pixels": lambda: rng.integers(0, 256, (h, w)).astype(np.float64),
+              "normal": lambda: rng.normal(0.0, 100.0, (h, w)),
+              "constant": lambda: np.full((h, w), float(rng.integers(1, 256))),
+              "zero": lambda: np.zeros((h, w))}
+    kinds = draw(st.lists(st.sampled_from(sorted(makers)), min_size=count, max_size=count))
+    return np.stack([makers[kind]() for kind in kinds])
+
+
+@st.composite
+def sample_stacks(draw):
+    """1 to 8 windows of one drawn length, each noise, a tone, a constant, 16-bit
+    quantized noise or silence."""
+    count, n = draw(st.integers(1, 8)), draw(st.integers(2, 700))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    makers = {"noise": lambda: rng.uniform(-1.0, 1.0, n),
+              "tone": lambda: 0.3 * np.sin(2.0 * np.pi * rng.uniform(20.0, 8000.0)
+                                           * np.arange(n) / 16000),
+              "constant": lambda: np.full(n, rng.uniform(-1.0, 1.0)),
+              "quantized": lambda: rng.integers(-32768, 32768, n) / 32768.0,
+              "silence": lambda: np.zeros(n)}
+    kinds = draw(st.lists(st.sampled_from(sorted(makers)), min_size=count, max_size=count))
+    return np.stack([makers[kind]() for kind in kinds])
+
+
+@pytest.fixture(scope="module")
+def advanced_bundle():
+    """An untrained advanced model, which reads the flow, with the identity normalizer."""
+    model = build_model(advanced_config().fusion)
+    return model, TokenNormalizer.identity(model.config.visual_features,
+                                           model.config.audio_features)
+
+
+class TestStackedRowsMatchReferences:
+    """For any stack of 1 to 8 windows cut into any runs, each window's DWT and spectral
+    statistics rows, flow and token rows have the bytes of the per-window references in
+    ``oracles``. Hypothesis runs derandomized, 40 examples each."""
+
+    @BOUNDED
+    @given(frames=frame_stacks(), sizes=CUTS)
+    def test_dwt_rows(self, frames, sizes):
+        for part in split(frames, sizes):
+            assert_dwt_per_frame(part)
+
+    @BOUNDED
+    @given(windows=sample_stacks(), sizes=CUTS)
+    def test_spectral_stats_rows(self, windows, sizes):
+        for part in split(windows, sizes):
+            assert_stats_per_window(part, 16000)
+
+    @BOUNDED
+    @given(count=st.integers(1, 8), h=SIDES, w=SIDES, seed=st.integers(0, 2**32 - 1),
+           sizes=CUTS, data=st.data())
+    def test_analyze_and_tokenize_columns(self, advanced_bundle, count, h, w, seed, sizes,
+                                          data):
+        config = advanced_config()
+        config.vision.flow_iterations = 10
+        rng = np.random.default_rng(seed)
+        raw = rng.integers(0, 256, (count, h, w), dtype=np.uint8)
+        samples = rng.uniform(-1.0, 1.0, (count, 64))
+        detections = [tuple(Detection(BBox(0.0, 0.0, 4.0, 4.0), confidence, 0)
+                            for confidence in data.draw(st.lists(st.floats(0.0, 1.0),
+                                                                 max_size=3)))
+                      for _ in range(count)]
+        context = PipelineContext(config, preset_scenario("canonical", seed=0), 16000,
+                                  model_bundle=advanced_bundle)
+        runs = []
+        for part in split(range(count), sizes):
+            window = slice(part.start, part.stop)
+            run = Run(index=part.start, timestamps=[0.1 * i for i in part], raw=raw[window],
+                      samples=samples[window])
+            context.analyze(run)
+            run.detections = detections[window]
+            context.tokenize(run)
+            runs.append(run)
+
+        def column(name):
+            return np.concatenate([getattr(run, name) for run in runs])
+
+        v = config.vision
+        denoised = [preprocess_frame(frame, v.nlm_patch, v.nlm_search, v.nlm_strength)
+                    for frame in raw]
+        flow = DenseFlow(v.flow_alpha, v.flow_iterations)
+        flows = [0.0] + [float(flow(a, b).magnitude.mean()) for a, b in zip(denoised, denoised[1:])]
+        energies = [reference_dwt2_energies(frame) for frame in denoised]
+        stats = [reference_spectral_stats(window, 16000) for window in samples]
+        assert column("flows").tobytes() == np.array(flows).tobytes()
+        assert column("wavelets").tobytes() == np.array(energies).tobytes()
+        assert column("stats").tobytes() == np.array(stats).tobytes()
+        expected = np.array([visual_row(*window) for window in zip(detections, energies, flows)])
+        assert column("visual_rows").tobytes() == expected.tobytes()
+        assert visual_rows(detections, column("wavelets"), column("flows")).tobytes() == (
+            expected.tobytes())
+        assert column("audio_rows").tobytes() == np.array([audio_row(s) for s in stats]).tobytes()
 
 
 def row_gap(batched: np.ndarray, alone: np.ndarray) -> float:
@@ -336,6 +454,26 @@ class TestRunFailuresAndLatency:
         assert cli_main(["--config", str(config), "--out", str(tmp_path / "out"),
                          "--deterministic", "run", str(canonical_capture)]) == 2
         assert "windows 4-7: score stage failed: broken event score" in capsys.readouterr().err
+
+    def test_a_tokenize_failure_names_the_run_s_windows_and_exits_2(self, canonical_capture,
+                                                                   tmp_path, monkeypatch, capsys):
+        """Tokenize has no one-window step, so its failure names the run."""
+        calls = []
+        original = avfuse.pipeline.visual_rows
+
+        def fails_on_the_second_run(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise ValueError("broken visual rows")
+            return original(*args)
+
+        monkeypatch.setattr(avfuse.pipeline, "visual_rows", fails_on_the_second_run)
+        assert cli_main(["--out", str(tmp_path / "out"), "--deterministic", "run",
+                         str(canonical_capture)]) == 2
+        err = capsys.readouterr().err
+        assert "windows 4-7: tokenize stage failed: broken visual rows" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "events.jsonl").exists()
 
     def test_each_window_of_a_run_gets_its_share_of_the_run_time(self):
         outputs = []
