@@ -113,6 +113,8 @@ class Config:
         check(0.0 < d.nms_iou_threshold <= 1.0, "detector.nms_iou_threshold must be in (0, 1]")
         check(0.0 < d.cross_merge_iou <= 1.0, "detector.cross_merge_iou must be in (0, 1]")
         check(0.0 <= d.drop_probability <= 1.0, "detector.drop_probability must be in [0, 1]")
+        # Confidences are clipped to [0, 1], so a wider standard deviation means nothing.
+        check(0.0 <= d.confidence_noise <= 1.0, "detector.confidence_noise must be in [0, 1]")
         check(0.0 <= d.jitter_px <= 1e6, "detector.jitter_px must be in [0, 1e6]")
         check(0.0 <= d.false_positive_rate <= 100.0,
               "detector.false_positive_rate must be in [0, 100] boxes per frame, "

@@ -34,17 +34,21 @@ Every weight but the ensemble's fixed reduction lives in a
 :func:`tensor.sgd_step`.
 
 ``forward`` runs over the blocks the model's store returned. It takes
-(n, f) token arrays for one sequence or (B, n, f) arrays for a batch of B,
-which it stacks as B row blocks of n rows (see :mod:`tensor`). Both models
-run one :func:`_encoder_layer`, the basic model within its stream, the
-advanced model across streams. Every attention block is a single
+(n, f) token arrays for one sequence, (B, n, f) arrays for a batch of B,
+which it stacks as B row blocks of n rows, or lists of B (n_b, f) arrays
+for B sequences of any lengths, stacked in order as row blocks of their
+own lengths (see :mod:`tensor`); each sequence attends, pools and takes
+positional rows as it would alone, with no padding. Both models run one
+:func:`_encoder_layer`, the basic model within its stream, the advanced
+model across streams. Every attention block is a single
 :func:`tensor.attention` call over all its heads and row blocks, in
 training and at inference alike; ``predict`` runs the forward inside
 :func:`tensor.inference`, so it records no graph. The pipeline's fuse stage
-predicts a run of equal-length windows as one batch. OpenBLAS may round a
-matrix product differently by its row count (a (1, k) head row takes
-another path than a (B, k) block), so a batched logit may move by about
-1e-6 of its row's largest magnitude (tested to 1e-5).
+predicts each run of windows as one list, the shorter warm-up sequences
+included. OpenBLAS may round a matrix product differently by its row count
+(a (1, k) head row takes another path than a (B, k) block), so a batched
+logit may move by about 1e-6 of its row's largest magnitude (tested to
+1e-5).
 """
 
 from __future__ import annotations
@@ -189,14 +193,29 @@ class AudioEnsembleFusion:
         return self.fuse(*stub_audio_embeddings(samples, sample_rate))
 
 
-def _token_arrays(model, visual, audio) -> tuple[Tensor, Tensor, int]:
+def _token_arrays(model, visual, audio) -> tuple[Tensor, Tensor, int | list[int], list[int]]:
     """Both token arrays as row-block tensors of the model's dtype, checked against its
-    widths, and B.
+    widths, the ``blocks`` of their rows and each sequence's token count.
 
-    (B, n, f) arrays are B sequences of n tokens, stacked as B*n rows; an
-    (n, f) array is one sequence.
+    (B, n, f) arrays are B sequences of n tokens, stacked as B*n rows in B
+    blocks; lists of B (n_b, f) arrays are B sequences of any lengths,
+    stacked in order, and the lengths are the blocks; an (n, f) array is one
+    sequence.
     """
     config = model.config
+    lengths = None
+    if isinstance(visual, list):
+        lengths = [len(sequence) for sequence in visual]
+        if [len(sequence) for sequence in audio] != lengths or 0 in lengths:
+            raise InvalidInput(f"token counts differ or empty: visual {lengths}, "
+                               f"audio {[len(sequence) for sequence in audio]}")
+        try:
+            visual, audio = np.concatenate(visual), np.concatenate(audio)
+        except ValueError as exc:
+            raise InvalidInput(f"token sequences do not stack: {exc}") from exc
+        if visual.ndim != 2 or audio.ndim != 2:
+            raise InvalidInput(f"token sequences must be (n, f): visual {visual.shape}, "
+                               f"audio {audio.shape} stacked")
     visual = np.atleast_2d(np.asarray(visual, dtype=model.dtype))
     audio = np.atleast_2d(np.asarray(audio, dtype=model.dtype))
     if visual.ndim > 3 or audio.ndim > 3:
@@ -211,9 +230,11 @@ def _token_arrays(model, visual, audio) -> tuple[Tensor, Tensor, int]:
             f"expected {config.visual_features}/{config.audio_features} features, "
             f"got {visual.shape[-1]}/{audio.shape[-1]}"
         )
-    blocks = visual.shape[0] if visual.ndim == 3 else 1
+    blocks = lengths or (visual.shape[0] if visual.ndim == 3 else 1)
+    if lengths is None:
+        lengths = [visual.shape[-2]] * blocks
     return (Tensor(visual.reshape(-1, visual.shape[-1])),
-            Tensor(audio.reshape(-1, audio.shape[-1])), blocks)
+            Tensor(audio.reshape(-1, audio.shape[-1])), blocks, lengths)
 
 
 def _attention_block(store, prefix: str, dim: int) -> tuple:
@@ -332,7 +353,7 @@ class BasicFusionModel(FusionModel):
 
         ``fused`` is not read.
         """
-        visual, audio, blocks = _token_arrays(self, visual, audio)
+        visual, audio, blocks, _ = _token_arrays(self, visual, audio)
         x = tz.add(tz.linear(visual, self.proj_visual), tz.linear(audio, self.proj_audio))
         for block in self.layers:
             x = _encoder_layer(block, x, x, self.config.heads, blocks)
@@ -389,22 +410,24 @@ class AdvancedFusionModel(FusionModel):
 
         ``fused`` holds one FUSED_DIM vector per sequence; ``None`` reads as zeros.
         """
-        visual, audio, blocks = _token_arrays(self, visual, audio)
+        visual, audio, blocks, lengths = _token_arrays(self, visual, audio)
         c = self.config
-        n_tokens = visual.shape[0] // blocks
+        n_tokens = max(lengths)
         if n_tokens > c.max_tokens:
             raise InvalidInput(f"{n_tokens} tokens exceed positional table of {c.max_tokens}")
-        fused = np.asarray(np.zeros((blocks, FUSED_DIM)) if fused is None else fused, self.dtype)
-        if fused.size != blocks * FUSED_DIM:
+        fused = np.asarray(np.zeros((len(lengths), FUSED_DIM)) if fused is None else fused,
+                           self.dtype)
+        if fused.size != len(lengths) * FUSED_DIM:
             raise InvalidInput(f"fused embedding must be {FUSED_DIM}-dim per sequence, "
-                               f"got shape {fused.shape} for {blocks} sequences")
+                               f"got shape {fused.shape} for {len(lengths)} sequences")
         # The fused vector is a constant input: repeat it onto every token of its sequence.
-        fused = Tensor(np.repeat(fused.reshape(blocks, FUSED_DIM), n_tokens, axis=0))
+        fused = Tensor(np.repeat(fused.reshape(-1, FUSED_DIM), lengths, axis=0))
 
+        # Each sequence's tokens take the positional rows from row 0 on.
         v = tz.add_bias(tz.linear(visual, self.proj_visual),
-                        tz.slice_rows(self.pos_visual, 0, n_tokens))
+                        tz.slice_rows(self.pos_visual, 0, n_tokens), blocks)
         a = tz.add_bias(tz.linear(audio, self.proj_audio),
-                        tz.slice_rows(self.pos_audio, 0, n_tokens))
+                        tz.slice_rows(self.pos_audio, 0, n_tokens), blocks)
         a = tz.add_bias(a, fused)
         for visual_block, audio_block in self.layers:
             # Both attentions read the streams as they were before this layer.

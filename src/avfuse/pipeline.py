@@ -12,7 +12,10 @@ capture's length. Ingest keeps the last ``capacity`` windows and sheds the
 rest unread; every drop is counted and ``ingested == processed + dropped``
 holds exactly. Every stage takes a whole run, so that non-local means,
 Horn-Schunck and the fusion forward each make one call per run, and a
-window's stage latency is its share of its run's time. The first stage
+window's stage latency is its share of its run's time. The forward takes
+the run's token sequences as row blocks of their own lengths, so the
+shorter sequences of the first windows share it too; the two vision
+kernels pass over at most ``vision_dsp.STACK`` frames at a time. The first stage
 that raises fails the run with an error naming the stage and the window
 whose step failed, or the run's windows for a step over the whole run. The
 sink writes the event log in the order it makes the records, which is
@@ -27,7 +30,6 @@ from collections import deque
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
-from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -78,13 +80,16 @@ from .vision_dsp import (
 # Healthy runs on the training preset peak near 2.6 times; diverging ones reach 1e9 and more.
 DIVERGED_LOSS_RATIO = 1000.0
 
-# The most consecutive windows one stage call takes. Larger stacks fall out of
-# cache and make each window slower.
-RUN = 4
+# The most consecutive windows one stage call takes. Each fusion forward reads
+# all of the model's weights, so 8 windows to a forward read them half as often
+# as 4 did. 16 would halve that again, but a forward's transient memory grows
+# with its rows: 9.0 MiB at 16 windows against 2.3 MiB at 4 under tracemalloc,
+# and peak RSS rose by 7.9 MiB. Non-local means and Horn-Schunck, whose larger
+# stacks fall out of cache, still pass over at most vision_dsp.STACK frames.
+RUN = 8
 
 # The windows the runner reads and takes through every stage at once. A multiple
-# of RUN, so that runs, and fuse's groups of equal-length sequences, stay as they
-# would be over the whole capture. Each chunk frees what its stages held. A basic
+# of RUN, so that runs stay as they would be over the whole capture. Each chunk frees what its stages held. A basic
 # `run --deterministic` at 4, 8, 16 and 64 peaked within 1.4 MiB of each other,
 # its wall time within run-to-run noise (ROADMAP Baseline), so no size here buys
 # memory or time. 64 stays: it is the size every benchmark has measured, and the
@@ -233,28 +238,24 @@ class PipelineContext:
         run.audio_rows = self.normalizer.normalize_audio(run.stats[:, :c.audio_features])
 
     def fuse(self, run: Run) -> None:
-        """Each window's rows join the token deques in turn, and windows whose
-        sequences have equal length share one ``predict``, the shorter warm-up
-        sequences each alone. The advanced model's audio ensemble embeds each
-        window's samples here, the one stage that reads the embed."""
+        """Each window's rows join the token deques in turn, and the run's
+        sequences, the shorter warm-up ones included, share one ``predict`` as
+        row blocks of their own lengths. The advanced model's audio ensemble
+        embeds each window's samples here, the one stage that reads the embed."""
         ensemble = self.model.ensemble
-        sequences = []
-        for window, visual, audio, samples in zip(run.windows, run.visual_rows, run.audio_rows,
-                                                  run.samples):
-            self._visual_rows.append(visual)
-            self._audio_rows.append(audio)
-            with _naming(window):
-                fused = None if ensemble is None else ensemble.embed(samples, self.sample_rate)
-            sequences.append((np.stack(self._visual_rows), np.stack(self._audio_rows), fused))
-        motions, events = [], []
-        for _, group in groupby(sequences, key=lambda sequence: len(sequence[0])):
-            visual, audio, fused = zip(*group)
-            fused = None if ensemble is None else np.stack(fused)
-            motion, event = self.model.predict(np.stack(visual), np.stack(audio), fused)
-            motions.append(motion.reshape(len(visual), -1))
-            events.append(None if event is None else event.reshape(len(visual), -1))
-        run.motion_logits = np.concatenate(motions)
-        run.event_logits = None if events[0] is None else np.concatenate(events)
+        visual, audio, fused = [], [], []
+        for window, visual_row, audio_row, samples in zip(run.windows, run.visual_rows,
+                                                          run.audio_rows, run.samples):
+            self._visual_rows.append(visual_row)
+            self._audio_rows.append(audio_row)
+            visual.append(np.stack(self._visual_rows))
+            audio.append(np.stack(self._audio_rows))
+            if ensemble is not None:
+                with _naming(window):
+                    fused.append(ensemble.embed(samples, self.sample_rate))
+        motion, event = self.model.predict(visual, audio, np.stack(fused) if fused else None)
+        run.motion_logits = motion.reshape(len(run), -1)
+        run.event_logits = None if event is None else event.reshape(len(run), -1)
 
     def score(self, run: Run) -> None:
         """One (B, 4) block of the run's method scores, a column per method in
@@ -560,9 +561,8 @@ def run_stages(stages: list, windows: Sequence,
     through the stages' own state (the previous frame, the baselines, the
     token deques, the tracker), and each stage still sees every window in
     order. ``CHUNK`` is a multiple of ``RUN`` and chunks start at the
-    first kept window, so each run, and each of fuse's groups of
-    equal-length sequences, holds the windows it would over the whole
-    capture at once.
+    first kept window, so each run holds the windows it would over the
+    whole capture at once.
 
     Returns the number of windows shed and each stage's latency per window
     in ms: each window's share of its run's time. The first stage that

@@ -24,19 +24,23 @@ into its own array once the file is known to hold the bytes its dims
 declare, and :func:`save_tensors` writes each to the open file, so neither
 holds a whole-file buffer.
 
-A batch of B equal-length sequences of n tokens is one tensor of B*n rows,
-sequence b in rows b*n to (b+1)*n: a row block. Row-wise operations
+A batch of B sequences is one tensor of their rows stacked in order,
+sequence b in one run of rows: a row block. Row-wise operations
 (:func:`linear`, :func:`layer_norm`, :func:`gelu`, :func:`add`) need no
 batch axis, so one graph trains on the whole batch. Three operations read
-the blocks: :func:`attention` attends within each block only,
-``mean(x, blocks)`` pools each block into one row, and :func:`add_bias`
-adds an (m, d) bias onto every block of m rows (m = 1 for an ordinary
-bias). A single sequence is one block.
+the blocks, given as a count B of equal blocks or as a list of the
+blocks' lengths, which may differ: :func:`attention` attends within each
+block only, ``mean(x, blocks)`` pools each block into one row, and
+:func:`add_bias` adds the first n rows of an (m, d) bias onto each block
+of n rows (m = 1 for an ordinary bias). A single sequence is one block.
+Each run of consecutive equal-length blocks is one group, computed at once
+as it would be alone, so B equal blocks are the one-group case and blocks
+of unequal length add no padding: each block gets the bytes it has alone.
 
 Multi-head attention is one operation: :func:`attention` runs every block
-and head at once over a (B, H, n, d/H) view of its inputs and has its own
-backward. :func:`attention_weights` and :func:`softmax` share its softmax
-code.
+and head of a group at once over a (B, H, n, d/H) view of its inputs and
+has its own backward. :func:`attention_weights` and :func:`softmax` share
+its softmax code.
 
 Precision: a :class:`Tensor` keeps float32 data as float32 and makes
 anything else float64, and every operation computes in the dtype of its
@@ -55,6 +59,7 @@ import os
 import struct
 import threading
 from contextlib import contextmanager
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -179,20 +184,36 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _node(a.data * c, (a,), (lambda g: g * c,))
 
 
-def add_bias(x: Tensor, bias: Tensor) -> Tensor:
-    """Add an (m, d) bias onto every block of m rows of a (B*m, d) tensor.
+def add_bias(x: Tensor, bias: Tensor, blocks=None) -> Tensor:
+    """Add an (m, d) bias onto the row blocks of ``x``: a block of n rows gets the first n
+    bias rows.
 
-    A (1, d) bias is added to every row.
+    ``blocks`` is as in :func:`attention`; by default ``x`` is blocks of m rows, so a
+    (1, d) bias is added to every row. No block may be longer than m rows.
     """
     m, d = bias.shape
-    if m < 1 or d != x.shape[1] or x.shape[0] % m:
+    rows = x.shape[0]
+    if blocks is None and m >= 1 and rows % m == 0:
+        blocks = rows // m
+    groups = _row_groups(rows, blocks, "add_bias") if blocks is not None else ()
+    if not groups or d != x.shape[1] or max(n for _, _, n in groups) > m:
         raise InvalidInput(f"add_bias: bias shape {bias.shape} does not broadcast onto {x.shape}")
-    blocks = x.shape[0] // m
-    # One bias row or one block broadcasts as it is; the (B, m, d) view costs
-    # a few microseconds more per call.
-    data = (x.data + bias.data if m == 1 or blocks == 1
-            else (x.data.reshape(blocks, m, d) + bias.data).reshape(x.shape))
-    return _node(data, (x, bias), (lambda g: g, lambda g: g.reshape(blocks, m, d).sum(axis=0)))
+
+    def add(part, count, n):
+        # One bias row or one block broadcasts as it is; the (B, n, d) view costs
+        # a few microseconds more per call.
+        if n == 1 or count == 1:
+            return part + bias.data[:n]
+        return (part.reshape(count, n, d) + bias.data[:n]).reshape(part.shape)
+
+    def grad_bias(g):
+        out = np.zeros_like(bias.data)
+        for start, count, n in groups:
+            out[:n] += g[start:start + count * n].reshape(count, n, d).sum(axis=0)
+        return out
+
+    data = _join([add(x.data[start:start + count * n], count, n) for start, count, n in groups])
+    return _node(data, (x, bias), (lambda g: g, grad_bias))
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -278,13 +299,22 @@ def gelu(x: Tensor) -> Tensor:
     return _node(out, (x,), (grad,))
 
 
-def mean(x: Tensor, blocks: int) -> Tensor:
-    """Each of ``blocks`` B equal row blocks pooled into one row: (B*n, d) becomes (B, d)."""
-    if blocks < 1 or x.shape[0] % blocks:
-        raise InvalidInput(f"mean: {x.shape} does not split into {blocks} row blocks")
-    n = x.shape[0] // blocks
-    return _node(x.data.reshape(blocks, n, -1).mean(axis=1), (x,),
-                 (lambda g: np.repeat(g, n, axis=0) / n,))
+def mean(x: Tensor, blocks) -> Tensor:
+    """Each row block pooled into one row, in block order: B blocks give (B, d).
+
+    ``blocks`` is as in :func:`attention`.
+    """
+    groups = _row_groups(x.shape[0], blocks, "mean")
+
+    def grad(g):
+        parts, first = [], 0  # first: the group's first block, a row of g
+        for _, count, n in groups:
+            parts.append(np.repeat(g[first:first + count], n, axis=0) / n)
+            first += count
+        return _join(parts)
+
+    return _node(_join([x.data[start:start + count * n].reshape(count, n, -1).mean(axis=1)
+                        for start, count, n in groups]), (x,), (grad,))
 
 
 def concat(tensors: list[Tensor]) -> Tensor:
@@ -354,6 +384,31 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     return _node(np.array([[loss]]), (logits,), (grad,))
 
 
+def _row_groups(rows: int, blocks, op: str) -> list[tuple[int, int, int]]:
+    """Each run of consecutive equal-length row blocks of a tensor of ``rows`` rows, as
+    (first row, block count, rows per block), in row order.
+
+    ``blocks`` is a count of equal blocks, or a list of the blocks' lengths in row order.
+    """
+    if isinstance(blocks, int):
+        if blocks < 1 or rows % blocks:
+            raise InvalidInput(f"{op}: {rows} rows do not split into {blocks} blocks")
+        return [(0, blocks, rows // blocks)]
+    if not blocks or min(blocks) < 1 or sum(blocks) != rows:
+        raise InvalidInput(f"{op}: blocks of {list(blocks)} rows do not tile {rows} rows")
+    groups, start = [], 0
+    for n, run in groupby(blocks):
+        count = len(list(run))
+        groups.append((start, count, n))
+        start += count * n
+    return groups
+
+
+def _join(parts: list[np.ndarray]) -> np.ndarray:
+    """The row groups' results stacked in row order; one group's as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def _split_heads(x: np.ndarray, heads: int, blocks: int) -> np.ndarray:
     """(B*n, H*d) as a (B, H, n, d) view: row block b, column block h."""
     rows, width = x.shape
@@ -372,14 +427,16 @@ def _scaled_scores(q: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, float]:
     return _softmax_last((q @ k.swapaxes(-1, -2)) * c), c
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1, blocks: int = 1) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1, blocks=1) -> Tensor:
     """Scaled dot-product attention softmax(Q K^T / sqrt(d_k)) V, per head and row block.
 
     The columns of q, k and v split into ``heads`` equal blocks; head h
     attends with block h of each, all heads at once, and the head outputs
-    are joined in the same column order. The rows split into ``blocks``
-    equal blocks, and the queries of block b attend only to the keys and
-    values of block b.
+    are joined in the same column order. The rows split into row blocks,
+    and the queries of block b attend only to the keys and values of block
+    b. ``blocks`` is a count of equal blocks, or a list of block lengths
+    that the rows of q and of k both follow. Each run of consecutive
+    equal-length blocks is one (B, H, n, d/H) group.
     """
     if q.shape[1] != k.shape[1]:
         raise InvalidInput(
@@ -393,26 +450,32 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1, blocks: int = 1) 
         raise InvalidInput(
             f"attention: widths {q.shape[1]} and {v.shape[1]} do not split into {heads} heads"
         )
-    if blocks < 1 or q.shape[0] % blocks or k.shape[0] % blocks:
-        raise InvalidInput(
-            f"attention: row counts {q.shape[0]} and {k.shape[0]} do not split into {blocks} blocks"
-        )
-    qh, kh, vh = (_split_heads(t.data, heads, blocks) for t in (q, k, v))
-    w, c = _scaled_scores(qh, kh)
+    groups = []  # per group: its query rows, its (B, H, n, d) q, k and v, and its weights
+    for (qs, count, nq), (ks, _, nk) in zip(_row_groups(q.shape[0], blocks, "attention"),
+                                            _row_groups(k.shape[0], blocks, "attention")):
+        rows_q, rows_k = slice(qs, qs + count * nq), slice(ks, ks + count * nk)
+        qh, kh, vh = (_split_heads(t.data[rows], heads, count)
+                      for t, rows in ((q, rows_q), (k, rows_k), (v, rows_k)))
+        w, c = _scaled_scores(qh, kh)
+        groups.append((rows_q, qh, kh, vh, w))
 
-    memo: list = []  # (g, its score gradient): the query and key gradients share it
+    memo: list = []  # (g, its score gradients): the query and key gradients share them
 
     def grad_scores(g):
         if not memo or memo[0] is not g:
-            memo[:] = g, _softmax_last_grad(w, _split_heads(g, heads, blocks)
-                                            @ vh.swapaxes(-1, -2)) * c
+            memo[:] = g, [_softmax_last_grad(w, _split_heads(g[rows_q], heads, len(w))
+                                             @ vh.swapaxes(-1, -2)) * c
+                          for rows_q, _, _, vh, w in groups]
         return memo[1]
 
     return _node(
-        _merge_heads(w @ vh), (q, k, v),
-        (lambda g: _merge_heads(grad_scores(g) @ kh),
-         lambda g: _merge_heads(grad_scores(g).swapaxes(-1, -2) @ qh),
-         lambda g: _merge_heads(w.swapaxes(-1, -2) @ _split_heads(g, heads, blocks))),
+        _join([_merge_heads(w @ vh) for *_, vh, w in groups]), (q, k, v),
+        (lambda g: _join([_merge_heads(s @ kh)
+                          for s, (_, _, kh, _, _) in zip(grad_scores(g), groups)]),
+         lambda g: _join([_merge_heads(s.swapaxes(-1, -2) @ qh)
+                          for s, (_, qh, _, _, _) in zip(grad_scores(g), groups)]),
+         lambda g: _join([_merge_heads(w.swapaxes(-1, -2) @ _split_heads(g[rows_q], heads, len(w)))
+                          for rows_q, _, _, _, w in groups])),
     )
 
 

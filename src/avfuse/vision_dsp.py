@@ -11,9 +11,9 @@ The distance of ``p`` to ``p + s`` is the distance of ``p + s`` to ``p``, and
 being exact it is the same float, so the mirrored weight is bit-identical:
 each pair of offsets ``-s`` and ``+s`` costs one distance plane and one
 ``exp``, added after the center pixel in pair order, not raster order.
-A (B, h, w) stack of frames runs as B such runs at once, every op
-elementwise, so each frame keeps the bytes it has alone; one frame is the
-stack of one.
+A (B, h, w) stack of frames runs as B such runs at once, up to ``STACK``
+frames to a pass, every op elementwise, so each frame keeps the bytes it has
+alone; one frame is the stack of one.
 Texture energy comes from a 2-level Daubechies-2 decomposition with periodic
 extension, which makes subband energies sum exactly to the pixel energy. It
 too takes one frame or a (B, h, w) stack, one row of seven energies per frame,
@@ -24,7 +24,10 @@ the ``DenseFlow`` interface so a different solver can be slotted in later.
 Its Jacobi sweeps update one edge-padded (u, v) buffer in place, in float32,
 for ``train`` and ``run`` alike; against the float64 sweeps the field stays
 within 1e-5 of its largest magnitude. It takes one pair of frames or a
-stack of B pairs, each pair with the bytes it has alone.
+stack of B pairs, up to ``STACK`` pairs to a pass, each pair with the bytes
+it has alone. Non-local means and Horn-Schunck are the two kernels whose
+planes outgrow the cache, so each passes over at most ``STACK`` frames or
+pairs at a time, whatever stack it is given.
 """
 
 from __future__ import annotations
@@ -53,6 +56,11 @@ NLM_STRENGTH_MIN = 1e-150
 # The largest patch whose 8-bit distances, at most patch^2 * 255^2, float32 holds exactly
 # (below 2^24); at 17 they would pass it.
 NLM_PATCH_MAX = 15
+
+# The most frames, or pairs of frames, that one pass of non-local means or
+# Horn-Schunck takes: their planes for larger stacks fall out of cache and make
+# each frame slower. Larger stacks run in passes of this many.
+STACK = 4
 
 
 @dataclass(frozen=True)
@@ -96,6 +104,7 @@ def preprocess_frames(frames: np.ndarray, patch: int = 3, search: int = 7,
     it is the same integer as a 2-D window sum of each frame alone, and is
     scaled into the float64 weight plane as the float64 sums would hold it.
     Frames that are not uint8 and a larger patch raise :class:`InvalidInput`.
+    A stack of more than ``STACK`` frames runs ``STACK`` frames to a pass.
 
     The sums start from the center pixel and weight 1. Each offset before
     the center in raster order, a shift by ``-s``, then gets one weight plane
@@ -116,8 +125,14 @@ def preprocess_frames(frames: np.ndarray, patch: int = 3, search: int = 7,
         raise InvalidInput(f"expected 8-bit frames, got dtype {img.dtype}")
     if not 1 <= patch <= NLM_PATCH_MAX or patch % 2 == 0:
         raise InvalidInput(f"patch must be odd and in [1, {NLM_PATCH_MAX}], got {patch}")
+    check_nlm_search(search, *img.shape[1:])
+    return np.concatenate([_nlm(img[first:first + STACK], patch, search, strength)
+                           for first in range(0, len(img), STACK)])
+
+
+def _nlm(img: np.ndarray, patch: int, search: int, strength: float) -> np.ndarray:
+    """:func:`preprocess_frames` of a checked stack in one pass."""
     b, h, w = img.shape
-    check_nlm_search(search, h, w)
     pr, sr = patch // 2, search // 2
     pad = sr + pr
     wide = w + 2 * pad
@@ -248,8 +263,8 @@ class DenseFlow:
         """The flow from ``frame_prev`` to ``frame_next``: two (h, w) frames, or two
         (B, h, w) stacks of B pairs, whose fields come back stacked the same way.
 
-        Every op of a sweep runs over all B pairs at once and is elementwise,
-        so each pair's field has the bytes it has alone.
+        Every op of a sweep runs over the pairs of a pass, up to ``STACK``, at
+        once and is elementwise, so each pair's field has the bytes it has alone.
         """
         prev = np.asarray(frame_prev, dtype=np.float32)
         nxt = np.asarray(frame_next, dtype=np.float32)
@@ -263,6 +278,12 @@ class DenseFlow:
 
         shape = prev.shape
         prev, nxt = (frames.reshape(-1, *shape[-2:]) for frames in (prev, nxt))
+        u, v = np.concatenate([self._sweeps(prev[first:first + STACK], nxt[first:first + STACK])
+                               for first in range(0, len(prev), STACK)], axis=1)
+        return FlowField(u=u.reshape(shape), v=v.reshape(shape))
+
+    def _sweeps(self, prev: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+        """The (2, B, h, w) u and v planes of B float32 pairs, in one pass."""
         b, h, w = prev.shape
         iy, ix = np.gradient(0.5 * (prev + nxt), axis=(1, 2))
         denom = self.alpha ** 2 + ix ** 2 + iy ** 2
@@ -299,5 +320,4 @@ class DenseFlow:
             residual /= denom
             np.multiply(grad, residual, out=step)
             np.subtract(bar, step, out=runs[..., lo:hi])
-        u, v = (plane.reshape(shape).copy() for plane in padded[:, :, 1:-1, 1:-1])
-        return FlowField(u=u, v=v)
+        return padded[:, :, 1:-1, 1:-1]

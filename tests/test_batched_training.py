@@ -11,6 +11,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avfuse import tensor as tz
 from avfuse.config import Config
@@ -96,6 +98,93 @@ class TestRowBlockOps:
         lambda x: tz.add_bias(x, tz.Tensor(np.zeros((5, 4)))),
     ], ids=["attention", "mean", "add_bias"])
     def test_rows_that_do_not_split_into_blocks_are_rejected(self, build):
+        with pytest.raises(InvalidInput):
+            build(tz.Tensor(np.ones((12, 4))))
+
+
+UNEQUAL = settings(max_examples=40, derandomize=True, database=None, deadline=None)
+# Blocks of 1 to 12 rows in any order, each repeated 1 to 3 times in a row, so that some
+# consecutive blocks share a length and run as one group.
+LENGTHS = st.lists(st.tuples(st.integers(1, 12), st.integers(1, 3)), min_size=1,
+                   max_size=5).map(lambda runs: [n for n, times in runs for _ in range(times)])
+DTYPES = st.sampled_from([np.float64, np.float32])
+
+
+def spans(lengths):
+    """Each block's (first row, end row)."""
+    ends = np.cumsum(lengths).tolist()
+    return list(zip([0] + ends[:-1], ends))
+
+
+def data(rng, dtype, *shape):
+    return rng.normal(size=shape).astype(dtype)
+
+
+class TestUnequalRowBlocks:
+    """Each block of an unequal-block call has the bytes of that block computed alone, and
+    the gradients match finite differences. Hypothesis runs derandomized, 40 examples each."""
+
+    @UNEQUAL
+    @given(lengths=LENGTHS, dtype=DTYPES, seed=st.integers(0, 2**32 - 1))
+    def test_attention_blocks_equal_each_block_alone(self, lengths, dtype, seed):
+        rng = np.random.default_rng(seed)
+        rows = sum(lengths)
+        q, k, v = data(rng, dtype, rows, 8), data(rng, dtype, rows, 8), data(rng, dtype, rows, 4)
+        out = tz.attention(tz.Tensor(q), tz.Tensor(k), tz.Tensor(v), heads=2, blocks=lengths).data
+        assert out.dtype == dtype and out.shape == (rows, 4)
+        for lo, hi in spans(lengths):
+            alone = tz.attention(tz.Tensor(q[lo:hi]), tz.Tensor(k[lo:hi]), tz.Tensor(v[lo:hi]),
+                                 heads=2).data
+            assert out[lo:hi].tobytes() == alone.tobytes()
+
+    @UNEQUAL
+    @given(lengths=LENGTHS, dtype=DTYPES, seed=st.integers(0, 2**32 - 1))
+    def test_mean_blocks_equal_each_block_alone(self, lengths, dtype, seed):
+        x = data(np.random.default_rng(seed), dtype, sum(lengths), 6)
+        out = tz.mean(tz.Tensor(x), lengths).data
+        assert out.dtype == dtype and out.shape == (len(lengths), 6)
+        for row, (lo, hi) in zip(out, spans(lengths)):
+            assert row.tobytes() == tz.mean(tz.Tensor(x[lo:hi]), 1).data[0].tobytes()
+
+    @UNEQUAL
+    @given(lengths=LENGTHS, dtype=DTYPES, seed=st.integers(0, 2**32 - 1))
+    def test_positional_add_blocks_equal_each_block_alone(self, lengths, dtype, seed):
+        rng = np.random.default_rng(seed)
+        x, table = data(rng, dtype, sum(lengths), 6), data(rng, dtype, 12, 6)
+        out = tz.add_bias(tz.Tensor(x), tz.Tensor(table[:max(lengths)]), lengths).data
+        assert out.dtype == dtype
+        for lo, hi in spans(lengths):
+            alone = tz.add_bias(tz.Tensor(x[lo:hi]), tz.Tensor(table[:hi - lo])).data
+            assert out[lo:hi].tobytes() == alone.tobytes()
+
+    @settings(max_examples=15, derandomize=True, database=None, deadline=None)
+    @given(lengths=LENGTHS, seed=st.integers(0, 2**32 - 1))
+    def test_gradients_match_finite_differences(self, lengths, seed):
+        rng = np.random.default_rng(seed)
+        rows = sum(lengths)
+        q, k, v = param(rng, rows, 4), param(rng, rows, 4), param(rng, rows, 2)
+        table = param(rng, max(lengths), 2)
+        w = tz.Tensor(rng.normal(size=(len(lengths), 2)))
+
+        def f():
+            attended = tz.attention(q, k, v, heads=2, blocks=lengths)
+            placed = tz.add_bias(attended, table, lengths)
+            return tz.sum_all(tz.mul(tz.gelu(tz.mean(placed, lengths)), w))
+
+        # Pooling 12 rows makes some gradients small enough that the default step's
+        # rounding dominates their central differences; a step of 1e-4 keeps them clear.
+        assert finite_diff_check(f, [q, k, v, table], step=1e-4) < GRAD_TOL
+
+    @pytest.mark.parametrize("build", [
+        lambda x: tz.attention(x, x, x, heads=2, blocks=[4, 4, 3]),
+        lambda x: tz.attention(x, x, x, heads=2, blocks=[6, 0, 6]),
+        lambda x: tz.mean(x, [5, 5]),
+        lambda x: tz.mean(x, []),
+        lambda x: tz.add_bias(x, tz.Tensor(np.zeros((5, 4))), [6, 6]),
+        lambda x: tz.add_bias(x, tz.Tensor(np.zeros((6, 4))), [6, 5]),
+    ], ids=["attention short", "attention empty block", "mean short", "mean no blocks",
+            "bias shorter than a block", "add_bias short"])
+    def test_lengths_that_do_not_tile_the_rows_are_rejected(self, build):
         with pytest.raises(InvalidInput):
             build(tz.Tensor(np.ones((12, 4))))
 

@@ -110,6 +110,20 @@ def test_nlm_strength_and_detector_knobs_at_their_bounds_run(canonical_capture, 
                      "run", str(canonical_capture)]) == 0
 
 
+@pytest.mark.parametrize("noise", [-1.0, 1.5, 1e308], ids=["negative", "above 1", "1e308"])
+def test_confidence_noise_outside_0_1_exits_1_naming_it(canonical_capture, tmp_path, capsys,
+                                                       noise):
+    """Confidences are clipped to [0, 1], so a wider standard deviation means nothing."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"detector": {"confidence_noise": noise}}))
+    assert cli_main(["--config", str(config), "--out", str(tmp_path / "out"), "--deterministic",
+                     "run", str(canonical_capture)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: {config}: detector.confidence_noise must be in [0, 1]\n"
+    for noise in (0.0, 1.0):
+        Config(detector=DetectorConfig(confidence_noise=noise)).validate()
+
+
 def run_capture(capture, tmp_path):
     return cli_main(["--out", str(tmp_path / "out"), "--deterministic", "run", str(capture)])
 

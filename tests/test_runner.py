@@ -184,12 +184,12 @@ class TestStreamedRun:
 
         def fails_late(frames):
             calls.append(1)
-            if len(calls) == 25:  # windows 96-99, once the sink has logged the first chunk
+            if len(calls) == 13:  # windows 96-103, once the sink has logged the first chunk
                 raise ValueError("broken DWT")
             return original(frames)
 
         monkeypatch.setattr(avfuse.pipeline, "dwt2_energy", fails_late)
-        with pytest.raises(AvFuseError, match="windows 96-99: analyze stage failed"):
+        with pytest.raises(AvFuseError, match="windows 96-103: analyze stage failed"):
             run_pipeline(injection_capture, Config(), tmp_path / "out", deterministic=True)
         assert not (tmp_path / "out" / "events.jsonl").exists()
         assert not (tmp_path / "out" / PARTIAL_LOG).exists()

@@ -1,6 +1,6 @@
 """Analyze, fuse and score over runs of consecutive windows: stacked NLM, Horn-Schunck,
-DWT, spectral statistics, frame means and block means, one fusion forward per run of
-equal-length sequences, and how a run reports failures and latencies."""
+DWT, spectral statistics, frame means and block means, one fusion forward per run,
+and how a run reports failures and latencies."""
 
 import json
 from pathlib import Path
@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import avfuse.pipeline
+import avfuse.vision_dsp
 from avfuse.anomaly import (RollingBaseline, autoencoder_score, autoencoder_train,
                             frame_to_vector, save_autoencoder, zscore_score)
 from avfuse.audio_dsp import spectral_stats
@@ -18,7 +19,8 @@ from avfuse.cli import main as cli_main
 from avfuse.config import Config
 from avfuse.detect_track import BBox, Detection
 from avfuse.errors import AvFuseError, InvalidInput
-from avfuse.fusion import FUSED_DIM, TokenNormalizer, TrainingBatch, build_model, visual_rows
+from avfuse.fusion import (FUSED_DIM, FusionModel, TokenNormalizer, TrainingBatch, build_model,
+                           visual_rows)
 from avfuse.io import load_capture
 from avfuse.pipeline import (
     RUN,
@@ -30,7 +32,7 @@ from avfuse.pipeline import (
     run_stages,
 )
 from avfuse.scenario import generate_scenario, preset_scenario
-from avfuse.vision_dsp import DenseFlow, dwt2_energy, preprocess_frame, preprocess_frames
+from avfuse.vision_dsp import STACK, DenseFlow, dwt2_energy, preprocess_frame, preprocess_frames
 from oracles import (HandWindows, audio_row, reference_dwt2_energies, reference_spectral_stats,
                      visual_row)
 
@@ -82,6 +84,33 @@ class TestStackedNonLocalMeans:
     def test_a_frame_instead_of_a_stack_is_rejected_naming_its_shape(self):
         with pytest.raises(InvalidInput, match=r"shape \(8, 8\)"):
             preprocess_frames(np.zeros((8, 8), dtype=np.uint8))
+
+
+class TestPassesOfAtMostStack:
+    """Non-local means and Horn-Schunck take a run of any length in passes of at most
+    ``STACK`` frames or pairs, and each frame or pair keeps the bytes it has alone."""
+
+    def test_non_local_means(self, monkeypatch):
+        frames = random_frames((12, 16), 2 * STACK + 2)
+        passes, nlm = [], avfuse.vision_dsp._nlm
+        monkeypatch.setattr(avfuse.vision_dsp, "_nlm",
+                            lambda img, *args: passes.append(len(img)) or nlm(img, *args))
+        stacked = preprocess_frames(frames)
+        assert passes == [STACK, STACK, 2]
+        for frame, out in zip(frames, stacked):
+            assert out.tobytes() == preprocess_frame(frame).tobytes()
+
+    def test_horn_schunck(self, monkeypatch):
+        frames = random_frames((12, 20), 2 * STACK + 2)
+        flow, passes, sweeps = DenseFlow(10.0, 25), [], DenseFlow._sweeps
+        monkeypatch.setattr(DenseFlow, "_sweeps",
+                            lambda self, prev, nxt: passes.append(len(prev)) or sweeps(self, prev, nxt))
+        stacked = flow(frames[:-1], frames[1:])
+        assert passes == [STACK, STACK, 1]
+        for i in range(len(frames) - 1):
+            alone = flow(frames[i], frames[i + 1])
+            assert stacked.u[i].tobytes() == alone.u.tobytes()
+            assert stacked.v[i].tobytes() == alone.v.tobytes()
 
 
 class TestStackedHornSchunck:
@@ -354,8 +383,52 @@ class TestBatchedForward:
                 assert row_gap(got, alone) <= 1e-5
                 assert np.argmax(got) == np.argmax(alone)
 
+    @pytest.mark.parametrize("kind", ["basic", "advanced"])
+    def test_sequences_of_unequal_length_share_one_forward(self, kind):
+        config = Config()
+        config.fusion.model = kind
+        model = build_model(config.fusion)
+        model.cast_to_float32()
+        c = model.config
+        rng = np.random.default_rng(11)
+        lengths = [1, 2, 3, 5, 5, 8, 12, 12, 7]
+        visual = [rng.normal(size=(n, c.visual_features)) for n in lengths]
+        audio = [rng.normal(size=(n, c.audio_features)) for n in lengths]
+        fused = rng.normal(size=(len(lengths), FUSED_DIM)) if model.ensemble is not None else None
+        motion, event = model.predict(visual, audio, fused)
+        motion = motion.reshape(len(lengths), -1)
+        event = None if event is None else event.reshape(len(lengths), -1)
+        for i in range(len(lengths)):
+            one_motion, one_event = model.predict(visual[i], audio[i],
+                                                  None if fused is None else fused[i])
+            for got, alone in [(motion[i], one_motion)] + (
+                    [] if event is None else [(event[i], one_event)]):
+                assert row_gap(got, alone) <= 1e-5
+                assert np.argmax(got) == np.argmax(alone)
+        with pytest.raises(InvalidInput, match="token counts differ"):
+            model.predict(visual, audio[:-1] + [audio[-1][:3]], fused)
+
+    def test_fuse_makes_one_predict_per_run_warm_up_runs_included(self, injection_capture,
+                                                                  tmp_path, monkeypatch):
+        """120 windows at 32 tokens: 15 runs of RUN windows, one ``predict`` each, the
+        first four over the warm-up sequences of 1 to 32 tokens."""
+        calls = []
+        predict = FusionModel.predict
+
+        def counting(model, visual, audio, fused=None):
+            calls.append([len(sequence) for sequence in visual])
+            return predict(model, visual, audio, fused)
+
+        monkeypatch.setattr(FusionModel, "predict", counting)
+        config = advanced_config()
+        config.fusion.burst_tokens = 32
+        summary = run_pipeline(injection_capture, config, tmp_path / "out", deterministic=True)
+        assert summary.windows_processed == 120 and len(calls) == 15
+        assert calls == [[min(window + 1, 32) for window in range(first, first + RUN)]
+                         for first in range(0, 120, RUN)]
+
     def test_run_level_fuse_matches_one_window_fuse(self, seed1_injection):
-        """Warm-up windows run alone and keep their bytes; the rest stay within 1e-5."""
+        """Every window, warm-up ones included, stays within 1e-5 with an equal argmax."""
         config = advanced_config()
         scenario, clip, windows = open_capture(seed1_injection, config.vision)
         context = PipelineContext(config, scenario, clip.sample_rate)
@@ -368,13 +441,10 @@ class TestBatchedForward:
             for run in each:
                 for stage in (ctx.analyze, ctx.detect, ctx.tokenize, ctx.fuse):
                     stage(run)
-        warm_up = config.fusion.burst_tokens - 1
         for window, a in enumerate(expected):
             b, i = got[window // RUN], window % RUN
             for one, batched in ((a.motion_logits[0], b.motion_logits[i]),
                                  (a.event_logits[0], b.event_logits[i])):
-                if window < warm_up:
-                    assert one.tobytes() == batched.tobytes()
                 assert row_gap(batched, one) <= 1e-5
                 assert np.argmax(batched) == np.argmax(one)
 
@@ -405,7 +475,7 @@ class TestCaptureWindowSlices:
     def test_a_slice_is_cut_into_runs_of_the_windows_it_names(self, seed1_injection):
         _, _, windows = open_capture(seed1_injection, Config().vision)
         got = windows[5:14:1]
-        assert [list(run.windows) for run in got] == [[5, 6, 7, 8], [9, 10, 11, 12], [13]]
+        assert [list(run.windows) for run in got] == [[5, 6, 7, 8, 9, 10, 11, 12], [13]]
         for run in got:
             for window, frame in zip(run.windows, run.raw):
                 assert frame.tobytes() == windows[window].raw[0].tobytes()
@@ -453,7 +523,7 @@ class TestRunFailuresAndLatency:
         config.write_text(json.dumps({"fusion": {"model": "advanced"}}))
         assert cli_main(["--config", str(config), "--out", str(tmp_path / "out"),
                          "--deterministic", "run", str(canonical_capture)]) == 2
-        assert "windows 4-7: score stage failed: broken event score" in capsys.readouterr().err
+        assert "windows 8-9: score stage failed: broken event score" in capsys.readouterr().err
 
     def test_a_tokenize_failure_names_the_run_s_windows_and_exits_2(self, canonical_capture,
                                                                    tmp_path, monkeypatch, capsys):
@@ -471,7 +541,7 @@ class TestRunFailuresAndLatency:
         assert cli_main(["--out", str(tmp_path / "out"), "--deterministic", "run",
                          str(canonical_capture)]) == 2
         err = capsys.readouterr().err
-        assert "windows 4-7: tokenize stage failed: broken visual rows" in err
+        assert "windows 8-9: tokenize stage failed: broken visual rows" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "events.jsonl").exists()
 
@@ -504,14 +574,14 @@ class TestScoreAcrossRunsAndChunks:
         config = Config()
         config.anomaly.threshold = 0.1  # so that some windows trigger and write artifacts
         trees = {}
-        for chunk in (4, 8, 16, 64):
+        for chunk in (8, 16, 32, 64):  # multiples of RUN, as the runner's CHUNK is
             monkeypatch.setattr(avfuse.pipeline, "CHUNK", chunk)
             out = tmp_path / f"chunk{chunk}"
             run_pipeline(canonical_capture, config, out, deterministic=True,
                          autoencoder_path=autoencoder)
             trees[chunk] = output_tree(out)
         assert any(name.startswith("anomalies") for name in trees[64])
-        assert trees[4] == trees[8] == trees[16] == trees[64]
+        assert trees[8] == trees[16] == trees[32] == trees[64]
 
     def test_an_unbounded_history_logs_what_the_window_count_does(self, canonical_capture,
                                                                  tmp_path):
