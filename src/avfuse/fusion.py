@@ -206,16 +206,13 @@ def _token_arrays(model, visual, audio) -> tuple[Tensor, Tensor, int | list[int]
     lengths = None
     if isinstance(visual, list):
         lengths = [len(sequence) for sequence in visual]
-        if [len(sequence) for sequence in audio] != lengths or 0 in lengths:
-            raise InvalidInput(f"token counts differ or empty: visual {lengths}, "
+        if [len(sequence) for sequence in audio] != lengths:
+            raise InvalidInput(f"token counts differ: visual {lengths}, "
                                f"audio {[len(sequence) for sequence in audio]}")
         try:
             visual, audio = np.concatenate(visual), np.concatenate(audio)
         except ValueError as exc:
             raise InvalidInput(f"token sequences do not stack: {exc}") from exc
-        if visual.ndim != 2 or audio.ndim != 2:
-            raise InvalidInput(f"token sequences must be (n, f): visual {visual.shape}, "
-                               f"audio {audio.shape} stacked")
     visual = np.atleast_2d(np.asarray(visual, dtype=model.dtype))
     audio = np.atleast_2d(np.asarray(audio, dtype=model.dtype))
     if visual.ndim > 3 or audio.ndim > 3:

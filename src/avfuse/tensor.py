@@ -192,19 +192,10 @@ def add_bias(x: Tensor, bias: Tensor, blocks=None) -> Tensor:
     (1, d) bias is added to every row. No block may be longer than m rows.
     """
     m, d = bias.shape
-    rows = x.shape[0]
-    if blocks is None and m >= 1 and rows % m == 0:
-        blocks = rows // m
-    groups = _row_groups(rows, blocks, "add_bias") if blocks is not None else ()
-    if not groups or d != x.shape[1] or max(n for _, _, n in groups) > m:
+    groups = _row_groups(x.shape[0], x.shape[0] // max(m, 1) if blocks is None else blocks,
+                         "add_bias")
+    if d != x.shape[1] or max(n for _, _, n in groups) > m:
         raise InvalidInput(f"add_bias: bias shape {bias.shape} does not broadcast onto {x.shape}")
-
-    def add(part, count, n):
-        # One bias row or one block broadcasts as it is; the (B, n, d) view costs
-        # a few microseconds more per call.
-        if n == 1 or count == 1:
-            return part + bias.data[:n]
-        return (part.reshape(count, n, d) + bias.data[:n]).reshape(part.shape)
 
     def grad_bias(g):
         out = np.zeros_like(bias.data)
@@ -212,8 +203,9 @@ def add_bias(x: Tensor, bias: Tensor, blocks=None) -> Tensor:
             out[:n] += g[start:start + count * n].reshape(count, n, d).sum(axis=0)
         return out
 
-    data = _join([add(x.data[start:start + count * n], count, n) for start, count, n in groups])
-    return _node(data, (x, bias), (lambda g: g, grad_bias))
+    return _node(_join([(x.data[start:start + count * n].reshape(count, n, d) + bias.data[:n])
+                        .reshape(count * n, d) for start, count, n in groups]),
+                 (x, bias), (lambda g: g, grad_bias))
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -305,16 +297,10 @@ def mean(x: Tensor, blocks) -> Tensor:
     ``blocks`` is as in :func:`attention`.
     """
     groups = _row_groups(x.shape[0], blocks, "mean")
-
-    def grad(g):
-        parts, first = [], 0  # first: the group's first block, a row of g
-        for _, count, n in groups:
-            parts.append(np.repeat(g[first:first + count], n, axis=0) / n)
-            first += count
-        return _join(parts)
-
+    lengths = np.repeat([n for _, _, n in groups], [count for _, count, _ in groups])
     return _node(_join([x.data[start:start + count * n].reshape(count, n, -1).mean(axis=1)
-                        for start, count, n in groups]), (x,), (grad,))
+                        for start, count, n in groups]), (x,),
+                 (lambda g: np.repeat(g / lengths[:, np.newaxis], lengths, axis=0),))
 
 
 def concat(tensors: list[Tensor]) -> Tensor:
