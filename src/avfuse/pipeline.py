@@ -15,11 +15,11 @@ Horn-Schunck and the fusion forward each make one call per run, and a
 window's stage latency is its share of its run's time. The forward takes
 the run's token sequences as row blocks of their own lengths, so the
 shorter sequences of the first windows share it too; the two vision
-kernels pass over at most ``vision_dsp.STACK`` frames at a time. The first stage
-that raises fails the run with an error naming the stage and the window
-whose step failed, or the run's windows for a step over the whole run. The
-sink writes the event log in the order it makes the records, which is
-window order.
+kernels pass over at most ``vision_dsp.STACK`` frames at a time. The
+first stage that raises fails the run with an error naming the stage and
+the window whose step failed, or the run's windows for a step over the
+whole run. The sink writes the event log in the order it makes the
+records, which is window order.
 """
 
 from __future__ import annotations
@@ -89,11 +89,12 @@ DIVERGED_LOSS_RATIO = 1000.0
 RUN = 8
 
 # The windows the runner reads and takes through every stage at once. A multiple
-# of RUN, so that runs stay as they would be over the whole capture. Each chunk frees what its stages held. A basic
-# `run --deterministic` at 4, 8, 16 and 64 peaked within 1.4 MiB of each other,
-# its wall time within run-to-run noise (ROADMAP Baseline), so no size here buys
-# memory or time. 64 stays: it is the size every benchmark has measured, and the
-# bytes do not depend on it.
+# of RUN, so that runs stay as they would be over the whole capture. Each chunk
+# frees what its stages held. A basic `run --deterministic` at 4, 8, 16 and 64
+# (with runs of 4) peaked within 1.4 MiB of each other, its wall time within
+# run-to-run noise (ROADMAP Baseline), so no size here buys memory or time. 64
+# stays: it is the size every benchmark has measured, and the bytes do not
+# depend on it.
 CHUNK = 64
 
 # The event log's name until the run ends; a run that fails leaves no event log.

@@ -298,9 +298,12 @@ def mean(x: Tensor, blocks) -> Tensor:
     """
     groups = _row_groups(x.shape[0], blocks, "mean")
     lengths = np.repeat([n for _, _, n in groups], [count for _, count, _ in groups])
+
+    def grad(g):
+        return np.repeat(g / lengths[:, np.newaxis].astype(g.dtype), lengths, axis=0)
+
     return _node(_join([x.data[start:start + count * n].reshape(count, n, -1).mean(axis=1)
-                        for start, count, n in groups]), (x,),
-                 (lambda g: np.repeat(g / lengths[:, np.newaxis], lengths, axis=0),))
+                        for start, count, n in groups]), (x,), (grad,))
 
 
 def concat(tensors: list[Tensor]) -> Tensor:

@@ -175,6 +175,15 @@ class TestUnequalRowBlocks:
         # rounding dominates their central differences; a step of 1e-4 keeps them clear.
         assert finite_diff_check(f, [q, k, v, table], step=1e-4) < GRAD_TOL
 
+    def test_float32_gradients_stay_float32(self):
+        rng = np.random.default_rng(4)
+        x = tz.Tensor(data(rng, np.float32, 12, 4), requires_grad=True)
+        table = tz.Tensor(data(rng, np.float32, 5, 4), requires_grad=True)
+        lengths = [5, 2, 2, 3]
+        tz.backward(tz.sum_all(tz.mean(tz.add_bias(tz.attention(x, x, x, heads=2, blocks=lengths),
+                                                   table, lengths), lengths)))
+        assert x.grad.dtype == table.grad.dtype == np.float32
+
     @pytest.mark.parametrize("build", [
         lambda x: tz.attention(x, x, x, heads=2, blocks=[4, 4, 3]),
         lambda x: tz.attention(x, x, x, heads=2, blocks=[6, 0, 6]),

@@ -103,8 +103,8 @@ class TestPassesOfAtMostStack:
     def test_horn_schunck(self, monkeypatch):
         frames = random_frames((12, 20), 2 * STACK + 2)
         flow, passes, sweeps = DenseFlow(10.0, 25), [], DenseFlow._sweeps
-        monkeypatch.setattr(DenseFlow, "_sweeps",
-                            lambda self, prev, nxt: passes.append(len(prev)) or sweeps(self, prev, nxt))
+        monkeypatch.setattr(DenseFlow, "_sweeps", lambda self, prev, nxt: (
+            passes.append(len(prev)) or sweeps(self, prev, nxt)))
         stacked = flow(frames[:-1], frames[1:])
         assert passes == [STACK, STACK, 1]
         for i in range(len(frames) - 1):
