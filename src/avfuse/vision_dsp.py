@@ -25,9 +25,7 @@ Its Jacobi sweeps update one edge-padded (u, v) buffer in place, in float32,
 for ``train`` and ``run`` alike; against the float64 sweeps the field stays
 within 1e-5 of its largest magnitude. It takes one pair of frames or a
 stack of B pairs, up to ``STACK`` pairs to a pass, each pair with the bytes
-it has alone. Non-local means and Horn-Schunck are the two kernels whose
-planes outgrow the cache, so each passes over at most ``STACK`` frames or
-pairs at a time, whatever stack it is given.
+it has alone.
 """
 
 from __future__ import annotations
